@@ -83,10 +83,10 @@ impl BayesOpt {
         }
         let best = self.gp.best_y().expect("observations exist");
         // Draw the whole candidate pool up front, then score it with one
-        // batched posterior pass — a single forward-solve sweep over the
-        // factor instead of `n_candidates` independent triangular solves.
-        // The posteriors (and hence the argmax) are bitwise identical to
-        // the one-at-a-time loop this replaces.
+        // batched posterior pass over four-candidate tiles instead of
+        // `n_candidates` independent posterior calls. The posteriors (and
+        // hence the argmax) are bitwise identical to the one-at-a-time
+        // loop this replaces.
         let mut best_candidate = self.random_scaled();
         let candidates: Vec<Vec<f64>> = (0..self.n_candidates)
             .map(|_| self.random_scaled())

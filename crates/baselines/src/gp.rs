@@ -4,7 +4,9 @@
 //! Observations live in the *scaled* configuration space (every dimension
 //! in the same `[1, 20]` range — the same normalization NoStop uses), so a
 //! single isotropic length scale is appropriate. Targets are centered; the
-//! posterior reverts to the prior mean away from data.
+//! posterior reverts to the prior mean away from data. Observations are
+//! stored as one row-major buffer (`dim` entries per point), and the
+//! kernel's `2ℓ²` is computed once per GP.
 //!
 //! # Fast path
 //!
@@ -25,8 +27,22 @@
 //! single dot kernel, making their factors — and therefore posteriors —
 //! bitwise identical; the differential suite in
 //! `crates/baselines/tests/gp_differential.rs` pins this.
+//!
+//! # Batched scoring
+//!
+//! [`GaussianProcess::posterior_batch`] scores candidates in tiles of
+//! [`TILE`]: their kernel columns are written interleaved into one
+//! `n × TILE` buffer, and [`dot_tile`] serves the mean (`alpha · k*`), the
+//! forward solve ([`solve_lower_tile`]) and the variance (`v · v`) for all
+//! four at once. Every loop vectorises across the tile's candidates, never
+//! along a sum, so each lane keeps the per-point order of operations
+//! ([`Kernel::eval`]'s distance sum, [`dot`]'s partial sums) and every
+//! output is bitwise equal to [`GaussianProcess::posterior`], which stays
+//! as the per-point reference. Nothing here may use a fused multiply-add.
 
-use crate::linalg::{cholesky_solve_into, dot, solve_lower_in_place, solve_lower_multi, Matrix};
+use crate::linalg::{
+    cholesky_solve_into, dot, dot_tile, solve_lower_in_place, solve_lower_tile, Matrix, TILE,
+};
 
 /// True when the `NOSTOP_NO_GP_INCREMENTAL=1` kill switch is set — new GPs
 /// then fit via the full O(n³) refit path so CI can differentially compare
@@ -59,8 +75,25 @@ impl Default for Kernel {
 impl Kernel {
     /// Kernel value `k(a, b)`.
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+        self.eval_with(self.two_l2(), a, b)
+    }
+
+    /// The exponent's denominator `2ℓ²`.
+    fn two_l2(&self) -> f64 {
+        2.0 * self.length_scale * self.length_scale
+    }
+
+    /// [`Kernel::eval`] with `2ℓ²` computed by the caller.
+    #[inline]
+    fn eval_with(&self, two_l2: f64, a: &[f64], b: &[f64]) -> f64 {
         let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum();
-        self.signal_variance * (-d2 / (2.0 * self.length_scale * self.length_scale)).exp()
+        self.of_sq_dist(two_l2, d2)
+    }
+
+    /// The kernel value at squared distance `d2`.
+    #[inline]
+    fn of_sq_dist(&self, two_l2: f64, d2: f64) -> f64 {
+        self.signal_variance * (-d2 / two_l2).exp()
     }
 }
 
@@ -68,10 +101,15 @@ impl Kernel {
 #[derive(Debug, Clone)]
 pub struct GaussianProcess {
     kernel: Kernel,
-    x: Vec<Vec<f64>>,
+    /// `kernel.two_l2()`, computed once.
+    two_l2: f64,
+    /// Observed points, row-major: point `i` is `x[i * dim..(i + 1) * dim]`.
+    x: Vec<f64>,
+    /// Dimension of every observed point; set by the first add.
+    dim: usize,
     y: Vec<f64>,
     y_mean: f64,
-    /// Cholesky factor of `K + (σ_n² + jitter) I`; dimension `x.len()`.
+    /// Cholesky factor of `K + (σ_n² + jitter) I`; dimension `len()`.
     chol: Matrix,
     /// `(K + σ_n² I)⁻¹ (y − ȳ)`.
     alpha: Vec<f64>,
@@ -91,7 +129,9 @@ impl GaussianProcess {
     pub fn new(kernel: Kernel) -> Self {
         GaussianProcess {
             kernel,
+            two_l2: kernel.two_l2(),
             x: Vec::new(),
+            dim: 0,
             y: Vec::new(),
             y_mean: 0.0,
             chol: Matrix::zeros(0),
@@ -117,12 +157,12 @@ impl GaussianProcess {
 
     /// Number of observations.
     pub fn len(&self) -> usize {
-        self.x.len()
+        self.y.len()
     }
 
     /// True when no observations have been added.
     pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
+        self.y.is_empty()
     }
 
     /// The smallest observed target, if any.
@@ -142,25 +182,29 @@ impl GaussianProcess {
     /// Add an observation and refit.
     pub fn add(&mut self, x: Vec<f64>, y: f64) {
         assert!(y.is_finite(), "target must be finite");
-        if let Some(first) = self.x.first() {
-            assert_eq!(first.len(), x.len(), "dimension mismatch");
+        assert!(!x.is_empty(), "a point needs at least one dimension");
+        if self.is_empty() {
+            self.dim = x.len();
         }
+        assert_eq!(self.dim, x.len(), "dimension mismatch");
         if self.incremental {
             // Kernel-row cache: the new point's column, computed once.
             self.kcol.clear();
-            for xi in &self.x {
-                self.kcol.push(self.kernel.eval(xi, &x));
+            for xi in self.x.chunks_exact(self.dim) {
+                self.kcol.push(self.kernel.eval_with(self.two_l2, xi, &x));
             }
-            let diag = self.kernel.eval(&x, &x) + self.kernel.noise_variance + self.jitter();
-            self.chol.reserve(self.x.len() + 1);
+            let diag = self.kernel.eval_with(self.two_l2, &x, &x)
+                + self.kernel.noise_variance
+                + self.jitter();
+            self.chol.reserve(self.len() + 1);
             if !self.chol.extend_cholesky(&self.kcol, diag) {
                 panic!("kernel matrix with noise must be positive definite");
             }
-            self.x.push(x);
+            self.x.extend_from_slice(&x);
             self.y.push(y);
             self.resolve_alpha();
         } else {
-            self.x.push(x);
+            self.x.extend_from_slice(&x);
             self.y.push(y);
             self.refit();
         }
@@ -168,7 +212,7 @@ impl GaussianProcess {
 
     /// Recenter the targets and re-solve `alpha` from the current factor.
     fn resolve_alpha(&mut self) {
-        let n = self.x.len();
+        let n = self.len();
         self.y_mean = self.y.iter().sum::<f64>() / n as f64;
         let y_mean = self.y_mean;
         self.centered.clear();
@@ -179,14 +223,14 @@ impl GaussianProcess {
     /// Probe path: rebuild the full Gram matrix and refactor from scratch
     /// into reused scratch storage.
     fn refit(&mut self) {
-        let n = self.x.len();
+        let n = self.len();
         let jitter = self.jitter();
         self.gram.n = n;
         self.gram.data.clear();
         self.gram.data.resize(n * n, 0.0);
-        for (i, xi) in self.x.iter().enumerate() {
-            for (j, xj) in self.x.iter().enumerate() {
-                self.gram.data[i * n + j] = self.kernel.eval(xi, xj)
+        for (i, xi) in self.x.chunks_exact(self.dim).enumerate() {
+            for (j, xj) in self.x.chunks_exact(self.dim).enumerate() {
+                self.gram.data[i * n + j] = self.kernel.eval_with(self.two_l2, xi, xj)
                     + if i == j {
                         self.kernel.noise_variance + jitter
                     } else {
@@ -203,45 +247,68 @@ impl GaussianProcess {
     /// Posterior mean and variance at `x`.
     ///
     /// With no observations this is the prior: `(0-centered mean, σ_f²)`.
+    /// Otherwise `x` must have the observations' dimension.
     pub fn posterior(&self, x: &[f64]) -> (f64, f64) {
-        if self.x.is_empty() {
+        if self.is_empty() {
             return (self.y_mean, self.kernel.signal_variance);
         }
-        let k_star: Vec<f64> = self.x.iter().map(|xi| self.kernel.eval(xi, x)).collect();
+        assert_eq!(x.len(), self.dim, "dimension mismatch");
+        let k_star: Vec<f64> = self
+            .x
+            .chunks_exact(self.dim)
+            .map(|xi| self.kernel.eval_with(self.two_l2, xi, x))
+            .collect();
         let mean = self.y_mean + dot(&k_star, &self.alpha);
         let mut v = k_star;
         solve_lower_in_place(&self.chol, &mut v);
-        let var = (self.kernel.eval(x, x) - dot(&v, &v)).max(1e-12);
+        let var = (self.kernel.eval_with(self.two_l2, x, x) - dot(&v, &v)).max(1e-12);
         (mean, var)
     }
 
-    /// Posterior mean and variance at every candidate, sharing one
-    /// multi-RHS forward-solve sweep over the factor instead of one
-    /// triangular solve per candidate. Bitwise identical to calling
-    /// [`GaussianProcess::posterior`] per point.
+    /// Posterior mean and variance at every candidate, scored [`TILE`]
+    /// candidates at a time (see the module docs). Bitwise identical to
+    /// calling [`GaussianProcess::posterior`] per point.
     pub fn posterior_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        if self.x.is_empty() {
+        if self.is_empty() {
             return xs
                 .iter()
                 .map(|_| (self.y_mean, self.kernel.signal_variance))
                 .collect();
         }
-        let n = self.x.len();
-        let count = xs.len();
-        // Candidate-major block of k* columns.
-        let mut work = vec![0.0; count * n];
-        for (block, xc) in work.chunks_exact_mut(n).zip(xs) {
-            for (slot, xi) in block.iter_mut().zip(&self.x) {
-                *slot = self.kernel.eval(xi, xc);
-            }
+        let dim = self.dim;
+        for xc in xs {
+            assert_eq!(xc.len(), dim, "dimension mismatch");
         }
-        let mut out: Vec<(f64, f64)> = work
-            .chunks_exact(n)
-            .map(|k_star| (self.y_mean + dot(k_star, &self.alpha), 0.0))
-            .collect();
-        solve_lower_multi(&self.chol, &mut work, count);
-        for ((post, v), xc) in out.iter_mut().zip(work.chunks_exact(n)).zip(xs) {
-            post.1 = (self.kernel.eval(xc, xc) - dot(v, v)).max(1e-12);
+        let mut out = Vec::with_capacity(xs.len());
+        let mut tile = vec![0.0; self.len() * TILE];
+        let mut cand = vec![0.0; dim * TILE];
+        for group in xs.chunks(TILE) {
+            // The group's coordinates, interleaved like the tile; a short
+            // last group repeats its last candidate in the spare lanes.
+            for (k, slot) in cand.iter_mut().enumerate() {
+                *slot = group[(k % TILE).min(group.len() - 1)][k / TILE];
+            }
+            // k* columns straight into the interleaved layout. Each lane
+            // sums its squared distance in `Kernel::eval`'s order (terms
+            // are never negative, so the zero start matches `sum`'s).
+            for (row, xi) in tile.chunks_exact_mut(TILE).zip(self.x.chunks_exact(dim)) {
+                let mut d2 = [0.0; TILE];
+                for (&a, lanes) in xi.iter().zip(cand.chunks_exact(TILE)) {
+                    for (d, &b) in d2.iter_mut().zip(lanes) {
+                        *d += (a - b) * (a - b);
+                    }
+                }
+                for (slot, d2) in row.iter_mut().zip(d2) {
+                    *slot = self.kernel.of_sq_dist(self.two_l2, d2);
+                }
+            }
+            let means = dot_tile::<1>(&self.alpha, &tile);
+            solve_lower_tile(&self.chol, &mut tile);
+            let vv = dot_tile::<TILE>(&tile, &tile);
+            for ((xc, mean), vv) in group.iter().zip(means).zip(vv) {
+                let var = (self.kernel.eval_with(self.two_l2, xc, xc) - vv).max(1e-12);
+                out.push((self.y_mean + mean, var));
+            }
         }
         out
     }
@@ -346,8 +413,10 @@ mod tests {
             (&[5.0, 5.0], 7.0),
             (&[9.0, 2.0], 1.0),
             (&[3.0, 8.0], 4.0),
+            (&[7.0, 6.0], 2.0),
         ]);
-        let cands: Vec<Vec<f64>> = (0..32)
+        // 33 candidates: eight full tiles and one padded single.
+        let cands: Vec<Vec<f64>> = (0..33)
             .map(|i| vec![1.0 + (i % 9) as f64, 1.0 + (i % 5) as f64 * 3.0])
             .collect();
         let batch = gp.posterior_batch(&cands);
@@ -364,6 +433,27 @@ mod tests {
         let gp = GaussianProcess::new(Kernel::default());
         let batch = gp.posterior_batch(&[vec![1.0], vec![2.0]]);
         assert_eq!(batch, vec![(0.0, 25.0), (0.0, 25.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn short_candidate_rejected_by_posterior() {
+        let gp = gp_with(&[(&[1.0, 2.0], 3.0)]);
+        gp.posterior(&[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn short_candidate_rejected_by_posterior_batch() {
+        let gp = gp_with(&[(&[1.0, 2.0], 3.0)]);
+        gp.posterior_batch(&[vec![1.0, 2.0], vec![1.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn mismatched_observation_rejected() {
+        let mut gp = gp_with(&[(&[1.0, 2.0], 3.0)]);
+        gp.add(vec![1.0, 2.0, 3.0], 1.0);
     }
 
     #[test]

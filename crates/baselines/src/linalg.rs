@@ -5,14 +5,25 @@
 //! `Vec<f64>` with explicit dimension.
 //!
 //! Every inner product in this module — the Cholesky inner loops, the
-//! forward solves (single and multi-RHS), and the rank-1 factor extension —
-//! goes through the one unrolled [`dot`] kernel. That is a correctness
-//! property, not just a speed one: incremental factor extension
-//! ([`Matrix::extend_cholesky`]) is *bitwise* identical to refactoring the
-//! grown Gram matrix from scratch ([`Matrix::cholesky_into`]) because the
-//! new-row recurrence and the full factorization execute the same additions
-//! in the same order. The GP's `NOSTOP_NO_GP_INCREMENTAL` probe mode leans
-//! on this.
+//! forward solves, and the rank-1 factor extension — goes through the one
+//! unrolled [`dot`] kernel. That is a correctness property, not just a
+//! speed one: incremental factor extension ([`Matrix::extend_cholesky`]) is
+//! *bitwise* identical to refactoring the grown Gram matrix from scratch
+//! ([`Matrix::cholesky_into`]) because the new-row recurrence and the full
+//! factorization execute the same additions in the same order. The GP's
+//! `NOSTOP_NO_GP_INCREMENTAL` probe mode leans on this.
+//!
+//! # Candidate tiles
+//!
+//! Batched posterior scoring works on *tiles*: [`TILE`] vectors of equal
+//! length interleaved entry by entry, `tile[j * TILE + g]` being entry `j`
+//! of vector `g`. [`dot_tile`] is [`dot`] run on all four at once: it
+//! vectorises across the tile's vectors, never along `j`, so every lane
+//! performs exactly `dot`'s multiplications and additions in `dot`'s order
+//! (four strided partial sums over whole chunks, `(s0 + s1) + (s2 + s3)`,
+//! then the remainder in order). Lane `g` is therefore bitwise equal to
+//! `dot` on vector `g`. There is no fused multiply-add anywhere: it would
+//! round once where `dot` rounds twice.
 
 /// A square matrix in row-major storage.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,6 +54,40 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         s += x * y;
     }
     s
+}
+
+/// Vectors per tile (see the module docs).
+pub const TILE: usize = 4;
+
+/// [`dot`] of `TILE` vectors at once. `tile` holds `len` rows of `TILE`
+/// interleaved entries; `a` is either one vector shared by every lane
+/// (`A = 1`, length `len`) or a second tile (`A = TILE`, length
+/// `len * TILE`). Lane `g` of the result is bitwise equal to
+/// `dot(a_g, tile_g)`, where `a_g` is the shared vector or lane `g` of `a`.
+#[inline]
+pub fn dot_tile<const A: usize>(a: &[f64], tile: &[f64]) -> [f64; TILE] {
+    debug_assert_eq!(a.len() * TILE, tile.len() * A);
+    let mut ca = a.chunks_exact(4 * A);
+    let mut ct = tile.chunks_exact(4 * TILE);
+    let mut s = [[0.0; TILE]; 4];
+    for (x, t) in (&mut ca).zip(&mut ct) {
+        for (k, sk) in s.iter_mut().enumerate() {
+            for (g, acc) in sk.iter_mut().enumerate() {
+                *acc += x[k * A + g % A] * t[k * TILE + g];
+            }
+        }
+    }
+    let mut out = [0.0; TILE];
+    for (g, o) in out.iter_mut().enumerate() {
+        *o = (s[0][g] + s[1][g]) + (s[2][g] + s[3][g]);
+    }
+    let rows = ca.remainder().chunks_exact(A);
+    for (x, t) in rows.zip(ct.remainder().chunks_exact(TILE)) {
+        for (g, o) in out.iter_mut().enumerate() {
+            *o += x[g % A] * t[g];
+        }
+    }
+    out
 }
 
 impl Matrix {
@@ -214,21 +259,21 @@ pub fn solve_lower(l: &Matrix, b: &[f64]) -> Vec<f64> {
     x
 }
 
-/// Multi-right-hand-side forward substitution: `xs` holds `count`
-/// candidate-major rows of length `l.n`, each a `b` on entry and the
-/// solution of `L x = b` on exit. One sweep over the factor's rows serves
-/// every right-hand side, so `L` streams through cache once; per-candidate
-/// arithmetic is bitwise identical to [`solve_lower`].
-pub fn solve_lower_multi(l: &Matrix, xs: &mut [f64], count: usize) {
+/// Forward substitution on a tile: on entry `tile` holds `TILE`
+/// interleaved right-hand sides of length `l.n`, on exit the solutions of
+/// `L x = b`. Row `i` of `L` meets the tile's solved prefix through
+/// [`dot_tile`], so every lane is bitwise equal to
+/// [`solve_lower_in_place`] on that right-hand side.
+pub fn solve_lower_tile(l: &Matrix, tile: &mut [f64]) {
     let n = l.n;
-    assert_eq!(xs.len(), count * n, "dimension mismatch");
+    assert_eq!(tile.len(), n * TILE, "dimension mismatch");
     for i in 0..n {
         let row = &l.data[i * n..i * n + i];
         let d = l.data[i * n + i];
-        for x in xs.chunks_exact_mut(n) {
-            let (head, tail) = x.split_at_mut(i);
-            let s = tail[0] - dot(row, head);
-            tail[0] = s / d;
+        let (head, tail) = tile.split_at_mut(i * TILE);
+        let s = dot_tile::<1>(row, head);
+        for (x, s) in tail[..TILE].iter_mut().zip(s) {
+            *x = (*x - s) / d;
         }
     }
 }
@@ -416,17 +461,48 @@ mod tests {
         assert_eq!(l.get(0, 0), 2.0);
     }
 
+    /// Interleave `TILE` columns into a tile.
+    fn interleave(cols: &[Vec<f64>]) -> Vec<f64> {
+        let len = cols[0].len();
+        (0..len * TILE).map(|k| cols[k % TILE][k / TILE]).collect()
+    }
+
     #[test]
-    fn multi_rhs_solve_matches_single_bitwise() {
-        let a = random_spd(19, 9);
-        let l = a.cholesky().unwrap();
-        let count = 7;
-        let mut xs: Vec<f64> = (0..count * 19).map(|i| (i as f64).sin()).collect();
-        let singles: Vec<Vec<f64>> = xs.chunks_exact(19).map(|b| solve_lower(&l, b)).collect();
-        solve_lower_multi(&l, &mut xs, count);
-        for (c, single) in singles.iter().enumerate() {
-            for (k, (&got, &want)) in xs[c * 19..(c + 1) * 19].iter().zip(single).enumerate() {
-                assert_eq!(got.to_bits(), want.to_bits(), "candidate {c} entry {k}");
+    fn dot_tile_lanes_match_dot_bitwise() {
+        // Every remainder mod 4, with signs and magnitudes mixed so the
+        // summation order shows in the low bits.
+        for len in 0..=13 {
+            let a: Vec<f64> = (0..len).map(|j| (j as f64 * 1.7).sin() * 1e3).collect();
+            let cols: Vec<Vec<f64>> = (0..TILE)
+                .map(|g| (0..len).map(|j| ((j * 5 + g) as f64).cos() / 3.0).collect())
+                .collect();
+            let tile = interleave(&cols);
+            let shared = dot_tile::<1>(&a, &tile);
+            let own = dot_tile::<TILE>(&tile, &tile);
+            for (g, col) in cols.iter().enumerate() {
+                assert_eq!(shared[g].to_bits(), dot(&a, col).to_bits(), "len {len}");
+                assert_eq!(own[g].to_bits(), dot(col, col).to_bits(), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn tile_solve_matches_single_bitwise() {
+        for n in [1usize, 4, 7, 19] {
+            let l = random_spd(n, 9).cholesky().unwrap();
+            let cols: Vec<Vec<f64>> = (0..TILE)
+                .map(|g| (0..n).map(|i| ((i * TILE + g) as f64).sin()).collect())
+                .collect();
+            let mut tile = interleave(&cols);
+            solve_lower_tile(&l, &mut tile);
+            for (g, col) in cols.iter().enumerate() {
+                for (i, want) in solve_lower(&l, col).iter().enumerate() {
+                    assert_eq!(
+                        tile[i * TILE + g].to_bits(),
+                        want.to_bits(),
+                        "n {n} lane {g}"
+                    );
+                }
             }
         }
     }

@@ -383,15 +383,16 @@ fn bench_gp_fast_path(c: &mut Criterion) {
         group.finish();
     }
 
-    // The per-proposal scoring sweep: 128 candidates through one batched
-    // forward-solve pass vs 128 independent posterior calls.
-    const CANDIDATES: usize = 128;
+    // The per-proposal scoring sweep at BayesOpt's shape: its 256-candidate
+    // pool at n = 256, dim 8, through the tiled batch vs 256 independent
+    // posterior calls (the per-point reference).
+    const CANDIDATES: usize = 256;
     let gp = seeded_gp(256, true);
     let cands: Vec<Vec<f64>> = make_points(CANDIDATES, 23)
         .into_iter()
         .map(|(x, _)| x)
         .collect();
-    let mut group = c.benchmark_group("gp_posterior_128");
+    let mut group = c.benchmark_group("gp_posterior_256");
     group.throughput(Throughput::Elements(CANDIDATES as u64));
     group.bench_function("batched", |b| {
         b.iter(|| black_box(gp.posterior_batch(&cands)));
