@@ -2,29 +2,28 @@
 # Shared determinism harness for the CI legs that all follow the same
 # shape: build one release binary from nostop-bench, run it with
 # NOSTOP_JOBS=1 and NOSTOP_JOBS=8, and byte-diff the stdout (and, when
-# the artifact itself is deterministic, the written file). Optional
-# --probe VAR=VAL passes add a third run under a kill-switch env var
-# whose stdout must also match the serial run.
+# the artifact itself is deterministic, the written file). --probe adds
+# a third run under NOSTOP_PROBE=1, which holds every fast path to its
+# exact result; its output must also match the serial run.
 #
 # Usage: ci/determinism.sh <bin> [--artifact <ext>] [--diff-artifact]
-#                                [--probe VAR=VAL]...
+#                                [--probe]
 #
 #   <bin>            nostop-bench binary name (fig6, chaos_report, ...)
 #   --artifact <ext> the binary takes an output path as its first
 #                    positional argument; write it under /tmp with <ext>
-#   --diff-artifact  also byte-diff the serial vs parallel artifact
-#                    (omit for reports that embed wall times)
-#   --probe VAR=VAL  extra run with VAR=VAL set; stdout must match serial
-#
-# The superbatch leg stays bespoke: its differential is fast-vs-exact
-# engine semantics, not a worker-count replay.
+#   --diff-artifact  also byte-diff the serial artifact against the
+#                    parallel (and probe) one (omit for reports that
+#                    embed wall times)
+#   --probe          extra run with NOSTOP_PROBE=1; stdout (and, with
+#                    --diff-artifact, the artifact) must match serial
 set -euo pipefail
 
 bin=$1
 shift
 artifact_ext=""
 diff_artifact=0
-probes=()
+probe=0
 while [ $# -gt 0 ]; do
   case "$1" in
     --artifact)
@@ -36,8 +35,8 @@ while [ $# -gt 0 ]; do
       shift
       ;;
     --probe)
-      probes+=("$2")
-      shift 2
+      probe=1
+      shift
       ;;
     *)
       echo "unknown argument: $1" >&2
@@ -61,15 +60,18 @@ run() { # run <label> <env assignments...>
   env "$@" "./target/release/$bin" "${args[@]}" >"$out/$label.txt"
 }
 
+same_as_serial() { # same_as_serial <label>
+  diff "$out/serial.txt" "$out/$1.txt"
+  if [ "$diff_artifact" = 1 ] && [ -n "$artifact_ext" ]; then
+    diff "$out/serial.$artifact_ext" "$out/$1.$artifact_ext"
+  fi
+}
+
 run serial NOSTOP_JOBS=1
 run parallel NOSTOP_JOBS=8
-diff "$out/serial.txt" "$out/parallel.txt"
-if [ "$diff_artifact" = 1 ] && [ -n "$artifact_ext" ]; then
-  diff "$out/serial.$artifact_ext" "$out/parallel.$artifact_ext"
+same_as_serial parallel
+if [ "$probe" = 1 ]; then
+  run probe NOSTOP_PROBE=1
+  same_as_serial probe
 fi
-for probe in ${probes[@]+"${probes[@]}"}; do
-  label="probe-${probe%%=*}"
-  run "$label" "$probe"
-  diff "$out/serial.txt" "$out/$label.txt"
-done
 echo "determinism: $bin output byte-identical across runs"

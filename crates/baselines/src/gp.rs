@@ -21,7 +21,7 @@
 //! shifts every entry of `y − ȳ` — but that is two triangular solves,
 //! still O(n²).
 //!
-//! Setting `NOSTOP_NO_GP_INCREMENTAL=1` (or
+//! Setting `NOSTOP_PROBE=1` (or
 //! [`GaussianProcess::with_incremental`]`(false)`) routes every add
 //! through the full-refit probe path. The two paths share `linalg`'s
 //! single dot kernel, making their factors — and therefore posteriors —
@@ -43,13 +43,7 @@
 use crate::linalg::{
     cholesky_solve_into, dot, dot_tile, solve_lower_in_place, solve_lower_tile, Matrix, TILE,
 };
-
-/// True when the `NOSTOP_NO_GP_INCREMENTAL=1` kill switch is set — new GPs
-/// then fit via the full O(n³) refit path so CI can differentially compare
-/// it against the incremental path.
-fn incremental_disabled_by_env() -> bool {
-    std::env::var_os("NOSTOP_NO_GP_INCREMENTAL").is_some_and(|v| v == "1")
-}
+use nostop_simcore::probe_mode;
 
 /// RBF (squared-exponential) kernel hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,7 +130,7 @@ impl GaussianProcess {
             y_mean: 0.0,
             chol: Matrix::zeros(0),
             alpha: Vec::new(),
-            incremental: !incremental_disabled_by_env(),
+            incremental: !probe_mode(),
             kcol: Vec::new(),
             centered: Vec::new(),
             gram: Matrix::zeros(0),

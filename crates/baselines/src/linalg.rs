@@ -11,7 +11,7 @@
 //! *bitwise* identical to refactoring the grown Gram matrix from scratch
 //! ([`Matrix::cholesky_into`]) because the new-row recurrence and the full
 //! factorization execute the same additions in the same order. The GP's
-//! `NOSTOP_NO_GP_INCREMENTAL` probe mode leans on this.
+//! `NOSTOP_PROBE` refit mode leans on this.
 //!
 //! # Candidate tiles
 //!

@@ -7,11 +7,12 @@
 //! over quantized points, so a last-bit posterior change usually does not
 //! move one; `gp_differential.rs` pins the posteriors themselves bit for
 //! bit. The pinned value holds in both GP modes (incremental and
-//! `NOSTOP_NO_GP_INCREMENTAL=1`).
+//! `NOSTOP_PROBE=1`).
 
 use nostop_baselines::bayesopt::BayesOpt;
 use nostop_baselines::tuner::Tuner;
 use nostop_core::space::ConfigSpace;
+use nostop_simcore::fnv1a64;
 
 /// FNV-1a over the proposal sequence, pinned from the pre-tiling scorer.
 const GOLDEN: u64 = 0xc5a1_af65_2fe2_dcdd;
@@ -31,26 +32,20 @@ fn objective(space: &ConfigSpace, physical: &[f64], round: usize) -> f64 {
     y + ((round * 7) % 5) as f64 * 0.01
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 #[test]
 fn bayesopt_proposals_match_the_golden_fingerprint() {
     let space = ConfigSpace::extended();
     let mut bo = BayesOpt::new(space.clone(), 2021);
-    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let mut bits = Vec::new();
     for round in 0..96 {
         let p = bo.propose();
         assert_eq!(p.len(), 8);
         for v in &p {
-            fnv1a(&mut hash, &v.to_bits().to_le_bytes());
+            bits.extend_from_slice(&v.to_bits().to_le_bytes());
         }
         bo.observe(&p, objective(&space, &p, round));
     }
     assert_eq!(bo.evaluations(), 96);
+    let hash = fnv1a64(&bits);
     assert_eq!(hash, GOLDEN, "proposal fingerprint {hash:#018x}");
 }

@@ -12,19 +12,18 @@
 //!    8 knobs, across every observation count mod 4 and every candidate
 //!    count mod the tile width.
 //! 3. **Probe equivalence** — a GP fitted through the full-refit probe
-//!    path (`with_incremental(false)`, the `NOSTOP_NO_GP_INCREMENTAL=1`
-//!    surface) produces posteriors bitwise identical to the incremental
+//!    path (`with_incremental(false)`, the `NOSTOP_PROBE=1` surface) produces posteriors bitwise identical to the incremental
 //!    path on arbitrary add-sequences — after *every* add, not just the
 //!    last.
 //!
-//! The suite is part of the CI `tuners` leg, which runs it both plain and
-//! under `NOSTOP_NO_GP_INCREMENTAL=1` (the env flips which path
-//! `GaussianProcess::new` picks; contract 3 pins the two paths against
-//! each other explicitly either way).
+//! The suite is part of the CI `fastpaths` leg, which runs it both plain
+//! and under `NOSTOP_PROBE=1` (the env flips which path
+//! `GaussianProcess::new` picks, which contract 3 checks; it also pins the
+//! two paths against each other explicitly either way).
 
 use nostop_baselines::gp::{GaussianProcess, Kernel};
 use nostop_baselines::linalg::Matrix;
-use nostop_simcore::SimRng;
+use nostop_simcore::{probe_mode, SimRng};
 use proptest::prelude::*;
 
 /// A random symmetric positive-definite matrix: `A Aᵀ + n·I` over entries
@@ -105,6 +104,8 @@ proptest! {
         n_adds in 1usize..32,
         seed in 0u64..1_000_000,
     ) {
+        let default_incremental = GaussianProcess::new(Kernel::default()).is_incremental();
+        prop_assert_eq!(default_incremental, !probe_mode(), "NOSTOP_PROBE must reach the GP");
         let mut rng = SimRng::seed_from_u64(seed ^ 0x9B0BE);
         let mut fast = GaussianProcess::new(Kernel::default()).with_incremental(true);
         let mut probe = GaussianProcess::new(Kernel::default()).with_incremental(false);

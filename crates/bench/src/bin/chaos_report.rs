@@ -15,20 +15,22 @@
 //! * `stragglers` — one node runs at 0.35× speed for 20 minutes.
 //! * `task_failures` — 15% per-attempt task failure for 20 minutes.
 //!
+//! Each scenario is an in-code [`ScenarioSpec`] run through
+//! [`run_method`], the scenario driver the `scenarios/` corpus uses. BO
+//! parks at its best configuration with no online recovery story, which
+//! is exactly what the chaos columns should show.
+//!
 //! Every cell is a pure function of `(scenario, method, SEED)`, so the
 //! grid runs through the parallel fabric and the report is byte-identical
 //! for any `NOSTOP_JOBS` — CI diffs the stdout of a serial and an 8-way
 //! run.
 
-use nostop_baselines::{BayesOpt, Tuner};
-use nostop_bench::driver::{nostop_config, paper_rate, penalized_objective, stats_of};
 use nostop_bench::parallel::{jobs, map_cells};
-use nostop_core::controller::NoStop;
-use nostop_core::system::{BatchObservation, StreamingSystem};
+use nostop_bench::scenario::run_method;
+use nostop_core::scenario::{ClusterKind, FaultSpec, RateSpec, ScenarioSpec, SkewSpec};
+use nostop_core::system::BatchObservation;
 use nostop_simcore::json::{self, Json};
-use nostop_simcore::{SimDuration, SimTime};
 use nostop_workloads::WorkloadKind;
-use spark_sim::{EngineParams, FaultEvent, FaultPlan, SimSystem, StreamConfig, StreamingEngine};
 
 const KIND: WorkloadKind = WorkloadKind::WordCount;
 const SEED: u64 = 7;
@@ -52,113 +54,54 @@ const SCENARIOS: [&str; 5] = [
 ];
 const METHODS: [&str; 3] = ["nostop", "bo", "static"];
 
-fn plan_for(scenario: &str) -> FaultPlan {
-    let at = SimTime::from_secs_f64(FAULT_AT);
+fn faults_for(scenario: &str) -> Vec<FaultSpec> {
     match scenario {
-        "baseline" => FaultPlan::none(),
-        "executor_crash" => FaultPlan::new(vec![FaultEvent::ExecutorCrash {
-            at,
+        "baseline" => Vec::new(),
+        "executor_crash" => vec![FaultSpec::ExecutorCrash {
+            at_s: FAULT_AT,
             count: 5,
-            relaunch_after: Some(SimDuration::from_secs(60)),
-        }]),
-        "receiver_outage" => FaultPlan::new(vec![FaultEvent::ReceiverOutage {
-            from: at,
-            until: SimTime::from_secs_f64(FAULT_AT + 120.0),
-        }]),
-        "stragglers" => FaultPlan::new(vec![FaultEvent::NodeSlowdown {
+            relaunch_after_s: Some(60.0),
+        }],
+        "receiver_outage" => vec![FaultSpec::ReceiverOutage {
+            from_s: FAULT_AT,
+            until_s: FAULT_AT + 120.0,
+        }],
+        "stragglers" => vec![FaultSpec::NodeSlowdown {
             node: 2,
-            from: at,
-            until: SimTime::from_secs_f64(FAULT_AT + 1_200.0),
+            from_s: FAULT_AT,
+            until_s: FAULT_AT + 1_200.0,
             factor: 0.35,
-        }]),
-        "task_failures" => FaultPlan::new(vec![FaultEvent::TaskFailures {
-            from: at,
-            until: SimTime::from_secs_f64(FAULT_AT + 1_200.0),
+        }],
+        "task_failures" => vec![FaultSpec::TaskFailures {
+            from_s: FAULT_AT,
+            until_s: FAULT_AT + 1_200.0,
             probability: 0.15,
-        }]),
+        }],
         other => panic!("unknown scenario `{other}`"),
     }
 }
 
-/// A [`StreamingSystem`] that remembers every batch it handed out, so a
-/// method can be driven by its own protocol (controller rounds, tuner
-/// iterations, plain polling) and still be scored on the full history.
-struct Recording {
-    inner: SimSystem,
-    log: Vec<BatchObservation>,
-}
-
-impl Recording {
-    fn new(scenario: &str) -> Self {
-        let mut params = EngineParams::paper(KIND, SEED);
-        params.faults = plan_for(scenario);
-        let engine = StreamingEngine::new(
-            params,
-            StreamConfig::paper_initial(),
-            paper_rate(KIND, SEED ^ 0x5EED),
-        );
-        Recording {
-            inner: SimSystem::new(engine),
-            log: Vec::new(),
-        }
-    }
-}
-
-impl StreamingSystem for Recording {
-    fn apply_config(&mut self, physical: &[f64]) {
-        self.inner.apply_config(physical);
-    }
-    fn next_batch(&mut self) -> BatchObservation {
-        let b = self.inner.next_batch();
-        self.log.push(b);
-        b
-    }
-    fn now_s(&self) -> f64 {
-        self.inner.now_s()
-    }
-}
-
-/// Drive one method over the horizon.
-fn run_method(method: &str, sys: &mut Recording) {
-    match method {
-        "nostop" => {
-            let mut ns = NoStop::new(nostop_config(KIND), SEED);
-            while sys.now_s() < HORIZON {
-                ns.run_round(sys);
-            }
-        }
-        "bo" => {
-            let mut bo = BayesOpt::new(nostop_config(KIND).space, SEED);
-            while sys.now_s() < HORIZON && !bo.finished() {
-                let physical = bo.propose();
-                sys.apply_config(&physical);
-                for _ in 0..15 {
-                    let b = sys.next_batch();
-                    if (b.interval_s - physical[0]).abs() < 0.051 && b.queued_batches == 0 {
-                        break;
-                    }
-                }
-                let window: Vec<BatchObservation> = (0..3).map(|_| sys.next_batch()).collect();
-                let stats = stats_of(&window);
-                bo.observe(&physical, penalized_objective(physical[0], &stats));
-            }
-            // Park at the best configuration found and ride out the rest
-            // of the horizon — BO has no online recovery story, which is
-            // exactly what the chaos columns should show.
-            if let Some((best, _)) = bo.best() {
-                sys.apply_config(&best);
-            }
-            while sys.now_s() < HORIZON {
-                sys.next_batch();
-            }
-        }
-        "static" => {
-            sys.apply_config(&[20.5, 10.0]);
-            while sys.now_s() < HORIZON {
-                sys.next_batch();
-            }
-        }
-        other => panic!("unknown method `{other}`"),
+/// The paper's WordCount arrivals (uniform over its Fig-5 range, redrawn
+/// every 30 s, off the default rate seed `SEED ^ 0x5EED`) on the paper
+/// cluster, with the scenario's fault.
+fn spec_for(scenario: &str) -> ScenarioSpec {
+    let (min_rate, max_rate) = KIND.paper_rate_range();
+    ScenarioSpec {
+        name: scenario.to_string(),
+        workload: KIND.name().to_string(),
+        cluster: ClusterKind::Paper,
+        seed: SEED,
+        rate_seed: None,
+        horizon_s: HORIZON,
+        rounds: None,
+        methods: METHODS.iter().map(|m| m.to_string()).collect(),
+        rate: RateSpec::UniformRandom {
+            min_rate,
+            max_rate,
+            hold_secs: 30.0,
+        },
+        skew: SkewSpec::None,
+        faults: faults_for(scenario),
     }
 }
 
@@ -196,18 +139,9 @@ fn mean_delay(batches: &[&BatchObservation]) -> f64 {
 }
 
 fn run_cell(scenario: &'static str, method: &'static str) -> CellResult {
-    let mut sys = Recording::new(scenario);
-    run_method(method, &mut sys);
-    let pre: Vec<&BatchObservation> = sys
-        .log
-        .iter()
-        .filter(|b| b.completed_at_s < FAULT_AT)
-        .collect();
-    let post: Vec<&BatchObservation> = sys
-        .log
-        .iter()
-        .filter(|b| b.completed_at_s >= FAULT_AT)
-        .collect();
+    let (sys, _) = run_method(&spec_for(scenario), method).expect("chaos cells are valid");
+    let (pre, post): (Vec<&BatchObservation>, Vec<&BatchObservation>) =
+        sys.log.iter().partition(|b| b.completed_at_s < FAULT_AT);
     let recovery_batches = post
         .windows(STREAK)
         .position(|w| w.iter().all(|b| b.is_stable()))
@@ -228,7 +162,6 @@ fn run_cell(scenario: &'static str, method: &'static str) -> CellResult {
         task_retries: listener.task_retries(),
     }
 }
-
 fn main() {
     let cells: Vec<(&'static str, &'static str)> = SCENARIOS
         .iter()

@@ -9,11 +9,11 @@
 //! Everything printed to **stdout** is a pure function of `(specs,
 //! budget, policy)` — digests, ledger counts, arbiter stats — so CI can
 //! diff the output byte-for-byte across `NOSTOP_JOBS` values *and*
-//! across the fleet fast path and its probe mode
-//! (`NOSTOP_NO_FLEET_FASTPATH=1`). Wall-clock timings go to **stderr**
-//! and — as `wall_ms`, best of `NOSTOP_PERF_REPEATS` runs (default 1) —
-//! into the report **file only**; the file is the one artifact allowed
-//! to differ between hosts and modes.
+//! across the fleet fast path and its probe mode (`NOSTOP_PROBE=1`).
+//! Wall-clock timings go to **stderr** and — as `wall_ms`, best of
+//! `NOSTOP_PERF_REPEATS` runs (default 1) — into the report **file
+//! only**; the file is the one artifact allowed to differ between hosts
+//! and modes.
 //!
 //! The binary is also its own acceptance test: before writing anything it
 //! replays the 100-tenant contended fleet at `NOSTOP_JOBS=1` and at the

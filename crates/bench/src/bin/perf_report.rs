@@ -267,7 +267,7 @@ fn scenario_cell_spec() -> ScenarioSpec {
 /// they simulated the same run).
 fn run_scenario_cell() -> u64 {
     let spec = scenario_cell_spec();
-    let r = run_method(&spec, "static").expect("scenario smoke cell runs");
+    let (_, r) = run_method(&spec, "static").expect("scenario smoke cell runs");
     r.batches as u64
 }
 

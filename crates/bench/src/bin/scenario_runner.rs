@@ -24,9 +24,10 @@
 
 use nostop_bench::parallel::{jobs, map_cells};
 use nostop_bench::scenario::{
-    default_corpus_dir, fnv1a64, load_corpus, run_method, sample_rate, workload_of,
+    default_corpus_dir, load_corpus, run_method, sample_rate, workload_of,
 };
 use nostop_core::scenario::ScenarioSpec;
+use nostop_simcore::fnv1a64;
 use nostop_simcore::json::{self, Json};
 use std::path::PathBuf;
 
@@ -69,7 +70,7 @@ fn opt_uint(v: Option<u64>) -> Json {
 }
 
 fn method_cell(spec: &ScenarioSpec, method: &str) -> Json {
-    let r = run_method(spec, method)
+    let (_, r) = run_method(spec, method)
         .unwrap_or_else(|e| panic!("scenario `{}` method `{method}`: {e}", spec.name));
     json::obj(vec![
         ("kind", json::str("method")),

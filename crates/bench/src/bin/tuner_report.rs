@@ -13,10 +13,9 @@
 //! Everything printed to **stdout** is a pure function of the arena
 //! constants — trajectories, regrets, winners — so CI can diff the output
 //! byte-for-byte across `NOSTOP_JOBS` values *and* across the incremental
-//! GP fast path and its full-refit probe mode
-//! (`NOSTOP_NO_GP_INCREMENTAL=1`): the probe factorizes the same kernel
-//! matrix with the same summation order, so BayesOpt's proposals are
-//! bitwise identical either way. Wall-clock timings go to **stderr** and
+//! GP fast path and its full-refit probe mode (`NOSTOP_PROBE=1`): the
+//! probe factorizes the same kernel matrix with the same summation order,
+//! so BayesOpt's proposals are bitwise identical either way. Wall-clock timings go to **stderr** and
 //! — as `wall_ms`, best of `NOSTOP_PERF_REPEATS` runs — into the report
 //! **file only**.
 //!

@@ -107,8 +107,8 @@ pub fn stats_of(window: &[BatchObservation]) -> RunStats {
 /// Apply `physical`, let the system settle (drain + first matched batch),
 /// then measure `batches` batches. The same procedure the controller and
 /// every tuner use.
-pub fn measure_config(
-    sys: &mut SimSystem,
+pub fn measure_config<S: StreamingSystem + ?Sized>(
+    sys: &mut S,
     physical: &[f64],
     batches: usize,
     settle_cap: usize,
@@ -183,7 +183,11 @@ pub struct TunerRun {
 
 /// Drive a tuner for `iterations` propose→measure→observe cycles using the
 /// same measurement procedure as NoStop (settle, then 3 batches).
-pub fn run_tuner(tuner: &mut dyn Tuner, sys: &mut SimSystem, iterations: usize) -> TunerRun {
+pub fn run_tuner<S: StreamingSystem + ?Sized>(
+    tuner: &mut dyn Tuner,
+    sys: &mut S,
+    iterations: usize,
+) -> TunerRun {
     let mut history = Vec::with_capacity(iterations);
     let mut config_changes = 0;
     for _ in 0..iterations {
@@ -262,13 +266,6 @@ pub fn run_backpressure(
     }
 }
 
-/// Mean and std of a per-seed metric across repetitions — the "repeat five
-/// times" protocol of §6.3/§6.4.
-pub fn repeat<F: FnMut(u64) -> f64>(seeds: &[u64], mut f: F) -> Summary {
-    let values: Vec<f64> = seeds.iter().map(|&s| f(s)).collect();
-    summarize(&values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,12 +335,5 @@ mod tests {
         let limit = run.final_rate_limit.expect("PID produced a rate");
         assert!(limit < 130_000.0, "throttled: {limit}");
         assert!(run.broker_lag > 0, "freshness cost visible in broker lag");
-    }
-
-    #[test]
-    fn repeat_summarizes_across_seeds() {
-        let s = repeat(&[1, 2, 3, 4, 5], |seed| seed as f64);
-        assert_eq!(s.n, 5);
-        assert!((s.mean - 3.0).abs() < 1e-12);
     }
 }

@@ -14,7 +14,7 @@
 //! internal streams from `seed`, and faults/skew are declarative — so a
 //! corpus replay is byte-identical at any `NOSTOP_JOBS`.
 
-use crate::driver::{nostop_config, penalized_objective, stats_of};
+use crate::driver::{measure_config, nostop_config, penalized_objective};
 use nostop_baselines::{BayesOpt, Tuner};
 use nostop_core::controller::NoStop;
 use nostop_core::scenario::{ClusterKind, ScenarioSpec};
@@ -176,7 +176,9 @@ pub struct MethodResult {
 
 /// Drive `method` over the spec's horizon (or, for `nostop` with
 /// `spec.rounds` set, that many controller rounds — the Fig-6 protocol).
-pub fn run_method(spec: &ScenarioSpec, method: &str) -> Result<MethodResult, String> {
+/// Returns the recording it ran on (every batch, and the engine behind
+/// them) with the summary over its whole log.
+pub fn run_method(spec: &ScenarioSpec, method: &str) -> Result<(Recording, MethodResult), String> {
     let kind = workload_of(spec)?;
     let mut sys = Recording::new(spec)?;
     let horizon = spec.horizon_s;
@@ -210,15 +212,7 @@ pub fn run_method(spec: &ScenarioSpec, method: &str) -> Result<MethodResult, Str
             let mut bo = BayesOpt::new(nostop_config(kind).space, spec.seed);
             while sys.now_s() < horizon && !bo.finished() {
                 let physical = bo.propose();
-                sys.apply_config(&physical);
-                for _ in 0..15 {
-                    let b = sys.next_batch();
-                    if (b.interval_s - physical[0]).abs() < 0.051 && b.queued_batches == 0 {
-                        break;
-                    }
-                }
-                let window: Vec<BatchObservation> = (0..3).map(|_| sys.next_batch()).collect();
-                let stats = stats_of(&window);
+                let stats = measure_config(&mut sys, &physical, 3, 15);
                 bo.observe(&physical, penalized_objective(physical[0], &stats));
             }
             // Park at the best configuration found and ride out the rest
@@ -254,7 +248,7 @@ pub fn run_method(spec: &ScenarioSpec, method: &str) -> Result<MethodResult, Str
     let fallback = log.last().map(|b| [b.interval_s, b.num_executors as f64]);
     let [final_interval_s, final_executors] =
         final_config.or(fallback).unwrap_or([f64::NAN, f64::NAN]);
-    Ok(MethodResult {
+    let result = MethodResult {
         batches,
         stable_fraction,
         mean_delay_s,
@@ -264,7 +258,8 @@ pub fn run_method(spec: &ScenarioSpec, method: &str) -> Result<MethodResult, Str
         resets,
         converged_round,
         rounds,
-    })
+    };
+    Ok((sys, result))
 }
 
 /// Sample the spec's arrival process every `every_s` seconds over the
@@ -280,17 +275,6 @@ pub fn sample_rate(spec: &ScenarioSpec, every_s: u64) -> Vec<(u64, f64)> {
             (t, rate.rate_at(at))
         })
         .collect()
-}
-
-/// FNV-1a 64-bit digest — the corpus's per-scenario output fingerprint.
-/// Stable across platforms and independent of the JSON file layout.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -316,7 +300,7 @@ mod tests {
 
     #[test]
     fn static_method_runs_to_horizon() {
-        let result = run_method(&spec(&["static"]), "static").unwrap();
+        let (_, result) = run_method(&spec(&["static"]), "static").unwrap();
         assert!(result.batches > 0);
         assert!(result.mean_processing_s > 0.0);
         assert_eq!(result.final_interval_s, 20.5);
@@ -339,13 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv_digest_is_stable() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"nostop"), fnv1a64(b"nostop"));
-        assert_ne!(fnv1a64(b"nostop"), fnv1a64(b"nostop "));
-    }
-
-    #[test]
     fn skewed_scenario_is_slower_than_uniform() {
         let uniform = spec(&["static"]);
         let mut skewed = spec(&["static"]);
@@ -353,8 +330,8 @@ mod tests {
             hot_fraction: 0.1,
             hot_weight: 8.0,
         };
-        let u = run_method(&uniform, "static").unwrap();
-        let s = run_method(&skewed, "static").unwrap();
+        let (_, u) = run_method(&uniform, "static").unwrap();
+        let (_, s) = run_method(&skewed, "static").unwrap();
         assert!(
             s.mean_processing_s > u.mean_processing_s,
             "hot keys must stretch processing: skewed {} vs uniform {}",

@@ -24,13 +24,13 @@ use crate::fault::{FaultPlan, FaultState, FaultTimer, TaskFaultCtx};
 use crate::metrics::{BatchMetrics, Listener};
 use crate::noise::{NoiseModel, NoiseParams};
 use crate::scheduler::{simulate_job, tasks_for, JobScratch, Speculation};
-use crate::superbatch::{self, BatchSignature, SuperbatchArm, SuperbatchState, SuperbatchStats};
+use crate::superbatch::{BatchSignature, SuperbatchArm, SuperbatchState, SuperbatchStats};
 use nostop_core::scenario::SkewSpec;
 use nostop_datagen::broker::{Broker, BrokerConfig};
 use nostop_datagen::rate::RateProcess;
 use nostop_datagen::StreamGenerator;
 use nostop_obs::Recorder;
-use nostop_simcore::{SimDuration, SimRng, SimTime};
+use nostop_simcore::{probe_mode, SimDuration, SimRng, SimTime};
 use nostop_workloads::{CostModel, WorkloadKind};
 
 /// Engine construction parameters.
@@ -85,8 +85,8 @@ pub struct EngineParams {
     /// Allow the superbatch fast path (closed-form batch simulation when
     /// consecutive batches share a [`BatchSignature`] and the cluster is
     /// quiet). Results are bit-identical either way — this switch and the
-    /// `NOSTOP_NO_SUPERBATCH=1` env override exist for the differential
-    /// test and for benchmarking the exact path.
+    /// `NOSTOP_PROBE=1` env override exist for the differential test and
+    /// for benchmarking the exact path.
     pub superbatch: bool,
     /// Master seed; all internal streams fork from it.
     pub seed: u64,
@@ -279,7 +279,7 @@ impl StreamingEngine {
         let next_cut = SimTime::ZERO + initial.batch_interval;
         let metrics_window = params.metrics_window;
         let superbatch = SuperbatchState {
-            enabled: params.superbatch && !superbatch::env_disabled(),
+            enabled: params.superbatch && !probe_mode(),
             ..SuperbatchState::default()
         };
         StreamingEngine {

@@ -54,10 +54,9 @@
 //! RNG and is bit-identical to dense stepping; any wake condition (a
 //! scheduled fault, a rate change point, a contention episode, a grant
 //! revocation) fails the per-epoch horizon check and drops the tenant
-//! back to dense stepping *before* the event. Setting
-//! `NOSTOP_NO_FLEET_FASTPATH=1` keeps every classification check running
-//! but always steps densely — the probe mode CI diffs byte-for-byte
-//! against the fast path.
+//! back to dense stepping *before* the event. Setting `NOSTOP_PROBE=1`
+//! keeps every classification check running but always steps densely —
+//! the probe mode CI diffs byte-for-byte against the fast path.
 
 use crate::adapter::SimSystem;
 use crate::arbiter::{ExecutorArbiter, TenantGrant};
@@ -72,7 +71,7 @@ use nostop_core::space::{ConfigSpace, ParamSpec};
 use nostop_core::system::{BatchObservation, StreamingSystem};
 use nostop_datagen::rate::{tenant_seed, RateSpec, RateSpecExt};
 use nostop_obs::{track_name, Recorder};
-use nostop_simcore::{json, SimDuration, SimRng, SimTime};
+use nostop_simcore::{fnv1a64, json, probe_mode, SimDuration, SimRng, SimTime};
 use nostop_workloads::WorkloadKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -318,7 +317,7 @@ pub struct FleetSim {
     jobs: usize,
     /// Last barrier's grants, for inspection.
     last_grants: Vec<TenantGrant>,
-    /// When false (probe mode, `NOSTOP_NO_FLEET_FASTPATH=1`), every
+    /// When false (probe mode, `NOSTOP_PROBE=1`), every
     /// classification check still runs but every epoch steps densely.
     fastpath: bool,
     /// Set by [`FleetSim::enable_recorders`]: per-batch engine trace
@@ -372,9 +371,6 @@ impl FleetSim {
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&j| j >= 1)
             .unwrap_or(1);
-        let fastpath = std::env::var("NOSTOP_NO_FLEET_FASTPATH")
-            .map(|v| v != "1")
-            .unwrap_or(true);
         FleetSim {
             step_order: (0..tenants.len()).collect(),
             tenants,
@@ -382,7 +378,7 @@ impl FleetSim {
             epoch: 0,
             jobs,
             last_grants: Vec::new(),
-            fastpath,
+            fastpath: !probe_mode(),
             recorders_enabled: false,
             last_wants: Vec::new(),
             skip_log: Vec::new(),
@@ -418,9 +414,9 @@ impl FleetSim {
     }
 
     /// Enable (default) or disable the quiescent-tenant fast path. With
-    /// it off — equivalently, `NOSTOP_NO_FLEET_FASTPATH=1` at build time
-    /// — every classification check still runs and every epoch steps
-    /// densely: the probe mode the differential battery diffs against.
+    /// it off — equivalently, `NOSTOP_PROBE=1` at build time — every
+    /// classification check still runs and every epoch steps densely: the
+    /// probe mode the differential battery diffs against.
     pub fn set_fastpath(&mut self, enabled: bool) {
         self.fastpath = enabled;
     }
@@ -931,18 +927,8 @@ impl FleetSim {
     /// FNV-1a digest of [`FleetSim::summary_jsonl`] — a compact replay
     /// fingerprint for reports and CI diffs.
     pub fn digest(&self) -> u64 {
-        fnv1a(self.summary_jsonl().as_bytes())
+        fnv1a64(self.summary_jsonl().as_bytes())
     }
-}
-
-/// FNV-1a, 64-bit — tiny, dependency-free, stable across platforms.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -34,16 +34,13 @@
 //! position) are bit-identical, which the differential proptest enforces.
 //! Block granularity is what keeps engagement high: one contention episode
 //! on one node only evicts the blocks it touches, not the whole batch.
-
-/// True when the `NOSTOP_NO_SUPERBATCH=1` kill switch is set — the engine
-/// then never *uses* closed-form results, but armed jobs still run every
-/// per-block closed form and quiet check (the probe draws no RNG), so both
-/// modes consume identical randomness and emit identical traces and
-/// eligibility counters — which is what makes the differential test
-/// meaningful end to end.
-pub fn env_disabled() -> bool {
-    std::env::var_os("NOSTOP_NO_SUPERBATCH").is_some_and(|v| v == "1")
-}
+//!
+//! Under `NOSTOP_PROBE=1` ([`nostop_simcore::probe_mode`]) the engine never
+//! *uses* closed-form results, but armed jobs still run every per-block
+//! closed form and quiet check (the probe draws no RNG), so both modes
+//! consume identical randomness and emit identical traces and eligibility
+//! counters — which is what makes the differential test meaningful end to
+//! end.
 
 /// The per-batch shape fingerprint the fast path keys on.
 ///
@@ -144,7 +141,7 @@ pub struct SuperbatchArm<'a> {
 /// engagement counters.
 #[derive(Debug, Default)]
 pub(crate) struct SuperbatchState {
-    /// Fast path allowed at all (params AND env kill switch).
+    /// Fast path allowed at all (params AND not `NOSTOP_PROBE=1`).
     pub enabled: bool,
     /// Signature of the previous job, if any.
     pub prev: Option<BatchSignature>,

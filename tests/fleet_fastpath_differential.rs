@@ -10,7 +10,9 @@
 //!    fingerprints, clocks, listener totals, the full arbiter ledger)
 //!    and its digest are identical whether epochs are skipped
 //!    (`set_fastpath(true)`, the default) or stepped densely
-//!    (`set_fastpath(false)`, the `NOSTOP_NO_FLEET_FASTPATH=1` probe).
+//!    (`set_fastpath(false)`, the `NOSTOP_PROBE=1` probe; the CI
+//!    `fastpaths` leg runs this file under both, and a default fleet must
+//!    start in the mode the env selects).
 //! 2. **Replay across workers.** The sparse barrier keeps the
 //!    100-tenant contended digest a pure function of
 //!    `(specs, budget, policy)` at `NOSTOP_JOBS` = 1, 4, and 8.
@@ -30,7 +32,7 @@ use nostop::core::arbiter::{ArbiterPolicy, ResourceRequest};
 use nostop::sim::arbiter::{check_ledger_conservation, ExecutorArbiter, TenantGrant};
 use nostop::sim::fleet::{FleetSim, TenantSpec};
 use nostop::sim::{FaultEvent, FaultPlan};
-use nostop::simcore::{SimDuration, SimRng, SimTime};
+use nostop::simcore::{probe_mode, SimDuration, SimRng, SimTime};
 use nostop::workloads::WorkloadKind;
 use proptest::prelude::*;
 
@@ -68,6 +70,12 @@ fn steady_specs(n: u32, seed: u64) -> Vec<TenantSpec> {
 /// and remain byte-identical to probe mode anyway.
 #[test]
 fn sparse_stepping_matches_probe_mode_on_every_workload() {
+    let default = FleetSim::new(&steady_specs(1, 1), None, ArbiterPolicy::FairShare);
+    assert_eq!(
+        default.fastpath_enabled(),
+        !probe_mode(),
+        "NOSTOP_PROBE must reach the fleet"
+    );
     for (i, kind) in WorkloadKind::ALL.iter().enumerate() {
         let specs: Vec<TenantSpec> = (0..3u32)
             .map(|t| TenantSpec::paper(*kind, 50 + i as u64, t))

@@ -2,8 +2,8 @@
 //! closed-form path enabled must be indistinguishable — batch metrics,
 //! traces, counters, RNG position — from a run where it is forced off
 //! (`EngineParams::superbatch = false`, the same `use_fast = false` state
-//! the `NOSTOP_NO_SUPERBATCH=1` kill switch induces; the CI leg exercises
-//! the env-var route on the binaries). The fast path is an *optimization*,
+//! `NOSTOP_PROBE=1` induces; the CI `fastpaths` leg runs this file under
+//! both and exercises the env-var route on the binaries). The fast path is an *optimization*,
 //! never a model change — these tests are the contract that keeps it one.
 
 use nostop::core::system::StreamingSystem;
@@ -86,12 +86,12 @@ fn steady_state_is_bit_identical_and_engages() {
         let auto = run(kind, 7, rate, 15.0, execs, FaultPlan::default(), 120, true);
         let off = run(kind, 7, rate, 15.0, execs, FaultPlan::default(), 120, false);
         assert_identical(&auto, &off, &format!("{kind:?}"));
-        // Under the global `NOSTOP_NO_SUPERBATCH=1` kill switch (the CI
-        // differential leg runs this file both ways) even the "auto" run
-        // is exact-only — the bit-identity asserts above still carry the
-        // full weight; only the engagement expectation changes.
-        if nostop::sim::superbatch::env_disabled() {
-            assert_eq!(auto.fast_batches, 0, "{kind:?}: kill switch ignored");
+        // Under the global `NOSTOP_PROBE=1` switch (the CI `fastpaths`
+        // leg runs this file both ways) even the "auto" run is exact-only
+        // — the bit-identity asserts above still carry the full weight;
+        // only the engagement expectation changes.
+        if nostop::simcore::probe_mode() {
+            assert_eq!(auto.fast_batches, 0, "{kind:?}: probe switch ignored");
         } else {
             assert!(
                 auto.fast_batches > 60,
