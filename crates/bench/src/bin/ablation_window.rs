@@ -10,17 +10,16 @@
 //! a couple of batches suffice for SPSA while a paused controller benefits
 //! from the additively-grown window.
 //!
-//! Both sweeps fan their independent cells (rule 1: one per scale-up
-//! seed; rule 2: one per window size) over the [`nostop_bench::parallel`]
-//! fabric; merged output is identical for any `NOSTOP_JOBS`.
+//! Both sweeps fan their independent cells (one per seed) over the
+//! [`nostop_bench::parallel`] fabric; merged output is identical for any
+//! `NOSTOP_JOBS`.
 //!
 //! The rule-2 sweep computes every window mean from the *same* per-seed
 //! batch stream — the engine is deterministic and batch streams are
-//! prefix-stable, so a [`ReplayCache`] simulates each seed once at the
-//! widest window and every narrower window reads a prefix of that trace.
+//! prefix-stable, so each seed is simulated once at the widest window and
+//! every narrower window reads a prefix of that trace.
 
 use nostop_bench::parallel::map_cells;
-use nostop_bench::replay::ReplayCache;
 use nostop_bench::report::{f, print_section, Table};
 use nostop_core::system::StreamingSystem;
 use nostop_datagen::rate::ConstantRate;
@@ -69,20 +68,12 @@ fn seed_trace(seed: u64, trace_len: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Rule-2 cell: one window size — the std of the window-mean over seeds.
-/// Traces come from the shared cache; the fingerprint names everything the
-/// trace depends on (workload, config, rate, seed, length).
-fn window_noise_cell(
-    window: usize,
-    traces: &ReplayCache<String, Vec<f64>>,
-    trace_len: usize,
-) -> f64 {
-    let mut means = Vec::new();
-    for seed in 0..24u64 {
-        let key = format!("lr/15s/14ex/10000rps/seed{seed}/len{trace_len}");
-        let trace = traces.get_or_compute(key, || seed_trace(seed, trace_len));
-        means.push(trace[..window].iter().sum::<f64>() / window as f64);
-    }
+/// The std over seeds of the mean of each trace's first `window` batches.
+fn window_noise(window: usize, traces: &[Vec<f64>]) -> f64 {
+    let means: Vec<f64> = traces
+        .iter()
+        .map(|trace| trace[..window].iter().sum::<f64>() / window as f64)
+        .collect();
     summarize(&means).std_dev
 }
 
@@ -114,17 +105,12 @@ fn main() {
     // --- Rule 2: window size vs measurement noise ---
     const WINDOWS: [usize; 5] = [1, 2, 3, 6, 12];
     let trace_len = *WINDOWS.iter().max().expect("non-empty window sweep");
-    let traces: ReplayCache<String, Vec<f64>> = ReplayCache::new();
-    let noise = map_cells(&WINDOWS, |&w| window_noise_cell(w, &traces, trace_len));
+    let trace_seeds: Vec<u64> = (0..24).collect();
+    let traces = map_cells(&trace_seeds, |&seed| seed_trace(seed, trace_len));
     let mut t2 = Table::new(&["window (batches)", "std of window-mean processing_s"]);
-    for (&window, &std) in WINDOWS.iter().zip(&noise) {
-        t2.row(&[window.to_string(), f(std, 3)]);
+    for window in WINDOWS {
+        t2.row(&[window.to_string(), f(window_noise(window, &traces), 3)]);
     }
-    eprintln!(
-        "[replay] rule-2 traces: {} simulated, {} replayed from cache",
-        traces.misses(),
-        traces.hits()
-    );
     print_section(
         "Ablation §5.4 rule 2: averaging window vs measurement noise \
          (LR, iteration-count variance dominates)",

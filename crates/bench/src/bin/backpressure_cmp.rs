@@ -12,12 +12,11 @@
 //! paired, and the merged report is identical for any `NOSTOP_JOBS`.
 
 use nostop_bench::driver::{
-    make_system, measure_config, nostop_config, paper_rate, run_backpressure,
+    converged_delays, make_system, measure_config, nostop_config, paper_rate, run_backpressure,
 };
 use nostop_bench::parallel::map_cells;
 use nostop_bench::report::{f, pm, print_section, Table};
 use nostop_core::controller::NoStop;
-use nostop_core::trace::RoundKind;
 use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
 
@@ -43,20 +42,7 @@ fn run_cell(seed: u64) -> (f64, f64, f64, f64, f64) {
     // NoStop-managed system: steady-state converged delay.
     let mut sys = make_system(KIND, seed, paper_rate(KIND, seed ^ 0xAB));
     let mut ns = NoStop::new(nostop_config(KIND), seed);
-    let mut samples = Vec::new();
-    for _ in 0..150 {
-        ns.run_round(&mut sys);
-        if let Some(r) = ns.trace().rounds.last() {
-            if let RoundKind::Paused { observed } = &r.kind {
-                if observed.scheduling_delay_s < 0.5 * observed.interval_s {
-                    samples.push(observed.end_to_end_s);
-                }
-            }
-        }
-        if samples.len() >= 10 {
-            break;
-        }
-    }
+    let samples = converged_delays(&mut ns, &mut sys);
     let ns_delay = if samples.is_empty() {
         f64::NAN
     } else {

@@ -14,7 +14,9 @@
 //! over the [`nostop_bench::parallel`] fabric (`NOSTOP_JOBS` workers) and
 //! the report is identical for any worker count.
 
-use nostop_bench::driver::{make_system, measure_config, nostop_config, paper_rate};
+use nostop_bench::driver::{
+    converged_delays, make_system, measure_config, nostop_config, paper_rate,
+};
 use nostop_bench::parallel::{grid, map_cells};
 use nostop_bench::report::{f, pm, print_section, Table};
 use nostop_core::controller::NoStop;
@@ -22,10 +24,6 @@ use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
 
 const SEEDS: [u64; 5] = [11, 22, 33, 44, 55];
-/// Upper bound on controller rounds per managed run.
-const MAX_ROUNDS: u64 = 150;
-/// Clean converged samples to collect per run.
-const TARGET_SAMPLES: usize = 10;
 const MEASURE_BATCHES: usize = 12;
 const DEFAULT: [f64; 2] = [20.5, 10.0];
 
@@ -38,30 +36,12 @@ fn run_cell(kind: WorkloadKind, seed: u64) -> (f64, f64) {
         .end_to_end
         .mean;
 
-    // NoStop arm: the *managed* system — the controller keeps running
-    // (pausing at optima, waking and re-adapting when the rate moves),
+    // NoStop arm: the *managed* system — the controller keeps running,
     // exactly what the paper deploys. The measured delay is the mean over
     // the converged (paused) rounds.
     let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0x5EED));
     let mut ns = NoStop::new(nostop_config(kind), seed);
-    // Run until enough *steady-state* converged samples exist: paused
-    // observations whose scheduling delay shows the queue has drained
-    // (the first paused rounds after a park are still digesting backlog
-    // from the search phase).
-    let mut paused: Vec<f64> = Vec::new();
-    for _ in 0..MAX_ROUNDS {
-        ns.run_round(&mut sys);
-        if let Some(r) = ns.trace().rounds.last() {
-            if let nostop_core::trace::RoundKind::Paused { observed } = &r.kind {
-                if observed.scheduling_delay_s < 0.5 * observed.interval_s {
-                    paused.push(observed.end_to_end_s);
-                }
-            }
-        }
-        if paused.len() >= TARGET_SAMPLES {
-            break;
-        }
-    }
+    let paused = converged_delays(&mut ns, &mut sys);
     let nostop_delay = if paused.is_empty() {
         // Never converged within the budget: fall back to the best
         // configuration measured on a fresh system.

@@ -25,6 +25,7 @@
 //! (when enabled).
 
 use nostop_bench::parallel::jobs;
+use nostop_bench::report::{repeats, with_wall};
 use nostop_core::arbiter::ArbiterPolicy;
 use nostop_simcore::json::{self, Json};
 use nostop_simcore::{SimDuration, SimTime};
@@ -71,19 +72,8 @@ fn fleet_specs(n: u32, fleet_seed: u64) -> Vec<TenantSpec> {
         .collect()
 }
 
-/// Repeat count for wall-time measurement: `NOSTOP_PERF_REPEATS`
-/// (clamped ≥ 1), default 1 — the deterministic outputs are asserted
-/// identical across repeats, and the best (lowest) wall time is kept.
-fn report_repeats() -> usize {
-    std::env::var("NOSTOP_PERF_REPEATS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1usize)
-        .max(1)
-}
-
 /// One deterministic scenario row: run the fleet (best wall time of
-/// [`report_repeats`] runs, digests asserted identical across repeats),
+/// `repeats(1)` runs, digests asserted identical across repeats),
 /// assert conservation, and report digests + arbiter accounting.
 /// Returns `(row, best_wall_ms)` — the wall time goes to stderr and the
 /// report *file*, never to stdout.
@@ -96,7 +86,7 @@ fn scenario_row(
 ) -> (Json, f64) {
     let mut best_wall = f64::INFINITY;
     let mut kept: Option<FleetSim> = None;
-    for _ in 0..report_repeats() {
+    for _ in 0..repeats(1) {
         let start = Instant::now();
         let mut fleet = FleetSim::new(specs, budget, policy);
         fleet.run_epochs(epochs);
@@ -176,7 +166,7 @@ fn steady_scale_row() -> (Json, f64, u64) {
         .collect();
     let mut best_wall = f64::INFINITY;
     let mut kept: Option<FleetSim> = None;
-    for _ in 0..report_repeats() {
+    for _ in 0..repeats(1) {
         let start = Instant::now();
         let mut fleet = FleetSim::new(&specs, None, ArbiterPolicy::FairShare);
         fleet.enable_ledger_checkpointing(STEADY_CHECKPOINT_CAP);
@@ -276,16 +266,6 @@ fn assert_replay_at_scale(specs: &[TenantSpec]) -> u64 {
     );
     assert_eq!(digest, pooled_digest);
     digest
-}
-
-/// The file copy of a row: the stdout row plus its best wall time (and
-/// any other host/mode-dependent extras).
-fn with_wall(row: &Json, wall_ms: f64) -> Json {
-    let mut r = row.clone();
-    if let Json::Obj(fields) = &mut r {
-        fields.push(("wall_ms".to_string(), json::num(wall_ms)));
-    }
-    r
 }
 
 fn main() {

@@ -40,6 +40,7 @@ use nostop_bench::driver::{
     make_system, measure_config, nostop_config, paper_rate, run_nostop, run_tuner,
 };
 use nostop_bench::parallel::{grid, jobs, map_cells_weighted};
+use nostop_bench::report::repeats;
 use nostop_bench::scenario::run_method;
 use nostop_bench::smoke::engine_baseline;
 use nostop_core::arbiter::ArbiterPolicy;
@@ -89,15 +90,6 @@ fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64() * 1e3)
-}
-
-/// Engine-cell repeat count: `NOSTOP_PERF_REPEATS` (clamped ≥ 1), else 3.
-fn engine_repeats() -> usize {
-    std::env::var("NOSTOP_PERF_REPEATS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(3usize)
-        .max(1)
 }
 
 /// One engine-matrix cell: simulate `ENGINE_BATCHES` batches at a fixed
@@ -386,7 +378,7 @@ fn smoke(path: &str) -> i32 {
     let rows = committed
         .field_array("engine_matrix")
         .expect("engine_matrix array");
-    let repeats = engine_repeats();
+    let repeats = repeats(3);
     let mut regressed = 0;
     let mut unusable = 0;
     for &(kind, interval, executors) in &MATRIX {
@@ -558,7 +550,7 @@ fn main() {
         .unwrap_or(1);
 
     // --- Layer 1: engine matrix, single-threaded, best-of-N ---
-    let repeats = engine_repeats();
+    let repeats = repeats(3);
     let mut engine_rows = Vec::new();
     for &(kind, interval, executors) in &MATRIX {
         let (virtual_s, wall) = best_engine_cell(kind, interval, executors, repeats);

@@ -27,6 +27,7 @@
 use nostop_baselines::{BayesOpt, GridSearch, RandomSearch, SpsaTuner, Tuner};
 use nostop_bench::driver::{make_system, paper_rate, run_tuner};
 use nostop_bench::parallel::{jobs, map_cells};
+use nostop_bench::report::{repeats, with_wall};
 use nostop_core::space::ConfigSpace;
 use nostop_simcore::json::{self, Json};
 use nostop_workloads::WorkloadKind;
@@ -89,21 +90,10 @@ struct CellOut {
     wall_ms: f64,
 }
 
-/// Repeat count for wall-time measurement: `NOSTOP_PERF_REPEATS`
-/// (clamped ≥ 1), default 1 — the deterministic trajectory is asserted
-/// identical across repeats and the best wall time is kept.
-fn report_repeats() -> usize {
-    std::env::var("NOSTOP_PERF_REPEATS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1usize)
-        .max(1)
-}
-
 fn run_cell(cell: Cell) -> CellOut {
     let mut best_wall = f64::INFINITY;
     let mut kept: Option<CellOut> = None;
-    for _ in 0..report_repeats() {
+    for _ in 0..repeats(1) {
         let start = Instant::now();
         let mut tuner = make_tuner(cell.tuner, cell.dim, cell.seed);
         let mut sys = make_system(
@@ -192,15 +182,6 @@ fn assert_gp_modes_propose_identically() -> usize {
     }
     eprintln!("gp mode gate: {iters} proposals bitwise identical (incremental vs refit)");
     iters
-}
-
-/// The file copy of a row: the stdout row plus its wall time.
-fn with_wall(row: &Json, wall_ms: f64) -> Json {
-    let mut r = row.clone();
-    if let Json::Obj(fields) = &mut r {
-        fields.push(("wall_ms".to_string(), json::num(wall_ms)));
-    }
-    r
 }
 
 fn mean(xs: &[f64]) -> f64 {

@@ -7,6 +7,7 @@
 use nostop_baselines::{PidRateEstimator, Tuner};
 use nostop_core::controller::{NoStop, NoStopConfig};
 use nostop_core::system::{BatchObservation, StreamingSystem};
+use nostop_core::trace::RoundKind;
 use nostop_datagen::rate::{RateProcess, SurgeRate, UniformRandomRate};
 use nostop_simcore::stats::{summarize, Summary};
 use nostop_simcore::SimRng;
@@ -158,6 +159,30 @@ pub fn run_nostop(kind: WorkloadKind, seed: u64, rounds: u64) -> (NoStopRun, Sim
     )
 }
 
+/// Keep the NoStop-managed system running (pausing at optima, waking and
+/// re-adapting when the rate moves) for at most 150 rounds, collecting
+/// the end-to-end delay of up to 10 *steady-state* converged rounds:
+/// paused observations whose scheduling delay shows the queue has drained
+/// (the first paused rounds after a park are still digesting backlog from
+/// the search phase). Empty if the controller never settled in budget.
+pub fn converged_delays<S: StreamingSystem>(ns: &mut NoStop, sys: &mut S) -> Vec<f64> {
+    let mut samples = Vec::new();
+    for _ in 0..150 {
+        ns.run_round(sys);
+        if let Some(r) = ns.trace().rounds.last() {
+            if let RoundKind::Paused { observed } = &r.kind {
+                if observed.scheduling_delay_s < 0.5 * observed.interval_s {
+                    samples.push(observed.end_to_end_s);
+                }
+            }
+        }
+        if samples.len() >= 10 {
+            break;
+        }
+    }
+    samples
+}
+
 /// One step of a generic tuner's history.
 #[derive(Debug, Clone)]
 pub struct TunerStep {
@@ -213,13 +238,6 @@ pub fn run_tuner<S: StreamingSystem + ?Sized>(
     }
 }
 
-/// Run a static configuration for `batches` batches and report its
-/// performance — the Fig-7 "default configuration" arm.
-pub fn run_static(kind: WorkloadKind, seed: u64, physical: &[f64], batches: usize) -> RunStats {
-    let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0x5EED));
-    measure_config(&mut sys, physical, batches, 15)
-}
-
 /// Result of a back-pressure run.
 pub struct BackpressureRun {
     /// Performance over the measured window.
@@ -272,7 +290,9 @@ mod tests {
 
     #[test]
     fn static_measurement_reports_sane_numbers() {
-        let stats = run_static(WorkloadKind::WordCount, 1, &[10.0, 15.0], 6);
+        let kind = WorkloadKind::WordCount;
+        let mut sys = make_system(kind, 1, paper_rate(kind, 1 ^ 0x5EED));
+        let stats = measure_config(&mut sys, &[10.0, 15.0], 6, 15);
         assert_eq!(stats.batches, 6);
         assert!(stats.mean_processing_s > 0.0);
         assert!(stats.end_to_end.mean >= stats.mean_processing_s);
@@ -281,7 +301,9 @@ mod tests {
 
     #[test]
     fn penalized_objective_matches_eq3_at_cap() {
-        let mut stats = run_static(WorkloadKind::WordCount, 2, &[12.0, 15.0], 4);
+        let kind = WorkloadKind::WordCount;
+        let mut sys = make_system(kind, 2, paper_rate(kind, 2 ^ 0x5EED));
+        let mut stats = measure_config(&mut sys, &[12.0, 15.0], 4, 15);
         stats.mean_processing_s = 10.0;
         assert_eq!(penalized_objective(12.0, &stats), 12.0);
         stats.mean_processing_s = 14.0;

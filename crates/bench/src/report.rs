@@ -3,8 +3,10 @@
 //! The figure regenerators print both a human-readable table (what you
 //! compare against the paper's plot) and a machine-readable CSV block
 //! (what you feed to a plotting tool). No plotting dependencies: the
-//! deliverable is the *numbers*.
+//! deliverable is the *numbers*. The JSON report writers share the
+//! wall-time helpers at the bottom.
 
+use nostop_simcore::json::{self, Json};
 use std::fmt::Write as _;
 
 /// A simple column-aligned table builder.
@@ -27,12 +29,6 @@ impl Table {
         assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         self.rows.push(cells.to_vec());
         self
-    }
-
-    /// Convenience: append a row of display-formatted cells.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let rendered: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&rendered)
     }
 
     /// Render with aligned columns.
@@ -91,6 +87,27 @@ pub fn f(v: f64, decimals: usize) -> String {
 /// Format a `mean ± std` cell.
 pub fn pm(mean: f64, std: f64, decimals: usize) -> String {
     format!("{mean:.decimals$} ± {std:.decimals$}")
+}
+
+/// Repeat count for wall-time measurement: `NOSTOP_PERF_REPEATS`
+/// (clamped ≥ 1), else `default`. Deterministic outputs are asserted
+/// identical across repeats and the best (lowest) wall time is kept.
+pub fn repeats(default: usize) -> usize {
+    std::env::var("NOSTOP_PERF_REPEATS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(default)
+        .max(1)
+}
+
+/// The file copy of a report row: the stdout row plus its best wall time,
+/// which is host-dependent and so never printed to stdout.
+pub fn with_wall(row: &Json, wall_ms: f64) -> Json {
+    let mut r = row.clone();
+    if let Json::Obj(fields) = &mut r {
+        fields.push(("wall_ms".to_string(), json::num(wall_ms)));
+    }
+    r
 }
 
 #[cfg(test)]

@@ -7,14 +7,12 @@
 //! Kiefer–Wolfowitz finite-difference form ([`Fdsa`]), which needs `2p`
 //! measurements for `p` parameters, is provided for the ablation bench.
 
-pub mod advisor;
 pub mod fdsa;
 pub mod gains;
 pub mod perturb;
 pub mod second_order;
 pub mod spsa;
 
-pub use advisor::{GainAdvice, GainAdvisor};
 pub use fdsa::Fdsa;
 pub use gains::{ConditionReport, GainSchedule};
 pub use perturb::{BernoulliPerturbation, Perturbation, SegmentedUniformPerturbation};

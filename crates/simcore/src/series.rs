@@ -71,55 +71,6 @@ impl TimeSeries {
     }
 }
 
-/// Render multiple series sharing an x-axis as aligned CSV columns.
-///
-/// Rows are the union of x-values; series missing a given x emit an empty
-/// cell. Useful when several metrics were sampled on slightly different
-/// schedules (e.g. batch completions vs. controller rounds).
-pub fn merged_csv(series: &[&TimeSeries]) -> String {
-    let mut xs: Vec<f64> = series
-        .iter()
-        .flat_map(|s| s.points.iter().map(|&(x, _)| x))
-        .collect();
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    xs.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-
-    let mut out = String::new();
-    let _ = write!(out, "x");
-    for s in series {
-        let _ = write!(out, ",{}", s.name);
-    }
-    let _ = writeln!(out);
-
-    // Per-series cursor: points are not required to be sorted, so index them.
-    let indexed: Vec<std::collections::BTreeMap<u64, f64>> = series
-        .iter()
-        .map(|s| s.points.iter().map(|&(x, y)| (quantize(x), y)).collect())
-        .collect();
-
-    for x in xs {
-        let _ = write!(out, "{x}");
-        let key = quantize(x);
-        for m in &indexed {
-            match m.get(&key) {
-                Some(y) => {
-                    let _ = write!(out, ",{y}");
-                }
-                None => {
-                    let _ = write!(out, ",");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
-fn quantize(x: f64) -> u64 {
-    // 1e-9 resolution is far finer than any x-grid we use.
-    (x * 1e9).round() as i64 as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,22 +96,6 @@ mod tests {
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("x,y"));
         assert_eq!(lines.next(), Some("1,2"));
-    }
-
-    #[test]
-    fn merged_csv_aligns_union_of_x() {
-        let mut a = TimeSeries::new("a");
-        a.push(1.0, 10.0);
-        a.push(2.0, 20.0);
-        let mut b = TimeSeries::new("b");
-        b.push(2.0, 200.0);
-        b.push(3.0, 300.0);
-        let csv = merged_csv(&[&a, &b]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "x,a,b");
-        assert_eq!(lines[1], "1,10,");
-        assert_eq!(lines[2], "2,20,200");
-        assert_eq!(lines[3], "3,,300");
     }
 
     #[test]

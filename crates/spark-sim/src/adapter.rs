@@ -15,9 +15,6 @@ use nostop_core::system::{BatchObservation, StreamingSystem};
 /// A simulated cluster exposed as a tunable streaming system.
 pub struct SimSystem {
     engine: StreamingEngine,
-    /// When true (default), observations round-trip through the Fig-4 JSON
-    /// wire format.
-    json_roundtrip: bool,
     /// Reused serialization buffer for the per-batch round-trip.
     json_buf: String,
 }
@@ -27,15 +24,8 @@ impl SimSystem {
     pub fn new(engine: StreamingEngine) -> Self {
         SimSystem {
             engine,
-            json_roundtrip: true,
             json_buf: String::new(),
         }
-    }
-
-    /// Disable the JSON round-trip (saves a few allocations in benches).
-    pub fn without_json_roundtrip(mut self) -> Self {
-        self.json_roundtrip = false;
-        self
     }
 
     /// Access the wrapped engine.
@@ -70,15 +60,11 @@ impl StreamingSystem for SimSystem {
             .listener()
             .last()
             .expect("run_batches(1) completed a batch");
-        if self.json_roundtrip {
-            self.json_buf.clear();
-            metrics.to_status_report().write_json(&mut self.json_buf);
-            StatusReport::from_json(&self.json_buf)
-                .expect("wire format must round-trip")
-                .to_observation()
-        } else {
-            metrics.to_observation()
-        }
+        self.json_buf.clear();
+        metrics.to_status_report().write_json(&mut self.json_buf);
+        StatusReport::from_json(&self.json_buf)
+            .expect("wire format must round-trip")
+            .to_observation()
     }
 
     fn now_s(&self) -> f64 {
@@ -164,11 +150,15 @@ mod tests {
 
     #[test]
     fn json_roundtrip_and_direct_paths_agree() {
-        let mut via_json = system(3);
-        let mut direct = system(3).without_json_roundtrip();
+        let mut s = system(3);
         for _ in 0..5 {
-            let a = via_json.next_batch();
-            let b = direct.next_batch();
+            let a = s.next_batch();
+            let b = s
+                .engine()
+                .listener()
+                .last()
+                .expect("next_batch completed a batch")
+                .to_observation();
             // JSON carries millisecond timestamps; agree to 1 ms.
             assert!((a.processing_s - b.processing_s).abs() < 2e-3);
             assert!((a.scheduling_delay_s - b.scheduling_delay_s).abs() < 2e-3);

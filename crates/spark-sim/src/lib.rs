@@ -64,7 +64,6 @@ pub mod metrics;
 pub mod noise;
 pub mod scheduler;
 pub mod superbatch;
-pub mod threaded;
 
 pub use adapter::SimSystem;
 pub use arbiter::{check_ledger_conservation, ArbiterStats, ExecutorArbiter, TenantGrant};
@@ -77,4 +76,3 @@ pub use metrics::{BatchMetrics, Listener};
 pub use noise::NoiseParams;
 pub use scheduler::{JobResult, JobScratch, Speculation};
 pub use superbatch::{BatchSignature, SuperbatchArm, SuperbatchStats};
-pub use threaded::RemoteSystem;
