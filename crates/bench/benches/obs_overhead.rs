@@ -3,9 +3,9 @@
 //! The acceptance bar for the trace layer is that an engine with the
 //! default (disabled) recorder runs within noise of the pre-obs engine —
 //! each instrumented site costs one predictable cold branch. The
-//! `disabled` arm here is the number compared against the committed
-//! `engine_throughput` baseline; the `ring` arm prices what turning the
-//! recorder on actually costs, so the gap between the two is the full
+//! `disabled` arm is the default engine, the path `perf_report`'s engine
+//! matrix times; the `ring` arm prices what turning the recorder on
+//! actually costs, so the gap between the two is the full
 //! instrumentation bill. Built with `--features obs-off`, both arms
 //! compile to the identical uninstrumented binary.
 

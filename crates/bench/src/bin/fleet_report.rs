@@ -25,7 +25,7 @@
 //! (when enabled).
 
 use nostop_bench::parallel::jobs;
-use nostop_bench::report::{repeats, with_wall};
+use nostop_bench::report::{best_of, repeats, with_wall};
 use nostop_core::arbiter::ArbiterPolicy;
 use nostop_simcore::json::{self, Json};
 use nostop_simcore::{SimDuration, SimTime};
@@ -84,26 +84,16 @@ fn scenario_row(
     policy: ArbiterPolicy,
     epochs: u64,
 ) -> (Json, f64) {
-    let mut best_wall = f64::INFINITY;
-    let mut kept: Option<FleetSim> = None;
-    for _ in 0..repeats(1) {
-        let start = Instant::now();
-        let mut fleet = FleetSim::new(specs, budget, policy);
-        fleet.run_epochs(epochs);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        if let Some(prev) = &kept {
-            assert_eq!(
-                prev.digest(),
-                fleet.digest(),
-                "{name}: digest changed between repeats"
-            );
-        }
-        if wall_ms < best_wall {
-            best_wall = wall_ms;
-        }
-        kept = Some(fleet);
-    }
-    let fleet = kept.expect("at least one repeat");
+    let (fleet, best_wall) = best_of(
+        repeats(1),
+        &format!("{name}: digest"),
+        || {
+            let mut fleet = FleetSim::new(specs, budget, policy);
+            fleet.run_epochs(epochs);
+            fleet
+        },
+        FleetSim::digest,
+    );
 
     check_ledger_conservation(fleet.arbiter().ledger())
         .unwrap_or_else(|e| panic!("{name}: ledger conservation violated: {e}"));
@@ -164,27 +154,17 @@ fn steady_scale_row() -> (Json, f64, u64) {
             TenantSpec::steady(kind, 2026, i)
         })
         .collect();
-    let mut best_wall = f64::INFINITY;
-    let mut kept: Option<FleetSim> = None;
-    for _ in 0..repeats(1) {
-        let start = Instant::now();
-        let mut fleet = FleetSim::new(&specs, None, ArbiterPolicy::FairShare);
-        fleet.enable_ledger_checkpointing(STEADY_CHECKPOINT_CAP);
-        fleet.run_epochs(STEADY_EPOCHS);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        if let Some(prev) = &kept {
-            assert_eq!(
-                prev.digest(),
-                fleet.digest(),
-                "steady_2000: digest changed between repeats"
-            );
-        }
-        if wall_ms < best_wall {
-            best_wall = wall_ms;
-        }
-        kept = Some(fleet);
-    }
-    let fleet = kept.expect("at least one repeat");
+    let (fleet, best_wall) = best_of(
+        repeats(1),
+        "steady_2000: digest",
+        || {
+            let mut fleet = FleetSim::new(&specs, None, ArbiterPolicy::FairShare);
+            fleet.enable_ledger_checkpointing(STEADY_CHECKPOINT_CAP);
+            fleet.run_epochs(STEADY_EPOCHS);
+            fleet
+        },
+        FleetSim::digest,
+    );
 
     fleet
         .arbiter()

@@ -40,9 +40,9 @@ use nostop_bench::driver::{
     make_system, measure_config, nostop_config, paper_rate, run_nostop, run_tuner,
 };
 use nostop_bench::parallel::{grid, jobs, map_cells_weighted};
-use nostop_bench::report::repeats;
+use nostop_bench::report::{best_of, repeats};
 use nostop_bench::scenario::run_method;
-use nostop_bench::smoke::engine_baseline;
+use nostop_bench::smoke::{engine_baseline, section_baseline};
 use nostop_core::arbiter::ArbiterPolicy;
 use nostop_core::scenario::{ClusterKind, RateSpec, ScenarioSpec, SkewSpec};
 use nostop_core::system::StreamingSystem;
@@ -172,14 +172,12 @@ fn best_engine_cell(
     executors: u32,
     repeats: usize,
 ) -> (f64, f64) {
-    let mut best: Option<(f64, f64)> = None;
-    for _ in 0..repeats {
-        let (virtual_s, wall) = time_ms(|| run_engine_cell(kind, interval, executors));
-        if best.map(|(_, w)| wall < w).unwrap_or(true) {
-            best = Some((virtual_s, wall));
-        }
-    }
-    best.expect("at least one repeat")
+    best_of(
+        repeats,
+        "engine cell virtual time",
+        || run_engine_cell(kind, interval, executors),
+        |v| v.to_bits(),
+    )
 }
 
 /// One fleet cell: run the steady 32-tenant fleet on one worker and
@@ -208,17 +206,7 @@ fn run_fleet_cell() -> u64 {
 
 /// Best-of-`repeats` fleet cell: `(digest, best_wall_ms)`.
 fn best_fleet_cell(repeats: usize) -> (u64, f64) {
-    let mut best: Option<(u64, f64)> = None;
-    for _ in 0..repeats {
-        let (digest, wall) = time_ms(run_fleet_cell);
-        if let Some((prev, _)) = best {
-            assert_eq!(prev, digest, "fleet cell digest changed between repeats");
-        }
-        if best.map(|(_, w)| wall < w).unwrap_or(true) {
-            best = Some((digest, wall));
-        }
-    }
-    best.expect("at least one repeat")
+    best_of(repeats, "fleet cell digest", run_fleet_cell, |&d| d)
 }
 
 /// Scenario smoke cell: horizon of the adversarial-arrivals run.
@@ -265,20 +253,12 @@ fn run_scenario_cell() -> u64 {
 
 /// Best-of-`repeats` scenario cell: `(batches, best_wall_ms)`.
 fn best_scenario_cell(repeats: usize) -> (u64, f64) {
-    let mut best: Option<(u64, f64)> = None;
-    for _ in 0..repeats {
-        let (batches, wall) = time_ms(run_scenario_cell);
-        if let Some((prev, _)) = best {
-            assert_eq!(
-                prev, batches,
-                "scenario cell batch count changed between repeats"
-            );
-        }
-        if best.map(|(_, w)| wall < w).unwrap_or(true) {
-            best = Some((batches, wall));
-        }
-    }
-    best.expect("at least one repeat")
+    best_of(
+        repeats,
+        "scenario cell batch count",
+        run_scenario_cell,
+        |&b| b,
+    )
 }
 
 /// GP smoke cell: observations in the incremental fit (the tuner arena's
@@ -305,63 +285,7 @@ fn run_gp_cell() -> f64 {
 
 /// Best-of-`repeats` GP cell: `(checksum, best_wall_ms)`.
 fn best_gp_cell(repeats: usize) -> (f64, f64) {
-    let mut best: Option<(f64, f64)> = None;
-    for _ in 0..repeats {
-        let (check, wall) = time_ms(run_gp_cell);
-        if let Some((prev, _)) = best {
-            assert_eq!(
-                prev.to_bits(),
-                check.to_bits(),
-                "gp cell checksum changed between repeats"
-            );
-        }
-        if best.map(|(_, w)| wall < w).unwrap_or(true) {
-            best = Some((check, wall));
-        }
-    }
-    best.expect("at least one repeat")
-}
-
-/// Find the committed `gp_adds_per_s` for the `gp_fit_256` smoke row.
-fn gp_baseline(committed: &Json) -> Result<f64, String> {
-    let gp = committed
-        .get("gp_fit_256")
-        .ok_or_else(|| "no committed gp_fit_256 section".to_string())?;
-    match gp.field_f64("gp_adds_per_s") {
-        Ok(aps) if aps > 0.0 && aps.is_finite() => Ok(aps),
-        Ok(aps) => Err(format!(
-            "gp_adds_per_s = {aps} (must be a positive finite number)"
-        )),
-        Err(e) => Err(e.to_string()),
-    }
-}
-
-/// Find the committed `scenario_batches_per_s` for the scenario smoke row.
-fn scenario_baseline(committed: &Json) -> Result<f64, String> {
-    let sc = committed
-        .get("scenario")
-        .ok_or_else(|| "no committed scenario section".to_string())?;
-    match sc.field_f64("scenario_batches_per_s") {
-        Ok(bps) if bps > 0.0 && bps.is_finite() => Ok(bps),
-        Ok(bps) => Err(format!(
-            "scenario_batches_per_s = {bps} (must be a positive finite number)"
-        )),
-        Err(e) => Err(e.to_string()),
-    }
-}
-
-/// Find the committed `fleet_epochs_per_s` for the fleet smoke row.
-fn fleet_baseline(committed: &Json) -> Result<f64, String> {
-    let fleet = committed
-        .get("fleet")
-        .ok_or_else(|| "no committed fleet section".to_string())?;
-    match fleet.field_f64("fleet_epochs_per_s") {
-        Ok(eps) if eps > 0.0 && eps.is_finite() => Ok(eps),
-        Ok(eps) => Err(format!(
-            "fleet_epochs_per_s = {eps} (must be a positive finite number)"
-        )),
-        Err(e) => Err(e.to_string()),
-    }
+    best_of(repeats, "gp cell checksum", run_gp_cell, |c| c.to_bits())
 }
 
 /// CI smoke guard: re-time the engine matrix and compare against the
@@ -449,7 +373,7 @@ fn smoke(path: &str) -> i32 {
     // GP smoke row: the incremental surrogate fit. Same floor, same
     // stale-vs-slow distinction — a missing gp_fit_256 section is a
     // stale report, not a regression, and still fails hard.
-    match gp_baseline(&committed) {
+    match section_baseline(&committed, "gp_fit_256", "gp_adds_per_s") {
         Ok(base_aps) => {
             let (_, wall) = best_gp_cell(repeats);
             let aps = GP_OBSERVATIONS as f64 / (wall / 1e3);
@@ -471,7 +395,7 @@ fn smoke(path: &str) -> i32 {
     // Fleet smoke row: same floor, same stale-vs-slow distinction as the
     // engine cells — a missing fleet section is a stale report, not a
     // regression, and still fails hard.
-    match fleet_baseline(&committed) {
+    match section_baseline(&committed, "fleet", "fleet_epochs_per_s") {
         Ok(base_eps) => {
             let (_, wall) = best_fleet_cell(repeats);
             let eps = FLEET_EPOCHS as f64 / (wall / 1e3);
@@ -494,7 +418,7 @@ fn smoke(path: &str) -> i32 {
     // hot-key skew through `scenario_runner`'s library). Same floor, same
     // stale-vs-slow distinction — a missing scenario section is a stale
     // report, not a regression, and still fails hard.
-    match scenario_baseline(&committed) {
+    match section_baseline(&committed, "scenario", "scenario_batches_per_s") {
         Ok(base_bps) => {
             let (batches, wall) = best_scenario_cell(repeats);
             let bps = batches as f64 / (wall / 1e3);

@@ -27,7 +27,7 @@
 use nostop_baselines::{BayesOpt, GridSearch, RandomSearch, SpsaTuner, Tuner};
 use nostop_bench::driver::{make_system, paper_rate, run_tuner};
 use nostop_bench::parallel::{jobs, map_cells};
-use nostop_bench::report::{repeats, with_wall};
+use nostop_bench::report::{best_of, repeats, with_wall};
 use nostop_core::space::ConfigSpace;
 use nostop_simcore::json::{self, Json};
 use nostop_workloads::WorkloadKind;
@@ -91,65 +91,49 @@ struct CellOut {
 }
 
 fn run_cell(cell: Cell) -> CellOut {
-    let mut best_wall = f64::INFINITY;
-    let mut kept: Option<CellOut> = None;
-    for _ in 0..repeats(1) {
-        let start = Instant::now();
-        let mut tuner = make_tuner(cell.tuner, cell.dim, cell.seed);
-        let mut sys = make_system(
-            cell.kind,
-            cell.seed,
-            paper_rate(cell.kind, cell.seed ^ 0x5EED),
-        );
-        let run = run_tuner(tuner.as_mut(), &mut sys, EVALS);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        let mut best = f64::INFINITY;
-        let mut best_so_far = Vec::with_capacity(EVALS);
-        for step in &run.history {
-            best = best.min(step.objective);
-            best_so_far.push(best);
-        }
-        assert!(
-            best.is_finite(),
-            "{} dim{} {} seed{}: no finite evaluation",
-            cell.tuner,
-            cell.dim,
-            cell.kind.name(),
-            cell.seed
-        );
-        while best_so_far.len() < EVALS {
-            best_so_far.push(best);
-        }
-        let out = CellOut {
-            best_so_far,
-            evals_used: run.history.len(),
-            virtual_time_s: run.virtual_time_s,
-            wall_ms,
-        };
-        if let Some(prev) = &kept {
-            let same = prev
-                .best_so_far
-                .iter()
-                .zip(&out.best_so_far)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(
-                same && prev.evals_used == out.evals_used,
-                "{} dim{} {} seed{}: trajectory changed between repeats",
-                cell.tuner,
-                cell.dim,
-                cell.kind.name(),
-                cell.seed
+    let label = format!(
+        "{} dim{} {} seed{}",
+        cell.tuner,
+        cell.dim,
+        cell.kind.name(),
+        cell.seed
+    );
+    let (run, wall_ms) = best_of(
+        repeats(1),
+        &format!("{label}: trajectory"),
+        || {
+            let mut tuner = make_tuner(cell.tuner, cell.dim, cell.seed);
+            let mut sys = make_system(
+                cell.kind,
+                cell.seed,
+                paper_rate(cell.kind, cell.seed ^ 0x5EED),
             );
-        }
-        if wall_ms < best_wall {
-            best_wall = wall_ms;
-        }
-        kept = Some(out);
+            run_tuner(tuner.as_mut(), &mut sys, EVALS)
+        },
+        |run| {
+            run.history
+                .iter()
+                .map(|step| step.objective.to_bits())
+                .collect::<Vec<_>>()
+        },
+    );
+
+    let mut best = f64::INFINITY;
+    let mut best_so_far = Vec::with_capacity(EVALS);
+    for step in &run.history {
+        best = best.min(step.objective);
+        best_so_far.push(best);
     }
-    let mut out = kept.expect("at least one repeat");
-    out.wall_ms = best_wall;
-    out
+    assert!(best.is_finite(), "{label}: no finite evaluation");
+    while best_so_far.len() < EVALS {
+        best_so_far.push(best);
+    }
+    CellOut {
+        best_so_far,
+        evals_used: run.history.len(),
+        virtual_time_s: run.virtual_time_s,
+        wall_ms,
+    }
 }
 
 /// The in-binary acceptance gate: BayesOpt's proposal stream must be

@@ -17,19 +17,19 @@
 //! the closure without `'static` bounds, an atomic cursor for work
 //! stealing, and one mutex per result slot.
 
+use nostop_simcore::jobs_env;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-/// Worker count: `NOSTOP_JOBS` if set (clamped to ≥ 1), else the
+/// Worker count: `NOSTOP_JOBS` if set (see [`jobs_env`]), else the
 /// machine's available parallelism, else 1.
 pub fn jobs() -> usize {
-    match std::env::var("NOSTOP_JOBS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => thread::available_parallelism()
+    jobs_env().unwrap_or_else(|| {
+        thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1),
-    }
+            .unwrap_or(1)
+    })
 }
 
 /// Apply `f` to every cell and return the results in cell order.

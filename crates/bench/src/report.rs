@@ -8,6 +8,7 @@
 
 use nostop_simcore::json::{self, Json};
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// A simple column-aligned table builder.
 pub struct Table {
@@ -100,6 +101,35 @@ pub fn repeats(default: usize) -> usize {
         .max(1)
 }
 
+/// Run `run` `repeats` times (at least once) and keep the best (lowest)
+/// wall time in milliseconds, returned with the last run's value. The
+/// work is deterministic, so every repeat must agree on `key`; a repeat
+/// that does not panics with "`what` changed between repeats".
+pub fn best_of<T, K>(
+    repeats: usize,
+    what: &str,
+    mut run: impl FnMut() -> T,
+    key: impl Fn(&T) -> K,
+) -> (T, f64)
+where
+    K: PartialEq + std::fmt::Debug,
+{
+    let mut best_wall = f64::INFINITY;
+    let mut kept: Option<(T, K)> = None;
+    for _ in 0..repeats.max(1) {
+        let start = Instant::now();
+        let out = run();
+        best_wall = best_wall.min(start.elapsed().as_secs_f64() * 1e3);
+        let k = key(&out);
+        if let Some((_, prev)) = &kept {
+            assert_eq!(prev, &k, "{what} changed between repeats");
+        }
+        kept = Some((out, k));
+    }
+    let (out, _) = kept.expect("at least one repeat");
+    (out, best_wall)
+}
+
 /// The file copy of a report row: the stdout row plus its best wall time,
 /// which is host-dependent and so never printed to stdout.
 pub fn with_wall(row: &Json, wall_ms: f64) -> Json {
@@ -140,6 +170,39 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f(1.23456, 2), "1.23");
         assert_eq!(pm(10.0, 1.5, 1), "10.0 ± 1.5");
+    }
+
+    #[test]
+    fn best_of_keeps_the_lowest_wall_time() {
+        let sleeps_ms = [60, 2, 60];
+        let mut i = 0;
+        let (last, best) = best_of(
+            sleeps_ms.len(),
+            "sleep",
+            || {
+                std::thread::sleep(std::time::Duration::from_millis(sleeps_ms[i]));
+                i += 1;
+                i
+            },
+            |_| (),
+        );
+        assert_eq!(last, sleeps_ms.len());
+        assert!((2.0..60.0).contains(&best), "best wall {best} ms");
+    }
+
+    #[test]
+    #[should_panic(expected = "counter changed between repeats")]
+    fn best_of_panics_when_repeats_disagree() {
+        let mut n = 0u64;
+        best_of(
+            2,
+            "counter",
+            || {
+                n += 1;
+                n
+            },
+            |&v| v,
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Baseline lookup for `perf_report --smoke`.
 //!
-//! The smoke guard compares a re-timed engine matrix against the numbers
-//! committed in `BENCH_perf.json`. Two very different failures used to be
-//! folded into one counter: "this cell got slower" and "the committed
-//! report has no such cell" (stale after a matrix change, or a field
-//! typo). The second is not a performance regression — it means the
+//! The smoke guard compares a re-timed engine matrix and three
+//! single-row sections (`gp_fit_256`, `scenario`, `fleet`) against the
+//! numbers committed in `BENCH_perf.json`. Two very different failures
+//! used to be folded into one counter: "this cell got slower" and "the
+//! committed report has no such cell" (stale after a matrix change, or a
+//! field typo). The second is not a performance regression — it means the
 //! committed report must be regenerated — and deserves its own verdict so
 //! CI output says which action to take.
 
@@ -44,12 +45,25 @@ pub fn engine_baseline(
                 && r.field_u64("executors") == Ok(executors as u64)
         })
         .ok_or(BaselineError::MissingRow)?;
-    match row.field_f64("sim_batches_per_s") {
-        Ok(bps) if bps > 0.0 && bps.is_finite() => Ok(bps),
-        Ok(bps) => Err(BaselineError::BadField(format!(
-            "sim_batches_per_s = {bps} (must be a positive finite number)"
-        ))),
-        Err(e) => Err(BaselineError::BadField(e.to_string())),
+    positive_field(row, "sim_batches_per_s").map_err(BaselineError::BadField)
+}
+
+/// Find the committed `field` of a single-row `section` of the report,
+/// e.g. `("fleet", "fleet_epochs_per_s")`. The error says whether the
+/// section is missing (a stale report) or its field is unusable.
+pub fn section_baseline(committed: &Json, section: &str, field: &str) -> Result<f64, String> {
+    let row = committed
+        .get(section)
+        .ok_or_else(|| format!("no committed {section} section"))?;
+    positive_field(row, field)
+}
+
+/// `row.field` as a positive finite number, or why it is not one.
+fn positive_field(row: &Json, field: &str) -> Result<f64, String> {
+    match row.field_f64(field) {
+        Ok(v) if v > 0.0 && v.is_finite() => Ok(v),
+        Ok(v) => Err(format!("{field} = {v} (must be a positive finite number)")),
+        Err(e) => Err(e.to_string()),
     }
 }
 
@@ -110,6 +124,49 @@ mod tests {
         match engine_baseline(&zero, "WordCount", 15.0, 8) {
             Err(BaselineError::BadField(msg)) => assert!(msg.contains("positive")),
             other => panic!("expected BadField, got {other:?}"),
+        }
+    }
+
+    /// A report with one single-row section. `Json::Num` directly, not
+    /// `json::num`, so a non-finite value reaches the baseline check.
+    fn report(section: &str, field: &str, value: f64) -> Json {
+        json::obj(vec![(section, json::obj(vec![(field, Json::Num(value))]))])
+    }
+
+    #[test]
+    fn finds_the_section_field() {
+        let committed = report("fleet", "fleet_epochs_per_s", 812.5);
+        assert_eq!(
+            section_baseline(&committed, "fleet", "fleet_epochs_per_s"),
+            Ok(812.5)
+        );
+    }
+
+    #[test]
+    fn missing_section_names_the_section() {
+        let committed = report("fleet", "fleet_epochs_per_s", 812.5);
+        assert_eq!(
+            section_baseline(&committed, "gp_fit_256", "gp_adds_per_s"),
+            Err("no committed gp_fit_256 section".to_string())
+        );
+    }
+
+    #[test]
+    fn missing_section_field_is_an_error() {
+        let committed = report("scenario", "batches", 40.0);
+        let err = section_baseline(&committed, "scenario", "scenario_batches_per_s")
+            .expect_err("field is absent");
+        assert!(err.contains("scenario_batches_per_s"), "{err}");
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_section_field_is_an_error() {
+        for bad in [0.0, -3.0, f64::INFINITY, f64::NAN] {
+            let committed = report("gp_fit_256", "gp_adds_per_s", bad);
+            match section_baseline(&committed, "gp_fit_256", "gp_adds_per_s") {
+                Err(msg) => assert!(msg.contains("positive finite"), "{msg}"),
+                Ok(v) => panic!("{bad} accepted as {v}"),
+            }
         }
     }
 

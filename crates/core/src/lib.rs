@@ -10,7 +10,7 @@
 //! * [`sa`] — the generic stochastic-approximation machinery: gain
 //!   sequences with convergence-condition checking ([`sa::GainSchedule`]),
 //!   perturbation distributions, the two-measurement [`sa::Spsa`] optimizer,
-//!   and the classic Kiefer–Wolfowitz [`sa::Fdsa`] for comparison.
+//!   and its second-order extension [`sa::AdaptiveSpsa`].
 //! * [`space`] — the configuration space: physical parameter ranges,
 //!   min–max scaling into a common optimization range (the paper scales
 //!   both parameters into `[1, 20]`, §6.2.1), quantization, and bound
@@ -84,7 +84,7 @@ pub mod trace;
 pub use arbiter::{ArbiterPolicy, LedgerEvent, LedgerEventKind, ResourceRequest};
 pub use controller::{NoStop, NoStopConfig};
 pub use objective::PenaltySchedule;
-pub use sa::{Fdsa, GainSchedule, Spsa, SpsaParams};
+pub use sa::{GainSchedule, Spsa, SpsaParams};
 pub use scenario::{ClusterKind, FaultSpec, RateSpec, ScenarioSpec, SkewSpec};
 pub use space::{ConfigSpace, ParamSpec};
 pub use system::{BatchObservation, Measurement, StreamingSystem};

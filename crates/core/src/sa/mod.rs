@@ -4,16 +4,15 @@
 //! *all* parameters simultaneously by `± c_k Δ_k` and estimates the gradient
 //! from just **two** noisy objective measurements, regardless of dimension —
 //! the property that makes online tuning affordable (§4.2.1). The classic
-//! Kiefer–Wolfowitz finite-difference form ([`Fdsa`]), which needs `2p`
-//! measurements for `p` parameters, is provided for the ablation bench.
+//! Kiefer–Wolfowitz finite-difference form would need `2p` measurements
+//! for `p` parameters. [`AdaptiveSpsa`] adds the second-order (2SPSA)
+//! extension.
 
-pub mod fdsa;
 pub mod gains;
 pub mod perturb;
 pub mod second_order;
 pub mod spsa;
 
-pub use fdsa::Fdsa;
 pub use gains::{ConditionReport, GainSchedule};
 pub use perturb::{BernoulliPerturbation, Perturbation, SegmentedUniformPerturbation};
 pub use second_order::{AdaptiveSpsa, AdaptiveSpsaParams};

@@ -3,10 +3,10 @@
 //!
 //! The real `criterion` crate lives on crates.io; this environment builds
 //! hermetically with no registry access, so the workspace ships the slice
-//! its benches exercise: [`Criterion::bench_function`],
-//! [`Criterion::benchmark_group`] with [`Throughput`], [`Bencher::iter`],
-//! [`Bencher::iter_batched`] with [`BatchSize`], and the
-//! [`criterion_group!`] / [`criterion_main!`] macros.
+//! its benches exercise: [`Criterion::benchmark_group`] with
+//! [`Throughput`], [`Bencher::iter`], [`Bencher::iter_batched`] with
+//! [`BatchSize`], and the [`criterion_group!`] / [`criterion_main!`]
+//! macros.
 //!
 //! Measurement is honest but simple: each benchmark warms up for
 //! ~100 ms, then measures wall-clock time for ~400 ms (tunable with
@@ -40,16 +40,12 @@ pub enum Throughput {
     Bytes(u64),
 }
 
-/// How batched inputs are grouped; the shim times each routine call
-/// individually, so the variants are behaviorally identical.
+/// How batched inputs are grouped. The shim times each routine call
+/// individually, so the grouping never changes the measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchSize {
     /// Inputs are cheap to hold; criterion would batch many per allocation.
     SmallInput,
-    /// Inputs are large; criterion would batch few.
-    LargeInput,
-    /// One input per iteration.
-    PerIteration,
 }
 
 /// One benchmark's measured result.
@@ -149,16 +145,6 @@ impl Criterion {
 
     fn matches(&self, name: &str) -> bool {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
-    }
-
-    /// Run one standalone benchmark.
-    pub fn bench_function<R>(&mut self, name: impl Into<String>, routine: R) -> &mut Self
-    where
-        R: FnMut(&mut Bencher),
-    {
-        let name = name.into();
-        run_one(self, &name, None, routine);
-        self
     }
 
     /// Start a named group of related benchmarks.

@@ -71,7 +71,7 @@ use nostop_core::space::{ConfigSpace, ParamSpec};
 use nostop_core::system::{BatchObservation, StreamingSystem};
 use nostop_datagen::rate::{tenant_seed, RateSpec, RateSpecExt};
 use nostop_obs::{track_name, Recorder};
-use nostop_simcore::{fnv1a64, json, probe_mode, SimDuration, SimRng, SimTime};
+use nostop_simcore::{fnv1a64, jobs_env, json, probe_mode, SimDuration, SimRng, SimTime};
 use nostop_workloads::WorkloadKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -366,11 +366,7 @@ impl FleetSim {
                 skipped: false,
             })
             .collect();
-        let jobs = std::env::var("NOSTOP_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&j| j >= 1)
-            .unwrap_or(1);
+        let jobs = jobs_env().unwrap_or(1);
         FleetSim {
             step_order: (0..tenants.len()).collect(),
             tenants,

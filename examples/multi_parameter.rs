@@ -120,7 +120,7 @@ fn main() {
     );
     println!(
         "\nmeasurement economy: {} SPSA iterations consumed {} batch \
-         measurements\n(FDSA would have needed {} for the same iterations: 2 × {dim} per step)",
+         measurements\n(finite differences would have needed {} for the same iterations: 2 × {dim} per step)",
         ns.k(),
         sys.measurements,
         ns.k() * 2 * dim as u64
