@@ -24,7 +24,7 @@ use crate::fault::{FaultPlan, FaultState, FaultTimer, TaskFaultCtx};
 use crate::metrics::{BatchMetrics, Listener};
 use crate::noise::{NoiseModel, NoiseParams};
 use crate::scheduler::{simulate_job, tasks_for, JobScratch, Speculation};
-use crate::superbatch::{BatchSignature, SuperbatchArm, SuperbatchState, SuperbatchStats};
+use crate::superbatch::{SuperbatchArm, SuperbatchStats};
 use nostop_core::scenario::SkewSpec;
 use nostop_datagen::broker::{Broker, BrokerConfig};
 use nostop_datagen::rate::RateProcess;
@@ -82,11 +82,12 @@ pub struct EngineParams {
     /// partitions and stretches job cost by the straggling hot task's
     /// share of the critical path.
     pub skew: SkewSpec,
-    /// Allow the superbatch fast path (closed-form batch simulation when
-    /// consecutive batches share a [`BatchSignature`] and the cluster is
-    /// quiet). Results are bit-identical either way — this switch and the
-    /// `NOSTOP_PROBE=1` env override exist for the differential test and
-    /// for benchmarking the exact path.
+    /// Allow the superbatch fast path: every job is armed, and each
+    /// executor×stage block keeps its closed form exactly when its node
+    /// is contention- and fault-quiet over the block's span. Results are
+    /// bit-identical either way — this switch and the `NOSTOP_PROBE=1` env
+    /// override exist for the differential test and for benchmarking the
+    /// exact path.
     pub superbatch: bool,
     /// Master seed; all internal streams fork from it.
     pub seed: u64,
@@ -158,8 +159,6 @@ pub struct QuiescenceShape {
     pub gen_rate_bits: u64,
     /// Broker production carry, as bits.
     pub broker_carry_bits: u64,
-    /// The superbatch signature of the previous batch.
-    pub superbatch_sig: BatchSignature,
     /// All three RNG stream positions — unchanged across an epoch means
     /// the epoch drew zero random values.
     pub rng: [u64; 12],
@@ -243,10 +242,12 @@ pub struct StreamingEngine {
     /// Trace recorder (disabled by default: one cold branch per event
     /// site, no RNG draws, identical simulation either way).
     obs: Recorder,
-    /// Superbatch fast-path state: previous signature, counters, stage
-    /// log. The probe kernel runs even when the path is disabled so both
-    /// modes consume identical RNG (see [`crate::superbatch`]).
-    superbatch: SuperbatchState,
+    /// Use closed-form block results (`params.superbatch` and not
+    /// `NOSTOP_PROBE=1`). The probe kernel runs either way, so both modes
+    /// consume identical RNG (see [`crate::superbatch`]).
+    superbatch_fast: bool,
+    /// Superbatch engagement counters.
+    superbatch: SuperbatchStats,
 }
 
 impl StreamingEngine {
@@ -278,10 +279,7 @@ impl StreamingEngine {
         });
         let next_cut = SimTime::ZERO + initial.batch_interval;
         let metrics_window = params.metrics_window;
-        let superbatch = SuperbatchState {
-            enabled: params.superbatch && !probe_mode(),
-            ..SuperbatchState::default()
-        };
+        let superbatch_fast = params.superbatch && !probe_mode();
         StreamingEngine {
             params,
             cost,
@@ -309,7 +307,8 @@ impl StreamingEngine {
             dropped_records: 0,
             pending_failures: 0,
             obs: Recorder::disabled(),
-            superbatch,
+            superbatch_fast,
+            superbatch: SuperbatchStats::default(),
         }
     }
 
@@ -402,10 +401,7 @@ impl StreamingEngine {
     /// threshold retarget the real engine mechanics; the remaining knobs
     /// re-derive the cost model from the workload base (never compounding
     /// — `params.cost`/preset stays pristine). Safe mid-run: per-job cost
-    /// tables are rebuilt from `self.cost` every batch. The superbatch
-    /// signature is conservatively cleared so the closed form re-probes
-    /// under the new parameters; this is mode-independent because the
-    /// fast path is bit-identical to the exact path whenever it engages.
+    /// tables are rebuilt from `self.cost` every batch.
     pub fn apply_extended_config(&mut self, ext: &ExtendedConfig) {
         self.params.block_interval = ext.block_interval;
         self.params.speculation = Some(Speculation {
@@ -418,7 +414,6 @@ impl StreamingEngine {
             .clone()
             .unwrap_or_else(|| CostModel::preset(self.params.workload));
         self.cost = ext.derive_cost(&base);
-        self.superbatch.prev = None;
         self.apply_config(ext.stream);
     }
 
@@ -489,7 +484,7 @@ impl StreamingEngine {
 
     /// How often the superbatch fast path engaged so far.
     pub fn superbatch_stats(&self) -> SuperbatchStats {
-        self.superbatch.stats
+        self.superbatch
     }
 
     /// The engine's three RNG stream positions (noise, job, fault),
@@ -506,8 +501,10 @@ impl StreamingEngine {
     /// Structural quiescence probe at the current instant, `None` unless
     /// the engine is at an idle fixed point: no running job, empty batch
     /// queue, zero broker lag, no back-pressure limit, no unattributed
-    /// executor failures, no mid-window arrivals, every executor settled
-    /// (ready, jar shipped), and a superbatch signature on record. The
+    /// executor failures, no mid-window arrivals, and every executor
+    /// settled (ready, jar shipped). The shape holds nothing about the
+    /// previous batch: the superbatch closed form decides per block from
+    /// the block's own span, so no past batch shapes a future epoch. The
     /// fleet fast path calls this at epoch boundaries; see
     /// [`QuiescenceShape`] for what equality across two probes proves.
     pub fn quiescence_probe(&self) -> Option<QuiescenceProbe> {
@@ -532,7 +529,6 @@ impl StreamingEngine {
         {
             return None;
         }
-        let sig = self.superbatch.prev?;
         Some(QuiescenceProbe {
             shape: QuiescenceShape {
                 next_cut_in_us: self.next_cut.saturating_since(boundary).as_micros(),
@@ -550,12 +546,11 @@ impl StreamingEngine {
                 gen_carry_bits: self.generator.carry_bits(),
                 gen_rate_bits: self.generator.last_rate_bits(),
                 broker_carry_bits: self.broker.produce_carry_bits(),
-                superbatch_sig: sig,
                 rng: self.rng_fingerprint(),
             },
             batches_cut: self.queue.total_cut(),
             produced_per_partition: self.broker.produced_per_partition(),
-            superbatch_stats: self.superbatch.stats,
+            superbatch_stats: self.superbatch,
         })
     }
 
@@ -605,7 +600,7 @@ impl StreamingEngine {
         self.generator.fast_forward(delta);
         self.broker.fast_forward(per_partition);
         self.queue.skip_ids(batches);
-        self.superbatch.stats.accumulate(stats_delta);
+        self.superbatch.accumulate(stats_delta);
     }
 
     /// Batches waiting in the queue.
@@ -791,7 +786,8 @@ impl StreamingEngine {
                 state: &self.faults,
                 rng: &mut self.fault_rng,
             }),
-            // A crash replan is never in steady state — no superbatch arm.
+            // The replan re-simulates part of a job whose superbatch
+            // counters were already taken at job start, so it stays unarmed.
             None,
             &self.obs,
         );
@@ -949,40 +945,14 @@ impl StreamingEngine {
                 ],
             );
         }
-        // Superbatch arming: the shape fingerprint. A match means the
-        // previous job ran this (interval, record-bucket, fleet) shape;
-        // backlog (a non-empty queue shifts the start semantics into
-        // catch-up territory), fresh executors (one-time init), and an
-        // engaged speculation pass all keep the job unarmed. An armed job
-        // decides fast-vs-exact per executor block inside `simulate_job` —
-        // each block's closed form is kept iff its node is contention- and
-        // fault-quiet over the block's own span, so one episode on one
-        // node only evicts the blocks it touches. Under the kill switch
-        // the blocks are still probed and counted (drawing no RNG) but
-        // never used, keeping both modes bit-identical end to end.
-        let sig = BatchSignature {
-            interval_us: batch.interval.as_micros(),
-            records: batch.records,
-            fleet_version: self.executors.fleet_version(),
-        };
-        let spec_engaged = self.params.speculation.is_some_and(|spec| {
-            tasks_for(batch.interval, self.params.block_interval) as usize >= spec.min_tasks
-        });
-        let sig_hit = self.superbatch.prev.is_some_and(|prev| prev.matches(&sig))
-            && self.queue.is_empty()
-            && !spec_engaged
-            && self.executors.executors().iter().all(|e| !e.fresh);
-        self.superbatch.prev = Some(sig);
-
         // Hot-key skew stretches the critical path: the task holding the
         // hottest partition's records runs `skew_imbalance`× the fair
         // share, and with `waves` task waves per executor only the last
         // wave waits on it. Modeled as a record-count stretch so the cost
         // kernel, noise, and retries all see the longer job uniformly.
-        // Conservation metrics keep the true `batch.records`; the stretch
-        // is a pure function of the superbatch signature (records +
-        // fleet_version ⇒ executor count), so signature equality still
-        // implies equal-cost jobs.
+        // Conservation metrics keep the true `batch.records`. The closed
+        // form computes from these stretched records like any others, and
+        // each block's quiet check runs over the span they imply.
         let cost_records = if self.skew_imbalance > 1.0 {
             let tasks = tasks_for(batch.interval, self.params.block_interval) as f64;
             let execs = self.executors.count().max(1) as f64;
@@ -993,7 +963,12 @@ impl StreamingEngine {
             batch.records
         };
 
-        let stats_before = self.superbatch.stats;
+        // Every job is armed: each executor×stage block keeps its closed
+        // form iff its node is contention- and fault-quiet over the
+        // block's own span (the speculation veto lives in `simulate_job`).
+        // Under the kill switch the blocks are still probed and counted,
+        // drawing no RNG, but never used.
+        let stats_before = self.superbatch;
         let result = simulate_job(
             &self.cost,
             cost_records,
@@ -1010,16 +985,23 @@ impl StreamingEngine {
                 state: &self.faults,
                 rng: &mut self.fault_rng,
             }),
-            sig_hit.then_some(SuperbatchArm {
-                use_fast: self.superbatch.enabled,
-                stats: &mut self.superbatch.stats,
+            Some(SuperbatchArm {
+                use_fast: self.superbatch_fast,
+                stats: &mut self.superbatch,
             }),
             &self.obs,
         );
-        // Mode-independent by construction: eligibility is counted whether
-        // or not closed-form results are used.
-        let superbatch_frac = self.superbatch.eligible_fraction_since(&stats_before);
         if self.obs.is_enabled() {
+            // The fraction of this job's armed blocks that passed their
+            // quiet checks (0.0 when speculation kept it unarmed).
+            // Mode-independent by construction: eligibility is counted
+            // whether or not closed-form results are used.
+            let job_stats = self.superbatch.delta_since(&stats_before);
+            let superbatch_frac = if job_stats.armed_blocks == 0 {
+                0.0
+            } else {
+                job_stats.eligible_blocks as f64 / job_stats.armed_blocks as f64
+            };
             if superbatch_frac == 1.0 {
                 self.obs.add(start, "superbatch_eligible", 1);
             }
@@ -1289,11 +1271,10 @@ mod tests {
         assert!(p14 < 14.0, "stable above crossover: {p14}");
     }
 
-    // ---- Superbatch trigger coverage: every event class that must keep
-    // ---- the fast path honest either misses the signature (reconfigure,
-    // ---- crash/relaunch, record change, backlog) or fails the per-block
-    // ---- quiet check (slowdown window). Noise is disabled in `engine`,
-    // ---- so contention never interferes with these structural asserts.
+    // ---- Superbatch engagement: every job is armed and only the
+    // ---- per-block quiet check can take a block off the closed form.
+    // ---- Noise is disabled in `engine`, so contention never interferes
+    // ---- with these structural asserts.
 
     /// Per-batch increments of `fast_batches` over the next `n` batches.
     fn fast_deltas(e: &mut StreamingEngine, n: usize) -> Vec<u64> {
@@ -1306,58 +1287,60 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn superbatch_disarms_on_reconfigure_then_rearms() {
-        let mut e = engine(10_000.0, 15.0, 14, 21);
-        e.run_batches(4);
-        assert!(
-            e.superbatch_stats().fast_batches >= 2,
-            "steady state must engage before the trigger"
-        );
-        e.apply_config(StreamConfig::new(SimDuration::from_secs(16), 14));
-        let d = fast_deltas(&mut e, 5);
-        // The transition batch is cut at the new interval but holds the
-        // old interval's accumulated records, so the switch disarms two
-        // batches: one on `interval_us`, the next on the record bucket.
-        assert_eq!(
-            d,
-            vec![0, 0, 1, 1, 1],
-            "interval miss, bucket miss, then re-armed: {d:?}"
-        );
+    /// Every job started so far ran wholly on the closed form.
+    fn assert_every_job_fast(e: &StreamingEngine, ctx: &str) {
+        let started = e.queue.total_cut() - e.queue.len() as u64;
+        let s = e.superbatch_stats();
+        assert!(started > 0, "{ctx}: no job started");
+        assert_eq!(s.fast_batches, started, "{ctx}: {s:?}");
+        assert_eq!(s.fast_blocks, s.armed_blocks, "{ctx}: {s:?}");
+        assert_eq!(s.quiescence_fallbacks, 0, "{ctx}: {s:?}");
     }
 
     #[test]
-    fn superbatch_disarms_on_crash_and_relaunch() {
-        let mut params = EngineParams::paper(WorkloadKind::LogisticRegression, 22);
-        params.noise = NoiseParams::disabled();
-        params.faults = FaultPlan::new(vec![FaultEvent::ExecutorCrash {
+    fn superbatch_engages_on_the_first_batch_after_any_change() {
+        // Reconfigure: a new interval and four fresh executors whose
+        // one-time init lands inside the next job's blocks.
+        let mut e = engine(10_000.0, 15.0, 10, 21);
+        e.run_batches(4);
+        e.apply_config(StreamConfig::new(SimDuration::from_secs(16), 14));
+        let d = fast_deltas(&mut e, 5);
+        assert_eq!(d, vec![1; 5], "reconfigure: {d:?}");
+        assert_eq!(e.executors.count(), 14);
+        assert_every_job_fast(&e, "reconfigure");
+
+        let quiet = |rate: Box<dyn RateProcess>, faults| {
+            let mut params = EngineParams::paper(WorkloadKind::LogisticRegression, 22);
+            params.noise = NoiseParams::disabled();
+            params.faults = FaultPlan::new(faults);
+            let cfg = StreamConfig::new(SimDuration::from_secs(15), 14);
+            StreamingEngine::new(params, cfg, rate)
+        };
+        let steady = || Box::new(ConstantRate::new(10_000.0));
+        let crash = FaultEvent::ExecutorCrash {
             at: SimTime::from_secs_f64(100.0),
             count: 1,
             relaunch_after: Some(SimDuration::from_secs(30)),
-        }]);
-        let mut e = StreamingEngine::new(
-            params,
-            StreamConfig::new(SimDuration::from_secs(15), 14),
-            Box::new(ConstantRate::new(10_000.0)),
-        );
-        let d = fast_deltas(&mut e, 14);
-        assert!(
-            d[2..6].iter().all(|&x| x == 1),
-            "steady before the crash: {d:?}"
-        );
-        // Fleet-version bumps at crash and relaunch each miss the
-        // signature. (The fresh-executor veto is shadowed here: the
-        // relaunch batch both misses the signature and consumes the
-        // relaunched executor's one-time init, so no later batch sees a
-        // fresh executor under a matching signature.)
-        assert!(
-            d[6..10].iter().filter(|&&x| x == 0).count() >= 2,
-            "crash and relaunch batches disarm: {d:?}"
-        );
-        assert!(
-            d[12..].iter().all(|&x| x == 1),
-            "fast path resumes once the fleet is steady again: {d:?}"
-        );
+        };
+        let outage = FaultEvent::ReceiverOutage {
+            from: SimTime::from_secs_f64(95.0),
+            until: SimTime::from_secs_f64(110.0),
+        };
+        let surge = SurgeRate::scheduled(steady(), 1.2, 100.0, 20.0);
+        for (ctx, mut e) in [
+            ("crash and relaunch", quiet(steady(), vec![crash])),
+            ("receiver outage", quiet(steady(), vec![outage])),
+            ("rate surge", quiet(Box::new(surge), vec![])),
+            // A 3 s interval is far below LR's crossover, so every batch
+            // starts behind a non-empty queue.
+            ("backlog", engine(10_000.0, 3.0, 10, 26)),
+        ] {
+            e.run_batches(15);
+            assert_every_job_fast(&e, ctx);
+            if ctx == "backlog" {
+                assert!(e.queue_len() > 0, "the regime must actually be congested");
+            }
+        }
     }
 
     #[test]
@@ -1381,9 +1364,8 @@ mod tests {
         assert!(before.fast_batches >= 3);
         e.run_batches(4); // spans the [100 s, 140 s) slowdown window
         let during = e.superbatch_stats();
-        // The signature still matches (fleet and records unchanged), so
-        // the jobs stay armed — but node 1's blocks fail `block_quiet`
-        // and fall back per task, while other nodes' blocks stay fast.
+        // Every job is armed, but node 1's blocks fail `block_quiet` and
+        // fall back per task, while other nodes' blocks stay fast.
         assert!(
             during.quiescence_fallbacks >= 2,
             "window batches keep arming but fall back: {during:?}"
@@ -1400,78 +1382,6 @@ mod tests {
         assert!(
             d[1..].iter().all(|&x| x == 1),
             "whole batches go fast again after the window closes: {d:?}"
-        );
-    }
-
-    #[test]
-    fn superbatch_disarms_on_receiver_outage() {
-        let mut params = EngineParams::paper(WorkloadKind::LogisticRegression, 24);
-        params.noise = NoiseParams::disabled();
-        params.faults = FaultPlan::new(vec![FaultEvent::ReceiverOutage {
-            from: SimTime::from_secs_f64(95.0),
-            until: SimTime::from_secs_f64(110.0),
-        }]);
-        let mut e = StreamingEngine::new(
-            params,
-            StreamConfig::new(SimDuration::from_secs(15), 14),
-            Box::new(ConstantRate::new(10_000.0)),
-        );
-        let d = fast_deltas(&mut e, 14);
-        assert!(d[2..6].iter().all(|&x| x == 1), "steady before: {d:?}");
-        // The starved batch and the catch-up batches that follow all land
-        // outside the previous batch's record bucket.
-        assert!(
-            d[6..].iter().filter(|&&x| x == 0).count() >= 2,
-            "outage and catch-up batches disarm: {d:?}"
-        );
-        assert!(
-            d[12..].iter().all(|&x| x == 1),
-            "steady volume re-arms: {d:?}"
-        );
-    }
-
-    #[test]
-    fn superbatch_disarms_on_record_bucket_change() {
-        // A +20% rate surge moves the record count far outside the
-        // signature's 1/256 bucket; the bucket still absorbs the broker's
-        // partition-carry wobble in the steady segments on either side.
-        let mut params = EngineParams::paper(WorkloadKind::LogisticRegression, 25);
-        params.noise = NoiseParams::disabled();
-        let mut e = StreamingEngine::new(
-            params,
-            StreamConfig::new(SimDuration::from_secs(15), 14),
-            Box::new(SurgeRate::scheduled(
-                Box::new(ConstantRate::new(10_000.0)),
-                1.2,
-                100.0,
-                20.0,
-            )),
-        );
-        let d = fast_deltas(&mut e, 14);
-        assert!(d[2..6].iter().all(|&x| x == 1), "steady before: {d:?}");
-        // Entering, riding, and leaving the surge each shift the bucket.
-        assert!(
-            d[6..10].iter().filter(|&&x| x == 0).count() >= 2,
-            "surge boundaries disarm: {d:?}"
-        );
-        assert!(
-            d[11..].iter().all(|&x| x == 1),
-            "post-surge steady state re-arms: {d:?}"
-        );
-    }
-
-    #[test]
-    fn superbatch_never_arms_with_backlog_carry_over() {
-        // A 3 s interval is far below LR's crossover: the queue never
-        // drains, so every batch carries backlog and must stay unarmed
-        // even though consecutive signatures match.
-        let mut e = engine(10_000.0, 3.0, 10, 26);
-        e.run_batches(15);
-        assert!(e.queue_len() > 0, "the regime must actually be congested");
-        let s = e.superbatch_stats();
-        assert_eq!(
-            s.armed_blocks, 0,
-            "backlogged batches must never arm: {s:?}"
         );
     }
 }

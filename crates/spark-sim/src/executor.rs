@@ -38,11 +38,11 @@ pub struct ExecutorManager {
     next_id: u64,
     launch_delay: SimDuration,
     /// Bumped on every fleet mutation (launch, retire, crash) — a cheap
-    /// fingerprint the superbatch signature compares instead of the
-    /// executor vector itself. Clearing `fresh` flags during a job does
-    /// NOT bump it: the first post-launch job already missed the
-    /// signature (the launch bumped it), and after that job the cleared
-    /// flags are exactly what an unchanged version implies.
+    /// fingerprint the fleet's [`crate::engine::QuiescenceShape`] compares
+    /// instead of the executor vector itself. Clearing `fresh` flags during
+    /// a job does NOT bump it: the quiescence probe refuses while any
+    /// executor is fresh, so two equal versions on passing probes already
+    /// imply equal flags.
     version: u64,
 }
 

@@ -21,10 +21,10 @@
 //!   onto executor slots (waves emerge naturally), per-node speed and
 //!   contention, shuffle and sink I/O charged against the node's disk
 //!   class, and per-task log-normal noise;
-//! * [`superbatch`] — the closed-form fast path: when consecutive batches
-//!   share a shape signature and the cluster is provably quiet over the
-//!   job's span, the per-task simulation collapses to one prefix sum per
-//!   executor block, bit-identical to the exact path;
+//! * [`superbatch`] — the closed-form fast path: every job is armed, and
+//!   each executor×stage block whose node is provably contention- and
+//!   fault-quiet over the block's own span collapses to one prefix sum,
+//!   bit-identical to the exact per-task path;
 //! * [`noise`] — the stochastic environment: multiplicative task noise and
 //!   Poisson contention windows per node;
 //! * [`fault`] — deterministic fault injection: a [`fault::FaultPlan`]
@@ -75,4 +75,4 @@ pub use fleet::{FleetSim, TenantSpec};
 pub use metrics::{BatchMetrics, Listener};
 pub use noise::NoiseParams;
 pub use scheduler::{JobResult, JobScratch, Speculation};
-pub use superbatch::{BatchSignature, SuperbatchArm, SuperbatchStats};
+pub use superbatch::{SuperbatchArm, SuperbatchStats};

@@ -205,21 +205,6 @@ impl NoiseModel {
         n.busy_until <= from && n.next_onset > until
     }
 
-    /// Snapshot the noise RNG position (the per-task factor stream).
-    ///
-    /// The superbatch fast path draws its stage noise speculatively, then
-    /// verifies quiescence post hoc; on failure it restores the snapshot
-    /// and the exact path re-draws the identical stream. Contention state
-    /// is not part of the snapshot — the fast path never touches it.
-    pub fn rng_snapshot(&self) -> SimRng {
-        self.rng.clone()
-    }
-
-    /// Restore a snapshot taken by [`rng_snapshot`](Self::rng_snapshot).
-    pub fn rng_restore(&mut self, snapshot: SimRng) {
-        self.rng = snapshot;
-    }
-
     /// The noise RNG's state words (for determinism fingerprints).
     pub fn rng_state(&self) -> [u64; 4] {
         self.rng.state()
@@ -361,20 +346,6 @@ mod tests {
         // 120 s) lies far in the past. Including an idle node would veto
         // quiescence forever — the filter exists to exclude it.
         assert!(!m.quiescent_over(t, t, [0, 1]));
-    }
-
-    #[test]
-    fn snapshot_restore_replays_the_stream() {
-        let mut m = NoiseModel::new(NoiseParams::default(), 1, SimRng::seed_from_u64(4));
-        let snap = m.rng_snapshot();
-        let mut first = [0.0f64; 16];
-        m.fill_task_factors_into(0.2, &mut first);
-        m.rng_restore(snap);
-        let mut second = [0.0f64; 16];
-        m.fill_task_factors_into(0.2, &mut second);
-        for (x, y) in first.iter().zip(second.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]

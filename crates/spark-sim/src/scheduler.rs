@@ -175,8 +175,8 @@ pub fn simulate_job(
     let need_durations = speculation.is_some_and(|spec| tasks_per_stage as usize >= spec.min_tasks);
     // Superbatch arming: the closed form cannot produce the per-task
     // duration list an engaged speculation pass consumes, so that case
-    // stays fully exact (the engine never arms such jobs; direct callers
-    // get the same veto).
+    // stays fully exact. This is the only job-level veto — the engine
+    // arms every job it starts.
     let armed = superbatch.is_some() && !need_durations;
     let use_fast = superbatch.as_ref().is_some_and(|a| a.use_fast);
     // Fleet contention pressure: a job-constant speed multiplier from the

@@ -6,19 +6,19 @@
 //! in sight. The exact per-task path re-derives the identical schedule
 //! every time — the only thing that changes between such batches is the
 //! per-task noise stream. This module collapses that case to closed-form
-//! arithmetic, at *executor-block* granularity:
+//! arithmetic, at *executor-block* granularity. Every job the engine
+//! starts is armed; nothing about the previous batch is consulted, so a
+//! reconfiguration, a relaunch or a backlog costs no engagement by
+//! itself. The decision is made per executor×stage block:
 //!
-//! 1. **Signature** — a [`BatchSignature`] (interval, record bucket, fleet
-//!    version) is [matched](BatchSignature::matches) against the previous
-//!    batch's. A hit *arms* the fast path for the job; any
-//!    reconfiguration, crash, relaunch, backlog, or out-of-bucket record
-//!    change misses and runs the whole job on the exact path.
-//! 2. **Per-block closed form** — inside the armed job, each executor's
-//!    contiguous task block is first computed in closed form
+//! 1. **Per-block closed form** — each executor's contiguous task block is
+//!    first computed in closed form
 //!    ([`nostop_workloads::memo::block_prefix`]: one multiply-round-add
 //!    prefix over the stage's pre-drawn noise burst, no per-task event
-//!    scheduling, no contention or fault queries).
-//! 3. **Per-block quiet check** — the closed form assumed contention
+//!    scheduling, no contention or fault queries). It starts from the
+//!    block's real slot open, so a fresh executor's one-time init and a
+//!    launching executor's ready time are already in it.
+//! 2. **Per-block quiet check** — the closed form assumed contention
 //!    factor 1.0 and no fault window. Knowing the block's would-be end,
 //!    the scheduler verifies that assumption via
 //!    [`crate::noise::NoiseModel::node_quiet`] and
@@ -26,6 +26,10 @@
 //!    that block — falls back to the exact per-task loop, which then
 //!    advances the episode process and draws exactly as an unarmed run
 //!    would.
+//!
+//! The one job-level veto lives in [`crate::scheduler::simulate_job`]: an
+//! engaged speculation pass needs the per-task duration list, which the
+//! closed form does not produce, so such jobs run wholly exact.
 //!
 //! Under the quiet guard the closed form replays the exact path's
 //! floating-point op sequence (multiplying a speed by a contention factor
@@ -41,41 +45,6 @@
 //! consume identical randomness and emit identical traces and eligibility
 //! counters — which is what makes the differential test meaningful end to
 //! end.
-
-/// The per-batch shape fingerprint the fast path keys on.
-///
-/// Two consecutive batches whose signatures [match](Self::matches) run the
-/// same task count and executor fleet (`fleet_version` bumps on every
-/// launch/retire/crash) over near-identical record volume, so arming the
-/// per-block closed form is worthwhile. The record component is a
-/// *bucket*, not an exact count: uniform partitioned brokers deliver a
-/// ±(partitions/2)-record wobble around the steady-state volume (the
-/// fractional-share carry), which changes per-task work by parts in ten
-/// thousand and is fully accounted for by the closed form itself — the
-/// fast path always computes from the *current* batch's records, the
-/// signature only decides whether to try. Stage count is not part of the
-/// signature: it is sampled per job from the job RNG in both paths alike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchSignature {
-    /// Batch interval, µs.
-    pub interval_us: u64,
-    /// Records in the batch.
-    pub records: u64,
-    /// [`crate::executor::ExecutorManager::fleet_version`] at job start.
-    pub fleet_version: u64,
-}
-
-impl BatchSignature {
-    /// Steady-state match: equal interval and fleet, and record counts in
-    /// the same bucket — within 1/256 (±0.4%) of the larger count, which
-    /// absorbs broker partition-carry wobble while a real rate change
-    /// (the smallest the paper's workloads see is >10%) still misses.
-    pub fn matches(&self, other: &BatchSignature) -> bool {
-        self.interval_us == other.interval_us
-            && self.fleet_version == other.fleet_version
-            && self.records.abs_diff(other.records) <= self.records.max(other.records) >> 8
-    }
-}
 
 /// Counters describing how often the fast path engaged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -123,8 +92,8 @@ impl SuperbatchStats {
     }
 }
 
-/// Per-job fast-path handle threaded into
-/// [`crate::scheduler::simulate_job`] when the signature armed the batch.
+/// Per-job fast-path handle the engine threads into every
+/// [`crate::scheduler::simulate_job`] call that starts a job.
 ///
 /// `use_fast` false (the kill switch) still runs every closed form and
 /// quiet check — updating the eligibility counters identically — but
@@ -135,33 +104,6 @@ pub struct SuperbatchArm<'a> {
     pub use_fast: bool,
     /// Engagement counters to update.
     pub stats: &'a mut SuperbatchStats,
-}
-
-/// Engine-side fast-path state: the previous batch's signature plus the
-/// engagement counters.
-#[derive(Debug, Default)]
-pub(crate) struct SuperbatchState {
-    /// Fast path allowed at all (params AND not `NOSTOP_PROBE=1`).
-    pub enabled: bool,
-    /// Signature of the previous job, if any.
-    pub prev: Option<BatchSignature>,
-    /// Engagement counters.
-    pub stats: SuperbatchStats,
-}
-
-impl SuperbatchState {
-    /// The fraction of the last job's armed blocks that passed their quiet
-    /// checks, given the counter snapshot taken before the job — 1.0 means
-    /// the whole batch was closed-form eligible; 0.0 for unarmed jobs.
-    /// Identical across auto/disabled modes (eligibility is counted in
-    /// both), so the job-span `superbatch` attribute built from it is too.
-    pub fn eligible_fraction_since(&self, before: &SuperbatchStats) -> f64 {
-        let armed = self.stats.armed_blocks - before.armed_blocks;
-        if armed == 0 {
-            return 0.0;
-        }
-        (self.stats.eligible_blocks - before.eligible_blocks) as f64 / armed as f64
-    }
 }
 
 /// The armed-job schedule must agree bit-for-bit with the unarmed exact
@@ -232,50 +174,5 @@ mod tests {
             assert_eq!(probe_stats.eligible_blocks, stats.eligible_blocks);
             assert_eq!(probe_stats.fast_blocks, 0, "kill switch uses nothing");
         }
-    }
-
-    #[test]
-    fn signature_match_requires_interval_and_fleet_equality() {
-        let a = BatchSignature {
-            interval_us: 10_000_000,
-            records: 150_000,
-            fleet_version: 3,
-        };
-        assert!(a.matches(&a));
-        assert!(!a.matches(&BatchSignature {
-            fleet_version: 4,
-            ..a
-        }));
-        assert!(!a.matches(&BatchSignature {
-            interval_us: 5_000_000,
-            ..a
-        }));
-    }
-
-    #[test]
-    fn signature_record_bucket_absorbs_wobble_but_not_rate_changes() {
-        let a = BatchSignature {
-            interval_us: 10_000_000,
-            records: 150_000,
-            fleet_version: 3,
-        };
-        // Broker partition-carry wobble: ±16 records on 150k.
-        let wobble = BatchSignature {
-            records: 150_016,
-            ..a
-        };
-        assert!(a.matches(&wobble));
-        assert!(wobble.matches(&a), "matching is symmetric");
-        // A real rate change (+10%) misses.
-        let surge = BatchSignature {
-            records: 165_000,
-            ..a
-        };
-        assert!(!a.matches(&surge));
-        assert!(!surge.matches(&a));
-        // Tolerance scales with volume and handles zero.
-        let empty = BatchSignature { records: 0, ..a };
-        assert!(empty.matches(&empty));
-        assert!(!empty.matches(&BatchSignature { records: 300, ..a }));
     }
 }

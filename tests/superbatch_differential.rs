@@ -7,55 +7,96 @@
 //! never a model change — these tests are the contract that keeps it one.
 
 use nostop::core::system::StreamingSystem;
-use nostop::datagen::rate::ConstantRate;
+use nostop::datagen::rate::{ConstantRate, RateProcess, SurgeRate};
 use nostop::obs::Recorder;
-use nostop::sim::{EngineParams, FaultEvent, FaultPlan, SimSystem, StreamConfig, StreamingEngine};
+use nostop::sim::{
+    EngineParams, FaultEvent, FaultPlan, SimSystem, StreamConfig, StreamingEngine, SuperbatchStats,
+};
 use nostop::simcore::{SimDuration, SimTime};
 use nostop::workloads::WorkloadKind;
 use proptest::prelude::*;
+
+/// One engine run's inputs, shared by the fast and the forced-off run.
+#[derive(Clone)]
+struct Case {
+    kind: WorkloadKind,
+    seed: u64,
+    rate: f64,
+    /// A scheduled surge: (multiplier, onset s, length s).
+    surge: Option<(f64, f64, f64)>,
+    interval_s: f64,
+    executors: u32,
+    plan: FaultPlan,
+    /// A mid-run `apply_config`: after this many batches, switch to
+    /// (interval s, executors).
+    reconfigure: Option<(usize, f64, u32)>,
+    batches: usize,
+}
+
+impl Case {
+    fn new(kind: WorkloadKind, seed: u64, interval_s: f64, executors: u32, batches: usize) -> Self {
+        let rate = match kind {
+            WorkloadKind::LogisticRegression | WorkloadKind::LinearRegression => 10_000.0,
+            _ => 120_000.0,
+        };
+        Case {
+            kind,
+            seed,
+            rate,
+            surge: None,
+            interval_s,
+            executors,
+            plan: FaultPlan::default(),
+            reconfigure: None,
+            batches,
+        }
+    }
+}
 
 struct RunOutcome {
     history: Vec<nostop::core::system::BatchObservation>,
     trace: String,
     rng: [u64; 12],
-    fast_batches: u64,
-    eligible_blocks: u64,
-    armed_blocks: u64,
+    stats: SuperbatchStats,
+    queue_len: usize,
 }
 
-/// Run `batches` batches with the fast path on or off, capturing
-/// everything an observer could distinguish the modes by.
-#[allow(clippy::too_many_arguments)] // scenario knobs, always called in pairs
-fn run(
-    kind: WorkloadKind,
-    seed: u64,
-    rate: f64,
-    interval_s: f64,
-    executors: u32,
-    plan: FaultPlan,
-    batches: usize,
-    fast: bool,
-) -> RunOutcome {
-    let mut params = EngineParams::paper(kind, seed);
-    params.faults = plan;
+/// Run `case` with the fast path on or off, capturing everything an
+/// observer could distinguish the modes by.
+fn run(case: &Case, fast: bool) -> RunOutcome {
+    let mut params = EngineParams::paper(case.kind, case.seed);
+    params.faults = case.plan.clone();
     params.superbatch = fast;
+    let mut rate: Box<dyn RateProcess> = Box::new(ConstantRate::new(case.rate));
+    if let Some((magnitude, onset, len)) = case.surge {
+        rate = Box::new(SurgeRate::scheduled(rate, magnitude, onset, len));
+    }
     let mut engine = StreamingEngine::new(
         params,
-        StreamConfig::new(SimDuration::from_secs_f64(interval_s), executors),
-        Box::new(ConstantRate::new(rate)),
+        StreamConfig::new(SimDuration::from_secs_f64(case.interval_s), case.executors),
+        rate,
     );
     let recorder = Recorder::ring(65_536);
     engine.set_recorder(&recorder);
     let mut sys = SimSystem::new(engine);
-    let history: Vec<_> = (0..batches).map(|_| sys.next_batch()).collect();
-    let stats = sys.engine().superbatch_stats();
+    let mut history = Vec::with_capacity(case.batches);
+    for i in 0..case.batches {
+        if let Some((after, interval_s, executors)) = case.reconfigure {
+            if i == after {
+                sys.engine_mut().apply_config(StreamConfig::new(
+                    SimDuration::from_secs_f64(interval_s),
+                    executors,
+                ));
+            }
+        }
+        history.push(sys.next_batch());
+    }
     RunOutcome {
         history,
         trace: recorder.snapshot().to_jsonl(),
         rng: sys.engine().rng_fingerprint(),
-        fast_batches: stats.fast_batches,
-        eligible_blocks: stats.eligible_blocks,
-        armed_blocks: stats.armed_blocks,
+        stats: sys.engine().superbatch_stats(),
+        queue_len: sys.engine().queue_len(),
     }
 }
 
@@ -66,10 +107,23 @@ fn assert_identical(auto: &RunOutcome, off: &RunOutcome, ctx: &str) {
     // `superbatch` eligibility attribute — eligibility is *counted* in both
     // modes, so even that line must match byte for byte.
     assert_eq!(auto.trace, off.trace, "{ctx}: traces diverged");
+    // Everything but the `fast_*` counters is counted in both modes.
+    let counted = |s: &SuperbatchStats| {
+        (
+            s.eligible_batches,
+            s.quiescence_fallbacks,
+            s.eligible_blocks,
+            s.armed_blocks,
+        )
+    };
     assert_eq!(
-        (auto.eligible_blocks, auto.armed_blocks),
-        (off.eligible_blocks, off.armed_blocks),
+        counted(&auto.stats),
+        counted(&off.stats),
         "{ctx}: eligibility counters diverged"
+    );
+    assert_eq!(
+        off.stats.fast_blocks, 0,
+        "{ctx}: kill switch used fast path"
     );
 }
 
@@ -77,37 +131,37 @@ fn assert_identical(auto: &RunOutcome, off: &RunOutcome, ctx: &str) {
 /// point) and still be invisible in every observable.
 #[test]
 fn steady_state_is_bit_identical_and_engages() {
-    for (kind, rate, execs) in [
-        (WorkloadKind::LogisticRegression, 10_000.0, 14),
-        (WorkloadKind::LinearRegression, 10_000.0, 14),
-        (WorkloadKind::WordCount, 120_000.0, 8),
-        (WorkloadKind::PageAnalyze, 120_000.0, 8),
+    for (kind, execs) in [
+        (WorkloadKind::LogisticRegression, 14),
+        (WorkloadKind::LinearRegression, 14),
+        (WorkloadKind::WordCount, 8),
+        (WorkloadKind::PageAnalyze, 8),
     ] {
-        let auto = run(kind, 7, rate, 15.0, execs, FaultPlan::default(), 120, true);
-        let off = run(kind, 7, rate, 15.0, execs, FaultPlan::default(), 120, false);
+        let case = Case::new(kind, 7, 15.0, execs, 120);
+        let auto = run(&case, true);
+        let off = run(&case, false);
         assert_identical(&auto, &off, &format!("{kind:?}"));
         // Under the global `NOSTOP_PROBE=1` switch (the CI `fastpaths`
         // leg runs this file both ways) even the "auto" run is exact-only
         // — the bit-identity asserts above still carry the full weight;
         // only the engagement expectation changes.
         if nostop::simcore::probe_mode() {
-            assert_eq!(auto.fast_batches, 0, "{kind:?}: probe switch ignored");
+            assert_eq!(auto.stats.fast_batches, 0, "{kind:?}: probe switch ignored");
         } else {
             assert!(
-                auto.fast_batches > 60,
+                auto.stats.fast_batches > 60,
                 "{kind:?}: fast path barely engaged ({} of 120)",
-                auto.fast_batches
+                auto.stats.fast_batches
             );
         }
-        assert_eq!(off.fast_batches, 0, "{kind:?}: kill switch used fast path");
     }
 }
 
 proptest! {
     /// Arbitrary fault schedules over arbitrary workloads: crashes,
     /// relaunches, slowdowns, outages, and task-failure windows all perturb
-    /// signatures and quiet checks — the two modes must still agree bit
-    /// for bit on everything.
+    /// the quiet checks — the two modes must still agree bit for bit on
+    /// everything.
     #[test]
     fn faulted_runs_are_bit_identical(
         seed in 0u64..200,
@@ -124,10 +178,6 @@ proptest! {
         fail_p in 0.0f64..0.3,
     ) {
         let kind = WorkloadKind::ALL[kind_ix];
-        let rate = match kind {
-            WorkloadKind::LogisticRegression | WorkloadKind::LinearRegression => 10_000.0,
-            _ => 120_000.0,
-        };
         let plan = FaultPlan::new(vec![
             FaultEvent::ExecutorCrash {
                 at: SimTime::from_secs_f64(crash_at),
@@ -150,8 +200,51 @@ proptest! {
                 probability: fail_p,
             },
         ]);
-        let auto = run(kind, seed, rate, 10.0, 12, plan.clone(), 45, true);
-        let off = run(kind, seed, rate, 10.0, 12, plan, 45, false);
+        let case = Case { plan, ..Case::new(kind, seed, 10.0, 12, 45) };
+        let auto = run(&case, true);
+        let off = run(&case, false);
         assert_identical(&auto, &off, &format!("{kind:?} seed {seed}"));
+    }
+
+    /// Churn that used to keep whole batches exact now reaches the
+    /// per-block closed form: a mid-run `apply_config` that changes the
+    /// interval and launches fresh executors, an undersized interval with
+    /// a permanent backlog, and a scheduled rate surge. The two modes must
+    /// still agree bit for bit, and the closed form must actually run.
+    #[test]
+    fn churned_runs_are_bit_identical(
+        seed in 0u64..200,
+        kind_ix in 0usize..4,
+        switch_after in 2usize..20,
+        new_interval_s in 5.0f64..20.0,
+        added_executors in 1u32..8,
+        backlog_interval_s in 1.0f64..3.0,
+        magnitude in 1.1f64..3.0,
+        onset in 30.0f64..300.0,
+        surge_len in 5.0f64..120.0,
+    ) {
+        let kind = WorkloadKind::ALL[kind_ix];
+        let base = Case::new(kind, seed, 10.0, 8, 40);
+        let cases = [
+            (
+                "reconfigure",
+                Case {
+                    reconfigure: Some((switch_after, new_interval_s, 8 + added_executors)),
+                    ..base.clone()
+                },
+            ),
+            ("backlog", Case { interval_s: backlog_interval_s, executors: 2, ..base.clone() }),
+            ("surge", Case { surge: Some((magnitude, onset, surge_len)), ..base }),
+        ];
+        for (what, case) in cases {
+            let ctx = format!("{what}: {kind:?} seed {seed}");
+            let auto = run(&case, true);
+            let off = run(&case, false);
+            assert_identical(&auto, &off, &ctx);
+            prop_assert!(auto.stats.eligible_blocks > 0, "{ctx}: no quiet block: {:?}", auto.stats);
+            if what == "backlog" {
+                prop_assert!(auto.queue_len > 0, "{ctx}: the backlog drained");
+            }
+        }
     }
 }
