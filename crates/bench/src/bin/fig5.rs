@@ -9,7 +9,7 @@
 //! CSV trace plus the summary table — remains here.
 
 use nostop_bench::report::{f, print_section, Table};
-use nostop_bench::scenario::{build_rate, default_corpus_dir, parse_scenario, workload_of};
+use nostop_bench::scenario::{default_corpus_dir, parse_scenario, sample_rate, workload_of};
 use nostop_simcore::{SimTime, TimeSeries};
 use nostop_workloads::WorkloadKind;
 
@@ -35,13 +35,9 @@ fn main() {
             "{} names the wrong workload",
             spec.name
         );
-        let mut rate = build_rate(&spec);
         let mut series = TimeSeries::new(kind.name());
-        for t in (0..=spec.horizon_s as u64).step_by(SAMPLE_EVERY_S as usize) {
-            series.push_at(
-                SimTime::from_micros(t * 1_000_000),
-                rate.rate_at(SimTime::from_micros(t * 1_000_000)),
-            );
+        for (t, rate) in sample_rate(&spec, SAMPLE_EVERY_S) {
+            series.push_at(SimTime::from_micros(t * 1_000_000), rate);
         }
         let s = series.summary();
         let (lo, hi) = kind.paper_rate_range();

@@ -6,6 +6,7 @@
 
 use nostop_baselines::{PidRateEstimator, Tuner};
 use nostop_core::controller::{NoStop, NoStopConfig};
+use nostop_core::objective::{RHO_CAP, STABILITY_HEADROOM};
 use nostop_core::system::{BatchObservation, StreamingSystem};
 use nostop_core::trace::RoundKind;
 use nostop_datagen::rate::{RateProcess, SurgeRate, UniformRandomRate};
@@ -13,17 +14,6 @@ use nostop_simcore::stats::{summarize, Summary};
 use nostop_simcore::SimRng;
 use nostop_workloads::WorkloadKind;
 use spark_sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
-
-/// The ρ cap used when scoring configurations uniformly across methods —
-/// the same constant the controller's penalty schedule saturates at, so
-/// there is a single source of truth for Eq. 3's cap.
-pub use nostop_core::objective::RHO_CAP;
-
-/// Stability headroom used in the method-agnostic score — re-exported from
-/// `nostop_core::objective` (where `NoStopConfig::paper_default` also reads
-/// it) so baseline tuners optimize the same robust objective NoStop ranks
-/// configurations by.
-pub use nostop_core::objective::STABILITY_HEADROOM as HEADROOM;
 
 /// The paper's varying-rate process for a workload (Fig. 5 ranges,
 /// redrawn every 30 s).
@@ -130,7 +120,7 @@ pub fn measure_config<S: StreamingSystem + ?Sized>(
 /// The Eq.-3 objective at the ρ cap with stability headroom — the
 /// method-agnostic score.
 pub fn penalized_objective(interval_s: f64, stats: &RunStats) -> f64 {
-    interval_s + RHO_CAP * (stats.mean_processing_s - HEADROOM * interval_s).max(0.0)
+    interval_s + RHO_CAP * (stats.mean_processing_s - STABILITY_HEADROOM * interval_s).max(0.0)
 }
 
 /// Result of a NoStop run.

@@ -21,30 +21,49 @@
 use crate::objective::{PenaltySchedule, STABILITY_HEADROOM};
 use crate::policy::{PauseRule, ResetRule, WindowPolicy};
 use crate::sa::{AdaptiveSpsa, AdaptiveSpsaParams, Spsa, SpsaParams};
-use crate::space::{ConfigSpace, ParamSpec};
+use crate::space::ConfigSpace;
 use crate::system::{BatchObservation, Measurement, StreamingSystem};
 use crate::trace::{RoundKind, RoundRecord, Trace};
 use crate::GainSchedule;
 use nostop_obs::Recorder;
-use nostop_simcore::json::{self, Json};
 use nostop_simcore::{SimRng, SimTime};
 
-/// Everything configurable about the controller, with paper defaults.
+/// Starting iterate (Table 1's θ_initial) in every *scaled* coordinate.
+/// Paper: `{10, 10}` — near the middle of the `[1, 20]` scaled range.
+const THETA_INITIAL_SCALED: f64 = 10.0;
+
+/// Per-iteration cap on the SPSA step, in scaled units: a quarter of the
+/// `[1, 20]` scaled range. See [`crate::sa::SpsaParams::max_step`].
+const MAX_STEP_SCALED: f64 = 19.0 / 4.0;
+
+/// Reset rule (§5.5): input-rate samples watched.
+const RESET_WINDOW: usize = 12;
+
+/// Restart the optimization once this many executor failures accumulate.
+/// Executor loss shifts the service-rate regime the way a traffic surge
+/// shifts the arrival regime (§5.5), so the same remedy applies: reset
+/// coefficients and re-explore rather than inch toward the new optimum
+/// with end-of-schedule gains.
+const FAILURE_RESET_THRESHOLD: u32 = 3;
+
+/// Maximum batches scanned per measurement while waiting for batches cut
+/// under the just-applied interval (Algorithm 2's sleep loop; leftover
+/// queued batches were cut under the previous configuration and do not
+/// measure this one). Also the spare budget for discarding
+/// failure-poisoned batches.
+const MEASURE_SCAN_CAP: usize = 15;
+
+/// What callers choose about the controller. Everything else — the pause
+/// rule, the measurement window, the step cap, θ_initial — is a paper
+/// constant (see [`crate::policy`] and the constants in this module).
 #[derive(Debug, Clone)]
 pub struct NoStopConfig {
     /// The tunable parameter space (physical ranges + scaling).
     pub space: ConfigSpace,
     /// SPSA gain sequences (paper: `A = 1, a = 10, c = 2`).
     pub gains: GainSchedule,
-    /// Starting iterate in *scaled* space. Paper: `{10, 10}` — the middle
-    /// of the `[1, 20]` scaled range.
-    pub theta_initial_scaled: Vec<f64>,
     /// The ρ penalty ramp (paper: 1.0 + 0.1/iter, capped at 2.0).
     pub penalty: PenaltySchedule,
-    /// Pause rule: N best configurations (paper: 10).
-    pub pause_n_best: usize,
-    /// Pause rule: std-dev threshold S in seconds (paper: 1.0).
-    pub pause_threshold_s: f64,
     /// Reset rule: input-rate std-dev threshold — records/second, or a
     /// fraction of the windowed mean rate when `reset_relative` is set.
     pub reset_threshold_speed: f64,
@@ -52,68 +71,26 @@ pub struct NoStopConfig {
     pub reset_relative: bool,
     /// Level-shift detection fraction for the reset rule (`None` = off).
     pub reset_level_fraction: Option<f64>,
-    /// Reset rule: rate samples watched.
-    pub reset_window: usize,
-    /// Restart the optimization once this many executor failures
-    /// accumulate (`None` = never). Executor loss shifts the service-rate
-    /// regime the way a traffic surge shifts the arrival regime, so the
-    /// same remedy applies: reset coefficients and re-explore rather than
-    /// inch toward the new optimum with end-of-schedule gains.
-    pub failure_reset_threshold: Option<u32>,
-    /// Batches skipped after each reconfiguration (paper: the first).
-    pub settle_batches: usize,
-    /// Minimum measurement window, batches.
-    pub measure_min_batches: usize,
-    /// Cap for the additively-grown paused window, batches.
-    pub measure_max_batches: usize,
     /// Unpause when an observed batch is unstable by more than this factor
     /// (`processing > factor × interval`); 1.0 = any instability.
     pub unpause_instability_factor: f64,
-    /// Maximum batches scanned per measurement while waiting for batches
-    /// cut under the just-applied interval (leftover queued batches were
-    /// cut under the previous configuration and do not measure this one).
-    pub measure_scan_cap: usize,
-    /// Per-iteration cap on the SPSA step, in scaled units (`None` = no
-    /// clipping). See [`crate::sa::SpsaParams::max_step`].
-    pub max_step_scaled: Option<f64>,
     /// Which stochastic-approximation engine drives the rounds.
     pub optimizer: OptimizerKind,
-    /// Stability headroom used when *ranking* configurations (pause rule
-    /// and best-config tracking): processing time must fit within this
-    /// fraction of the interval before a configuration counts as cleanly
-    /// stable. Under a varying input rate, a configuration measured
-    /// exactly at the frontier during a low-rate episode is unstable at
-    /// the top of the range; requiring headroom parks the system at a
-    /// configuration that absorbs the whole range. 1.0 disables it.
-    pub stability_headroom: f64,
 }
 
 impl NoStopConfig {
     /// The paper's §6.2.1 experimental configuration, with a reset
     /// threshold sized for the logistic-regression rate range.
     pub fn paper_default() -> Self {
-        let space = ConfigSpace::paper_default();
-        let dim = space.dim();
         NoStopConfig {
-            space,
+            space: ConfigSpace::paper_default(),
             gains: GainSchedule::paper_default(),
-            theta_initial_scaled: vec![10.0; dim],
             penalty: PenaltySchedule::paper_default(),
-            pause_n_best: 10,
-            pause_threshold_s: 1.0,
             reset_threshold_speed: 4_800.0,
             reset_relative: false,
             reset_level_fraction: Some(0.4),
-            reset_window: 12,
-            failure_reset_threshold: Some(3),
-            settle_batches: 1,
-            measure_min_batches: 3,
-            measure_max_batches: 12,
             unpause_instability_factor: 1.05,
-            measure_scan_cap: 15,
-            max_step_scaled: Some(19.0 / 4.0),
             optimizer: OptimizerKind::FirstOrder,
-            stability_headroom: STABILITY_HEADROOM,
         }
     }
 
@@ -129,185 +106,6 @@ impl NoStopConfig {
         self.reset_threshold_speed = (max_rate - min_rate) * 0.8 / mean;
         self.reset_relative = true;
         self
-    }
-
-    /// Serialize for operator persistence (pretty JSON, fixed key order).
-    pub fn to_json(&self) -> String {
-        let params: Vec<Json> = self
-            .space
-            .params
-            .iter()
-            .map(|p| {
-                json::obj(vec![
-                    ("name", json::str(p.name.clone())),
-                    ("min", json::num(p.min)),
-                    ("max", json::num(p.max)),
-                    ("quantum", json::num(p.quantum)),
-                ])
-            })
-            .collect();
-        json::obj(vec![
-            (
-                "space",
-                json::obj(vec![
-                    ("params", Json::Arr(params)),
-                    ("scaledLo", json::num(self.space.scaled_lo)),
-                    ("scaledHi", json::num(self.space.scaled_hi)),
-                ]),
-            ),
-            (
-                "gains",
-                json::obj(vec![
-                    ("a", json::num(self.gains.a)),
-                    ("bigA", json::num(self.gains.big_a)),
-                    ("c", json::num(self.gains.c)),
-                    ("alpha", json::num(self.gains.alpha)),
-                    ("gamma", json::num(self.gains.gamma)),
-                ]),
-            ),
-            (
-                "thetaInitialScaled",
-                json::f64_array(&self.theta_initial_scaled),
-            ),
-            (
-                "penalty",
-                json::obj(vec![
-                    ("rho", json::num(self.penalty.rho())),
-                    ("rhoInit", json::num(self.penalty.rho_init)),
-                    ("rhoStep", json::num(self.penalty.rho_step)),
-                    ("rhoMax", json::num(self.penalty.rho_max)),
-                ]),
-            ),
-            ("pauseNBest", json::uint(self.pause_n_best as u64)),
-            ("pauseThresholdS", json::num(self.pause_threshold_s)),
-            ("resetThresholdSpeed", json::num(self.reset_threshold_speed)),
-            ("resetRelative", Json::Bool(self.reset_relative)),
-            (
-                "resetLevelFraction",
-                match self.reset_level_fraction {
-                    Some(f) => json::num(f),
-                    None => Json::Null,
-                },
-            ),
-            ("resetWindow", json::uint(self.reset_window as u64)),
-            (
-                "failureResetThreshold",
-                match self.failure_reset_threshold {
-                    Some(n) => json::uint(n as u64),
-                    None => Json::Null,
-                },
-            ),
-            ("settleBatches", json::uint(self.settle_batches as u64)),
-            (
-                "measureMinBatches",
-                json::uint(self.measure_min_batches as u64),
-            ),
-            (
-                "measureMaxBatches",
-                json::uint(self.measure_max_batches as u64),
-            ),
-            (
-                "unpauseInstabilityFactor",
-                json::num(self.unpause_instability_factor),
-            ),
-            ("measureScanCap", json::uint(self.measure_scan_cap as u64)),
-            (
-                "maxStepScaled",
-                match self.max_step_scaled {
-                    Some(s) => json::num(s),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "optimizer",
-                json::str(match self.optimizer {
-                    OptimizerKind::FirstOrder => "firstOrder",
-                    OptimizerKind::SecondOrder => "secondOrder",
-                }),
-            ),
-            ("stabilityHeadroom", json::num(self.stability_headroom)),
-        ])
-        .to_string_pretty()
-    }
-
-    /// Restore a configuration persisted by [`NoStopConfig::to_json`].
-    pub fn from_json(text: &str) -> Result<Self, json::Error> {
-        let v = Json::parse(text)?;
-        let missing = |key: &str| json::Error {
-            at: 0,
-            msg: format!("missing field `{key}`"),
-        };
-        let sv = v.get("space").ok_or_else(|| missing("space"))?;
-        let params = sv
-            .field_array("params")?
-            .iter()
-            .map(|p| {
-                Ok(ParamSpec::new(
-                    p.field_str("name")?,
-                    p.field_f64("min")?,
-                    p.field_f64("max")?,
-                    p.field_f64("quantum")?,
-                ))
-            })
-            .collect::<Result<Vec<_>, json::Error>>()?;
-        let space = ConfigSpace::new(params, sv.field_f64("scaledLo")?, sv.field_f64("scaledHi")?);
-        let gv = v.get("gains").ok_or_else(|| missing("gains"))?;
-        let gains = GainSchedule {
-            a: gv.field_f64("a")?,
-            big_a: gv.field_f64("bigA")?,
-            c: gv.field_f64("c")?,
-            alpha: gv.field_f64("alpha")?,
-            gamma: gv.field_f64("gamma")?,
-        };
-        let pv = v.get("penalty").ok_or_else(|| missing("penalty"))?;
-        let penalty = PenaltySchedule::restore(
-            pv.field_f64("rhoInit")?,
-            pv.field_f64("rhoStep")?,
-            pv.field_f64("rhoMax")?,
-            pv.field_f64("rho")?,
-        );
-        let opt_null = |key: &str| -> Result<Option<f64>, json::Error> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(_) => v.field_f64(key).map(Some),
-            }
-        };
-        let optimizer = match v.field_str("optimizer")? {
-            "firstOrder" => OptimizerKind::FirstOrder,
-            "secondOrder" => OptimizerKind::SecondOrder,
-            other => {
-                return Err(json::Error {
-                    at: 0,
-                    msg: format!("unknown optimizer `{other}`"),
-                })
-            }
-        };
-        Ok(NoStopConfig {
-            space,
-            gains,
-            theta_initial_scaled: v.field_f64_array("thetaInitialScaled")?,
-            penalty,
-            pause_n_best: v.field_u64("pauseNBest")? as usize,
-            pause_threshold_s: v.field_f64("pauseThresholdS")?,
-            reset_threshold_speed: v.field_f64("resetThresholdSpeed")?,
-            reset_relative: v.field_bool("resetRelative")?,
-            reset_level_fraction: opt_null("resetLevelFraction")?,
-            reset_window: v.field_u64("resetWindow")? as usize,
-            // Optional (nullable) for configs persisted before the fault
-            // layer existed.
-            failure_reset_threshold: match v.get("failureResetThreshold") {
-                None | Some(Json::Null) => None,
-                Some(_) => Some(v.field_u64("failureResetThreshold")? as u32),
-            },
-            settle_batches: v.field_u64("settleBatches")? as usize,
-            measure_min_batches: v.field_u64("measureMinBatches")? as usize,
-            measure_max_batches: v.field_u64("measureMaxBatches")? as usize,
-            unpause_instability_factor: v.field_f64("unpauseInstabilityFactor")?,
-            measure_scan_cap: v.field_u64("measureScanCap")? as usize,
-            max_step_scaled: opt_null("maxStepScaled")?,
-            optimizer,
-            stability_headroom: v.field_f64("stabilityHeadroom")?,
-        })
     }
 }
 
@@ -399,20 +197,16 @@ pub struct NoStop {
 impl NoStop {
     /// Build a controller. `seed` drives the SPSA perturbation stream.
     pub fn new(cfg: NoStopConfig, seed: u64) -> Self {
-        assert_eq!(
-            cfg.theta_initial_scaled.len(),
-            cfg.space.dim(),
-            "initial point dimension mismatch"
-        );
+        let theta_initial = vec![THETA_INITIAL_SCALED; cfg.space.dim()];
         let spsa = match cfg.optimizer {
             OptimizerKind::FirstOrder => SaEngine::First(Spsa::new(
                 SpsaParams {
                     gains: cfg.gains,
                     lower: cfg.space.scaled_lower(),
                     upper: cfg.space.scaled_upper(),
-                    max_step: cfg.max_step_scaled,
+                    max_step: Some(MAX_STEP_SCALED),
                 },
-                cfg.theta_initial_scaled.clone(),
+                theta_initial,
                 SimRng::seed_from_u64(seed),
             )),
             OptimizerKind::SecondOrder => SaEngine::Second(AdaptiveSpsa::new(
@@ -421,26 +215,22 @@ impl NoStop {
                     lower: cfg.space.scaled_lower(),
                     upper: cfg.space.scaled_upper(),
                     c_tilde_ratio: 1.0,
-                    max_step: cfg.max_step_scaled,
+                    max_step: Some(MAX_STEP_SCALED),
                     blocking_tolerance: None,
                 },
-                cfg.theta_initial_scaled.clone(),
+                theta_initial,
                 SimRng::seed_from_u64(seed),
             )),
         };
-        let pause = PauseRule::new(cfg.pause_n_best, cfg.pause_threshold_s);
+        let pause = PauseRule::paper_default();
         let mut reset = if cfg.reset_relative {
-            ResetRule::relative(cfg.reset_threshold_speed, cfg.reset_window)
+            ResetRule::relative(cfg.reset_threshold_speed, RESET_WINDOW)
         } else {
-            ResetRule::new(cfg.reset_threshold_speed, cfg.reset_window)
+            ResetRule::new(cfg.reset_threshold_speed, RESET_WINDOW)
         };
         reset.level_fraction = cfg.reset_level_fraction;
-        reset.failure_threshold = cfg.failure_reset_threshold;
-        let window = WindowPolicy::new(
-            cfg.settle_batches,
-            cfg.measure_min_batches,
-            cfg.measure_max_batches,
-        );
+        reset.failure_threshold = Some(FAILURE_RESET_THRESHOLD);
+        let window = WindowPolicy::paper_default();
         let penalty = cfg.penalty;
         NoStop {
             cfg,
@@ -791,7 +581,8 @@ impl NoStop {
         // keeping the ramped-up penalty prevents the restarted (large-
         // gain) iterations from diving through the stability constraint
         // the way the very first iterations of a run may.
-        self.spsa.reset(&self.cfg.theta_initial_scaled);
+        self.spsa
+            .reset(&vec![THETA_INITIAL_SCALED; self.cfg.space.dim()]);
         self.pause.clear();
         self.reset.clear();
         self.window.shrink_to_min();
@@ -816,7 +607,7 @@ impl NoStop {
     /// wait: a configuration that cannot drain is measured dirty, and its
     /// own growing queue makes the objective appropriately ugly. After
     /// settling, the first batch is still discarded (§5.4: executor/jar
-    /// initialization) and `measure_min_batches` are averaged.
+    /// initialization) and the minimum window is averaged.
     fn measure<S: StreamingSystem>(&mut self, sys: &mut S, physical: &[f64]) -> Measurement {
         if self.obs.is_enabled() {
             let mut fields = vec![("interval_s", physical[0])];
@@ -840,7 +631,7 @@ impl NoStop {
         // for the system to settle before concluding it never will.
         let settle_deadline = sys.now_s() + (20.0 * target_interval).max(120.0);
         let mut settled = false;
-        for _ in 0..self.cfg.measure_scan_cap {
+        for _ in 0..MEASURE_SCAN_CAP {
             let b = sys.next_batch();
             self.reset.record_rate(b.input_rate);
             self.reset.record_failure(b.executor_failures);
@@ -866,12 +657,12 @@ impl NoStop {
         // Batches that absorbed an executor failure measure the crash
         // (task re-execution, lineage recovery), not the configuration —
         // averaging them in would poison the gradient estimate. Discard
-        // them and re-pull, spending at most `measure_scan_cap` spares;
+        // them and re-pull, spending at most `MEASURE_SCAN_CAP` spares;
         // a fault storm that exhausts the budget is measured dirty, and
         // the reset rule (fed above) decides whether to re-explore.
-        let mut spare = self.cfg.measure_scan_cap;
-        let mut window: Vec<BatchObservation> = Vec::with_capacity(self.cfg.measure_min_batches);
-        while window.len() < self.cfg.measure_min_batches {
+        let mut spare = MEASURE_SCAN_CAP;
+        let mut window: Vec<BatchObservation> = Vec::with_capacity(self.window.min_batches);
+        while window.len() < self.window.min_batches {
             let b = sys.next_batch();
             self.reset.record_rate(b.input_rate);
             self.reset.record_failure(b.executor_failures);
@@ -905,7 +696,7 @@ impl NoStop {
     /// constant), immune to backlog carryover, and — through the headroom
     /// — robust to rate variation between measurement and steady state.
     fn intrinsic_delay(&self, m: &Measurement) -> f64 {
-        let slack = m.interval_s * self.cfg.stability_headroom;
+        let slack = m.interval_s * STABILITY_HEADROOM;
         m.interval_s + self.penalty.rho_max * (m.processing_s - slack).max(0.0)
     }
 

@@ -192,36 +192,47 @@ impl StatusReport {
 
     /// Parse from the JSON wire format. `arrivedRecords`,
     /// `ingestWindowMs`, and `executorFailures` are optional on the wire
-    /// and default to 0.
+    /// and default to 0. `numExecutors`, `queuedBatches` and
+    /// `executorFailures` must fit in a `u32`; a larger value is an error,
+    /// never a silent wrap.
     pub fn from_json(text: &str) -> Result<Self, json::Error> {
-        if let Some(v) = Self::parse_canonical(text) {
-            return Ok(StatusReport {
-                batch_id: v[0],
-                submission_time_ms: v[1],
-                processing_start_time_ms: v[2],
-                processing_end_time_ms: v[3],
-                num_records: v[4],
-                arrived_records: v[5],
-                batch_interval_ms: v[6],
-                ingest_window_ms: v[7],
-                num_executors: v[8] as u32,
-                queued_batches: v[9] as u32,
-                executor_failures: v[10] as u32,
-            });
-        }
-        let v = Json::parse(text)?;
+        let v = match Self::parse_canonical(text) {
+            Some(v) => v,
+            None => {
+                let j = Json::parse(text)?;
+                [
+                    j.field_u64("batchId")?,
+                    j.field_u64("submissionTimeMs")?,
+                    j.field_u64("processingStartTimeMs")?,
+                    j.field_u64("processingEndTimeMs")?,
+                    j.field_u64("numRecords")?,
+                    j.field_u64_or_zero("arrivedRecords")?,
+                    j.field_u64("batchIntervalMs")?,
+                    j.field_u64_or_zero("ingestWindowMs")?,
+                    j.field_u64("numExecutors")?,
+                    j.field_u64("queuedBatches")?,
+                    j.field_u64_or_zero("executorFailures")?,
+                ]
+            }
+        };
+        let narrow = |i: usize| {
+            u32::try_from(v[i]).map_err(|_| json::Error {
+                at: 0,
+                msg: format!("field `{}` = {} does not fit in u32", Self::KEYS[i], v[i]),
+            })
+        };
         Ok(StatusReport {
-            batch_id: v.field_u64("batchId")?,
-            submission_time_ms: v.field_u64("submissionTimeMs")?,
-            processing_start_time_ms: v.field_u64("processingStartTimeMs")?,
-            processing_end_time_ms: v.field_u64("processingEndTimeMs")?,
-            num_records: v.field_u64("numRecords")?,
-            arrived_records: v.field_u64_or_zero("arrivedRecords")?,
-            batch_interval_ms: v.field_u64("batchIntervalMs")?,
-            ingest_window_ms: v.field_u64_or_zero("ingestWindowMs")?,
-            num_executors: v.field_u64("numExecutors")? as u32,
-            queued_batches: v.field_u64("queuedBatches")? as u32,
-            executor_failures: v.field_u64_or_zero("executorFailures")? as u32,
+            batch_id: v[0],
+            submission_time_ms: v[1],
+            processing_start_time_ms: v[2],
+            processing_end_time_ms: v[3],
+            num_records: v[4],
+            arrived_records: v[5],
+            batch_interval_ms: v[6],
+            ingest_window_ms: v[7],
+            num_executors: narrow(8)?,
+            queued_batches: narrow(9)?,
+            executor_failures: narrow(10)?,
         })
     }
 }
@@ -300,6 +311,33 @@ mod tests {
         let r = StatusReport::from_json(json).unwrap();
         assert_eq!(r.num_records, 42);
         assert_eq!(r.processing_time_ms(), 490);
+    }
+
+    /// A count beyond `u32::MAX` is rejected on both decode paths — the
+    /// canonical scanner and the general parser — instead of wrapping
+    /// (4294967297 would otherwise decode as 1). `u32::MAX` itself decodes.
+    #[test]
+    fn u32_counts_out_of_range_are_errors_on_both_paths() {
+        let canonical = report().to_json();
+        let spaced = canonical.replace(',', ", ");
+        assert!(StatusReport::parse_canonical(&canonical).is_some());
+        assert!(StatusReport::parse_canonical(&spaced).is_none());
+        for (key, value) in [
+            ("numExecutors", 12),
+            ("queuedBatches", 1),
+            ("executorFailures", 0),
+        ] {
+            let field = format!("\"{key}\":{value}");
+            for text in [&canonical, &spaced] {
+                let set = |v: u64| text.replace(&field, &format!("\"{key}\":{v}"));
+                let err = StatusReport::from_json(&set(u32::MAX as u64 + 2)).unwrap_err();
+                assert!(err.msg.contains(key), "{key}: {err}");
+                assert!(
+                    StatusReport::from_json(&set(u32::MAX as u64)).is_ok(),
+                    "{key}"
+                );
+            }
+        }
     }
 
     #[test]

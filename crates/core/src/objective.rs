@@ -21,9 +21,13 @@ pub const RHO_CAP: f64 = 2.0;
 
 /// The stability headroom fraction used when ranking configurations:
 /// processing time must fit within this fraction of the interval before a
-/// configuration counts as cleanly stable. Shared by
-/// [`crate::NoStopConfig::paper_default`] and the bench driver's intrinsic
-/// scoring, so there is one source of truth for "comfortably stable".
+/// configuration counts as cleanly stable. Under a varying input rate, a
+/// configuration measured exactly at the frontier during a low-rate
+/// episode is unstable at the top of the range; requiring headroom parks
+/// the system at a configuration that absorbs the whole range. Shared by
+/// the controller's pause rule and best-config tracking and by the bench
+/// driver's intrinsic scoring, so there is one source of truth for
+/// "comfortably stable".
 pub const STABILITY_HEADROOM: f64 = 0.85;
 
 /// The ρ penalty schedule of Algorithm 1.
@@ -48,14 +52,6 @@ impl PenaltySchedule {
             rho_step: 0.1,
             rho_max: RHO_CAP,
         }
-    }
-
-    /// Rebuild a schedule mid-ramp — used when restoring a serialized
-    /// configuration. `current` is clamped into `[init, max]`.
-    pub fn restore(init: f64, step: f64, max: f64, current: f64) -> Self {
-        let mut p = PenaltySchedule::new(init, step, max);
-        p.rho = current.clamp(init, max);
-        p
     }
 
     /// A custom schedule; panics unless `0 < init ≤ max` and `step ≥ 0`.

@@ -6,6 +6,13 @@
 
 use nostop_simcore::stats::summarize;
 
+/// §6.2.1 pause rule N: how many best configurations are compared.
+const N_BEST: usize = 10;
+
+/// §6.2.1 pause rule S: pause once the std-dev of the N best end-to-end
+/// delays falls below this many seconds.
+const THRESHOLD_S: f64 = 1.0;
+
 /// Tracks the N best (lowest-delay) configurations seen in the current
 /// optimization episode and decides when improvement has stalled.
 #[derive(Debug, Clone)]
@@ -32,7 +39,7 @@ impl PauseRule {
 
     /// The paper's setting: N = 10, S = 1 s.
     pub fn paper_default() -> Self {
-        PauseRule::new(10, 1.0)
+        PauseRule::new(N_BEST, THRESHOLD_S)
     }
 
     /// Record the delay a configuration achieved.

@@ -12,6 +12,18 @@
 //!    going blind to genuine regime changes. When active optimization
 //!    resumes, the window snaps back to its minimum so rounds stay cheap.
 
+/// §5.4 skip-first: batches discarded after each reconfiguration. The
+/// first batch pays executor start-up and jar shipping.
+const SKIP_AFTER_CHANGE: usize = 1;
+
+/// §5.4 window lower bound: batches averaged per measurement during active
+/// optimization, and the size the paused window grows from.
+const MIN_BATCHES: usize = 3;
+
+/// §5.4 window upper bound: the cap on the additively grown paused window,
+/// so a parked controller still sees a regime change within a dozen batches.
+const MAX_BATCHES: usize = 12;
+
 /// Governs how many batches feed one performance measurement.
 #[derive(Debug, Clone)]
 pub struct WindowPolicy {
@@ -39,9 +51,9 @@ impl WindowPolicy {
         }
     }
 
-    /// A practical default: skip 1, average 3, grow to 12.
+    /// The controller's policy: skip 1, average 3, grow to 12.
     pub fn paper_default() -> Self {
-        WindowPolicy::new(1, 3, 12)
+        WindowPolicy::new(SKIP_AFTER_CHANGE, MIN_BATCHES, MAX_BATCHES)
     }
 
     /// Batches to discard right after a configuration change.

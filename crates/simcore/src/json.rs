@@ -1,7 +1,7 @@
 //! A small, dependency-free JSON value model, parser, and writer.
 //!
 //! The workspace builds in fully offline environments, so the Fig-4 wire
-//! format (status reports, controller commands, persisted configurations,
+//! format (status reports, controller commands, scenario files,
 //! `BENCH_*.json` trajectories) is carried by this module instead of an
 //! external serialization framework. The subset implemented is exactly the
 //! subset the wire formats use: objects with ordered keys, arrays, finite

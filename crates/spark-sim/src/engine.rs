@@ -33,6 +33,28 @@ use nostop_obs::Recorder;
 use nostop_simcore::{probe_mode, SimDuration, SimRng, SimTime};
 use nostop_workloads::{CostModel, WorkloadKind};
 
+/// Executor process launch latency.
+const LAUNCH_DELAY: SimDuration = SimDuration::from_secs(2);
+
+/// One-time initialization (jar shipping) for a fresh executor's first
+/// job — the cost §5.4's skip-first rule keeps out of measurements.
+const EXECUTOR_INIT: SimDuration = SimDuration::from_millis(1_500);
+
+/// Kafka partitions (paper: more than the cluster's core count).
+const PARTITIONS: usize = 32;
+
+/// Maximum batches waiting in the queue before the divider stops
+/// consuming. Further data stays in the broker (Kafka retains it) and is
+/// absorbed by large catch-up batches once the queue drains — the actual
+/// recovery dynamics of a congested Kafka-direct deployment.
+const MAX_QUEUED_BATCHES: usize = 5;
+
+/// Catch-up batches are capped at this multiple of one nominal interval's
+/// data (the `maxRatePerPartition` guard every production Kafka-direct
+/// deployment sets), so a congested system recovers via bounded batches
+/// instead of one unboundedly large one.
+const MAX_CATCHUP_FACTOR: f64 = 3.0;
+
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineParams {
@@ -40,28 +62,9 @@ pub struct EngineParams {
     pub cluster: Cluster,
     /// Which workload's cost model drives job simulation.
     pub workload: WorkloadKind,
-    /// Cost model override (`None` = the workload's preset).
-    pub cost: Option<CostModel>,
     /// Spark's block interval (default 200 ms) — tasks per stage =
     /// batch interval / block interval.
     pub block_interval: SimDuration,
-    /// Executor process launch latency.
-    pub launch_delay: SimDuration,
-    /// One-time initialization (jar shipping) for a fresh executor's first
-    /// job.
-    pub executor_init: SimDuration,
-    /// Kafka partitions (paper: more than the cluster's core count).
-    pub partitions: usize,
-    /// Maximum batches waiting in the queue before the divider stops
-    /// consuming. Further data stays in the broker (Kafka retains it) and
-    /// is absorbed by large catch-up batches once the queue drains — the
-    /// actual recovery dynamics of a congested Kafka-direct deployment.
-    pub max_queued_batches: usize,
-    /// Catch-up batches are capped at this multiple of one nominal
-    /// interval's data (the `maxRatePerPartition` guard every production
-    /// Kafka-direct deployment sets), so a congested system recovers via
-    /// bounded batches instead of one unboundedly large one.
-    pub max_catchup_factor: f64,
     /// Noise environment.
     pub noise: NoiseParams,
     /// Speculative execution (Spark's `spark.speculation`); `None` = off,
@@ -99,13 +102,7 @@ impl EngineParams {
         EngineParams {
             cluster: Cluster::paper_heterogeneous(),
             workload,
-            cost: None,
             block_interval: SimDuration::from_millis(200),
-            launch_delay: SimDuration::from_secs(2),
-            executor_init: SimDuration::from_millis(1_500),
-            partitions: 32,
-            max_queued_batches: 5,
-            max_catchup_factor: 3.0,
             noise: NoiseParams::default(),
             speculation: None,
             metrics_window: Listener::DEFAULT_WINDOW,
@@ -253,22 +250,19 @@ pub struct StreamingEngine {
 impl StreamingEngine {
     /// Build an engine with an initial configuration and a rate process.
     pub fn new(params: EngineParams, initial: StreamConfig, rate: Box<dyn RateProcess>) -> Self {
-        let cost = params
-            .cost
-            .clone()
-            .unwrap_or_else(|| CostModel::preset(params.workload));
+        let cost = CostModel::preset(params.workload);
         let root = SimRng::seed_from_u64(params.seed);
-        let mut executors = ExecutorManager::new(params.cluster.clone(), params.launch_delay);
+        let mut executors = ExecutorManager::new(params.cluster.clone(), LAUNCH_DELAY);
         executors.bootstrap(initial.num_executors);
         let broker = Broker::new(BrokerConfig {
-            partitions: params.partitions,
+            partitions: PARTITIONS,
             max_consume_rate: None,
         });
-        let broker = match params.skew.weights(params.partitions) {
+        let broker = match params.skew.weights(PARTITIONS) {
             Some(weights) => broker.with_skew(weights),
             None => broker,
         };
-        let skew_imbalance = params.skew.imbalance(params.partitions);
+        let skew_imbalance = params.skew.imbalance(PARTITIONS);
         let noise = NoiseModel::new(params.noise, params.cluster.nodes.len(), root.fork(1));
         let job_rng = root.fork(2);
         let fault_rng = root.fork(3);
@@ -360,7 +354,7 @@ impl StreamingEngine {
             // the span brackets the divider re-arm + target change, which
             // are instantaneous in virtual time.
             let overhead_us = if launching > 0 {
-                (self.params.launch_delay + self.params.executor_init).as_micros()
+                (LAUNCH_DELAY + EXECUTOR_INIT).as_micros()
             } else {
                 0
             };
@@ -400,20 +394,14 @@ impl StreamingEngine {
     /// [`StreamingEngine::apply_config`]; block interval and speculation
     /// threshold retarget the real engine mechanics; the remaining knobs
     /// re-derive the cost model from the workload base (never compounding
-    /// — `params.cost`/preset stays pristine). Safe mid-run: per-job cost
+    /// — the workload preset stays pristine). Safe mid-run: per-job cost
     /// tables are rebuilt from `self.cost` every batch.
     pub fn apply_extended_config(&mut self, ext: &ExtendedConfig) {
         self.params.block_interval = ext.block_interval;
         self.params.speculation = Some(Speculation {
             multiplier: ext.speculation_multiplier,
-            ..Speculation::default()
         });
-        let base = self
-            .params
-            .cost
-            .clone()
-            .unwrap_or_else(|| CostModel::preset(self.params.workload));
-        self.cost = ext.derive_cost(&base);
+        self.cost = ext.derive_cost(&CostModel::preset(self.params.workload));
         self.apply_config(ext.stream);
     }
 
@@ -777,7 +765,7 @@ impl StreamingEngine {
             self.params.block_interval,
             now,
             executors,
-            self.params.executor_init,
+            EXECUTOR_INIT,
             &mut self.noise,
             stages,
             self.params.speculation,
@@ -848,7 +836,7 @@ impl StreamingEngine {
         // When the batch queue is saturated the divider blocks: no batch is
         // cut, the data stays in the broker, and the next successful cut
         // absorbs it as a catch-up batch.
-        if self.queue.len() < self.params.max_queued_batches {
+        if self.queue.len() < MAX_QUEUED_BATCHES {
             let ingest_window = t.saturating_since(self.last_cut);
             let records = if self.broker.max_consume_rate().is_some() {
                 // Back pressure in force: the PID's limit governs.
@@ -857,7 +845,7 @@ impl StreamingEngine {
                 // Bound catch-up batches at a multiple of the nominal
                 // interval's data (the maxRatePerPartition guard).
                 let nominal = self.generator.current_rate() * self.current_interval.as_secs_f64();
-                let cap = (nominal * self.params.max_catchup_factor).max(1_000.0) as u64;
+                let cap = (nominal * MAX_CATCHUP_FACTOR).max(1_000.0) as u64;
                 self.broker.consume_exact(cap)
             };
             self.queue.push(
@@ -976,7 +964,7 @@ impl StreamingEngine {
             self.params.block_interval,
             start,
             self.executors.executors_mut(),
-            self.params.executor_init,
+            EXECUTOR_INIT,
             &mut self.noise,
             stages,
             self.params.speculation,

@@ -26,9 +26,6 @@ pub struct NoiseParams {
     pub contention_duration_s: f64,
     /// Speed multiplier while contended (e.g. 0.6 = 40% slower).
     pub contention_slowdown: f64,
-    /// Override the workload's per-task log-normal sigma (`None` = use the
-    /// cost model's).
-    pub task_sigma_override: Option<f64>,
 }
 
 impl Default for NoiseParams {
@@ -38,7 +35,6 @@ impl Default for NoiseParams {
             contention_mean_gap_s: 120.0,
             contention_duration_s: 8.0,
             contention_slowdown: 0.6,
-            task_sigma_override: None,
         }
     }
 }
@@ -124,13 +120,12 @@ impl NoiseModel {
     }
 
     /// The multiplicative duration factor for one task: unit-mean
-    /// log-normal with the given sigma (or the override).
+    /// log-normal with the given sigma.
     pub fn task_factor(&mut self, sigma: f64) -> f64 {
         if !self.params.enabled {
             return 1.0;
         }
-        let s = self.params.task_sigma_override.unwrap_or(sigma);
-        self.rng.noise_factor(s)
+        self.rng.noise_factor(sigma)
     }
 
     /// Fill `out` with `count` task factors in one burst.
@@ -145,12 +140,12 @@ impl NoiseModel {
             out.resize(count, 1.0);
             return;
         }
-        let s = self.params.task_sigma_override.unwrap_or(sigma);
-        if s <= 0.0 {
+        if sigma <= 0.0 {
             out.resize(count, 1.0);
             return;
         }
-        self.rng.fill_lognormal(-s * s / 2.0, s, count, out);
+        self.rng
+            .fill_lognormal(-sigma * sigma / 2.0, sigma, count, out);
     }
 
     /// Slice-shaped [`fill_task_factors`](Self::fill_task_factors): one
@@ -161,12 +156,12 @@ impl NoiseModel {
             out.fill(1.0);
             return;
         }
-        let s = self.params.task_sigma_override.unwrap_or(sigma);
-        if s <= 0.0 {
+        if sigma <= 0.0 {
             out.fill(1.0);
             return;
         }
-        self.rng.fill_lognormal_into(-s * s / 2.0, s, out);
+        self.rng
+            .fill_lognormal_into(-sigma * sigma / 2.0, sigma, out);
     }
 
     /// True when no contention episode can touch — or even be *observed*
@@ -248,7 +243,6 @@ mod tests {
             contention_mean_gap_s: 90.0,
             contention_duration_s: 10.0,
             contention_slowdown: 0.5,
-            task_sigma_override: None,
         };
         let mut m = NoiseModel::new(params, 1, SimRng::seed_from_u64(2));
         let mut contended = 0;
@@ -305,7 +299,6 @@ mod tests {
             contention_mean_gap_s: 50.0,
             contention_duration_s: 5.0,
             contention_slowdown: 0.5,
-            task_sigma_override: None,
         };
         let m = NoiseModel::new(params, 1, SimRng::seed_from_u64(3));
         let before = m.rng_state();
@@ -346,19 +339,6 @@ mod tests {
         // 120 s) lies far in the past. Including an idle node would veto
         // quiescence forever — the filter exists to exclude it.
         assert!(!m.quiescent_over(t, t, [0, 1]));
-    }
-
-    #[test]
-    fn task_factor_sigma_override() {
-        let params = NoiseParams {
-            task_sigma_override: Some(0.0),
-            ..NoiseParams::default()
-        };
-        let mut m = NoiseModel::new(params, 1, SimRng::seed_from_u64(4));
-        // Sigma forced to zero: factor exactly 1.
-        for _ in 0..100 {
-            assert_eq!(m.task_factor(0.9), 1.0);
-        }
     }
 
     #[test]

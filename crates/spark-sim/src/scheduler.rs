@@ -62,6 +62,13 @@ pub struct JobResult {
     pub task_retries: u32,
 }
 
+/// Overhead of launching a speculative copy, µs.
+const SPECULATION_RELAUNCH_US: f64 = 50_000.0;
+
+/// Minimum tasks in a stage before speculation engages (medians over tiny
+/// stages are meaningless).
+const SPECULATION_MIN_TASKS: usize = 5;
+
 /// Speculative-execution policy (Spark's `spark.speculation`).
 ///
 /// When a task runs longer than `multiplier` × the stage's median task
@@ -74,20 +81,11 @@ pub struct Speculation {
     /// Straggler threshold as a multiple of the stage median (Spark's
     /// `spark.speculation.multiplier`, default 1.5).
     pub multiplier: f64,
-    /// Overhead of launching the speculative copy, µs.
-    pub relaunch_us: f64,
-    /// Minimum tasks in a stage before speculation engages (medians over
-    /// tiny stages are meaningless).
-    pub min_tasks: usize,
 }
 
 impl Default for Speculation {
     fn default() -> Self {
-        Speculation {
-            multiplier: 1.5,
-            relaunch_us: 50_000.0,
-            min_tasks: 5,
-        }
+        Speculation { multiplier: 1.5 }
     }
 }
 
@@ -172,7 +170,7 @@ pub fn simulate_job(
     let query_failures = faults.as_ref().is_some_and(|f| f.state.has_task_failures());
     // The speculation pass is the only consumer of the per-task duration
     // list; without it the busy sum is accumulated inline.
-    let need_durations = speculation.is_some_and(|spec| tasks_per_stage as usize >= spec.min_tasks);
+    let need_durations = speculation.is_some() && tasks_per_stage as usize >= SPECULATION_MIN_TASKS;
     // Superbatch arming: the closed form cannot produce the per-task
     // duration list an engaged speculation pass consumes, so that case
     // stays fully exact. This is the only job-level veto — the engine
@@ -389,7 +387,7 @@ pub fn simulate_job(
             median_buf.copy_from_slice(durations);
             let mid = median_buf.len() / 2;
             let (_, &mut median, _) = median_buf.select_nth_unstable(mid);
-            let cap = (median as f64 * spec.multiplier + spec.relaunch_us) as u64;
+            let cap = (median as f64 * spec.multiplier + SPECULATION_RELAUNCH_US) as u64;
             if durations.iter().any(|&d| d > cap) {
                 for d in durations.iter_mut() {
                     *d = (*d).min(cap);

@@ -91,7 +91,6 @@ fn main() {
     let dim = space.dim();
     let mut cfg = NoStopConfig::paper_default();
     cfg.space = space;
-    cfg.theta_initial_scaled = vec![10.0; dim];
     // A synthetic benchmark has no arrival-rate regime changes.
     cfg.reset_level_fraction = None;
 

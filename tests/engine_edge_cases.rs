@@ -1,10 +1,8 @@
-//! Edge cases of the simulated engine and controller that the main
-//! integration suites do not reach.
+//! Edge cases of the simulated engine that the main integration suites
+//! do not reach.
 
-use nostop::core::controller::{NoStop, NoStopConfig};
-use nostop::core::system::StreamingSystem;
 use nostop::datagen::rate::{ConstantRate, TraceRate};
-use nostop::sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
+use nostop::sim::{EngineParams, StreamConfig, StreamingEngine};
 use nostop::simcore::SimDuration;
 use nostop::workloads::WorkloadKind;
 
@@ -124,28 +122,6 @@ fn trace_rate_replay_drives_the_engine() {
         (1_400_000..=1_600_000).contains(&late_mean),
         "late {late_mean}"
     );
-}
-
-#[test]
-fn controller_config_round_trips_through_json() {
-    // Operators persist controller configs; the whole NoStopConfig must
-    // survive serde.
-    let cfg = NoStopConfig::paper_default().with_rate_range(7_000.0, 13_000.0);
-    let json = cfg.to_json();
-    let back = NoStopConfig::from_json(&json).expect("parses");
-    assert_eq!(back.space, cfg.space);
-    assert_eq!(back.gains, cfg.gains);
-    assert_eq!(back.reset_threshold_speed, cfg.reset_threshold_speed);
-    assert_eq!(back.optimizer, cfg.optimizer);
-    // And a controller built from the round-tripped config behaves
-    // identically on the same system.
-    let run = |c: NoStopConfig| {
-        let mut sys = SimSystem::new(engine(120_000.0, 20.5, 10, 9));
-        let mut ns = NoStop::new(c, 9);
-        ns.run(&mut sys, 8);
-        (ns.current_physical(), sys.now_s().to_bits())
-    };
-    assert_eq!(run(cfg), run(back));
 }
 
 #[test]
