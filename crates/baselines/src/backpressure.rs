@@ -61,13 +61,6 @@ impl PidRateEstimator {
         self.latest_rate
     }
 
-    /// Update the batch interval (NoStop-style deployments never call
-    /// this; it exists for completeness).
-    pub fn set_batch_interval(&mut self, batch_interval_s: f64) {
-        assert!(batch_interval_s > 0.0);
-        self.batch_interval_s = batch_interval_s;
-    }
-
     /// Compute the new rate limit from one completed batch — the port of
     /// `PIDRateEstimator.compute`.
     ///

@@ -55,12 +55,6 @@ impl BayesOpt {
         self
     }
 
-    /// Override the GP kernel.
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.gp = GaussianProcess::new(kernel);
-        self
-    }
-
     /// Force the surrogate's update mode (incremental fast path vs
     /// full-refit probe), overriding `NOSTOP_PROBE`. Must be applied
     /// before any observations; used by differential tests and the tuner

@@ -44,33 +44,8 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let n = cells.len();
-    let workers = jobs().min(n);
-    if workers <= 1 {
-        return cells.iter().map(&f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(&cells[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every cell below the cursor was computed")
-        })
-        .collect()
+    // Equal weights keep the pull order at cell order.
+    map_cells_weighted(cells, |_| 0.0, f)
 }
 
 /// [`map_cells`], but with longest-estimated-first scheduling.

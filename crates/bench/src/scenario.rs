@@ -17,7 +17,7 @@
 use crate::driver::{measure_config, nostop_config, penalized_objective};
 use nostop_baselines::{BayesOpt, Tuner};
 use nostop_core::controller::NoStop;
-use nostop_core::scenario::{ClusterKind, ScenarioSpec};
+use nostop_core::scenario::{ClusterKind, FaultSpec, ScenarioSpec};
 use nostop_core::system::{BatchObservation, StreamingSystem};
 use nostop_datagen::rate::{RateProcess, RateSpecExt};
 use nostop_simcore::json::Json;
@@ -97,12 +97,27 @@ pub fn build_rate(spec: &ScenarioSpec) -> Box<dyn RateProcess> {
 /// spec's faults and skew installed. An empty fault list and `SkewSpec::
 /// None` reproduce `EngineParams::paper`/`testbed` exactly, which is what
 /// makes the fig wrappers byte-identical to their pre-corpus versions.
+/// A node slowdown on a node the preset lacks is an error: it would
+/// otherwise be accepted and never fire.
 pub fn engine_params(spec: &ScenarioSpec) -> Result<EngineParams, String> {
     let kind = workload_of(spec)?;
     let mut params = match spec.cluster {
         ClusterKind::Paper => EngineParams::paper(kind, spec.seed),
         ClusterKind::Testbed => EngineParams::testbed(kind, spec.seed),
     };
+    let nodes = params.cluster.nodes.len();
+    for fault in &spec.faults {
+        if let FaultSpec::NodeSlowdown { node, .. } = fault {
+            if *node >= nodes {
+                return Err(format!(
+                    "scenario `{}`: node-slowdown on node {node}, but the `{}` cluster has \
+                     {nodes} nodes",
+                    spec.name,
+                    spec.cluster.name()
+                ));
+            }
+        }
+    }
     params.faults = FaultPlan::from_specs(&spec.faults);
     params.skew = spec.skew;
     Ok(params)
@@ -313,6 +328,24 @@ mod tests {
         let mut s = spec(&[]);
         s.workload = "nope".into();
         assert!(build_system(&s).is_err());
+    }
+
+    #[test]
+    fn slowdown_on_a_missing_node_is_rejected() {
+        let slowdown = |node| FaultSpec::NodeSlowdown {
+            node,
+            from_s: 60.0,
+            until_s: 120.0,
+            factor: 0.5,
+        };
+        let mut s = spec(&[]);
+        s.faults = vec![slowdown(99)];
+        let err = engine_params(&s).unwrap_err();
+        assert!(err.contains("`unit`"), "{err}");
+        assert!(err.contains("node 99"), "{err}");
+        // The paper cluster's last node is still a valid target.
+        s.faults = vec![slowdown(4)];
+        assert!(engine_params(&s).is_ok());
     }
 
     #[test]

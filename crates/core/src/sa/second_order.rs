@@ -3,7 +3,7 @@
 //! An extension beyond the paper: plain SPSA scales every dimension by the
 //! same gain, so an ill-conditioned objective (one parameter much more
 //! sensitive than another — e.g. batch interval in seconds vs a memory
-//! fraction in [0,1] *before* normalization, or simply a curved valley)
+//! fraction in `[0, 1]` *before* normalization, or simply a curved valley)
 //! converges slowly along the flat direction. 2SPSA estimates the Hessian
 //! with **two extra measurements** per iteration (four total — still
 //! dimension-independent) and preconditions the step:

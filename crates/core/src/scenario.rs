@@ -707,9 +707,14 @@ impl FaultSpec {
         match kind {
             "executor-crash" => Ok(FaultSpec::ExecutorCrash {
                 at_s: f("at_s")?,
-                count: v
-                    .field_u64("count")
-                    .map_err(|e| format!("fault `{kind}`: {e}"))? as u32,
+                count: {
+                    let count = v
+                        .field_u64("count")
+                        .map_err(|e| format!("fault `{kind}`: {e}"))?;
+                    u32::try_from(count).map_err(|_| {
+                        format!("fault `{kind}`: field `count` = {count} does not fit in u32")
+                    })?
+                },
                 relaunch_after_s: match v.get("relaunch_after_s") {
                     None | Some(Json::Null) => None,
                     Some(_) => Some(f("relaunch_after_s")?),
@@ -1072,6 +1077,44 @@ mod tests {
         assert!(ScenarioSpec::from_json(&old)
             .unwrap_err()
             .contains("schema"));
+    }
+
+    #[test]
+    fn oversized_crash_count_is_an_error_not_a_wrap() {
+        let crash = |count: u64| {
+            Json::parse(&format!(
+                r#"{{"kind": "executor-crash", "at_s": 60, "count": {count}}}"#
+            ))
+            .unwrap()
+        };
+        // 2^32 + 1 would wrap to a 1-executor crash under `as u32`.
+        let err = FaultSpec::from_json(&crash(u32::MAX as u64 + 2)).unwrap_err();
+        assert!(err.contains("`count` = 4294967297"), "{err}");
+        assert!(err.contains("u32"), "{err}");
+        assert_eq!(
+            FaultSpec::from_json(&crash(u32::MAX as u64)),
+            Ok(FaultSpec::ExecutorCrash {
+                at_s: 60.0,
+                count: u32::MAX,
+                relaunch_after_s: None,
+            })
+        );
+    }
+
+    #[test]
+    fn seeds_that_would_round_are_rejected() {
+        let with_seed = |seed: &str| {
+            let text = adversarial_spec()
+                .to_json()
+                .to_string()
+                .replace("\"seed\":7,", &format!("\"seed\":{seed},"));
+            ScenarioSpec::from_json(&Json::parse(&text).unwrap())
+        };
+        // 2^53 + 1 parses to the f64 2^53: loading it as a seed would run
+        // a different experiment than the file names.
+        assert!(with_seed("9007199254740993").is_err());
+        assert!(with_seed("9007199254740992").is_err());
+        assert_eq!(with_seed("9007199254740991").unwrap().seed, (1 << 53) - 1);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! Streaming listener endpoint (the only integration possible without JVM
 //! bindings — see DESIGN.md).
 
-use nostop_simcore::json::{self, Json};
-
 /// Metrics for one completed micro-batch, as a streaming listener reports
 /// them.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,42 +48,6 @@ impl BatchObservation {
     pub fn is_stable(&self) -> bool {
         self.processing_s <= self.interval_s
     }
-
-    /// Serialize as a JSON object (fixed key order).
-    pub fn to_json(&self) -> String {
-        json::obj(vec![
-            ("completedAtS", json::num(self.completed_at_s)),
-            ("intervalS", json::num(self.interval_s)),
-            ("processingS", json::num(self.processing_s)),
-            ("schedulingDelayS", json::num(self.scheduling_delay_s)),
-            ("records", json::uint(self.records)),
-            ("inputRate", json::num(self.input_rate)),
-            ("numExecutors", json::uint(self.num_executors as u64)),
-            ("queuedBatches", json::uint(self.queued_batches as u64)),
-            (
-                "executorFailures",
-                json::uint(self.executor_failures as u64),
-            ),
-        ])
-        .to_string()
-    }
-
-    /// Parse from the JSON produced by [`BatchObservation::to_json`].
-    pub fn from_json(text: &str) -> Result<Self, json::Error> {
-        let v = Json::parse(text)?;
-        Ok(BatchObservation {
-            completed_at_s: v.field_f64("completedAtS")?,
-            interval_s: v.field_f64("intervalS")?,
-            processing_s: v.field_f64("processingS")?,
-            scheduling_delay_s: v.field_f64("schedulingDelayS")?,
-            records: v.field_u64("records")?,
-            input_rate: v.field_f64("inputRate")?,
-            num_executors: v.field_u64("numExecutors")? as u32,
-            queued_batches: v.field_u64("queuedBatches")? as u32,
-            // Optional on the wire: pre-fault-layer producers omit it.
-            executor_failures: v.field_u64_or_zero("executorFailures")? as u32,
-        })
-    }
 }
 
 /// An averaged measurement over a window of batches — the `y(θ)` SPSA
@@ -107,30 +69,6 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Serialize as a [`Json`] value (used inside trace records).
-    pub fn to_json_value(&self) -> Json {
-        json::obj(vec![
-            ("intervalS", json::num(self.interval_s)),
-            ("processingS", json::num(self.processing_s)),
-            ("schedulingDelayS", json::num(self.scheduling_delay_s)),
-            ("endToEndS", json::num(self.end_to_end_s)),
-            ("inputRate", json::num(self.input_rate)),
-            ("batches", json::uint(self.batches as u64)),
-        ])
-    }
-
-    /// Parse from the value produced by [`Measurement::to_json_value`].
-    pub fn from_json_value(v: &Json) -> Result<Self, json::Error> {
-        Ok(Measurement {
-            interval_s: v.field_f64("intervalS")?,
-            processing_s: v.field_f64("processingS")?,
-            scheduling_delay_s: v.field_f64("schedulingDelayS")?,
-            end_to_end_s: v.field_f64("endToEndS")?,
-            input_rate: v.field_f64("inputRate")?,
-            batches: v.field_u64("batches")? as usize,
-        })
-    }
-
     /// Average a window of observations. Panics on an empty window.
     pub fn from_window(window: &[BatchObservation]) -> Self {
         assert!(!window.is_empty(), "cannot measure an empty window");
@@ -208,13 +146,5 @@ mod tests {
     #[should_panic(expected = "empty window")]
     fn empty_window_panics() {
         let _ = Measurement::from_window(&[]);
-    }
-
-    #[test]
-    fn observation_serializes_to_json() {
-        let b = obs(10.0, 5.0, 0.5);
-        let json = b.to_json();
-        let back = BatchObservation::from_json(&json).unwrap();
-        assert_eq!(b, back);
     }
 }

@@ -3,10 +3,11 @@
 //! Every controller round appends one [`RoundRecord`]; the Fig-6 style
 //! "optimization evolution" plots (end-to-end delay and batch interval vs.
 //! round) come straight out of these, and the experiment harness uses them
-//! to count configuration steps and search time for the Fig-8 comparison.
+//! to count configuration steps for the Fig-8 comparison. A trace lives
+//! in memory only: its readers take the series and counts directly, and
+//! it has no serialized form.
 
 use crate::system::Measurement;
-use nostop_simcore::json::{self, Json};
 
 /// What a controller round did.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,20 +107,6 @@ impl Trace {
             .count()
     }
 
-    /// Time of the first round after which the controller stayed paused
-    /// until the end of the trace — the Fig-8 "search time" proxy.
-    pub fn convergence_time_s(&self) -> Option<f64> {
-        let mut candidate: Option<f64> = None;
-        for r in &self.rounds {
-            if r.paused_after {
-                candidate.get_or_insert(r.t_s);
-            } else {
-                candidate = None;
-            }
-        }
-        candidate
-    }
-
     /// `(round index, end-to-end delay)` series for Fig-6-style plots,
     /// using the mean of the two perturbed measurements for optimization
     /// rounds and the observed mean for paused rounds.
@@ -144,110 +131,6 @@ impl Trace {
             .map(|r| (r.round as f64, r.theta_physical[0]))
             .collect()
     }
-
-    /// Serialize the trace as JSON (one object; pretty-printed).
-    pub fn to_json(&self) -> String {
-        let rounds: Vec<Json> = self.rounds.iter().map(round_to_json).collect();
-        json::obj(vec![("rounds", Json::Arr(rounds))]).to_string_pretty()
-    }
-
-    /// Parse a trace serialized by [`Trace::to_json`].
-    pub fn from_json(text: &str) -> Result<Self, json::Error> {
-        let v = Json::parse(text)?;
-        let rounds = v
-            .field_array("rounds")?
-            .iter()
-            .map(round_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Trace { rounds })
-    }
-}
-
-fn round_to_json(r: &RoundRecord) -> Json {
-    let kind = match &r.kind {
-        RoundKind::Optimized {
-            plus,
-            minus,
-            y_plus,
-            y_minus,
-            grad_norm,
-        } => json::obj(vec![
-            ("kind", json::str("optimized")),
-            ("plus", plus.to_json_value()),
-            ("minus", minus.to_json_value()),
-            ("yPlus", json::num(*y_plus)),
-            ("yMinus", json::num(*y_minus)),
-            ("gradNorm", json::num(*grad_norm)),
-        ]),
-        RoundKind::Paused { observed } => json::obj(vec![
-            ("kind", json::str("paused")),
-            ("observed", observed.to_json_value()),
-        ]),
-        RoundKind::Reset => json::obj(vec![("kind", json::str("reset"))]),
-        RoundKind::Woke => json::obj(vec![("kind", json::str("woke"))]),
-    };
-    json::obj(vec![
-        ("round", json::uint(r.round)),
-        ("k", json::uint(r.k)),
-        ("tS", json::num(r.t_s)),
-        ("thetaScaled", json::f64_array(&r.theta_scaled)),
-        ("thetaPhysical", json::f64_array(&r.theta_physical)),
-        ("rho", json::num(r.rho)),
-        ("aK", json::num(r.a_k)),
-        ("cK", json::num(r.c_k)),
-        ("pausedAfter", Json::Bool(r.paused_after)),
-        ("kind", kind),
-    ])
-}
-
-fn round_from_json(v: &Json) -> Result<RoundRecord, json::Error> {
-    let kv = v.get("kind").ok_or_else(|| json::Error {
-        at: 0,
-        msg: "missing field `kind`".into(),
-    })?;
-    let kind = match kv.field_str("kind")? {
-        "optimized" => RoundKind::Optimized {
-            plus: Measurement::from_json_value(kv.get("plus").ok_or_else(|| json::Error {
-                at: 0,
-                msg: "missing field `plus`".into(),
-            })?)?,
-            minus: Measurement::from_json_value(kv.get("minus").ok_or_else(|| json::Error {
-                at: 0,
-                msg: "missing field `minus`".into(),
-            })?)?,
-            y_plus: kv.field_f64("yPlus")?,
-            y_minus: kv.field_f64("yMinus")?,
-            grad_norm: kv.field_f64("gradNorm")?,
-        },
-        "paused" => RoundKind::Paused {
-            observed: Measurement::from_json_value(kv.get("observed").ok_or_else(|| {
-                json::Error {
-                    at: 0,
-                    msg: "missing field `observed`".into(),
-                }
-            })?)?,
-        },
-        "reset" => RoundKind::Reset,
-        "woke" => RoundKind::Woke,
-        other => {
-            return Err(json::Error {
-                at: 0,
-                msg: format!("unknown round kind `{other}`"),
-            })
-        }
-    };
-    Ok(RoundRecord {
-        round: v.field_u64("round")?,
-        k: v.field_u64("k")?,
-        t_s: v.field_f64("tS")?,
-        theta_scaled: v.field_f64_array("thetaScaled")?,
-        theta_physical: v.field_f64_array("thetaPhysical")?,
-        rho: v.field_f64("rho")?,
-        a_k: v.field_f64("aK")?,
-        c_k: v.field_f64("cK")?,
-        paused_after: v.field_bool("pausedAfter")?,
-        kind,
-    })
 }
 
 #[cfg(test)]
@@ -303,20 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn convergence_time_is_start_of_final_pause_streak() {
-        let mut t = Trace::new();
-        t.push(record(0, optimized(), false));
-        t.push(record(1, optimized(), true)); // paused at t=60…
-        t.push(record(2, RoundKind::Paused { observed: meas() }, true));
-        assert_eq!(t.convergence_time_s(), Some(60.0));
-        // …but a later unpause invalidates that streak.
-        t.push(record(3, optimized(), false));
-        assert_eq!(t.convergence_time_s(), None);
-        t.push(record(4, optimized(), true));
-        assert_eq!(t.convergence_time_s(), Some(240.0));
-    }
-
-    #[test]
     fn series_extract_expected_columns() {
         let mut t = Trace::new();
         t.push(record(0, optimized(), false));
@@ -328,14 +197,5 @@ mod tests {
         let intervals = t.interval_series();
         assert_eq!(intervals.len(), 3);
         assert_eq!(intervals[0], (0.0, 20.0));
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let mut t = Trace::new();
-        t.push(record(0, optimized(), false));
-        let json = t.to_json();
-        let back = Trace::from_json(&json).unwrap();
-        assert_eq!(back.rounds, t.rounds);
     }
 }

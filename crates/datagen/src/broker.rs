@@ -137,11 +137,6 @@ impl Broker {
         self.skew.is_some()
     }
 
-    /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     fn produced_of(&self, i: usize) -> u64 {
         match &self.skew {
             Some(s) => s.produced[i],

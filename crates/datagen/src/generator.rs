@@ -83,16 +83,6 @@ impl StreamGenerator {
         self.last_rate
     }
 
-    /// The rate the process will produce at instant `t` (peeks the process).
-    pub fn rate_at(&mut self, t: SimTime) -> f64 {
-        self.rate.rate_at(t)
-    }
-
-    /// Declared bounds of the underlying rate process, if known.
-    pub fn rate_bounds(&self) -> Option<(f64, f64)> {
-        self.rate.bounds()
-    }
-
     /// How far production has been integrated.
     pub fn produced_until(&self) -> SimTime {
         self.produced_until
@@ -259,6 +249,5 @@ mod tests {
         let produced = g.advance_to(SimTime::from_secs_f64(secs), &mut b);
         let avg = produced as f64 / secs;
         assert!((7_000.0..=13_000.0).contains(&avg), "avg {avg}");
-        assert_eq!(g.rate_bounds(), Some((7_000.0, 13_000.0)));
     }
 }

@@ -156,7 +156,6 @@ pub struct SinusoidRate {
     base: f64,
     amplitude: f64,
     period_secs: f64,
-    phase: f64,
 }
 
 impl SinusoidRate {
@@ -167,20 +166,13 @@ impl SinusoidRate {
             base,
             amplitude,
             period_secs,
-            phase: 0.0,
         }
-    }
-
-    /// Shift the waveform by `phase` radians.
-    pub fn with_phase(mut self, phase: f64) -> Self {
-        self.phase = phase;
-        self
     }
 }
 
 impl RateProcess for SinusoidRate {
     fn rate_at(&mut self, t: SimTime) -> f64 {
-        let x = 2.0 * std::f64::consts::PI * t.as_secs_f64() / self.period_secs + self.phase;
+        let x = 2.0 * std::f64::consts::PI * t.as_secs_f64() / self.period_secs;
         (self.base + self.amplitude * x.sin()).max(0.0)
     }
     fn bounds(&self) -> Option<(f64, f64)> {
@@ -428,37 +420,6 @@ impl RateProcess for TraceRate {
             Some(&(bt, _)) => SimTime::from_secs_f64(bt),
             None => SimTime::MAX,
         }
-    }
-}
-
-/// Scale another process by a constant factor — used by back pressure tests
-/// and to re-range a trace for a different workload.
-pub struct ScaledRate {
-    inner: Box<dyn RateProcess>,
-    factor: f64,
-}
-
-impl ScaledRate {
-    /// Multiply `inner` by `factor` (clamped non-negative).
-    pub fn new(inner: Box<dyn RateProcess>, factor: f64) -> Self {
-        ScaledRate {
-            inner,
-            factor: factor.max(0.0),
-        }
-    }
-}
-
-impl RateProcess for ScaledRate {
-    fn rate_at(&mut self, t: SimTime) -> f64 {
-        self.inner.rate_at(t) * self.factor
-    }
-    fn bounds(&self) -> Option<(f64, f64)> {
-        self.inner
-            .bounds()
-            .map(|(lo, hi)| (lo * self.factor, hi * self.factor))
-    }
-    fn next_change_at(&self, after: SimTime) -> SimTime {
-        self.inner.next_change_at(after)
     }
 }
 
@@ -732,13 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_rate_multiplies() {
-        let mut r = ScaledRate::new(Box::new(ConstantRate::new(40.0)), 2.5);
-        assert_eq!(r.rate_at(t(1.0)), 100.0);
-        assert_eq!(r.bounds(), Some((100.0, 100.0)));
-    }
-
-    #[test]
     fn same_seed_reproduces_trajectory() {
         let mk = || UniformRandomRate::new(0.0, 1000.0, 5.0, SimRng::seed_from_u64(99));
         let mut a = mk();
@@ -810,9 +764,6 @@ mod tests {
         let tr = TraceRate::new(vec![(0.0, 100.0), (10.0, 200.0)]);
         assert_eq!(tr.next_change_at(t(3.0)), t(10.0));
         assert_eq!(tr.next_change_at(t(10.0)), SimTime::MAX);
-        // Scaled: delegates.
-        let sc = ScaledRate::new(Box::new(ConstantRate::new(40.0)), 2.0);
-        assert_eq!(sc.next_change_at(t(1.0)), SimTime::MAX);
     }
 
     /// The `(after, next_change_at)` guarantee holds empirically: replaying

@@ -323,7 +323,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,

@@ -130,7 +130,7 @@ pub struct QueueStats {
     pub scheduled: u64,
     /// Events ever popped (`pop` and `pop_until` alike).
     pub popped: u64,
-    /// Wheel-window advances ([`EventQueue::rotate`] calls that moved it).
+    /// Wheel-window advances (`EventQueue::rotate` calls that moved it).
     pub rotations: u64,
     /// Events migrated overflow → wheel by rotations.
     pub overflow_migrations: u64,

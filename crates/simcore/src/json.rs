@@ -1,8 +1,8 @@
 //! A small, dependency-free JSON value model, parser, and writer.
 //!
 //! The workspace builds in fully offline environments, so the Fig-4 wire
-//! format (status reports, controller commands, scenario files,
-//! `BENCH_*.json` trajectories) is carried by this module instead of an
+//! format (status reports), scenario files, trace JSONL and the
+//! `BENCH_*.json` trajectories are carried by this module instead of an
 //! external serialization framework. The subset implemented is exactly the
 //! subset the wire formats use: objects with ordered keys, arrays, finite
 //! numbers, strings with standard escapes, booleans, and null.
@@ -18,7 +18,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (stored as `f64`; integers up to 2^53 are exact).
+    /// Any JSON number, stored as `f64`. Integers below 2^53 are exact;
+    /// [`Json::as_u64`] refuses 2^53 and above, where distinct integers
+    /// in the text can parse to the same `f64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -27,6 +29,10 @@ pub enum Json {
     /// An object, keys in insertion order.
     Obj(Vec<(String, Json)>),
 }
+
+/// 2^53: the first integer at which `f64` stops telling neighbours apart
+/// (`2^53 + 1` parses to `2^53`).
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
 
 /// A JSON parse error with a byte offset and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,10 +144,15 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is one.
+    /// The value as a non-negative integer below 2^53, if it is one. A
+    /// larger number may have rounded when it was parsed into an `f64`
+    /// (`9007199254740993` reads as `…992`), so it is refused rather
+    /// than returned as a different integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < EXACT_INT_LIMIT => {
+                Some(*x as u64)
+            }
             _ => None,
         }
     }
@@ -150,14 +161,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -202,25 +205,10 @@ impl Json {
     }
 
     /// See [`Json::field_f64`].
-    pub fn field_bool(&self, key: &str) -> Result<bool, Error> {
-        self.get(key)
-            .and_then(Json::as_bool)
-            .ok_or_else(|| missing(key))
-    }
-
-    /// See [`Json::field_f64`].
     pub fn field_array(&self, key: &str) -> Result<&[Json], Error> {
         self.get(key)
             .and_then(Json::as_array)
             .ok_or_else(|| missing(key))
-    }
-
-    /// A required array of numbers.
-    pub fn field_f64_array(&self, key: &str) -> Result<Vec<f64>, Error> {
-        self.field_array(key)?
-            .iter()
-            .map(|v| v.as_f64().ok_or_else(|| missing(key)))
-            .collect()
     }
 }
 
@@ -266,7 +254,7 @@ pub fn f64_array(xs: &[f64]) -> Json {
     Json::Arr(xs.iter().map(|&x| num(x)).collect())
 }
 
-/// Append a number in the exact form [`Json::to_string`] uses — for
+/// Append a number in the exact form `Json::to_string()` uses — for
 /// hand-rolled writers that must stay byte-identical to tree
 /// serialization without building a tree.
 pub fn write_number(out: &mut String, x: f64) {

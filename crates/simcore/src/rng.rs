@@ -246,19 +246,6 @@ impl SimRng {
         result
     }
 
-    /// The next raw 32-bit output (upper half of [`SimRng::next_u64`]).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fill a byte slice with random data.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
     /// Uniform in `[0, 1)` with 53 bits of precision.
     #[inline]
     fn gen_f64(&mut self) -> f64 {
@@ -389,7 +376,7 @@ impl SimRng {
     ///
     /// With `mu = -sigma^2 / 2` the draw has unit mean, which is how the
     /// simulator models multiplicative task-time noise without bias. Uses
-    /// [`fast_exp`] — exact to ~3·10⁻¹⁵ relative, a dozen ulps — because
+    /// `fast_exp` — exact to ~3·10⁻¹⁵ relative, a dozen ulps — because
     /// this is the per-task hot distribution.
     #[inline]
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
@@ -398,8 +385,8 @@ impl SimRng {
 
     /// Append `count` log-normal draws to `out` in one burst.
     ///
-    /// Draw-for-draw identical to `count` successive [`lognormal`]
-    /// (Self::lognormal) calls — same stream consumption, same arithmetic —
+    /// Draw-for-draw identical to `count` successive
+    /// [`lognormal`](Self::lognormal) calls — same stream consumption, same arithmetic —
     /// but the ziggurat and `fast_exp` table references are fetched once
     /// for the whole burst and the loop body inlines end to end, instead of
     /// paying a cross-crate call and two `OnceLock` loads per draw. The DES
@@ -460,28 +447,6 @@ impl SimRng {
             1.0
         } else {
             -1.0
-        }
-    }
-
-    /// A Poisson draw (Knuth's method; suitable for the small means used by
-    /// the contention-spike process).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        if mean <= 0.0 {
-            return 0;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.gen_f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-            if k > 10_000 {
-                // Defensive cap; unreachable for the means we use.
-                return k;
-            }
         }
     }
 }
@@ -633,15 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_matches_parameter() {
-        let mut r = SimRng::seed_from_u64(6);
-        let n = 50_000;
-        let mean = (0..n).map(|_| r.poisson(3.0) as f64).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-        assert_eq!(r.poisson(0.0), 0);
-    }
-
-    #[test]
     fn uniform_edge_cases() {
         let mut r = SimRng::seed_from_u64(1);
         assert_eq!(r.uniform(3.0, 3.0), 3.0);
@@ -663,14 +619,6 @@ mod tests {
             seen[(x - 2) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all values reachable: {seen:?}");
-    }
-
-    #[test]
-    fn fill_bytes_fills_odd_lengths() {
-        let mut r = SimRng::seed_from_u64(4);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     /// The guard edge at |x| = 500 and the extremes beyond it: both sides

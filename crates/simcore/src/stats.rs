@@ -194,11 +194,6 @@ impl RollingStats {
         self.buf.is_empty()
     }
 
-    /// True when the window has reached capacity.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.cap
-    }
-
     /// Mean of the windowed samples (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.buf.is_empty() {

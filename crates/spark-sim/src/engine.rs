@@ -629,12 +629,6 @@ impl StreamingEngine {
         self.executors.count()
     }
 
-    /// The rate process's instantaneous rate at the current clock.
-    pub fn current_input_rate(&mut self) -> f64 {
-        let t = self.clock;
-        self.generator.rate_at(t)
-    }
-
     /// Advance simulation until `t`.
     pub fn run_until(&mut self, t: SimTime) {
         while self.next_event_time() <= t {

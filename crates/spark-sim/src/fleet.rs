@@ -43,11 +43,11 @@
 //! At fleet scale most tenants spend most epochs *quiescent*: controller
 //! paused at its optimum, constant arrival rate, no faults due, grant
 //! unchanged. The fast path classifies each tenant at every epoch
-//! boundary (see [`QuiescenceShape`](crate::engine::QuiescenceShape)) and,
+//! boundary (see [`QuiescenceShape`]) and,
 //! once a tenant is proven to be on a periodic orbit — two consecutive
 //! epochs bitwise-identical up to a time shift — replays subsequent
 //! epochs from the recorded template instead of simulating them: the
-//! controller round runs for real against a [`ReplayDriver`] that feeds
+//! controller round runs for real against a `ReplayDriver` that feeds
 //! it the previous epoch's observations shifted by the period, and the
 //! engine's bookkeeping advances in closed form
 //! ([`StreamingEngine::fleet_fast_forward`]). A replayed epoch draws zero

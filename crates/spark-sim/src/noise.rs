@@ -119,38 +119,13 @@ impl NoiseModel {
         }
     }
 
-    /// The multiplicative duration factor for one task: unit-mean
-    /// log-normal with the given sigma.
-    pub fn task_factor(&mut self, sigma: f64) -> f64 {
-        if !self.params.enabled {
-            return 1.0;
-        }
-        self.rng.noise_factor(sigma)
-    }
-
-    /// Fill `out` with `count` task factors in one burst.
-    ///
-    /// Identical draws to calling [`task_factor`] `count` times in a row —
-    /// but the sampler's tables stay hot in cache across the burst instead
-    /// of being evicted by scheduler state between per-task calls, which
-    /// is worth ~2× on the draw cost inside the task loop.
-    pub fn fill_task_factors(&mut self, sigma: f64, count: usize, out: &mut Vec<f64>) {
-        out.clear();
-        if !self.params.enabled {
-            out.resize(count, 1.0);
-            return;
-        }
-        if sigma <= 0.0 {
-            out.resize(count, 1.0);
-            return;
-        }
-        self.rng
-            .fill_lognormal(-sigma * sigma / 2.0, sigma, count, out);
-    }
-
-    /// Slice-shaped [`fill_task_factors`](Self::fill_task_factors): one
-    /// factor per element of `out`, same draws, caller-owned storage (the
-    /// scheduler's arena lane).
+    /// Fill `out` with one task duration factor per element, in one
+    /// burst: unit-mean log-normal with the given sigma (all 1.0 when
+    /// noise is disabled). The sampler's tables stay hot in cache across
+    /// the burst instead of being evicted by scheduler state between
+    /// per-task draws, which is worth ~2× on the draw cost inside the
+    /// task loop. `out` is caller-owned storage (the scheduler's arena
+    /// lane).
     pub fn fill_task_factors_into(&mut self, sigma: f64, out: &mut [f64]) {
         if !self.params.enabled {
             out.fill(1.0);
@@ -233,7 +208,9 @@ mod tests {
         for i in 0..3 {
             assert_eq!(m.contention_factor(i, SimTime::from_secs_f64(1e6)), 1.0);
         }
-        assert_eq!(m.task_factor(0.5), 1.0);
+        let mut factors = [0.0f64; 5];
+        m.fill_task_factors_into(0.5, &mut factors);
+        assert_eq!(factors, [1.0; 5]);
     }
 
     #[test]
@@ -279,17 +256,15 @@ mod tests {
     }
 
     #[test]
-    fn slice_fill_matches_vec_fill_draw_for_draw() {
-        let mut a = NoiseModel::new(NoiseParams::default(), 2, SimRng::seed_from_u64(9));
-        let mut b = a.clone();
-        let mut vec_out = Vec::new();
-        a.fill_task_factors(0.2, 33, &mut vec_out);
+    fn slice_fill_matches_per_task_draws() {
+        let mut m = NoiseModel::new(NoiseParams::default(), 2, SimRng::seed_from_u64(9));
+        let mut per_task = m.rng.clone();
         let mut slice_out = [0.0f64; 33];
-        b.fill_task_factors_into(0.2, &mut slice_out);
-        for (x, y) in vec_out.iter().zip(slice_out.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        m.fill_task_factors_into(0.2, &mut slice_out);
+        for x in slice_out {
+            assert_eq!(x.to_bits(), per_task.noise_factor(0.2).to_bits());
         }
-        assert_eq!(a.rng_state(), b.rng_state());
+        assert_eq!(m.rng_state(), per_task.state());
     }
 
     #[test]
@@ -345,7 +320,9 @@ mod tests {
     fn task_factor_is_unit_mean() {
         let mut m = NoiseModel::new(NoiseParams::default(), 1, SimRng::seed_from_u64(5));
         let n = 100_000;
-        let mean: f64 = (0..n).map(|_| m.task_factor(0.2)).sum::<f64>() / n as f64;
+        let mut factors = vec![0.0f64; n];
+        m.fill_task_factors_into(0.2, &mut factors);
+        let mean: f64 = factors.iter().sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.01, "mean {mean}");
     }
 }
