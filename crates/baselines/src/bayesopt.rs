@@ -23,12 +23,6 @@ pub struct BayesOpt {
     gp: GaussianProcess,
     rng: SimRng,
     tracker: BestTracker,
-    /// Random probes before the model drives the search.
-    n_initial: usize,
-    /// Candidate pool size per EI maximization.
-    n_candidates: usize,
-    /// EI exploration margin.
-    xi: f64,
     /// The proposal awaiting an observation (scaled space).
     pending_scaled: Option<Vec<f64>>,
 }
@@ -41,18 +35,8 @@ impl BayesOpt {
             gp: GaussianProcess::new(Kernel::default()),
             rng: SimRng::seed_from_u64(seed),
             tracker: BestTracker::default(),
-            n_initial: 5,
-            n_candidates: 256,
-            xi: 0.1,
             pending_scaled: None,
         }
-    }
-
-    /// Override the number of random initial probes.
-    pub fn with_initial_probes(mut self, n: usize) -> Self {
-        assert!(n >= 1, "need at least one initial probe");
-        self.n_initial = n;
-        self
     }
 
     /// Force the surrogate's update mode (incremental fast path vs
@@ -72,23 +56,21 @@ impl BayesOpt {
     }
 
     fn propose_scaled(&mut self) -> Vec<f64> {
-        if self.gp.len() < self.n_initial {
+        if self.gp.len() < N_INITIAL {
             return self.random_scaled();
         }
         let best = self.gp.best_y().expect("observations exist");
         // Draw the whole candidate pool up front, then score it with one
         // batched posterior pass over four-candidate tiles instead of
-        // `n_candidates` independent posterior calls. The posteriors (and
+        // `N_CANDIDATES` independent posterior calls. The posteriors (and
         // hence the argmax) are bitwise identical to the one-at-a-time
         // loop this replaces.
         let mut best_candidate = self.random_scaled();
-        let candidates: Vec<Vec<f64>> = (0..self.n_candidates)
-            .map(|_| self.random_scaled())
-            .collect();
+        let candidates: Vec<Vec<f64>> = (0..N_CANDIDATES).map(|_| self.random_scaled()).collect();
         let posteriors = self.gp.posterior_batch(&candidates);
         let mut best_ei = f64::NEG_INFINITY;
         for (c, (mean, var)) in candidates.into_iter().zip(posteriors) {
-            let ei = expected_improvement(mean, var, best, self.xi);
+            let ei = expected_improvement(mean, var, best, XI);
             if ei > best_ei {
                 best_ei = ei;
                 best_candidate = c;
@@ -97,6 +79,13 @@ impl BayesOpt {
         best_candidate
     }
 }
+
+/// Random probes before the model drives the search.
+const N_INITIAL: usize = 5;
+/// Candidate pool size per EI maximization.
+const N_CANDIDATES: usize = 256;
+/// EI exploration margin.
+const XI: f64 = 0.1;
 
 impl Tuner for BayesOpt {
     fn name(&self) -> &'static str {
@@ -173,7 +162,7 @@ mod tests {
 
     #[test]
     fn model_phase_beats_random_phase_on_smooth_objective() {
-        let mut bo = BayesOpt::new(ConfigSpace::paper_default(), 7).with_initial_probes(5);
+        let mut bo = BayesOpt::new(ConfigSpace::paper_default(), 7);
         let mut noise = SimRng::seed_from_u64(2);
         let mut random_phase = Vec::new();
         let mut model_phase = Vec::new();
@@ -181,7 +170,7 @@ mod tests {
             let p = bo.propose();
             let y = objective(&mut noise, &p);
             bo.observe(&p, y);
-            if i < 5 {
+            if i < N_INITIAL {
                 random_phase.push(y);
             } else if i >= 25 {
                 model_phase.push(y);

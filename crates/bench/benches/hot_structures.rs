@@ -1,13 +1,13 @@
 //! Microbenches for the DES hot-path structures, one per optimization:
-//! the calendar event queue vs the reference `BinaryHeap` queue, the
-//! per-job stage-cost memo vs recomputing the cost kernel per task, the
-//! ziggurat normal sampler, and the direct JSON writer/parser for the
-//! wire-format boundary. These pin the wins the engine-level numbers in
+//! the per-job stage-cost memo vs recomputing the cost kernel per task,
+//! the ziggurat normal sampler, the direct JSON writer/parser for the
+//! wire-format boundary, the superbatch closed form, the fleet fast path
+//! and the incremental GP. These pin the wins the engine-level numbers in
 //! `BENCH_perf.json` are built from.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nostop_core::listener::StatusReport;
-use nostop_simcore::{BinaryHeapEventQueue, EventQueue, SimDuration, SimRng, SimTime};
+use nostop_simcore::{SimDuration, SimRng, SimTime};
 use nostop_workloads::{block_prefix, round_duration_us, CostModel, JobCostTable, WorkloadKind};
 use spark_sim::cluster::Cluster;
 use spark_sim::executor::ExecutorManager;
@@ -15,68 +15,6 @@ use spark_sim::noise::{NoiseModel, NoiseParams};
 use spark_sim::scheduler::simulate_job;
 use spark_sim::{JobScratch, SuperbatchArm, SuperbatchStats};
 use std::hint::black_box;
-
-/// A deterministic schedule shaped like the engine's access pattern:
-/// rounds of task completions land within ~2 s of a sliding `now`, with an
-/// occasional far batch timer, and each round drains everything due before
-/// the next round. Returns `(per-round event times, round horizons)`.
-fn event_rounds(per_round: usize) -> (Vec<Vec<SimTime>>, Vec<SimTime>) {
-    const ROUNDS: usize = 128;
-    let mut rng = SimRng::seed_from_u64(7);
-    let mut times = Vec::with_capacity(ROUNDS);
-    let mut horizons = Vec::with_capacity(ROUNDS);
-    for round in 0..ROUNDS {
-        let now = round as f64 * 0.25;
-        times.push(
-            (0..per_round)
-                .map(|_| {
-                    let horizon = if rng.bernoulli(0.05) { 40.0 } else { 2.0 };
-                    SimTime::from_secs_f64(now + rng.uniform(0.0, horizon))
-                })
-                .collect(),
-        );
-        horizons.push(SimTime::from_secs_f64(now + 0.25));
-    }
-    (times, horizons)
-}
-
-macro_rules! drive_queue {
-    ($queue:expr, $times:expr, $horizons:expr) => {{
-        let mut q = $queue;
-        let mut acc = 0u64;
-        for (round, horizon) in $times.iter().zip($horizons) {
-            for (i, &t) in round.iter().enumerate() {
-                q.schedule(t, i as u32);
-            }
-            while let Some((_, e)) = q.pop_until(*horizon) {
-                acc = acc.wrapping_add(e as u64);
-            }
-        }
-        while let Some((_, e)) = q.pop() {
-            acc = acc.wrapping_add(e as u64);
-        }
-        acc
-    }};
-}
-
-fn bench_event_queue(c: &mut Criterion) {
-    // Two in-flight scales: ~32 events matches a light cell (one
-    // completion per executor slot); ~512 matches heavy cells with deep
-    // backlogs, where the heap's O(log n) shows and the wheel stays O(1).
-    for per_round in [32usize, 512] {
-        let (times, horizons) = event_rounds(per_round);
-        let events: u64 = times.iter().map(|r| r.len() as u64).sum();
-        let mut group = c.benchmark_group(format!("event_queue_{per_round}"));
-        group.throughput(Throughput::Elements(events));
-        group.bench_function("calendar", |b| {
-            b.iter(|| black_box(drive_queue!(EventQueue::new(), times, &horizons)));
-        });
-        group.bench_function("binary_heap", |b| {
-            b.iter(|| black_box(drive_queue!(BinaryHeapEventQueue::new(), times, &horizons)));
-        });
-        group.finish();
-    }
-}
 
 fn bench_task_kernel(c: &mut Criterion) {
     // One job's worth of task costs: the memoized table computes each
@@ -178,8 +116,8 @@ fn bench_json_boundary(c: &mut Criterion) {
 fn bench_superbatch_kernel(c: &mut Criterion) {
     const TASKS: usize = 75;
     let mut rng = SimRng::seed_from_u64(13);
-    let mut factors = Vec::new();
-    rng.fill_lognormal(-0.02, 0.2, TASKS, &mut factors);
+    let mut factors = [0.0; TASKS];
+    rng.fill_lognormal_into(-0.02, 0.2, &mut factors);
     let (work0, work1) = (61_000.0f64, 61_800.0f64);
     let rem = 40u32;
     let mut group = c.benchmark_group("superbatch_kernel");
@@ -412,7 +350,6 @@ fn bench_gp_fast_path(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_event_queue,
     bench_task_kernel,
     bench_normal_sampler,
     bench_json_boundary,

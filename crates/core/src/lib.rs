@@ -9,7 +9,7 @@
 //!
 //! * [`sa`] — the generic stochastic-approximation machinery: gain
 //!   sequences with convergence-condition checking ([`sa::GainSchedule`]),
-//!   perturbation distributions, the two-measurement [`sa::Spsa`] optimizer,
+//!   the Bernoulli ±1 perturbation, the two-measurement [`sa::Spsa`] optimizer,
 //!   and its second-order extension [`sa::AdaptiveSpsa`].
 //! * [`space`] — the configuration space: physical parameter ranges,
 //!   min–max scaling into a common optimization range (the paper scales

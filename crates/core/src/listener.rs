@@ -313,6 +313,18 @@ mod tests {
         assert_eq!(r.processing_time_ms(), 490);
     }
 
+    /// A hostile report nested past `json::MAX_DEPTH` falls through the
+    /// canonical scanner into the general parser, which returns an error
+    /// instead of overflowing the stack.
+    #[test]
+    fn deeply_nested_report_is_an_error() {
+        for depth in [json::MAX_DEPTH + 1, 100_000] {
+            let text = "{\"batchId\":".repeat(depth) + "1" + &"}".repeat(depth);
+            let e = StatusReport::from_json(&text).unwrap_err();
+            assert!(e.msg.contains("nesting"), "{e}");
+        }
+    }
+
     /// A count beyond `u32::MAX` is rejected on both decode paths — the
     /// canonical scanner and the general parser — instead of wrapping
     /// (4294967297 would otherwise decode as 1). `u32::MAX` itself decodes.

@@ -14,6 +14,6 @@ pub mod second_order;
 pub mod spsa;
 
 pub use gains::{ConditionReport, GainSchedule};
-pub use perturb::{BernoulliPerturbation, Perturbation, SegmentedUniformPerturbation};
+pub use perturb::BernoulliPerturbation;
 pub use second_order::{AdaptiveSpsa, AdaptiveSpsaParams};
 pub use spsa::{Proposal, Spsa, SpsaParams, StepInfo};

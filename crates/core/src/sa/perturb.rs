@@ -1,60 +1,25 @@
-//! Perturbation distributions for simultaneous perturbation.
+//! The perturbation distribution for simultaneous perturbation.
 //!
 //! SPSA's gradient estimate divides by the perturbation components
 //! `Δ_ki`, so the distribution must be symmetric around zero, bounded, and
 //! have **finite inverse moments** `E|Δ_ki⁻¹|` (§4.2.3). The symmetric
 //! Bernoulli ±1 distribution — what the paper uses and Spall recommends —
-//! satisfies this trivially. A segmented-uniform alternative is provided
-//! for the ablation bench. Gaussian and plain-uniform perturbations are
-//! famously *invalid* (mass near zero ⇒ unbounded inverse moments); the
-//! type system here simply doesn't offer them.
+//! satisfies this trivially, and it is the only one offered. Gaussian and
+//! plain-uniform perturbations are famously *invalid* (mass near zero ⇒
+//! unbounded inverse moments).
 
 use nostop_simcore::SimRng;
-
-/// A valid SPSA perturbation distribution.
-pub trait Perturbation {
-    /// Draw one perturbation component. Must be symmetric, bounded away
-    /// from zero, and independent across calls.
-    fn draw(&self, rng: &mut SimRng) -> f64;
-
-    /// Fill a `dim`-component perturbation vector.
-    fn draw_vector(&self, dim: usize, rng: &mut SimRng) -> Vec<f64> {
-        (0..dim).map(|_| self.draw(rng)).collect()
-    }
-}
 
 /// The symmetric Bernoulli ±1 distribution (probability ½ each) — the
 /// paper's choice (§5.3.1).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BernoulliPerturbation;
 
-impl Perturbation for BernoulliPerturbation {
-    fn draw(&self, rng: &mut SimRng) -> f64 {
-        rng.bernoulli_pm1()
-    }
-}
-
-/// A segmented uniform distribution: magnitude uniform in `[lo, hi]` with a
-/// random sign. Valid for SPSA because the support excludes a neighbourhood
-/// of zero (`lo > 0`).
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentedUniformPerturbation {
-    lo: f64,
-    hi: f64,
-}
-
-impl SegmentedUniformPerturbation {
-    /// Magnitude range `[lo, hi]`, requiring `0 < lo ≤ hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo > 0.0 && hi >= lo, "need 0 < lo <= hi");
-        SegmentedUniformPerturbation { lo, hi }
-    }
-}
-
-impl Perturbation for SegmentedUniformPerturbation {
-    fn draw(&self, rng: &mut SimRng) -> f64 {
-        let mag = rng.uniform(self.lo, self.hi + f64::EPSILON);
-        mag * rng.bernoulli_pm1()
+impl BernoulliPerturbation {
+    /// Fill a `dim`-component perturbation vector, one independent ±1
+    /// draw per component.
+    pub fn draw_vector(&self, dim: usize, rng: &mut SimRng) -> Vec<f64> {
+        (0..dim).map(|_| rng.bernoulli_pm1()).collect()
     }
 }
 
@@ -80,38 +45,5 @@ mod tests {
         let v = BernoulliPerturbation.draw_vector(50_000, &mut rng);
         let corr: f64 = v.windows(2).map(|w| w[0] * w[1]).sum::<f64>() / (v.len() - 1) as f64;
         assert!(corr.abs() < 0.05, "corr {corr}");
-    }
-
-    #[test]
-    fn segmented_uniform_stays_off_zero_and_symmetric() {
-        let mut rng = SimRng::seed_from_u64(3);
-        let p = SegmentedUniformPerturbation::new(0.5, 1.5);
-        let mut pos = 0;
-        for _ in 0..10_000 {
-            let x = p.draw(&mut rng);
-            assert!(x.abs() >= 0.5 && x.abs() <= 1.5 + 1e-9, "x {x}");
-            if x > 0.0 {
-                pos += 1;
-            }
-        }
-        assert!((4_500..=5_500).contains(&pos), "pos {pos}");
-    }
-
-    #[test]
-    fn inverse_moment_is_finite_in_practice() {
-        // E|Δ⁻¹| estimated over many draws must be bounded (≤ 1/lo).
-        let mut rng = SimRng::seed_from_u64(4);
-        let p = SegmentedUniformPerturbation::new(0.5, 1.5);
-        let inv_mean: f64 = (0..20_000)
-            .map(|_| 1.0 / p.draw(&mut rng).abs())
-            .sum::<f64>()
-            / 20_000.0;
-        assert!(inv_mean <= 2.0 + 1e-9, "inv mean {inv_mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "lo")]
-    fn zero_touching_support_is_rejected() {
-        let _ = SegmentedUniformPerturbation::new(0.0, 1.0);
     }
 }

@@ -28,7 +28,7 @@
 //! still independent of dimension).
 
 use super::gains::GainSchedule;
-use super::perturb::{BernoulliPerturbation, Perturbation};
+use super::perturb::BernoulliPerturbation;
 use super::spsa::clamp;
 use nostop_simcore::SimRng;
 
@@ -173,9 +173,8 @@ impl AdaptiveSpsa {
         let a_k = self.params.gains.a_k(self.k);
         let c_k = self.params.gains.c_k(self.k);
         let c_t = c_k * self.params.c_tilde_ratio;
-        let perturb = BernoulliPerturbation;
-        let delta = perturb.draw_vector(dim, &mut self.rng);
-        let delta_t = perturb.draw_vector(dim, &mut self.rng);
+        let delta = BernoulliPerturbation.draw_vector(dim, &mut self.rng);
+        let delta_t = BernoulliPerturbation.draw_vector(dim, &mut self.rng);
 
         let offset = |base: &[f64], d: &[f64], scale: f64| -> Vec<f64> {
             clamp(

@@ -16,7 +16,7 @@
 //! configuration.
 
 use super::gains::GainSchedule;
-use super::perturb::{BernoulliPerturbation, Perturbation};
+use super::perturb::BernoulliPerturbation;
 use nostop_simcore::SimRng;
 
 /// SPSA construction parameters.
@@ -102,7 +102,6 @@ pub struct Spsa {
     theta: Vec<f64>,
     k: u64,
     rng: SimRng,
-    perturb: BernoulliPerturbation,
 }
 
 impl Spsa {
@@ -121,7 +120,6 @@ impl Spsa {
             theta,
             k: 0,
             rng,
-            perturb: BernoulliPerturbation,
         }
     }
 
@@ -159,7 +157,7 @@ impl Spsa {
     pub fn propose(&mut self) -> Proposal {
         let a_k = self.params.gains.a_k(self.k);
         let c_k = self.params.gains.c_k(self.k);
-        let delta = self.perturb.draw_vector(self.theta.len(), &mut self.rng);
+        let delta = BernoulliPerturbation.draw_vector(self.theta.len(), &mut self.rng);
         let plus: Vec<f64> = self
             .theta
             .iter()

@@ -34,6 +34,11 @@ pub enum Json {
 /// (`2^53 + 1` parses to `2^53`).
 const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts
+/// (serde_json's default). The parser recurses once per level, so a
+/// deeper document is an [`Error`] instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON parse error with a byte offset and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
@@ -64,12 +69,16 @@ impl fmt::Display for Json {
 impl Json {
     /// Parse a JSON document.
     pub fn parse(text: &str) -> Result<Json, Error> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters"));
         }
         Ok(v)
@@ -254,13 +263,6 @@ pub fn f64_array(xs: &[f64]) -> Json {
     Json::Arr(xs.iter().map(|&x| num(x)).collect())
 }
 
-/// Append a number in the exact form `Json::to_string()` uses — for
-/// hand-rolled writers that must stay byte-identical to tree
-/// serialization without building a tree.
-pub fn write_number(out: &mut String, x: f64) {
-    write_num(out, x);
-}
-
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
         out.push('\n');
@@ -301,8 +303,11 @@ fn write_str(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -343,8 +348,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -431,10 +447,15 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Exactly four ASCII hex digits: no leading
+                            // `+`, which `from_str_radix` would allow.
+                            let mut code = 0;
+                            for &h in hex {
+                                let digit = (h as char)
+                                    .to_digit(16)
+                                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                                code = code * 16 + digit;
+                            }
                             // Surrogate pairs are not needed by the wire
                             // formats; map unpaired surrogates to U+FFFD.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -445,12 +466,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain characters up to the next quote or
+                    // escape. Both are ASCII, so the run ends on a char
+                    // boundary of the `&str` input and copies as one slice.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -565,5 +588,55 @@ mod tests {
     fn non_finite_numbers_serialize_as_null() {
         assert_eq!(num(f64::NAN).to_string(), "null");
         assert_eq!(num(f64::INFINITY).to_string(), "null");
+    }
+
+    /// Nesting past `MAX_DEPTH` is an error naming the limit, however
+    /// deep the input goes — the parser recurses once per level, so an
+    /// unbounded depth would overflow the stack and abort the process.
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH / 2) + &"]}".repeat(MAX_DEPTH / 2);
+        assert!(Json::parse(&mixed).is_ok());
+        for text in [nested(MAX_DEPTH + 1), "[".repeat(100_000)] {
+            let e = Json::parse(&text).unwrap_err();
+            assert_eq!(e.at, MAX_DEPTH, "{e}");
+            assert!(e.msg.contains("128"), "{e}");
+        }
+    }
+
+    /// `\u` takes exactly four ASCII hex digits: a sign (which integer
+    /// parsing would accept) or a non-hex byte is an error.
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        let decoded = Json::parse(r#""\u0041\u00e9\u00E9""#).unwrap();
+        assert_eq!(decoded.as_str(), Some("Aéé"));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// String decoding is linear in the string's length: a 1 MiB value
+    /// (multi-byte characters and escapes included) parses well inside a
+    /// second even unoptimized.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let mut value = String::new();
+        while value.len() < 1 << 20 {
+            value.push_str("plain ascii, é and 日本 \"quoted\"\n");
+        }
+        let text = str(value.as_str()).to_string();
+        let start = std::time::Instant::now();
+        let back = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(back.as_str(), Some(value.as_str()));
+        assert!(elapsed.as_secs_f64() < 1.0, "1 MiB string took {elapsed:?}");
     }
 }

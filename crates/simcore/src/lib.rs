@@ -6,8 +6,6 @@
 //! * [`time`] — a microsecond-resolution virtual clock ([`SimTime`],
 //!   [`SimDuration`]) so that hours of streaming execution simulate in
 //!   milliseconds, deterministically.
-//! * [`events`] — a generic discrete-event queue with stable FIFO ordering
-//!   for simultaneous events.
 //! * [`rng`] — a seedable random source ([`SimRng`]) with the distributions
 //!   the simulator and the SPSA optimizer need (normal via Box–Muller,
 //!   log-normal, exponential, symmetric Bernoulli ±1), plus deterministic
@@ -25,7 +23,6 @@
 //! makes the experiments reproducible bit-for-bit from a seed.
 
 pub mod arena;
-pub mod events;
 pub mod json;
 pub mod rng;
 pub mod series;
@@ -33,7 +30,6 @@ pub mod stats;
 pub mod time;
 
 pub use arena::Arena;
-pub use events::{BinaryHeapEventQueue, EventQueue, QueueStats};
 pub use json::Json;
 pub use rng::SimRng;
 pub use series::TimeSeries;

@@ -383,25 +383,15 @@ impl SimRng {
         fast_exp(self.normal(mu, sigma))
     }
 
-    /// Append `count` log-normal draws to `out` in one burst.
-    ///
-    /// Draw-for-draw identical to `count` successive
-    /// [`lognormal`](Self::lognormal) calls — same stream consumption, same arithmetic —
-    /// but the ziggurat and `fast_exp` table references are fetched once
-    /// for the whole burst and the loop body inlines end to end, instead of
-    /// paying a cross-crate call and two `OnceLock` loads per draw. The DES
-    /// task loop draws its per-stage noise through this path.
-    pub fn fill_lognormal(&mut self, mu: f64, sigma: f64, count: usize, out: &mut Vec<f64>) {
-        let base = out.len();
-        out.resize(base + count, 0.0);
-        self.fill_lognormal_into(mu, sigma, &mut out[base..]);
-    }
-
     /// Fill a pre-sized slice with log-normal draws, one per element.
     ///
-    /// The slice-shaped core of [`fill_lognormal`](Self::fill_lognormal):
-    /// identical draws and arithmetic, but writing into caller-owned
-    /// storage (e.g. an arena lane) with no length bookkeeping at all.
+    /// Draw-for-draw identical to one [`lognormal`](Self::lognormal) call
+    /// per element — same stream consumption, same arithmetic — but the
+    /// ziggurat and `fast_exp` table references are fetched once for the
+    /// whole burst and the loop body inlines end to end, instead of paying
+    /// a cross-crate call and two `OnceLock` loads per draw. The DES task
+    /// loop draws its per-stage noise through this path, into caller-owned
+    /// storage (an arena lane) with no length bookkeeping at all.
     pub fn fill_lognormal_into(&mut self, mu: f64, sigma: f64, out: &mut [f64]) {
         let t = zig_tables();
         let frac = exp2_frac_table();
@@ -557,8 +547,8 @@ mod tests {
     fn fill_lognormal_matches_per_draw_calls() {
         let (mu, sigma) = (-0.02, 0.2);
         let mut burst_rng = SimRng::seed_from_u64(11);
-        let mut burst = Vec::new();
-        burst_rng.fill_lognormal(mu, sigma, 10_000, &mut burst);
+        let mut burst = vec![0.0; 10_000];
+        burst_rng.fill_lognormal_into(mu, sigma, &mut burst);
         let mut single_rng = SimRng::seed_from_u64(11);
         let single: Vec<f64> = (0..10_000)
             .map(|_| single_rng.lognormal(mu, sigma))
@@ -678,32 +668,25 @@ mod tests {
         }
     }
 
-    /// Burst-length edge cases: a zero-length burst is a no-op (stream
-    /// position included), a one-draw burst equals the per-draw call, and
-    /// a capacity-crossing burst still matches per-draw exactly.
+    /// Burst-length edge cases: a one-draw burst equals the per-draw call
+    /// and writes only its own slot, and a long burst still matches
+    /// per-draw exactly. (The empty burst is covered below.)
     #[test]
     fn fill_lognormal_burst_length_edges() {
-        // count = 0: contents, length, and RNG stream all untouched.
+        // One slot: holds exactly the per-draw value, leaves the prefix
+        // alone and the stream where the per-draw call would.
         let mut r = SimRng::seed_from_u64(5);
-        let before = r.state();
-        let mut out = vec![1.0, 2.0];
-        r.fill_lognormal(0.1, 0.3, 0, &mut out);
-        assert_eq!(out, vec![1.0, 2.0]);
-        assert_eq!(r.state(), before);
-
-        // count = 1: appends exactly one per-draw value after the prefix
-        // and leaves the stream where the per-draw call would.
+        let mut out = vec![1.0, 2.0, 0.0];
         let mut single = SimRng::seed_from_u64(5);
         let expect = single.lognormal(0.1, 0.3);
-        r.fill_lognormal(0.1, 0.3, 1, &mut out);
+        r.fill_lognormal_into(0.1, 0.3, &mut out[2..]);
         assert_eq!(out, vec![1.0, 2.0, expect]);
         assert_eq!(r.state(), single.state());
 
-        // A burst that outgrows a deliberately tiny capacity (multiple
-        // reallocations mid-burst) matches per-draw element for element.
+        // A long burst matches per-draw element for element.
         let mut burst_rng = SimRng::seed_from_u64(6);
-        let mut burst = Vec::with_capacity(1);
-        burst_rng.fill_lognormal(-0.02, 0.2, 4096, &mut burst);
+        let mut burst = vec![0.0; 4096];
+        burst_rng.fill_lognormal_into(-0.02, 0.2, &mut burst);
         let mut per = SimRng::seed_from_u64(6);
         let singles: Vec<f64> = (0..4096).map(|_| per.lognormal(-0.02, 0.2)).collect();
         assert_eq!(burst, singles);

@@ -1,15 +1,8 @@
 //! Property-based tests for the simulation primitives.
 
 use nostop_simcore::stats::{mean, percentile, std_dev, RollingStats, Welford};
-use nostop_simcore::{BinaryHeapEventQueue, EventQueue, SimDuration, SimRng, SimTime};
+use nostop_simcore::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
-
-#[derive(Clone, Debug)]
-enum Op {
-    Schedule(u64),
-    Pop,
-    PopUntil(u64),
-}
 
 proptest! {
     #[test]
@@ -78,77 +71,6 @@ proptest! {
         let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
         let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(p_lo >= min - 1e-9 && p_hi <= max + 1e-9);
-    }
-
-    #[test]
-    fn event_queue_pops_sorted_and_stable(events in prop::collection::vec((0u64..1000, 0u32..100), 0..200)) {
-        let mut q = EventQueue::new();
-        for (i, &(t, tag)) in events.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), (tag, i));
-        }
-        let mut prev_time = SimTime::ZERO;
-        let mut prev_seq_at_time = None::<usize>;
-        let mut count = 0;
-        while let Some((t, (_, seq))) = q.pop() {
-            count += 1;
-            prop_assert!(t >= prev_time);
-            if t == prev_time {
-                if let Some(ps) = prev_seq_at_time {
-                    prop_assert!(seq > ps, "FIFO within an instant");
-                }
-            }
-            prev_time = t;
-            prev_seq_at_time = Some(seq);
-        }
-        prop_assert_eq!(count, events.len());
-    }
-
-    #[test]
-    fn calendar_queue_matches_binary_heap_reference(
-        ops in prop::collection::vec(
-            // (selector, time) pairs: schedules across two magnitudes so
-            // events land in wheel buckets, the overflow level, and (after
-            // pops) the past level, interleaved with pops.
-            (0u64..4, 0u64..20_000_000u64).prop_map(|(sel, t)| match sel {
-                0 => Op::Schedule(t % 5_000),
-                1 => Op::Schedule(t),
-                2 => Op::Pop,
-                _ => Op::PopUntil(t),
-            }),
-            0..400,
-        )
-    ) {
-        let mut calendar = EventQueue::new();
-        let mut reference = BinaryHeapEventQueue::new();
-        let mut next_id = 0u32;
-        for op in ops {
-            match op {
-                Op::Schedule(t) => {
-                    calendar.schedule(SimTime::from_micros(t), next_id);
-                    reference.schedule(SimTime::from_micros(t), next_id);
-                    next_id += 1;
-                }
-                Op::Pop => {
-                    prop_assert_eq!(calendar.next_time(), reference.next_time());
-                    prop_assert_eq!(calendar.pop(), reference.pop());
-                }
-                Op::PopUntil(t) => {
-                    prop_assert_eq!(
-                        calendar.pop_until(SimTime::from_micros(t)),
-                        reference.pop_until(SimTime::from_micros(t))
-                    );
-                }
-            }
-            prop_assert_eq!(calendar.len(), reference.len());
-        }
-        // Drain both: pop order (incl. same-instant FIFO ties) must agree.
-        loop {
-            let (a, b) = (calendar.pop(), reference.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

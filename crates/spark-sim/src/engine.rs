@@ -338,12 +338,6 @@ impl StreamingEngine {
         &self.params
     }
 
-    /// The cost model currently driving job simulation (the workload base,
-    /// or the extended-config overlay after an 8-knob apply).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Apply a configuration at runtime. The interval re-arms the divider
     /// from the next cut; executor changes start launching/retiring now.
     pub fn apply_config(&mut self, cfg: StreamConfig) {

@@ -59,12 +59,6 @@ impl BatchMetrics {
         self.completed_at.saturating_since(self.started_at)
     }
 
-    /// Total delay = scheduling delay + processing time (Spark UI's
-    /// "Total Delay").
-    pub fn total_delay(&self) -> SimDuration {
-        self.completed_at.saturating_since(self.submitted_at)
-    }
-
     /// Stability per Eq. 2: processing time within the batch interval.
     pub fn is_stable(&self) -> bool {
         self.processing_time() <= self.interval
@@ -311,7 +305,6 @@ mod tests {
         let m = metrics(100.0, 103.0, 111.0, 10.0);
         assert_eq!(m.scheduling_delay().as_secs_f64(), 3.0);
         assert_eq!(m.processing_time().as_secs_f64(), 8.0);
-        assert_eq!(m.total_delay().as_secs_f64(), 11.0);
         assert!(m.is_stable());
         assert_eq!(m.input_rate(), 1_000.0);
     }

@@ -1,6 +1,5 @@
 //! Workload identities and their paper-given parameters.
 
-use crate::cost::CostModel;
 use nostop_datagen::RecordKind;
 use std::fmt;
 
@@ -66,11 +65,6 @@ impl WorkloadKind {
             WorkloadKind::WordCount => RecordKind::TextLine,
             WorkloadKind::PageAnalyze => RecordKind::NginxLog,
         }
-    }
-
-    /// The calibrated cost model preset for the simulator.
-    pub fn cost_model(self) -> CostModel {
-        CostModel::preset(self)
     }
 }
 

@@ -29,9 +29,7 @@ pub use kind::WorkloadKind;
 pub use linear::StreamingLinearRegression;
 pub use loganalyze::{LogAnalyzer, LogSummary};
 pub use logistic::StreamingLogisticRegression;
-pub use memo::{
-    block_makespan, block_prefix, round_duration_us, speed_quotas, JobCostTable, StageCosts,
-};
+pub use memo::{block_prefix, round_duration_us, speed_quotas, JobCostTable, StageCosts};
 pub use wordcount::WordCount;
 
 use nostop_datagen::Record;

@@ -195,43 +195,6 @@ pub fn block_prefix(
     (t, t - open)
 }
 
-/// Closed-form makespan of one whole stage under static block assignment:
-/// [`block_prefix`] over every executor's block, combined as the exact
-/// path would — max of per-executor finish times (at least `stage_start`)
-/// and the total executor-busy time.
-#[allow(clippy::too_many_arguments)]
-pub fn block_makespan(
-    opens: &[u64],
-    works0: &[f64],
-    works1: &[f64],
-    quotas: &[u64],
-    rem: u32,
-    noise: &[f64],
-    stage_start: u64,
-) -> (u64, u64) {
-    let mut stage_end = stage_start;
-    let mut busy: u64 = 0;
-    let mut next = 0usize;
-    for (e, &q) in quotas.iter().enumerate() {
-        let q = q as usize;
-        if q == 0 {
-            continue;
-        }
-        let (end, block_busy) = block_prefix(
-            opens[e],
-            works0[e],
-            works1[e],
-            next as u32,
-            rem,
-            &noise[next..next + q],
-        );
-        busy += block_busy;
-        next += q;
-        stage_end = stage_end.max(end);
-    }
-    (stage_end, busy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,37 +266,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn block_makespan_matches_sequential_simulation() {
-        let opens = [100u64, 250, 90];
-        let works0 = [1_000.0, 1_600.0, 950.0];
-        let works1 = [1_080.0, 1_700.0, 1_020.0];
-        let quotas = [3u64, 1, 2];
-        let noise = [1.1, 0.9, 1.0, 1.3, 0.7, 1.05];
-        let rem = 2; // tasks 0 and 1 are the heavy bucket
-        let (end, busy) = block_makespan(&opens, &works0, &works1, &quotas, rem, &noise, 80);
-        // Reference: walk each block task by task.
-        let mut want_end = 80u64;
-        let mut want_busy = 0u64;
-        let mut j = 0usize;
-        for e in 0..3 {
-            let mut t = opens[e];
-            for _ in 0..quotas[e] {
-                let w = if (j as u32) < rem {
-                    works1[e]
-                } else {
-                    works0[e]
-                };
-                let d = round_duration_us(w * noise[j]);
-                want_busy += d;
-                t += d;
-                j += 1;
-            }
-            want_end = want_end.max(t);
-        }
-        assert_eq!((end, busy), (want_end, want_busy));
     }
 
     #[test]
