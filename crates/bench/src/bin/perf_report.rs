@@ -18,7 +18,9 @@
 //! Plus three single-cell rows: the incremental GP surrogate fit
 //! (`gp_fit_256`, the tuner arena's steady state), the adversarial
 //! scenario stack (flash crowds + hot-key skew through the
-//! `scenario_runner` library), and the steady multi-tenant fleet.
+//! `scenario_runner` library), and the steady multi-tenant fleet. The
+//! scenario row also counts the ingest work per batch — `rate_at` calls
+//! and produce steps — which is seed-pure, unlike its wall time.
 //!
 //! Also records the peak RSS (`VmHWM` from `/proc/self/status`, a proxy
 //! for the bounded-listener memory guarantee) and the worker counts.
@@ -47,6 +49,7 @@ use nostop_core::arbiter::ArbiterPolicy;
 use nostop_core::scenario::{ClusterKind, RateSpec, ScenarioSpec, SkewSpec};
 use nostop_core::system::StreamingSystem;
 use nostop_datagen::rate::ConstantRate;
+use nostop_datagen::IngestStats;
 use nostop_simcore::json::{self, Json};
 use nostop_simcore::SimDuration;
 use nostop_workloads::{CostModel, WorkloadKind};
@@ -242,23 +245,35 @@ fn scenario_cell_spec() -> ScenarioSpec {
     }
 }
 
-/// One scenario cell: replay the inline adversarial spec with the static
-/// default and return the batch count (deterministic — repeats assert
-/// they simulated the same run).
-fn run_scenario_cell() -> u64 {
-    let spec = scenario_cell_spec();
-    let (_, r) = run_method(&spec, "static").expect("scenario smoke cell runs");
-    r.batches as u64
+/// What one scenario cell simulated: its batch count and the ingest work
+/// behind it. All of it is seed-pure.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ScenarioCell {
+    batches: u64,
+    ingest: IngestStats,
 }
 
-/// Best-of-`repeats` scenario cell: `(batches, best_wall_ms)`.
-fn best_scenario_cell(repeats: usize) -> (u64, f64) {
-    best_of(
-        repeats,
-        "scenario cell batch count",
-        run_scenario_cell,
-        |&b| b,
-    )
+impl ScenarioCell {
+    /// `count` per simulated batch.
+    fn per_batch(&self, count: u64) -> f64 {
+        count as f64 / self.batches.max(1) as f64
+    }
+}
+
+/// One scenario cell: replay the inline adversarial spec with the static
+/// default (deterministic — repeats assert they simulated the same run).
+fn run_scenario_cell() -> ScenarioCell {
+    let spec = scenario_cell_spec();
+    let (sys, r) = run_method(&spec, "static").expect("scenario smoke cell runs");
+    ScenarioCell {
+        batches: r.batches as u64,
+        ingest: sys.inner.engine().ingest_stats(),
+    }
+}
+
+/// Best-of-`repeats` scenario cell: `(cell, best_wall_ms)`.
+fn best_scenario_cell(repeats: usize) -> (ScenarioCell, f64) {
+    best_of(repeats, "scenario cell", run_scenario_cell, |&c| c)
 }
 
 /// GP smoke cell: observations in the incremental fit (the tuner arena's
@@ -420,7 +435,8 @@ fn smoke(path: &str) -> i32 {
     // report, not a regression, and still fails hard.
     match section_baseline(&committed, "scenario", "scenario_batches_per_s") {
         Ok(base_bps) => {
-            let (batches, wall) = best_scenario_cell(repeats);
+            let (cell, wall) = best_scenario_cell(repeats);
+            let batches = cell.batches;
             let bps = batches as f64 / (wall / 1e3);
             let ratio = bps / base_bps;
             let verdict = if ratio >= SMOKE_FLOOR { "ok" } else { "FAIL" };
@@ -560,14 +576,22 @@ fn main() {
     ]);
 
     // --- Layer 3b: adversarial scenario cell, single-threaded, best-of-N ---
-    let (scenario_batches, scenario_wall) = best_scenario_cell(repeats);
+    let (scenario, scenario_wall) = best_scenario_cell(repeats);
     let scenario_row = json::obj(vec![
         ("horizon_s", json::num(SCENARIO_HORIZON_S)),
-        ("batches", json::uint(scenario_batches)),
+        ("batches", json::uint(scenario.batches)),
         ("wall_ms", json::num(scenario_wall)),
         (
             "scenario_batches_per_s",
-            json::num(scenario_batches as f64 / (scenario_wall / 1e3)),
+            json::num(scenario.batches as f64 / (scenario_wall / 1e3)),
+        ),
+        (
+            "rate_calls_per_batch",
+            json::num(scenario.per_batch(scenario.ingest.rate_calls)),
+        ),
+        (
+            "produce_steps_per_batch",
+            json::num(scenario.per_batch(scenario.ingest.produce_steps)),
         ),
     ]);
 

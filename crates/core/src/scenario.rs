@@ -22,9 +22,15 @@
 //! whole corpus run with a stack trace.
 
 use nostop_simcore::json::{self, Json};
+use nostop_simcore::SimDuration;
 
 /// Schema tag every scenario file carries.
 pub const SCENARIO_SCHEMA: &str = "nostop-scenario/1";
+
+/// Kafka partitions of the engine's broker (paper: more than the
+/// cluster's core count). Skew validation normalizes the hot-key weights
+/// over this many partitions, as the engine does.
+pub const BROKER_PARTITIONS: usize = 32;
 
 /// The tuning methods a scenario may race (the chaos-grid arms).
 pub const KNOWN_METHODS: [&str; 3] = ["nostop", "bo", "static"];
@@ -172,7 +178,13 @@ impl RateSpec {
                     max_rate.is_finite() && *max_rate >= *min_rate,
                     "max_rate must be finite and >= min_rate",
                 )?;
-                finite_pos(*hold_secs, "hold_secs")
+                finite_pos(*hold_secs, "hold_secs")?;
+                // A hold that rounds to zero microseconds would never move
+                // the redraw clock.
+                require(
+                    SimDuration::from_secs_f64(*hold_secs) > SimDuration::ZERO,
+                    &format!("hold_secs must round to at least 1 µs, got {hold_secs}"),
+                )
             }
             RateSpec::Sinusoid {
                 base,
@@ -520,6 +532,16 @@ impl SkewSpec {
                 require(
                     hot_weight.is_finite() && *hot_weight > 1.0,
                     "hot_weight must be > 1",
+                )?;
+                // A huge weight overflows the normalizing sum, and the
+                // normalized weights collapse to zero.
+                let weights = self.weights(BROKER_PARTITIONS).unwrap_or_default();
+                require(
+                    weights.iter().all(|w| w.is_finite() && *w > 0.0),
+                    &format!(
+                        "hot_weight {hot_weight} leaves normalized weights that are not \
+                         positive and finite over {BROKER_PARTITIONS} partitions"
+                    ),
                 )
             }
         }

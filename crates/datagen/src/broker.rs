@@ -12,6 +12,12 @@
 //! counts, and workload kernels draw payloads from
 //! [`crate::records::RecordGenerator`] on demand. This keeps simulating a
 //! 230k-records/second stream (the paper's Page Analyze rate) allocation-free.
+//!
+//! `produce` runs once per 100 ms integration step, so its cost is what the
+//! ingest path pays: O(1) for uniform production, and O(weight classes)
+//! under hot-key skew (two classes, whatever the partition count).
+
+use nostop_simcore::floor_split;
 
 /// Identifies a partition within the broker.
 pub type PartitionId = usize;
@@ -50,21 +56,60 @@ struct Partition {
     consumed: u64,
 }
 
-/// Per-partition production state for skewed (hot-key) traffic.
+/// Production state for skewed (hot-key) traffic, kept once per weight
+/// class.
 ///
-/// When the paper's skew-avoidance rule is deliberately broken, the O(1)
-/// shared-offset trick no longer applies: each partition gets its own
-/// weighted share of every produce call with its own fractional carry.
-/// Only brokers built via [`Broker::with_skew`] pay this O(partitions)
-/// produce cost; the uniform path is untouched.
+/// When the paper's skew-avoidance rule is deliberately broken, every
+/// partition gets its own weighted share of every produce call with its
+/// own fractional carry. But partitions whose normalized weights have the
+/// same bit pattern start from the same state (offset 0, carry 0.0), and
+/// only `produce` moves it, with the same arithmetic — so they stay
+/// bit-identical forever. The state therefore lives once per class:
+/// hot-key skew has two classes, and `produce` costs O(weight classes)
+/// rather than O(partitions). Only brokers built via
+/// [`Broker::with_skew`] carry this; the uniform path is untouched.
 #[derive(Debug, Clone)]
 struct SkewState {
-    /// Normalized per-partition produce weights (sum = 1).
-    weights: Vec<f64>,
-    /// Per-partition produced offsets.
+    /// Weight class of each partition.
+    class: Vec<usize>,
+    /// Normalized produce weight of one partition in each class (the
+    /// weights of all partitions sum to 1).
+    weight: Vec<f64>,
+    /// Produced offset of every partition in each class.
     produced: Vec<u64>,
-    /// Per-partition fractional carries.
+    /// Fractional carry of every partition in each class.
     carry: Vec<f64>,
+    /// Number of partitions in each class.
+    size: Vec<u64>,
+}
+
+impl SkewState {
+    /// Group partitions by the bit pattern of their normalized weight, in
+    /// order of first appearance.
+    fn new(normalized: impl ExactSizeIterator<Item = f64>) -> Self {
+        let mut s = SkewState {
+            class: Vec::with_capacity(normalized.len()),
+            weight: Vec::new(),
+            produced: Vec::new(),
+            carry: Vec::new(),
+            size: Vec::new(),
+        };
+        for w in normalized {
+            let c = match s.weight.iter().position(|v| v.to_bits() == w.to_bits()) {
+                Some(c) => c,
+                None => {
+                    s.weight.push(w);
+                    s.produced.push(0);
+                    s.carry.push(0.0);
+                    s.size.push(0);
+                    s.weight.len() - 1
+                }
+            };
+            s.class.push(c);
+            s.size[c] += 1;
+        }
+        s
+    }
 }
 
 /// A partitioned broker with offset/lag accounting and a consume-rate limit.
@@ -106,7 +151,9 @@ impl Broker {
     ///
     /// `weights` must have one entry per partition; they are normalized
     /// internally, so only ratios matter. Must be applied before any
-    /// production. Panics on length mismatch or non-positive weights.
+    /// production. Panics on length mismatch, on non-positive weights, and
+    /// when normalization leaves a weight that is not positive and finite
+    /// (a sum that overflows).
     pub fn with_skew(mut self, weights: Vec<f64>) -> Self {
         assert_eq!(
             weights.len(),
@@ -123,12 +170,12 @@ impl Broker {
             "skew must be set before producing"
         );
         let total: f64 = weights.iter().sum();
-        let n = weights.len();
-        self.skew = Some(SkewState {
-            weights: weights.into_iter().map(|w| w / total).collect(),
-            produced: vec![0; n],
-            carry: vec![0.0; n],
-        });
+        let skew = SkewState::new(weights.into_iter().map(|w| w / total));
+        assert!(
+            skew.weight.iter().all(|w| w.is_finite() && *w > 0.0),
+            "normalized weights must be positive and finite"
+        );
+        self.skew = Some(skew);
         self
     }
 
@@ -139,7 +186,7 @@ impl Broker {
 
     fn produced_of(&self, i: usize) -> u64 {
         match &self.skew {
-            Some(s) => s.produced[i],
+            Some(s) => s.produced[s.class[i]],
             None => self.produced_per_partition,
         }
     }
@@ -152,32 +199,30 @@ impl Broker {
     /// skew-avoidance rule) spreads them identically across partitions in
     /// O(1); a skewed broker gives each partition its weighted share with
     /// a per-partition fractional carry, conserving the long-run total
-    /// exactly.
+    /// exactly, in O(weight classes).
     pub fn produce(&mut self, count: u64) {
         if count == 0 {
             return;
         }
         if let Some(skew) = &mut self.skew {
-            for i in 0..skew.weights.len() {
-                let want = count as f64 * skew.weights[i] + skew.carry[i];
-                let whole = want.floor();
-                skew.carry[i] = want - whole;
-                skew.produced[i] += whole as u64;
+            for c in 0..skew.weight.len() {
+                let (whole, carry) = floor_split(count as f64 * skew.weight[c] + skew.carry[c]);
+                skew.carry[c] = carry;
+                skew.produced[c] += whole;
             }
             return;
         }
         let n = self.partitions.len() as f64;
         let share = count as f64 / n;
-        let want = share + self.produce_carry;
-        let whole = want.floor();
-        self.produce_carry = want - whole;
-        self.produced_per_partition += whole as u64;
+        let (whole, carry) = floor_split(share + self.produce_carry);
+        self.produce_carry = carry;
+        self.produced_per_partition += whole;
     }
 
     /// Total records ever produced.
     pub fn total_produced(&self) -> u64 {
         match &self.skew {
-            Some(s) => s.produced.iter().sum(),
+            Some(s) => s.produced.iter().zip(&s.size).map(|(p, n)| p * n).sum(),
             None => self.produced_per_partition * self.partitions.len() as u64,
         }
     }

@@ -4,15 +4,33 @@
 //! produces the corresponding record counts into a [`Broker`], with
 //! fractional-record accumulation so that total production equals the exact
 //! integral of the rate (no drift at any step size).
+//!
+//! Integration runs in 100 ms steps, each sampling the rate at its start.
+//! The rate is sampled once per constant segment, not once per step: after
+//! each `rate_at` the generator asks the process how long the value holds
+//! ([`RateProcess::next_change_at`]) and reuses it for every step that
+//! starts before then. A process that promises nothing (a sinusoid, a ramp
+//! mid-flight) is sampled every step, as before. The per-step arithmetic is
+//! the same either way, so production is bit-identical.
 
 use crate::broker::Broker;
 use crate::rate::RateProcess;
-use nostop_simcore::{SimDuration, SimTime};
+use nostop_simcore::{floor_split, SimDuration, SimTime};
 
 /// Integration step for the rate process. Finer steps track fast-changing
 /// rates more precisely at a small CPU cost; 100 ms matches Kafka producer
 /// batching granularity well.
 const INTEGRATION_STEP: SimDuration = SimDuration::from_millis(100);
+
+/// Work the generator has done: seed-pure counts, for perf reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IngestStats {
+    /// `RateProcess::rate_at` calls.
+    pub rate_calls: u64,
+    /// `Broker::produce` calls (integration steps, plus one per
+    /// closed-form window of a constant rate).
+    pub produce_steps: u64,
+}
 
 /// Drives a broker from an arrival-rate process.
 pub struct StreamGenerator {
@@ -23,6 +41,24 @@ pub struct StreamGenerator {
     carry: f64,
     /// Most recent instantaneous rate (records/s), for observers.
     last_rate: f64,
+    /// `last_rate` holds for every step that starts before this instant:
+    /// the process's `next_change_at` promise from the last sample.
+    rate_valid_until: SimTime,
+    /// Rate samples and produce steps taken so far.
+    stats: IngestStats,
+}
+
+/// `want` split into whole records and the carry, exactly as
+/// `whole = want.floor().max(0.0); (whole as u64, want - whole)`: a
+/// positive `want` splits without libm, anything else keeps its old
+/// result, sign of zero included (`carry_bits` is a stationarity probe).
+#[inline]
+fn split_want(want: f64) -> (u64, f64) {
+    if want > 0.0 {
+        return floor_split(want);
+    }
+    let whole = want.floor().max(0.0);
+    (whole as u64, want - whole)
 }
 
 impl StreamGenerator {
@@ -33,6 +69,8 @@ impl StreamGenerator {
             produced_until: SimTime::ZERO,
             carry: 0.0,
             last_rate: 0.0,
+            rate_valid_until: SimTime::ZERO,
+            stats: IngestStats::default(),
         }
     }
 
@@ -51,12 +89,11 @@ impl StreamGenerator {
             }
             let dt = (t - self.produced_until).as_secs_f64();
             self.last_rate = r;
-            let want = r * dt + self.carry;
-            let whole = want.floor().max(0.0);
-            self.carry = want - whole;
+            let (n, carry) = split_want(r * dt + self.carry);
+            self.carry = carry;
             self.produced_until = t;
-            let n = whole as u64;
             broker.produce(n);
+            self.stats.produce_steps += 1;
             return n;
         }
         let mut produced = 0u64;
@@ -65,13 +102,18 @@ impl StreamGenerator {
             let dt = (step_end - self.produced_until).as_secs_f64();
             // Sample at interval start: step-function integration matches
             // the hold-then-redraw semantics of the paper's generator.
-            let r = self.rate.rate_at(self.produced_until);
-            self.last_rate = r;
-            let want = r * dt + self.carry;
-            let whole = want.floor().max(0.0);
-            self.carry = want - whole;
-            let n = whole as u64;
+            // Inside a segment the process promised constant, the last
+            // sample is that value. The promise is asked for after the
+            // sample, since lazy processes refuse stale queries.
+            if self.produced_until >= self.rate_valid_until {
+                self.last_rate = self.rate.rate_at(self.produced_until);
+                self.rate_valid_until = self.rate.next_change_at(self.produced_until);
+                self.stats.rate_calls += 1;
+            }
+            let (n, carry) = split_want(self.last_rate * dt + self.carry);
+            self.carry = carry;
             broker.produce(n);
+            self.stats.produce_steps += 1;
             produced += n;
             self.produced_until = step_end;
         }
@@ -104,6 +146,11 @@ impl StreamGenerator {
     /// Bit pattern of the last sampled instantaneous rate.
     pub fn last_rate_bits(&self) -> u64 {
         self.last_rate.to_bits()
+    }
+
+    /// Rate samples and produce steps taken so far.
+    pub fn stats(&self) -> IngestStats {
+        self.stats
     }
 
     /// Shift the integration watermark forward by `delta` without touching

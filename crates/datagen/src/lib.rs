@@ -31,6 +31,6 @@ pub mod records;
 
 pub use adversarial::{CorrelatedSurgeRate, FlashCrowdRate, ParetoBurstRate};
 pub use broker::{Broker, BrokerConfig, PartitionId};
-pub use generator::StreamGenerator;
+pub use generator::{IngestStats, StreamGenerator};
 pub use rate::{tenant_seed, RateProcess, RateSpec, RateSpecExt};
 pub use records::{Record, RecordGenerator, RecordKind};

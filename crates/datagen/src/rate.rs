@@ -97,6 +97,12 @@ impl UniformRandomRate {
             "invalid rate range"
         );
         assert!(hold_secs > 0.0, "hold duration must be positive");
+        // A hold that rounds to 0 µs would spin `rate_at`'s redraw loop.
+        assert!(
+            nostop_simcore::SimDuration::from_secs_f64(hold_secs)
+                > nostop_simcore::SimDuration::ZERO,
+            "hold duration must round to at least 1 µs"
+        );
         let mut s = UniformRandomRate {
             min_rate,
             max_rate,

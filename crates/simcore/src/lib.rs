@@ -14,6 +14,8 @@
 //!   metrics listener and the NoStop pause/reset policies.
 //! * [`series`] — lightweight time-series recording for the figure
 //!   regeneration binaries.
+//! * [`round`] — [`floor_split`] and [`round_half_up`], the libm-free
+//!   float-to-integer splits the ingest and scheduling hot paths use.
 //! * [`probe_mode`] — the one switch that sends every fast path down its
 //!   exact reference path, [`jobs_env`], the one reader of the worker
 //!   count, and [`fnv1a64`], the replay fingerprint.
@@ -25,6 +27,7 @@
 pub mod arena;
 pub mod json;
 pub mod rng;
+pub mod round;
 pub mod series;
 pub mod stats;
 pub mod time;
@@ -32,6 +35,7 @@ pub mod time;
 pub use arena::Arena;
 pub use json::Json;
 pub use rng::SimRng;
+pub use round::{floor_split, round_half_up};
 pub use series::TimeSeries;
 pub use stats::{RollingStats, Summary, Welford};
 pub use time::{SimDuration, SimTime};

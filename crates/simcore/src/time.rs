@@ -6,6 +6,7 @@
 //! microseconds so event ordering is exact (no floating-point tie ambiguity)
 //! and a simulated day fits comfortably in a `u64`.
 
+use crate::round::round_half_up;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -38,7 +39,7 @@ impl SimTime {
     /// Construct from (possibly fractional) seconds. Negative values clamp to zero.
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimTime((secs.max(0.0) * 1e6).round() as u64)
+        SimTime(round_half_up(secs.max(0.0) * 1e6))
     }
 
     /// The instant as whole microseconds since the epoch.
@@ -87,7 +88,7 @@ impl SimDuration {
     /// Construct from (possibly fractional) seconds. Negative values clamp to zero.
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration((secs.max(0.0) * 1e6).round() as u64)
+        SimDuration(round_half_up(secs.max(0.0) * 1e6))
     }
 
     /// The span as whole microseconds.
@@ -117,7 +118,7 @@ impl SimDuration {
     /// Multiply by a non-negative float, rounding to the nearest microsecond.
     #[inline]
     pub fn mul_f64(self, factor: f64) -> Self {
-        SimDuration((self.0 as f64 * factor.max(0.0)).round() as u64)
+        SimDuration(round_half_up(self.0 as f64 * factor.max(0.0)))
     }
 
     /// Saturating subtraction.

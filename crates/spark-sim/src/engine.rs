@@ -25,10 +25,10 @@ use crate::metrics::{BatchMetrics, Listener};
 use crate::noise::{NoiseModel, NoiseParams};
 use crate::scheduler::{simulate_job, tasks_for, JobScratch, Speculation};
 use crate::superbatch::{SuperbatchArm, SuperbatchStats};
-use nostop_core::scenario::SkewSpec;
+use nostop_core::scenario::{SkewSpec, BROKER_PARTITIONS};
 use nostop_datagen::broker::{Broker, BrokerConfig};
 use nostop_datagen::rate::RateProcess;
-use nostop_datagen::StreamGenerator;
+use nostop_datagen::{IngestStats, StreamGenerator};
 use nostop_obs::Recorder;
 use nostop_simcore::{probe_mode, SimDuration, SimRng, SimTime};
 use nostop_workloads::{CostModel, WorkloadKind};
@@ -39,9 +39,6 @@ const LAUNCH_DELAY: SimDuration = SimDuration::from_secs(2);
 /// One-time initialization (jar shipping) for a fresh executor's first
 /// job — the cost §5.4's skip-first rule keeps out of measurements.
 const EXECUTOR_INIT: SimDuration = SimDuration::from_millis(1_500);
-
-/// Kafka partitions (paper: more than the cluster's core count).
-const PARTITIONS: usize = 32;
 
 /// Maximum batches waiting in the queue before the divider stops
 /// consuming. Further data stays in the broker (Kafka retains it) and is
@@ -255,14 +252,14 @@ impl StreamingEngine {
         let mut executors = ExecutorManager::new(params.cluster.clone(), LAUNCH_DELAY);
         executors.bootstrap(initial.num_executors);
         let broker = Broker::new(BrokerConfig {
-            partitions: PARTITIONS,
+            partitions: BROKER_PARTITIONS,
             max_consume_rate: None,
         });
-        let broker = match params.skew.weights(PARTITIONS) {
+        let broker = match params.skew.weights(BROKER_PARTITIONS) {
             Some(weights) => broker.with_skew(weights),
             None => broker,
         };
-        let skew_imbalance = params.skew.imbalance(PARTITIONS);
+        let skew_imbalance = params.skew.imbalance(BROKER_PARTITIONS);
         let noise = NoiseModel::new(params.noise, params.cluster.nodes.len(), root.fork(1));
         let job_rng = root.fork(2);
         let fault_rng = root.fork(3);
@@ -467,6 +464,11 @@ impl StreamingEngine {
     /// How often the superbatch fast path engaged so far.
     pub fn superbatch_stats(&self) -> SuperbatchStats {
         self.superbatch
+    }
+
+    /// Rate samples and produce steps the ingest path has taken so far.
+    pub fn ingest_stats(&self) -> IngestStats {
+        self.generator.stats()
     }
 
     /// The engine's three RNG stream positions (noise, job, fault),

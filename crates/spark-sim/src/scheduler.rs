@@ -31,7 +31,7 @@ use crate::fault::TaskFaultCtx;
 use crate::noise::NoiseModel;
 use crate::superbatch::SuperbatchArm;
 use nostop_obs::Recorder;
-use nostop_simcore::{Arena, SimDuration, SimTime};
+use nostop_simcore::{round_half_up, Arena, SimDuration, SimTime};
 use nostop_workloads::{block_prefix, round_duration_us, speed_quotas, CostModel, JobCostTable};
 
 /// Tasks per stage for a batch: `batch interval / block interval`,
@@ -188,7 +188,7 @@ pub fn simulate_job(
     // Driver-side serial costs: job submission plus per-executor
     // management bookkeeping (the Fig-3 right arm).
     let serial_us = cost.batch_overhead_us + cost.mgmt_per_executor_us * executors.len() as f64;
-    let mut t_us = start.as_micros() + serial_us.round() as u64;
+    let mut t_us = start.as_micros() + round_half_up(serial_us);
 
     // Carve the whole job's struct-of-arrays state out of one arena frame:
     // int lane = per-executor init/opens/quotas + per-task durations and
@@ -228,7 +228,7 @@ pub fn simulate_job(
     let mut task_retries: u32 = 0;
 
     for stage in 0..stages {
-        let stage_start = t_us + cost.stage_overhead_us.round() as u64;
+        let stage_start = t_us + round_half_up(cost.stage_overhead_us);
         if obs.is_enabled() {
             obs.enter(
                 SimTime::from_micros(stage_start),

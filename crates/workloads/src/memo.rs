@@ -18,6 +18,7 @@
 //! the rebuild is a handful of flops either way).
 
 use crate::cost::CostModel;
+use nostop_simcore::{floor_split, round_half_up};
 
 /// RNG-independent per-task costs of one stage, for both record-count
 /// buckets: index 0 = `base` records, index 1 = `base + 1` (the first
@@ -116,8 +117,7 @@ impl JobCostTable {
 /// (bit-identical by construction).
 #[inline]
 pub fn round_duration_us(work_us: f64) -> u64 {
-    let trunc = work_us as u64;
-    (trunc + u64::from(work_us - trunc as f64 >= 0.5)).max(1)
+    round_half_up(work_us).max(1)
 }
 
 /// Speed-proportional task quotas by largest-remainder apportionment.
@@ -139,11 +139,10 @@ pub fn speed_quotas(speeds: &[f64], tasks: u32, quotas: &mut [u64], fracs: &mut 
     let total: f64 = speeds.iter().map(|s| s.max(1e-12)).sum();
     let mut assigned: u64 = 0;
     for (e, &speed) in speeds.iter().enumerate() {
-        let raw = tasks as f64 * speed.max(1e-12) / total;
-        let q = raw.floor();
-        quotas[e] = q as u64;
-        fracs[e] = raw - q;
-        assigned += q as u64;
+        let (q, frac) = floor_split(tasks as f64 * speed.max(1e-12) / total);
+        quotas[e] = q;
+        fracs[e] = frac;
+        assigned += q;
     }
     let mut left = tasks as u64 - assigned.min(tasks as u64);
     // Largest-remainder round: `left < m`, so a repeated max scan is
