@@ -61,7 +61,7 @@ impl BayesOpt {
         }
         let best = self.gp.best_y().expect("observations exist");
         // Draw the whole candidate pool up front, then score it with one
-        // batched posterior pass over four-candidate tiles instead of
+        // batched posterior pass over eight-candidate tiles instead of
         // `N_CANDIDATES` independent posterior calls. The posteriors (and
         // hence the argmax) are bitwise identical to the one-at-a-time
         // loop this replaces.

@@ -34,11 +34,18 @@
 //! [`TILE`]: their kernel columns are written interleaved into one
 //! `n × TILE` buffer, and [`dot_tile`] serves the mean (`alpha · k*`), the
 //! forward solve ([`solve_lower_tile`]) and the variance (`v · v`) for all
-//! four at once. Every loop vectorises across the tile's candidates, never
+//! eight at once. Every loop vectorises across the tile's candidates, never
 //! along a sum, so each lane keeps the per-point order of operations
 //! ([`Kernel::eval`]'s distance sum, [`dot`]'s partial sums) and every
 //! output is bitwise equal to [`GaussianProcess::posterior`], which stays
 //! as the per-point reference. Nothing here may use a fused multiply-add.
+//!
+//! *Width.* The tile loop is one `#[inline(always)]` body compiled twice:
+//! portably, and on `x86_64` inside an AVX2 `#[target_feature]` wrapper
+//! that `posterior_batch` picks per call when the host has AVX2. IEEE
+//! `+ − × ÷` round per lane at any vector width and rustc never fuses
+//! `a * b + c`, so the two builds agree bit for bit; AVX2 only moves four
+//! lanes per instruction instead of two.
 
 use crate::linalg::{
     cholesky_solve_into, dot, dot_tile, solve_lower_in_place, solve_lower_tile, Matrix, TILE,
@@ -269,10 +276,31 @@ impl GaussianProcess {
                 .map(|_| (self.y_mean, self.kernel.signal_variance))
                 .collect();
         }
-        let dim = self.dim;
         for xc in xs {
-            assert_eq!(xc.len(), dim, "dimension mismatch");
+            assert_eq!(xc.len(), self.dim, "dimension mismatch");
         }
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the detection just above proves this host runs AVX2.
+            return unsafe { self.score_avx2(xs) };
+        }
+        self.score(xs)
+    }
+
+    /// [`GaussianProcess::score`] compiled for AVX2: the same body, four
+    /// f64 lanes per register instead of two.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn score_avx2(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        self.score(xs)
+    }
+
+    /// The tile loop behind [`GaussianProcess::posterior_batch`], for a
+    /// non-empty GP and candidates of its dimension. Always inlined, so
+    /// each caller compiles it for its own target features.
+    #[inline(always)]
+    fn score(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        let dim = self.dim;
         let mut out = Vec::with_capacity(xs.len());
         let mut tile = vec![0.0; self.len() * TILE];
         let mut cand = vec![0.0; dim * TILE];
@@ -311,6 +339,7 @@ impl GaussianProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nostop_simcore::SimRng;
 
     fn gp_with(points: &[(&[f64], f64)]) -> GaussianProcess {
         let mut gp = GaussianProcess::new(Kernel {
@@ -409,7 +438,7 @@ mod tests {
             (&[3.0, 8.0], 4.0),
             (&[7.0, 6.0], 2.0),
         ]);
-        // 33 candidates: eight full tiles and one padded single.
+        // 33 candidates: four full tiles and one padded single.
         let cands: Vec<Vec<f64>> = (0..33)
             .map(|i| vec![1.0 + (i % 9) as f64, 1.0 + (i % 5) as f64 * 3.0])
             .collect();
@@ -419,6 +448,37 @@ mod tests {
             let want = gp.posterior(c);
             assert_eq!(got.0.to_bits(), want.0.to_bits());
             assert_eq!(got.1.to_bits(), want.1.to_bits());
+        }
+    }
+
+    #[test]
+    fn dispatched_scoring_matches_portable_body_bitwise() {
+        // On an AVX2 host `posterior_batch` runs the AVX2 build of `score`;
+        // elsewhere both sides are the portable build. Eight GPs, dims
+        // 1..=8, grow to 300 observations together; each n scores one of
+        // them, rotating so every dim meets every n mod 8, with 1..=16
+        // candidates to cover every remainder mod the tile width.
+        let mut rng = SimRng::seed_from_u64(8);
+        let mut gps: Vec<GaussianProcess> = (0..8)
+            .map(|_| GaussianProcess::new(Kernel::default()))
+            .collect();
+        for n in 1..=300usize {
+            for (d, gp) in gps.iter_mut().enumerate() {
+                let x: Vec<f64> = (0..=d).map(|_| rng.uniform(1.0, 20.0)).collect();
+                gp.add(x, rng.uniform(-5.0, 5.0));
+            }
+            let gp = &gps[(n + n / 8) % 8];
+            let dim = gp.dim;
+            let cands: Vec<Vec<f64>> = (0..(n / 8) % (2 * TILE) + 1)
+                .map(|_| (0..dim).map(|_| rng.uniform(1.0, 20.0)).collect())
+                .collect();
+            let portable = gp.score(&cands);
+            let dispatched = gp.posterior_batch(&cands);
+            assert_eq!(portable.len(), dispatched.len());
+            for (p, d) in portable.iter().zip(&dispatched) {
+                assert_eq!(p.0.to_bits(), d.0.to_bits(), "mean, dim {dim} n {n}");
+                assert_eq!(p.1.to_bits(), d.1.to_bits(), "variance, dim {dim} n {n}");
+            }
         }
     }
 

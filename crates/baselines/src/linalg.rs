@@ -17,13 +17,15 @@
 //!
 //! Batched posterior scoring works on *tiles*: [`TILE`] vectors of equal
 //! length interleaved entry by entry, `tile[j * TILE + g]` being entry `j`
-//! of vector `g`. [`dot_tile`] is [`dot`] run on all four at once: it
+//! of vector `g`. [`dot_tile`] is [`dot`] run on all eight at once: it
 //! vectorises across the tile's vectors, never along `j`, so every lane
 //! performs exactly `dot`'s multiplications and additions in `dot`'s order
 //! (four strided partial sums over whole chunks, `(s0 + s1) + (s2 + s3)`,
 //! then the remainder in order). Lane `g` is therefore bitwise equal to
 //! `dot` on vector `g`. There is no fused multiply-add anywhere: it would
-//! round once where `dot` rounds twice.
+//! round once where `dot` rounds twice. [`dot_tile`] and
+//! [`solve_lower_tile`] are always inlined, so the GP's AVX2 build of its
+//! tile loop compiles them at AVX2 width too.
 
 /// A square matrix in row-major storage.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,14 +59,14 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Vectors per tile (see the module docs).
-pub const TILE: usize = 4;
+pub const TILE: usize = 8;
 
 /// [`dot`] of `TILE` vectors at once. `tile` holds `len` rows of `TILE`
 /// interleaved entries; `a` is either one vector shared by every lane
 /// (`A = 1`, length `len`) or a second tile (`A = TILE`, length
 /// `len * TILE`). Lane `g` of the result is bitwise equal to
 /// `dot(a_g, tile_g)`, where `a_g` is the shared vector or lane `g` of `a`.
-#[inline]
+#[inline(always)]
 pub fn dot_tile<const A: usize>(a: &[f64], tile: &[f64]) -> [f64; TILE] {
     debug_assert_eq!(a.len() * TILE, tile.len() * A);
     let mut ca = a.chunks_exact(4 * A);
@@ -264,6 +266,7 @@ pub fn solve_lower(l: &Matrix, b: &[f64]) -> Vec<f64> {
 /// `L x = b`. Row `i` of `L` meets the tile's solved prefix through
 /// [`dot_tile`], so every lane is bitwise equal to
 /// [`solve_lower_in_place`] on that right-hand side.
+#[inline(always)]
 pub fn solve_lower_tile(l: &Matrix, tile: &mut [f64]) {
     let n = l.n;
     assert_eq!(tile.len(), n * TILE, "dimension mismatch");

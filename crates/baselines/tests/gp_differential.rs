@@ -9,7 +9,8 @@
 //! 2. **Batched posterior** — [`GaussianProcess::posterior_batch`] is
 //!    bitwise identical to scoring each candidate through
 //!    [`GaussianProcess::posterior`] one at a time, at up to BayesOpt's
-//!    8 knobs, across every observation count mod 4 and every candidate
+//!    8 knobs, 1–299 observations (BayesOpt runs to 255) and 1–299
+//!    candidates: every observation count mod 4 and every candidate
 //!    count mod the tile width.
 //! 3. **Probe equivalence** — a GP fitted through the full-refit probe
 //!    path (`with_incremental(false)`, the `NOSTOP_PROBE=1` surface) produces posteriors bitwise identical to the incremental
@@ -78,7 +79,7 @@ proptest! {
     #[test]
     fn posterior_batch_matches_per_point_bitwise(
         dim in 1usize..=8,
-        n_obs in 1usize..64,
+        n_obs in 1usize..300,
         n_cand in 1usize..300,
         seed in 0u64..1_000_000,
     ) {

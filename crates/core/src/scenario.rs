@@ -156,6 +156,17 @@ fn finite_pos(x: f64, what: &str) -> Result<(), String> {
     )
 }
 
+/// A positive, finite duration that also rounds to at least one
+/// microsecond: a rate process whose hold, surge, crowd or burst rounds to
+/// zero would never move its clock.
+fn whole_micros(x: f64, what: &str) -> Result<(), String> {
+    finite_pos(x, what)?;
+    require(
+        SimDuration::from_secs_f64(x) > SimDuration::ZERO,
+        &format!("{what} must round to at least 1 µs, got {x}"),
+    )
+}
+
 fn finite_nonneg(x: f64, what: &str) -> Result<(), String> {
     require(
         x.is_finite() && x >= 0.0,
@@ -178,13 +189,7 @@ impl RateSpec {
                     max_rate.is_finite() && *max_rate >= *min_rate,
                     "max_rate must be finite and >= min_rate",
                 )?;
-                finite_pos(*hold_secs, "hold_secs")?;
-                // A hold that rounds to zero microseconds would never move
-                // the redraw clock.
-                require(
-                    SimDuration::from_secs_f64(*hold_secs) > SimDuration::ZERO,
-                    &format!("hold_secs must round to at least 1 µs, got {hold_secs}"),
-                )
+                whole_micros(*hold_secs, "hold_secs")
             }
             RateSpec::Sinusoid {
                 base,
@@ -215,7 +220,7 @@ impl RateSpec {
                     magnitude.is_finite() && *magnitude >= 1.0,
                     "surge magnitude must be >= 1",
                 )?;
-                finite_pos(*surge_secs, "surge_secs")?;
+                whole_micros(*surge_secs, "surge_secs")?;
                 finite_pos(*mean_gap_secs, "mean_gap_secs")
             }
             RateSpec::FlashCrowd {
@@ -228,7 +233,7 @@ impl RateSpec {
             } => {
                 base.validate()?;
                 finite_pos(*mean_gap_secs, "mean_gap_secs")?;
-                finite_pos(*crowd_secs, "crowd_secs")?;
+                whole_micros(*crowd_secs, "crowd_secs")?;
                 finite_pos(*pareto_shape, "pareto_shape")?;
                 require(
                     min_magnitude.is_finite() && *min_magnitude >= 1.0,
@@ -249,7 +254,7 @@ impl RateSpec {
             } => {
                 base.validate()?;
                 finite_pos(*mean_gap_secs, "mean_gap_secs")?;
-                finite_pos(*burst_secs, "burst_secs")?;
+                whole_micros(*burst_secs, "burst_secs")?;
                 finite_pos(*pareto_shape, "pareto_shape")?;
                 finite_pos(*min_burst_records, "min_burst_records")?;
                 require(
@@ -269,7 +274,7 @@ impl RateSpec {
                     magnitude.is_finite() && *magnitude >= 1.0,
                     "surge magnitude must be >= 1",
                 )?;
-                finite_pos(*surge_secs, "surge_secs")?;
+                whole_micros(*surge_secs, "surge_secs")?;
                 finite_pos(*mean_gap_secs, "mean_gap_secs")
             }
         }

@@ -32,7 +32,7 @@
 //! composite `RateSpec` variants; nesting composites re-splits at every
 //! level, so a flash crowd over a Pareto-burst base is well-defined.
 
-use crate::rate::{RateProcess, SurgeRate};
+use crate::rate::{assert_whole_micros, RateProcess, SurgeRate};
 use nostop_simcore::{SimDuration, SimRng, SimTime};
 
 /// Fork stream for a composite's wrapped base process.
@@ -92,6 +92,7 @@ impl FlashCrowdRate {
             mean_gap_secs > 0.0 && crowd_secs > 0.0,
             "durations must be positive"
         );
+        assert_whole_micros(crowd_secs, "crowd");
         assert!(pareto_shape > 0.0, "pareto shape must be positive");
         assert!(
             min_magnitude >= 1.0 && max_magnitude >= min_magnitude,
@@ -184,6 +185,7 @@ impl ParetoBurstRate {
             mean_gap_secs > 0.0 && burst_secs > 0.0,
             "durations must be positive"
         );
+        assert_whole_micros(burst_secs, "burst");
         assert!(pareto_shape > 0.0, "pareto shape must be positive");
         assert!(
             min_burst_records > 0.0 && max_burst_records >= min_burst_records,

@@ -8,7 +8,18 @@
 //! makes, §2), diurnal sinusoids, linear ramps, and e-commerce surge spikes
 //! (§5.5), plus recorded traces and composition.
 
-use nostop_simcore::{SimRng, SimTime};
+use nostop_simcore::{SimDuration, SimRng, SimTime};
+
+/// Panic unless `secs` rounds to at least 1 µs. A hold, surge, crowd or
+/// burst that rounds to 0 µs would spin its process's `rate_at` loop
+/// forever; with at least 1 µs every pass advances the clock, since the
+/// gaps added to it are never negative.
+pub(crate) fn assert_whole_micros(secs: f64, what: &str) {
+    assert!(
+        SimDuration::from_secs_f64(secs) > SimDuration::ZERO,
+        "{what} duration must round to at least 1 µs"
+    );
+}
 
 /// A (possibly stochastic, but seeded) arrival-rate process.
 ///
@@ -97,12 +108,7 @@ impl UniformRandomRate {
             "invalid rate range"
         );
         assert!(hold_secs > 0.0, "hold duration must be positive");
-        // A hold that rounds to 0 µs would spin `rate_at`'s redraw loop.
-        assert!(
-            nostop_simcore::SimDuration::from_secs_f64(hold_secs)
-                > nostop_simcore::SimDuration::ZERO,
-            "hold duration must round to at least 1 µs"
-        );
+        assert_whole_micros(hold_secs, "hold");
         let mut s = UniformRandomRate {
             min_rate,
             max_rate,
@@ -137,7 +143,7 @@ impl RateProcess for UniformRandomRate {
     fn rate_at(&mut self, t: SimTime) -> f64 {
         while t >= self.next_redraw {
             self.current = self.draw();
-            self.next_redraw += nostop_simcore::SimDuration::from_secs_f64(self.hold_secs);
+            self.next_redraw += SimDuration::from_secs_f64(self.hold_secs);
         }
         self.current
     }
@@ -263,6 +269,7 @@ impl SurgeRate {
             surge_secs > 0.0 && mean_gap_secs > 0.0,
             "durations must be positive"
         );
+        assert_whole_micros(surge_secs, "surge");
         let first = rng.exponential(1.0 / mean_gap_secs);
         SurgeRate {
             base,
@@ -302,8 +309,7 @@ impl SurgeRate {
 impl RateProcess for SurgeRate {
     fn rate_at(&mut self, t: SimTime) -> f64 {
         while t >= self.next_onset {
-            self.surge_until =
-                self.next_onset + nostop_simcore::SimDuration::from_secs_f64(self.surge_secs);
+            self.surge_until = self.next_onset + SimDuration::from_secs_f64(self.surge_secs);
             let gap = if self.mean_gap_secs.is_finite() {
                 self.rng.exponential(1.0 / self.mean_gap_secs)
             } else {
@@ -312,7 +318,7 @@ impl RateProcess for SurgeRate {
             self.next_onset = if gap >= f64::MAX {
                 SimTime::MAX
             } else {
-                self.next_onset + nostop_simcore::SimDuration::from_secs_f64(self.surge_secs + gap)
+                self.next_onset + SimDuration::from_secs_f64(self.surge_secs + gap)
             };
         }
         let base = self.base.rate_at(t);
@@ -550,7 +556,6 @@ pub fn tenant_seed(master: u64, tenant: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nostop_simcore::SimDuration;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)
@@ -783,7 +788,7 @@ mod tests {
             let until = r.next_change_at(t(clock));
             if until > t(clock) && until < SimTime::MAX {
                 let mut probe = t(clock);
-                let step = nostop_simcore::SimDuration::from_millis(500);
+                let step = SimDuration::from_millis(500);
                 while probe + step < until {
                     probe += step;
                     assert_eq!(r.rate_at(probe), base, "changed before promised instant");

@@ -1,12 +1,13 @@
 //! Hostile scenario values that used to pass validation and then hang or
-//! panic the run: a `hold_secs` that rounds to zero microseconds, and a
-//! `hot_weight` so large that normalizing the skew weights overflows.
-//! Validation must name each with an error; the values just inside the
-//! limits must still build and run.
+//! panic the run: a hold, surge, crowd or burst duration that rounds to
+//! zero microseconds, and a `hot_weight` so large that normalizing the
+//! skew weights overflows. Validation must name each with an error; the
+//! values just inside the limits must still build and run.
 
 use nostop_core::scenario::{ClusterKind, ScenarioSpec, SkewSpec, BROKER_PARTITIONS};
+use nostop_datagen::adversarial::{FlashCrowdRate, ParetoBurstRate};
 use nostop_datagen::broker::{Broker, BrokerConfig};
-use nostop_datagen::rate::{RateSpec, RateSpecExt, UniformRandomRate};
+use nostop_datagen::rate::{ConstantRate, RateSpec, RateSpecExt, SurgeRate, UniformRandomRate};
 use nostop_simcore::{SimRng, SimTime};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -35,14 +36,12 @@ fn uniform(hold_secs: f64) -> RateSpec {
     }
 }
 
-/// A hold below 0.5 µs rounds to a zero redraw step. It must fail
-/// validation; if it did not, the built process would spin forever, so
-/// the work runs on a thread under a watchdog.
-#[test]
-fn sub_microsecond_hold_is_rejected_instead_of_hanging() {
+/// Validate `rate`, and if it passes, build it and query it at 1 s. The
+/// work runs on a thread under a watchdog, since a duration that rounds to
+/// zero would spin the built process forever.
+fn validate_under_watchdog(rate: RateSpec) -> Result<(), String> {
     let (tx, rx) = mpsc::channel();
     let worker = std::thread::spawn(move || {
-        let rate = uniform(4e-7);
         let verdict = scenario(rate.clone(), SkewSpec::None).validate();
         if verdict.is_ok() {
             let mut process = rate.build(SimRng::seed_from_u64(1));
@@ -52,16 +51,124 @@ fn sub_microsecond_hold_is_rejected_instead_of_hanging() {
     });
     let verdict = rx
         .recv_timeout(Duration::from_secs(10))
-        .expect("a 0.4 µs hold hung validation or the rate process");
+        .expect("validation or the rate process hung");
     worker.join().expect("the validation thread panicked");
-    let err = verdict.expect_err("a hold that rounds to 0 µs must not validate");
+    verdict
+}
+
+fn surge(secs: f64) -> RateSpec {
+    RateSpec::Surge {
+        base_rate: 100.0,
+        magnitude: 2.0,
+        surge_secs: secs,
+        mean_gap_secs: 1e-9,
+    }
+}
+
+fn flash_crowd(secs: f64) -> RateSpec {
+    RateSpec::FlashCrowd {
+        base: Box::new(RateSpec::Constant { rate: 100.0 }),
+        mean_gap_secs: 1e-9,
+        crowd_secs: secs,
+        pareto_shape: 1.5,
+        min_magnitude: 1.3,
+        max_magnitude: 3.0,
+    }
+}
+
+fn pareto_burst(secs: f64) -> RateSpec {
+    RateSpec::ParetoBurst {
+        base: Box::new(RateSpec::Constant { rate: 100.0 }),
+        mean_gap_secs: 1e-9,
+        burst_secs: secs,
+        pareto_shape: 1.5,
+        min_burst_records: 10.0,
+        max_burst_records: 1_000.0,
+    }
+}
+
+/// A hold below 0.5 µs rounds to a zero redraw step.
+#[test]
+fn sub_microsecond_hold_is_rejected_instead_of_hanging() {
+    let err = validate_under_watchdog(uniform(4e-7))
+        .expect_err("a hold that rounds to 0 µs must not validate");
     assert!(err.contains("hold_secs"), "{err}");
+}
+
+/// A 1 ns surge after a 1 ns mean gap advances the onset clock by 0 µs.
+#[test]
+fn sub_microsecond_surge_is_rejected_instead_of_hanging() {
+    let err = validate_under_watchdog(surge(1e-9))
+        .expect_err("a surge that rounds to 0 µs must not validate");
+    assert!(err.contains("surge_secs"), "{err}");
+}
+
+#[test]
+fn sub_microsecond_crowd_is_rejected_instead_of_hanging() {
+    let err = validate_under_watchdog(flash_crowd(1e-9))
+        .expect_err("a crowd that rounds to 0 µs must not validate");
+    assert!(err.contains("crowd_secs"), "{err}");
+}
+
+#[test]
+fn sub_microsecond_burst_is_rejected_instead_of_hanging() {
+    let err = validate_under_watchdog(pareto_burst(1e-9))
+        .expect_err("a burst that rounds to 0 µs must not validate");
+    assert!(err.contains("burst_secs"), "{err}");
+}
+
+/// A correlated surge is a surge on a shared trigger stream; the same
+/// field guards it.
+#[test]
+fn sub_microsecond_correlated_surge_is_rejected() {
+    let rate = RateSpec::CorrelatedSurge {
+        base: Box::new(RateSpec::Constant { rate: 100.0 }),
+        trigger_seed: 7,
+        magnitude: 2.0,
+        surge_secs: 1e-9,
+        mean_gap_secs: 1e-9,
+    };
+    let err = validate_under_watchdog(rate)
+        .expect_err("a correlated surge that rounds to 0 µs must not validate");
+    assert!(err.contains("surge_secs"), "{err}");
 }
 
 #[test]
 #[should_panic(expected = "at least 1 µs")]
 fn uniform_random_rate_refuses_a_hold_that_rounds_to_zero() {
     let _ = UniformRandomRate::new(100.0, 200.0, 4e-7, SimRng::seed_from_u64(1));
+}
+
+#[test]
+#[should_panic(expected = "at least 1 µs")]
+fn surge_rate_refuses_a_surge_that_rounds_to_zero() {
+    let base = Box::new(ConstantRate::new(100.0));
+    let _ = SurgeRate::new(base, 2.0, 1e-9, 1e-9, SimRng::seed_from_u64(1));
+}
+
+#[test]
+#[should_panic(expected = "at least 1 µs")]
+fn flash_crowd_rate_refuses_a_crowd_that_rounds_to_zero() {
+    let base = Box::new(ConstantRate::new(100.0));
+    let _ = FlashCrowdRate::new(base, 1e-9, 1e-9, 1.5, 1.3, 3.0, SimRng::seed_from_u64(1));
+}
+
+#[test]
+#[should_panic(expected = "at least 1 µs")]
+fn pareto_burst_rate_refuses_a_burst_that_rounds_to_zero() {
+    let base = Box::new(ConstantRate::new(100.0));
+    let _ = ParetoBurstRate::new(base, 1e-9, 1e-9, 1.5, 10.0, 1e3, SimRng::seed_from_u64(1));
+}
+
+/// At 1 µs every onset moves the clock, even with a 1 ns mean gap.
+#[test]
+fn one_microsecond_surge_crowd_and_burst_validate_and_run() {
+    for rate in [surge(1e-6), flash_crowd(1e-6), pareto_burst(1e-6)] {
+        validate_under_watchdog(rate.clone()).expect("a 1 µs duration is valid");
+        let mut process = rate.build(SimRng::seed_from_u64(1));
+        let r = process.rate_at(SimTime::from_millis(100));
+        assert!(r.is_finite() && r >= 100.0, "{rate:?}: rate {r}");
+    }
 }
 
 #[test]
