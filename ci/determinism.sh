@@ -4,7 +4,9 @@
 # NOSTOP_JOBS=1 and NOSTOP_JOBS=8, and byte-diff the stdout (and, when
 # the artifact itself is deterministic, the written file). --probe adds
 # a third run under NOSTOP_PROBE=1, which holds every fast path to its
-# exact result; its output must also match the serial run.
+# exact result; its output must also match the serial run. A serial
+# stdout that contains the word NaN fails the run: a report that prints
+# NaN has lost a measurement somewhere.
 #
 # Usage: ci/determinism.sh <bin> [--artifact <ext>] [--diff-artifact]
 #                                [--probe]
@@ -68,6 +70,11 @@ same_as_serial() { # same_as_serial <label>
 }
 
 run serial NOSTOP_JOBS=1
+if grep -qw NaN "$out/serial.txt"; then
+  echo "determinism: $bin printed NaN:" >&2
+  grep -nw NaN "$out/serial.txt" >&2
+  exit 1
+fi
 run parallel NOSTOP_JOBS=8
 same_as_serial parallel
 if [ "$probe" = 1 ]; then

@@ -6,17 +6,18 @@
 //! the source. NoStop instead reconfigures the system to absorb the load.
 //! This binary runs all three on logistic regression under the paper's
 //! varying rate and reports delay *and* the freshness cost (source lag).
+//! The NoStop row goes through [`managed_delay`], as fig7's does, and
+//! states on how many seeds the controller settled.
 //!
 //! Each seed is an independent cell on the [`nostop_bench::parallel`]
 //! fabric; the three arms share a cell so their per-seed numbers stay
 //! paired, and the merged report is identical for any `NOSTOP_JOBS`.
 
 use nostop_bench::driver::{
-    converged_delays, make_system, measure_config, nostop_config, paper_rate, run_backpressure,
+    make_system, managed_delay, measure_config, paper_rate, run_backpressure,
 };
 use nostop_bench::parallel::map_cells;
 use nostop_bench::report::{f, pm, print_section, Table};
-use nostop_core::controller::NoStop;
 use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
 
@@ -26,8 +27,9 @@ const KIND: WorkloadKind = WorkloadKind::LogisticRegression;
 const FIXED: [f64; 2] = [8.0, 8.0];
 const DEFAULT: [f64; 2] = [20.5, 10.0];
 
-/// One seed's numbers: `(static, bp delay, bp lag, bp limit, nostop)`.
-fn run_cell(seed: u64) -> (f64, f64, f64, f64, f64) {
+/// One seed's numbers: `(static, bp delay, bp lag, bp limit, nostop,
+/// nostop settled)`.
+fn run_cell(seed: u64) -> (f64, f64, f64, f64, f64, bool) {
     // Static default.
     let mut sys = make_system(KIND, seed, paper_rate(KIND, seed ^ 0xAB));
     let s = measure_config(&mut sys, &DEFAULT, 12, 15);
@@ -40,15 +42,8 @@ fn run_cell(seed: u64) -> (f64, f64, f64, f64, f64) {
     let bp_limit = bp.final_rate_limit.unwrap_or(0.0);
 
     // NoStop-managed system: steady-state converged delay.
-    let mut sys = make_system(KIND, seed, paper_rate(KIND, seed ^ 0xAB));
-    let mut ns = NoStop::new(nostop_config(KIND), seed);
-    let samples = converged_delays(&mut ns, &mut sys);
-    let ns_delay = if samples.is_empty() {
-        f64::NAN
-    } else {
-        samples.iter().sum::<f64>() / samples.len() as f64
-    };
-    (static_delay, bp_delay, bp_lag, bp_limit, ns_delay)
+    let (ns_delay, settled) = managed_delay(KIND, seed, paper_rate(KIND, seed ^ 0xAB));
+    (static_delay, bp_delay, bp_lag, bp_limit, ns_delay, settled)
 }
 
 fn main() {
@@ -59,6 +54,7 @@ fn main() {
     let lag_bp: Vec<f64> = results.iter().map(|r| r.2).collect();
     let limits_bp: Vec<f64> = results.iter().map(|r| r.3).collect();
     let delays_ns: Vec<f64> = results.iter().map(|r| r.4).collect();
+    let settled = results.iter().filter(|r| r.5).count();
 
     let st = summarize(&delays_static);
     let bp = summarize(&delays_bp);
@@ -83,7 +79,10 @@ fn main() {
         "nostop (managed)".into(),
         pm(ns.mean, ns.std_dev, 1),
         "0".into(),
-        "reconfigures instead of throttling".into(),
+        format!(
+            "reconfigures instead of throttling; settled on {settled} of {} seeds",
+            SEEDS.len()
+        ),
     ]);
     print_section(
         "NoStop vs Spark Back Pressure vs static default \

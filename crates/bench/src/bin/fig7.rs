@@ -14,12 +14,9 @@
 //! over the [`nostop_bench::parallel`] fabric (`NOSTOP_JOBS` workers) and
 //! the report is identical for any worker count.
 
-use nostop_bench::driver::{
-    converged_delays, make_system, measure_config, nostop_config, paper_rate,
-};
+use nostop_bench::driver::{make_system, managed_delay, measure_config, paper_rate};
 use nostop_bench::parallel::{grid, map_cells};
 use nostop_bench::report::{f, pm, print_section, Table};
-use nostop_core::controller::NoStop;
 use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
 
@@ -38,24 +35,9 @@ fn run_cell(kind: WorkloadKind, seed: u64) -> (f64, f64) {
 
     // NoStop arm: the *managed* system — the controller keeps running,
     // exactly what the paper deploys. The measured delay is the mean over
-    // the converged (paused) rounds.
-    let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0x5EED));
-    let mut ns = NoStop::new(nostop_config(kind), seed);
-    let paused = converged_delays(&mut ns, &mut sys);
-    let nostop_delay = if paused.is_empty() {
-        // Never converged within the budget: fall back to the best
-        // configuration measured on a fresh system.
-        let best = ns
-            .best_config()
-            .map(|(p, _)| p)
-            .unwrap_or_else(|| ns.current_physical());
-        let mut fresh = make_system(kind, seed, paper_rate(kind, seed ^ 0xBEE));
-        measure_config(&mut fresh, &best, MEASURE_BATCHES, 15)
-            .end_to_end
-            .mean
-    } else {
-        paused.iter().sum::<f64>() / paused.len() as f64
-    };
+    // the converged (paused) rounds, or the best configuration on a fresh
+    // system when the run never settles.
+    let (nostop_delay, _) = managed_delay(kind, seed, paper_rate(kind, seed ^ 0x5EED));
     (default_delay, nostop_delay)
 }
 

@@ -149,16 +149,24 @@ pub fn run_nostop(kind: WorkloadKind, seed: u64, rounds: u64) -> (NoStopRun, Sim
     )
 }
 
-/// Keep the NoStop-managed system running (pausing at optima, waking and
-/// re-adapting when the rate moves) for at most 150 rounds, collecting
-/// the end-to-end delay of up to 10 *steady-state* converged rounds:
-/// paused observations whose scheduling delay shows the queue has drained
-/// (the first paused rounds after a park are still digesting backlog from
-/// the search phase). Empty if the controller never settled in budget.
-pub fn converged_delays<S: StreamingSystem>(ns: &mut NoStop, sys: &mut S) -> Vec<f64> {
+/// NoStop's managed steady state on `kind`, as fig7 and backpressure_cmp
+/// report it. The controller keeps running (pausing at optima, waking and
+/// re-adapting when the rate moves) on a system fed `rate` for at most 150
+/// rounds. The result is the mean end-to-end delay of up to 10
+/// *steady-state* converged rounds: paused observations whose scheduling
+/// delay shows the queue has drained (the first paused rounds after a park
+/// are still digesting backlog from the search phase). A controller that
+/// never settles in that budget is scored by measuring its best
+/// configuration (else its current iterate) for 12 batches on a fresh
+/// system fed `paper_rate(kind, seed ^ 0xBEE)`.
+///
+/// Returns `(delay_s, settled)`.
+pub fn managed_delay(kind: WorkloadKind, seed: u64, rate: Box<dyn RateProcess>) -> (f64, bool) {
+    let mut sys = make_system(kind, seed, rate);
+    let mut ns = NoStop::new(nostop_config(kind), seed);
     let mut samples = Vec::new();
     for _ in 0..150 {
-        ns.run_round(sys);
+        ns.run_round(&mut sys);
         if let Some(r) = ns.trace().rounds.last() {
             if let RoundKind::Paused { observed } = &r.kind {
                 if observed.scheduling_delay_s < 0.5 * observed.interval_s {
@@ -170,7 +178,16 @@ pub fn converged_delays<S: StreamingSystem>(ns: &mut NoStop, sys: &mut S) -> Vec
             break;
         }
     }
-    samples
+    if !samples.is_empty() {
+        return (samples.iter().sum::<f64>() / samples.len() as f64, true);
+    }
+    let best = ns
+        .best_config()
+        .map(|(p, _)| p)
+        .unwrap_or_else(|| ns.current_physical());
+    let mut fresh = make_system(kind, seed, paper_rate(kind, seed ^ 0xBEE));
+    let delay = measure_config(&mut fresh, &best, 12, 15).end_to_end.mean;
+    (delay, false)
 }
 
 /// One step of a generic tuner's history.

@@ -26,7 +26,6 @@
 //! | `ablation_penalty` | §4.2.2 — penalty ramp and cap | `driver` |
 //! | `ablation_window` | §5.4 — metric-collection rules | engine |
 //! | `ablation_reset` | §5.5 — input-rate reset rule | `driver` |
-//! | `ablation_optimizer` | 1SPSA vs 2SPSA driving the controller | `driver` |
 //! | `ablation_speculation` | speculative execution on the heterogeneous cluster | engine |
 //! | `chaos_report` | fault grid for every method → `BENCH_chaos.json` | `scenario` |
 //! | `fleet_report` | multi-tenant fleet + arbiter → `BENCH_fleet.json` | fleet |

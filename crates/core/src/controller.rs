@@ -20,7 +20,7 @@
 
 use crate::objective::{PenaltySchedule, STABILITY_HEADROOM};
 use crate::policy::{PauseRule, ResetRule, WindowPolicy};
-use crate::sa::{AdaptiveSpsa, AdaptiveSpsaParams, Spsa, SpsaParams};
+use crate::sa::{Spsa, SpsaParams};
 use crate::space::ConfigSpace;
 use crate::system::{BatchObservation, Measurement, StreamingSystem};
 use crate::trace::{RoundKind, RoundRecord, Trace};
@@ -74,8 +74,6 @@ pub struct NoStopConfig {
     /// Unpause when an observed batch is unstable by more than this factor
     /// (`processing > factor × interval`); 1.0 = any instability.
     pub unpause_instability_factor: f64,
-    /// Which stochastic-approximation engine drives the rounds.
-    pub optimizer: OptimizerKind,
 }
 
 impl NoStopConfig {
@@ -90,7 +88,6 @@ impl NoStopConfig {
             reset_relative: false,
             reset_level_fraction: Some(0.4),
             unpause_instability_factor: 1.05,
-            optimizer: OptimizerKind::FirstOrder,
         }
     }
 
@@ -107,19 +104,6 @@ impl NoStopConfig {
         self.reset_relative = true;
         self
     }
-}
-
-/// The stochastic-approximation engine behind the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptimizerKind {
-    /// The paper's 1SPSA: two measurements per round.
-    FirstOrder,
-    /// Adaptive 2SPSA (an extension): four measurements per round, a
-    /// Hessian-preconditioned step. Blocking is left off in the online
-    /// controller — the pause/best machinery and the intrinsic ranking
-    /// already guard quality, and a fifth measurement window per round is
-    /// expensive streaming time.
-    SecondOrder,
 }
 
 /// What one controller round did (the caller-visible summary).
@@ -146,36 +130,10 @@ pub enum RoundOutcome {
     Woke,
 }
 
-enum SaEngine {
-    First(Spsa),
-    Second(AdaptiveSpsa),
-}
-
-impl SaEngine {
-    fn theta(&self) -> &[f64] {
-        match self {
-            SaEngine::First(s) => s.theta(),
-            SaEngine::Second(s) => s.theta(),
-        }
-    }
-    fn k(&self) -> u64 {
-        match self {
-            SaEngine::First(s) => s.k(),
-            SaEngine::Second(s) => s.k(),
-        }
-    }
-    fn reset(&mut self, theta: &[f64]) {
-        match self {
-            SaEngine::First(s) => s.reset(theta),
-            SaEngine::Second(s) => s.reset(theta),
-        }
-    }
-}
-
 /// The NoStop controller.
 pub struct NoStop {
     cfg: NoStopConfig,
-    spsa: SaEngine,
+    spsa: Spsa,
     penalty: PenaltySchedule,
     pause: PauseRule,
     reset: ResetRule,
@@ -198,30 +156,16 @@ impl NoStop {
     /// Build a controller. `seed` drives the SPSA perturbation stream.
     pub fn new(cfg: NoStopConfig, seed: u64) -> Self {
         let theta_initial = vec![THETA_INITIAL_SCALED; cfg.space.dim()];
-        let spsa = match cfg.optimizer {
-            OptimizerKind::FirstOrder => SaEngine::First(Spsa::new(
-                SpsaParams {
-                    gains: cfg.gains,
-                    lower: cfg.space.scaled_lower(),
-                    upper: cfg.space.scaled_upper(),
-                    max_step: Some(MAX_STEP_SCALED),
-                },
-                theta_initial,
-                SimRng::seed_from_u64(seed),
-            )),
-            OptimizerKind::SecondOrder => SaEngine::Second(AdaptiveSpsa::new(
-                AdaptiveSpsaParams {
-                    gains: cfg.gains,
-                    lower: cfg.space.scaled_lower(),
-                    upper: cfg.space.scaled_upper(),
-                    c_tilde_ratio: 1.0,
-                    max_step: Some(MAX_STEP_SCALED),
-                    blocking_tolerance: None,
-                },
-                theta_initial,
-                SimRng::seed_from_u64(seed),
-            )),
-        };
+        let spsa = Spsa::new(
+            SpsaParams {
+                gains: cfg.gains,
+                lower: cfg.space.scaled_lower(),
+                upper: cfg.space.scaled_upper(),
+                max_step: Some(MAX_STEP_SCALED),
+            },
+            theta_initial,
+            SimRng::seed_from_u64(seed),
+        );
         let pause = PauseRule::paper_default();
         let mut reset = if cfg.reset_relative {
             ResetRule::relative(cfg.reset_threshold_speed, RESET_WINDOW)
@@ -283,21 +227,7 @@ impl NoStop {
 
     fn optimization_round<S: StreamingSystem>(&mut self, sys: &mut S) -> RoundOutcome {
         let k = self.spsa.k();
-        // Draw this round's perturbed evaluation points. `first_proposal`
-        // / `second_proposal` carry the engine-specific context through
-        // the measurements.
-        enum Pending {
-            First(crate::sa::Proposal),
-            Second(crate::sa::second_order::AdaptiveProposal),
-        }
-        let pending = match &mut self.spsa {
-            SaEngine::First(spsa) => Pending::First(spsa.propose()),
-            SaEngine::Second(spsa) => Pending::Second(spsa.propose()),
-        };
-        let (theta_plus, theta_minus, a_k, c_k) = match &pending {
-            Pending::First(p) => (p.theta_plus.clone(), p.theta_minus.clone(), p.a_k, p.c_k),
-            Pending::Second(p) => (p.plus.clone(), p.minus.clone(), p.a_k, p.c_k),
-        };
+        let proposal = self.spsa.propose();
         if self.obs.is_enabled() {
             // One span per SPSA iteration, carrying the gain schedule and
             // the current iterate (scaled; first two components cover the
@@ -306,8 +236,8 @@ impl NoStop {
             let mut fields = vec![
                 ("k", k as f64),
                 ("rho", self.penalty.rho()),
-                ("a_k", a_k),
-                ("c_k", c_k),
+                ("a_k", proposal.a_k),
+                ("c_k", proposal.c_k),
             ];
             if let Some(t0) = theta.first() {
                 fields.push(("theta0", *t0));
@@ -319,15 +249,14 @@ impl NoStop {
                 .enter(SimTime::from_secs_f64(sys.now_s()), "spsa_iter", &fields);
         }
 
-        // Algorithm 2 (Adjust) at θ⁺ and θ⁻ — two reconfigurations for
-        // 1SPSA; 2SPSA adds two Hessian probes below.
-        let phys_plus = self.cfg.space.to_physical(&theta_plus);
+        // Algorithm 2 (Adjust) at θ⁺ and θ⁻ — two reconfigurations.
+        let phys_plus = self.cfg.space.to_physical(&proposal.theta_plus);
         let m_plus = self.measure(sys, &phys_plus);
         self.probe_instant(sys, 1.0, &m_plus);
         if self.reset.needs_reset() {
             return self.abort_iteration(sys);
         }
-        let phys_minus = self.cfg.space.to_physical(&theta_minus);
+        let phys_minus = self.cfg.space.to_physical(&proposal.theta_minus);
         let m_minus = self.measure(sys, &phys_minus);
         self.probe_instant(sys, -1.0, &m_minus);
         if self.reset.needs_reset() {
@@ -340,41 +269,7 @@ impl NoStop {
         let y_minus = self
             .penalty
             .objective(m_minus.interval_s, m_minus.processing_s);
-        let gradient: Vec<f64> = match pending {
-            Pending::First(proposal) => {
-                let SaEngine::First(spsa) = &mut self.spsa else {
-                    unreachable!("engine kind cannot change mid-round")
-                };
-                spsa.update(&proposal, y_plus, y_minus).gradient
-            }
-            Pending::Second(proposal) => {
-                // Two extra measurements for the Hessian estimate.
-                let phys_pt = self.cfg.space.to_physical(&proposal.plus_t);
-                let m_pt = self.measure(sys, &phys_pt);
-                self.probe_instant(sys, 2.0, &m_pt);
-                if self.reset.needs_reset() {
-                    return self.abort_iteration(sys);
-                }
-                let phys_mt = self.cfg.space.to_physical(&proposal.minus_t);
-                let m_mt = self.measure(sys, &phys_mt);
-                self.probe_instant(sys, -2.0, &m_mt);
-                if self.reset.needs_reset() {
-                    return self.abort_iteration(sys);
-                }
-                let y_pt = self.penalty.objective(m_pt.interval_s, m_pt.processing_s);
-                let y_mt = self.penalty.objective(m_mt.interval_s, m_mt.processing_s);
-                let SaEngine::Second(spsa) = &mut self.spsa else {
-                    unreachable!("engine kind cannot change mid-round")
-                };
-                let candidate = spsa.update(&proposal, [y_plus, y_minus, y_pt, y_mt]);
-                spsa.accept(&candidate);
-                proposal
-                    .delta
-                    .iter()
-                    .map(|d| (y_plus - y_minus) / (2.0 * proposal.c_k * d))
-                    .collect()
-            }
-        };
+        let gradient = self.spsa.update(&proposal, y_plus, y_minus).gradient;
         // Algorithm 1: ρ ← min(ρ + 0.1, 2) once per iteration.
         self.penalty.advance();
 
@@ -431,8 +326,8 @@ impl NoStop {
         self.push_trace(
             sys.now_s(),
             k,
-            a_k,
-            c_k,
+            proposal.a_k,
+            proposal.c_k,
             RoundKind::Optimized {
                 plus: m_plus,
                 minus: m_minus,
@@ -522,10 +417,10 @@ impl NoStop {
         }
     }
 
-    /// Record one SPSA probe measurement: `sign` is ±1 for the gradient
-    /// pair, ±2 for 2SPSA's Hessian pair. The objective is evaluated with
-    /// the round's ρ (`advance` has not run yet), so the instant carries
-    /// exactly the value the update below will see.
+    /// Record one SPSA probe measurement: `sign` is +1 at θ⁺ and −1 at
+    /// θ⁻. The objective is evaluated with the round's ρ (`advance` has
+    /// not run yet), so the instant carries exactly the value the update
+    /// below will see.
     fn probe_instant<S: StreamingSystem>(&self, sys: &S, sign: f64, m: &Measurement) {
         if self.obs.is_enabled() {
             self.obs.instant(
@@ -1127,29 +1022,6 @@ mod tests {
             (ns.current_physical(), ns.trace().len())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn second_order_controller_tunes_the_mock() {
-        let mut cfg = NoStopConfig::paper_default();
-        cfg.optimizer = OptimizerKind::SecondOrder;
-        let mut sys = MockSystem::new(10_000.0, 0.05, 21);
-        let mut ns = NoStop::new(cfg, 21);
-        // Four reconfigurations per optimization round.
-        let before = ns.config_changes();
-        match ns.run_round(&mut sys) {
-            RoundOutcome::Optimized { paused, .. } => {
-                let expected = if paused { 5 } else { 4 };
-                assert_eq!(ns.config_changes() - before, expected);
-            }
-            other => panic!("expected optimization, got {other:?}"),
-        }
-        ns.run(&mut sys, 40);
-        let (best, best_delay) = ns.best_config().expect("rounds ran");
-        assert!(
-            best_delay < 20.5,
-            "2SPSA-driven controller improves on the default: {best_delay} at {best:?}"
-        );
     }
 
     #[cfg(not(feature = "obs-off"))]

@@ -9,8 +9,8 @@
 //!
 //! * [`sa`] — the generic stochastic-approximation machinery: gain
 //!   sequences with convergence-condition checking ([`sa::GainSchedule`]),
-//!   the Bernoulli ±1 perturbation, the two-measurement [`sa::Spsa`] optimizer,
-//!   and its second-order extension [`sa::AdaptiveSpsa`].
+//!   the Bernoulli ±1 perturbation, and the two-measurement [`sa::Spsa`]
+//!   optimizer.
 //! * [`space`] — the configuration space: physical parameter ranges,
 //!   min–max scaling into a common optimization range (the paper scales
 //!   both parameters into `[1, 20]`, §6.2.1), quantization, and bound

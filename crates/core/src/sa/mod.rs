@@ -5,15 +5,12 @@
 //! from just **two** noisy objective measurements, regardless of dimension —
 //! the property that makes online tuning affordable (§4.2.1). The classic
 //! Kiefer–Wolfowitz finite-difference form would need `2p` measurements
-//! for `p` parameters. [`AdaptiveSpsa`] adds the second-order (2SPSA)
-//! extension.
+//! for `p` parameters.
 
 pub mod gains;
 pub mod perturb;
-pub mod second_order;
 pub mod spsa;
 
 pub use gains::{ConditionReport, GainSchedule};
 pub use perturb::BernoulliPerturbation;
-pub use second_order::{AdaptiveSpsa, AdaptiveSpsaParams};
 pub use spsa::{Proposal, Spsa, SpsaParams, StepInfo};

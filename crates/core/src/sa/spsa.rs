@@ -238,7 +238,7 @@ impl Spsa {
 }
 
 /// The paper's `checkBound`: clamp each component into `[lower, upper]`.
-pub(crate) fn clamp(theta: &[f64], lower: &[f64], upper: &[f64]) -> Vec<f64> {
+fn clamp(theta: &[f64], lower: &[f64], upper: &[f64]) -> Vec<f64> {
     theta
         .iter()
         .zip(lower.iter().zip(upper))

@@ -1,9 +1,11 @@
 //! Edge cases of the simulated engine that the main integration suites
 //! do not reach.
 
-use nostop::datagen::rate::{ConstantRate, TraceRate};
-use nostop::sim::{EngineParams, StreamConfig, StreamingEngine};
-use nostop::simcore::SimDuration;
+use nostop::core::controller::{NoStop, NoStopConfig};
+use nostop::core::system::{BatchObservation, StreamingSystem};
+use nostop::datagen::rate::{ConstantRate, TraceRate, UniformRandomRate};
+use nostop::sim::{BatchMetrics, EngineParams, Listener, SimSystem, StreamConfig, StreamingEngine};
+use nostop::simcore::{SimDuration, SimRng};
 use nostop::workloads::WorkloadKind;
 
 fn engine(rate: f64, interval_s: f64, execs: u32, seed: u64) -> StreamingEngine {
@@ -138,4 +140,117 @@ fn minimum_viable_cluster_still_works() {
     e.run_batches(4);
     assert_eq!(e.listener().completed(), 4);
     assert!(e.listener().history().iter().all(|m| m.num_executors == 1));
+}
+
+/// The Lindley recursion of the engine's single FIFO job queue: a batch's
+/// job starts when the batch is cut or when the previous batch's job
+/// completes, whichever is later. Fed after every completed batch, so the
+/// listener's window eviction never hides a pair.
+#[derive(Default)]
+struct Lindley {
+    seen: u64,
+    prev: Option<BatchMetrics>,
+    pairs: u64,
+    /// Pairs whose batch waited for the previous job.
+    queued: u64,
+}
+
+impl Lindley {
+    fn check(&mut self, listener: &Listener) {
+        for m in listener.since(self.seen) {
+            if let Some(p) = self.prev {
+                assert_eq!(m.batch_id, p.batch_id + 1, "batches complete in order");
+                assert_eq!(
+                    m.started_at,
+                    m.submitted_at.max(p.completed_at),
+                    "batch {}: started_n != max(submitted_n, completed_n-1)",
+                    m.batch_id
+                );
+                self.pairs += 1;
+                self.queued += u64::from(m.started_at > m.submitted_at);
+            }
+            self.prev = Some(*m);
+        }
+        self.seen = listener.completed();
+    }
+}
+
+/// A [`SimSystem`] that checks the recursion behind every batch the
+/// controller pulls.
+struct Checked {
+    sys: SimSystem,
+    lindley: Lindley,
+}
+
+impl StreamingSystem for Checked {
+    fn apply_config(&mut self, physical: &[f64]) {
+        self.sys.apply_config(physical);
+    }
+    fn next_batch(&mut self) -> BatchObservation {
+        let b = self.sys.next_batch();
+        self.lindley.check(self.sys.engine().listener());
+        b
+    }
+    fn now_s(&self) -> f64 {
+        self.sys.now_s()
+    }
+}
+
+fn paper_engine(kind: WorkloadKind, seed: u64, cfg: StreamConfig) -> StreamingEngine {
+    let (lo, hi) = kind.paper_rate_range();
+    StreamingEngine::new(
+        EngineParams::paper(kind, seed),
+        cfg,
+        Box::new(UniformRandomRate::new(
+            lo,
+            hi,
+            30.0,
+            SimRng::seed_from_u64(seed ^ 0x11D1),
+        )),
+    )
+}
+
+#[test]
+fn batches_start_when_cut_or_when_the_previous_job_completes() {
+    // Undersized (the queue builds), near the frontier, and oversized.
+    let configs = [(4.0, 4), (10.0, 10), (20.5, 16)];
+    let (mut pairs, mut queued) = (0, 0);
+    for kind in WorkloadKind::ALL {
+        for (interval_s, execs) in configs {
+            for reconfigure in [false, true] {
+                for seed in [1, 2, 3] {
+                    let cfg = StreamConfig::new(SimDuration::from_secs_f64(interval_s), execs);
+                    let mut e = paper_engine(kind, seed, cfg);
+                    let mut lindley = Lindley::default();
+                    for i in 0..120 {
+                        if reconfigure && i == 60 {
+                            e.apply_config(StreamConfig::new(SimDuration::from_secs(7), 12));
+                        }
+                        e.run_batches(1);
+                        lindley.check(e.listener());
+                    }
+                    pairs += lindley.pairs;
+                    queued += lindley.queued;
+                }
+            }
+        }
+    }
+    assert_eq!(pairs, 4 * 3 * 2 * 3 * 119);
+    assert!(queued > pairs / 10, "the queue built: {queued} of {pairs}");
+
+    // The closed loop: NoStop reconfigures twice per round.
+    for kind in WorkloadKind::ALL {
+        let (lo, hi) = kind.paper_rate_range();
+        let mut sys = Checked {
+            sys: SimSystem::new(paper_engine(kind, 4, StreamConfig::paper_initial())),
+            lindley: Lindley::default(),
+        };
+        let mut ns = NoStop::new(NoStopConfig::paper_default().with_rate_range(lo, hi), 4);
+        ns.run(&mut sys, 30);
+        assert!(
+            sys.lindley.pairs > 100,
+            "{kind:?}: {} pairs",
+            sys.lindley.pairs
+        );
+    }
 }
