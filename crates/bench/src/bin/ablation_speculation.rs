@@ -2,11 +2,12 @@
 //!
 //! The paper claims NoStop "tackles hardware heterogeneity in a
 //! transparent manner" (§1): the controller never sees node speeds, it
-//! just measures batch times. This ablation shows how the *substrate*
-//! handles heterogeneity underneath: with Spark's speculative execution
-//! on, straggler tasks on the slow Xeon node are re-run on faster idle
-//! executors, shortening single-wave stages — and the configuration
-//! NoStop converges to can afford a smaller interval.
+//! just measures batch times. This ablation measures how the *substrate*
+//! handles heterogeneity underneath: each row runs WordCount at a fixed
+//! `(interval, executors)` configuration with Spark's speculative
+//! execution off and on (straggler tasks on the slow Xeon node re-run on
+//! faster idle executors) and reports both mean processing times and the
+//! share speculation saves.
 //!
 //! Each `(interval, executors)` row is an independent cell on the
 //! [`nostop_bench::parallel`] fabric, measuring its no-speculation and
@@ -37,9 +38,9 @@ fn mean_proc(speculation: Option<Speculation>, interval_s: f64, executors: u32) 
 }
 
 fn main() {
-    // Short intervals = few tasks = single waves where the slow Xeon's
-    // stragglers sit on the critical path; long intervals = many waves
-    // where fast executors absorb the imbalance anyway.
+    // The interval sets the tasks per stage (one per 200 ms block):
+    // 15 and 20 tasks on as many executors run each stage in one wave;
+    // 50 and 100 tasks on 20 executors run it in several.
     const ROWS: [(f64, u32); 4] = [(3.0, 15), (4.0, 20), (10.0, 20), (20.0, 20)];
     let results = map_cells(&ROWS, |&(interval, executors)| {
         (
@@ -68,10 +69,5 @@ fn main() {
         "Ablation: speculative execution on the Table-2 heterogeneous cluster \
          (WordCount, 150k rec/s)",
         &table,
-    );
-    println!(
-        "speculation pays when tasks ≈ executors (single-wave stages, \
-         stragglers on the critical path) and fades once multiple waves \
-         let fast executors absorb the imbalance"
     );
 }

@@ -89,9 +89,4 @@ fn main() {
          (logistic regression, varying rate, 5 seeds)",
         &table,
     );
-    println!(
-        "back pressure keeps per-batch delay low by *dropping freshness*: \
-         the lag column is data waiting at the source, unprocessed; NoStop \
-         achieves low delay while consuming the full stream"
-    );
 }

@@ -9,9 +9,8 @@
 //! mechanism manipulates (`spark.streaming.kafka.maxRatePerPartition`).
 //!
 //! Record payloads are *not* stored: the simulator's cost models operate on
-//! counts, and workload kernels draw payloads from
-//! [`crate::records::RecordGenerator`] on demand. This keeps simulating a
-//! 230k-records/second stream (the paper's Page Analyze rate) allocation-free.
+//! counts alone. This keeps simulating a 230k-records/second stream (the
+//! paper's Page Analyze rate) allocation-free.
 //!
 //! `produce` runs once per 100 ms integration step, so its cost is what the
 //! ingest path pays: O(1) for uniform production, and O(weight classes)

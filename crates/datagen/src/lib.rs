@@ -12,9 +12,6 @@
 //!   Pareto-sized magnitudes, heavy-tailed record bursts, and correlated
 //!   multi-source surges off a shared trigger stream, each wrapping any
 //!   base process deterministically.
-//! * [`records`] — synthetic record generators for the four workloads:
-//!   labelled feature vectors for (logistic|linear) regression, text lines
-//!   for WordCount, and Nginx *combined log format* lines for Log Analyze.
 //! * [`broker`] — a Kafka-like partitioned broker: per-partition FIFO queues
 //!   with offsets, uniform round-robin production, consumer polling, lag
 //!   accounting, and a producer-side rate limit hook (the knob Spark's back
@@ -27,10 +24,8 @@ pub mod adversarial;
 pub mod broker;
 pub mod generator;
 pub mod rate;
-pub mod records;
 
 pub use adversarial::{CorrelatedSurgeRate, FlashCrowdRate, ParetoBurstRate};
 pub use broker::{Broker, BrokerConfig, PartitionId};
 pub use generator::{IngestStats, StreamGenerator};
 pub use rate::{tenant_seed, RateProcess, RateSpec, RateSpecExt};
-pub use records::{Record, RecordGenerator, RecordKind};

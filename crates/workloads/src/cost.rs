@@ -1,7 +1,7 @@
 //! Per-workload cost models for the discrete-event simulator.
 //!
-//! The simulator never executes real kernels in its hot loop (that would
-//! make a 230k-records/second stream unsimulatable); instead each workload
+//! The simulator never runs a workload on real records (that would make a
+//! 230k-records/second stream unsimulatable); instead each workload
 //! supplies a [`CostModel`] describing how much work a micro-batch induces:
 //!
 //! * a **per-record CPU cost** (µs per record per stage pass on a

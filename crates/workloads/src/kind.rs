@@ -1,6 +1,5 @@
 //! Workload identities and their paper-given parameters.
 
-use nostop_datagen::RecordKind;
 use std::fmt;
 
 /// The four computing workloads the paper evaluates (§6.1).
@@ -54,16 +53,6 @@ impl WorkloadKind {
             WorkloadKind::LinearRegression => (80_000.0, 120_000.0),
             WorkloadKind::WordCount => (110_000.0, 190_000.0),
             WorkloadKind::PageAnalyze => (170_000.0, 230_000.0),
-        }
-    }
-
-    /// The record type the workload consumes.
-    pub fn record_kind(self) -> RecordKind {
-        match self {
-            WorkloadKind::LogisticRegression => RecordKind::LabelledPoint,
-            WorkloadKind::LinearRegression => RecordKind::RegressionPoint,
-            WorkloadKind::WordCount => RecordKind::TextLine,
-            WorkloadKind::PageAnalyze => RecordKind::NginxLog,
         }
     }
 }

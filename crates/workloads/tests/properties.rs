@@ -1,61 +1,10 @@
-//! Property-based tests for the workload kernels and cost models.
+//! Property-based tests for the workload cost models.
 
-use nostop_datagen::Record;
 use nostop_simcore::SimRng;
-use nostop_workloads::loganalyze::parse_line;
-use nostop_workloads::{CostModel, StreamingJob, WordCount, WorkloadKind};
+use nostop_workloads::{CostModel, WorkloadKind};
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn wordcount_is_batch_associative(
-        lines in prop::collection::vec("[a-z ]{0,40}", 0..80),
-        split in 1usize..20,
-    ) {
-        let records: Vec<Record> = lines.iter().map(|l| Record::TextLine(l.clone())).collect();
-        let mut whole = WordCount::new();
-        whole.process_batch(&records);
-        let mut parts = WordCount::new();
-        for chunk in records.chunks(split) {
-            parts.process_batch(chunk);
-        }
-        prop_assert_eq!(whole.total_words(), parts.total_words());
-        prop_assert_eq!(whole.distinct_words(), parts.distinct_words());
-        prop_assert_eq!(whole.total_lines(), parts.total_lines());
-    }
-
-    #[test]
-    fn wordcount_totals_match_manual_count(lines in prop::collection::vec("[a-z ]{0,40}", 0..50)) {
-        let records: Vec<Record> = lines.iter().map(|l| Record::TextLine(l.clone())).collect();
-        let mut wc = WordCount::new();
-        wc.process_batch(&records);
-        let manual: u64 = lines.iter().map(|l| l.split_whitespace().count() as u64).sum();
-        prop_assert_eq!(wc.total_words(), manual);
-    }
-
-    #[test]
-    fn log_parser_never_panics(line in ".{0,300}") {
-        let _ = parse_line(&line);
-    }
-
-    #[test]
-    fn log_parser_accepts_all_well_formed_lines(
-        a in 1u8..=254, b in 0u8..=254, c in 0u8..=254, d in 1u8..=254,
-        status in 100u16..=599,
-        bytes in 0u64..1_000_000,
-        url in "/[a-z0-9/]{0,30}",
-    ) {
-        let line = format!(
-            "{a}.{b}.{c}.{d} - - [07/Jul/2026:12:00:00 +0000] \"GET {url} HTTP/1.1\" {status} {bytes} \"-\" \"ua\""
-        );
-        let e = parse_line(&line);
-        prop_assert!(e.is_some(), "{line}");
-        let e = e.unwrap();
-        prop_assert_eq!(e.status, status);
-        prop_assert_eq!(e.bytes, bytes);
-        prop_assert_eq!(e.url, url);
-    }
-
     #[test]
     fn cost_estimate_is_monotone_in_records_and_antitone_in_waves(
         records in 1_000u64..5_000_000,
@@ -89,23 +38,5 @@ proptest! {
                 prop_assert!(s >= 1);
             }
         }
-    }
-
-    #[test]
-    fn kernels_ignore_foreign_records_without_state_change(
-        n_text in 0usize..20,
-        n_logs in 0usize..20,
-    ) {
-        use nostop_datagen::{RecordGenerator, RecordKind};
-        let mut gen_t = RecordGenerator::new(RecordKind::TextLine, 2, SimRng::seed_from_u64(1));
-        let mut gen_l = RecordGenerator::new(RecordKind::NginxLog, 2, SimRng::seed_from_u64(2));
-        let mut mixed: Vec<Record> = gen_t.take(n_text);
-        mixed.extend(gen_l.take(n_logs));
-
-        // WordCount must count exactly the text lines and ignore the logs.
-        let mut wc = WordCount::new();
-        let accepted = wc.process_batch(&mixed);
-        prop_assert_eq!(accepted, n_text);
-        prop_assert_eq!(wc.total_lines(), n_text as u64);
     }
 }

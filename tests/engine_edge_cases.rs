@@ -3,8 +3,11 @@
 
 use nostop::core::controller::{NoStop, NoStopConfig};
 use nostop::core::system::{BatchObservation, StreamingSystem};
+use nostop::core::SkewSpec;
 use nostop::datagen::rate::{ConstantRate, TraceRate, UniformRandomRate};
-use nostop::sim::{BatchMetrics, EngineParams, Listener, SimSystem, StreamConfig, StreamingEngine};
+use nostop::sim::{
+    BatchMetrics, EngineParams, Listener, SimSystem, Speculation, StreamConfig, StreamingEngine,
+};
 use nostop::simcore::{SimDuration, SimRng};
 use nostop::workloads::WorkloadKind;
 
@@ -196,10 +199,19 @@ impl StreamingSystem for Checked {
     }
 }
 
-fn paper_engine(kind: WorkloadKind, seed: u64, cfg: StreamConfig) -> StreamingEngine {
+fn paper_engine(
+    kind: WorkloadKind,
+    seed: u64,
+    cfg: StreamConfig,
+    skew: SkewSpec,
+    speculation: Option<Speculation>,
+) -> StreamingEngine {
     let (lo, hi) = kind.paper_rate_range();
+    let mut params = EngineParams::paper(kind, seed);
+    params.skew = skew;
+    params.speculation = speculation;
     StreamingEngine::new(
-        EngineParams::paper(kind, seed),
+        params,
         cfg,
         Box::new(UniformRandomRate::new(
             lo,
@@ -214,35 +226,56 @@ fn paper_engine(kind: WorkloadKind, seed: u64, cfg: StreamConfig) -> StreamingEn
 fn batches_start_when_cut_or_when_the_previous_job_completes() {
     // Undersized (the queue builds), near the frontier, and oversized.
     let configs = [(4.0, 4), (10.0, 10), (20.5, 16)];
+    // Hot keys (as closed-loop-bursty runs them) and speculation (which
+    // takes the superbatch's job-level veto) as extra input axes.
+    let hot_key = SkewSpec::HotKey {
+        hot_fraction: 0.1,
+        hot_weight: 8.0,
+    };
+    let spec = Some(Speculation::default());
+    let variants = [
+        (SkewSpec::None, None),
+        (SkewSpec::None, spec),
+        (hot_key, None),
+        (hot_key, spec),
+    ];
     let (mut pairs, mut queued) = (0, 0);
     for kind in WorkloadKind::ALL {
         for (interval_s, execs) in configs {
             for reconfigure in [false, true] {
-                for seed in [1, 2, 3] {
-                    let cfg = StreamConfig::new(SimDuration::from_secs_f64(interval_s), execs);
-                    let mut e = paper_engine(kind, seed, cfg);
-                    let mut lindley = Lindley::default();
-                    for i in 0..120 {
-                        if reconfigure && i == 60 {
-                            e.apply_config(StreamConfig::new(SimDuration::from_secs(7), 12));
+                for (skew, speculation) in variants {
+                    for seed in [1, 2, 3] {
+                        let cfg = StreamConfig::new(SimDuration::from_secs_f64(interval_s), execs);
+                        let mut e = paper_engine(kind, seed, cfg, skew, speculation);
+                        let mut lindley = Lindley::default();
+                        for i in 0..120 {
+                            if reconfigure && i == 60 {
+                                e.apply_config(StreamConfig::new(SimDuration::from_secs(7), 12));
+                            }
+                            e.run_batches(1);
+                            lindley.check(e.listener());
                         }
-                        e.run_batches(1);
-                        lindley.check(e.listener());
+                        pairs += lindley.pairs;
+                        queued += lindley.queued;
                     }
-                    pairs += lindley.pairs;
-                    queued += lindley.queued;
                 }
             }
         }
     }
-    assert_eq!(pairs, 4 * 3 * 2 * 3 * 119);
+    assert_eq!(pairs, 4 * 3 * 2 * 4 * 3 * 119);
     assert!(queued > pairs / 10, "the queue built: {queued} of {pairs}");
 
     // The closed loop: NoStop reconfigures twice per round.
     for kind in WorkloadKind::ALL {
         let (lo, hi) = kind.paper_rate_range();
         let mut sys = Checked {
-            sys: SimSystem::new(paper_engine(kind, 4, StreamConfig::paper_initial())),
+            sys: SimSystem::new(paper_engine(
+                kind,
+                4,
+                StreamConfig::paper_initial(),
+                SkewSpec::None,
+                None,
+            )),
             lindley: Lindley::default(),
         };
         let mut ns = NoStop::new(NoStopConfig::paper_default().with_rate_range(lo, hi), 4);
