@@ -87,23 +87,6 @@ impl StatusReport {
         }
     }
 
-    /// The canonical key order of the wire format. Every field is a
-    /// non-negative integer, which is what makes the direct writer and the
-    /// fast-path parser below so simple.
-    const KEYS: [&'static str; 11] = [
-        "batchId",
-        "submissionTimeMs",
-        "processingStartTimeMs",
-        "processingEndTimeMs",
-        "numRecords",
-        "arrivedRecords",
-        "batchIntervalMs",
-        "ingestWindowMs",
-        "numExecutors",
-        "queuedBatches",
-        "executorFailures",
-    ];
-
     fn field_values(&self) -> [u64; 11] {
         [
             self.batch_id,
@@ -127,74 +110,66 @@ impl StatusReport {
         out
     }
 
-    /// Append the JSON wire format to `out` without allocating.
+    /// Append the JSON wire format to `out`.
     ///
     /// This is the report's hot path — it runs once per simulated batch —
-    /// so it writes the encoding directly instead of building a [`Json`]
-    /// tree first. The output is byte-identical to serializing the tree
-    /// (a unit test pins that equivalence).
+    /// so it fills a stack buffer at fixed layout instead of building a
+    /// [`Json`] tree, and `out` grows once. The output is byte-identical
+    /// to serializing the tree below 2^53 (a unit test pins that
+    /// equivalence) and prints any `u64` exactly.
     pub fn write_json(&self, out: &mut String) {
-        out.push('{');
-        for (i, (key, value)) in Self::KEYS.iter().zip(self.field_values()).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(key);
-            out.push_str("\":");
-            push_u64(out, value);
-        }
-        out.push('}');
+        let v = self.field_values();
+        let mut buf = [0u8; ENCODE_BUF_LEN];
+        // One call per field, so each prefix is a constant: a fixed-width
+        // copy, not a call into `memcpy`.
+        let mut pos = put_field::<0>(&mut buf, 0, v[0]);
+        pos = put_field::<1>(&mut buf, pos, v[1]);
+        pos = put_field::<2>(&mut buf, pos, v[2]);
+        pos = put_field::<3>(&mut buf, pos, v[3]);
+        pos = put_field::<4>(&mut buf, pos, v[4]);
+        pos = put_field::<5>(&mut buf, pos, v[5]);
+        pos = put_field::<6>(&mut buf, pos, v[6]);
+        pos = put_field::<7>(&mut buf, pos, v[7]);
+        pos = put_field::<8>(&mut buf, pos, v[8]);
+        pos = put_field::<9>(&mut buf, pos, v[9]);
+        pos = put_field::<10>(&mut buf, pos, v[10]);
+        buf[pos] = b'}';
+        out.push_str(std::str::from_utf8(&buf[..=pos]).expect("the encoding is ASCII"));
     }
 
     /// Strict scanner for the canonical encoding `write_json` emits: the
-    /// eleven known keys in order, bare integer values, no whitespace.
-    /// Returns `None` on any deviation so the caller can fall back to the
-    /// general parser — this is an optimization, not a format change.
+    /// eleven [`PREFIXES`] in order, each followed by 1 to 16 digits,
+    /// then `}` and the end of the text. Returns `None` on any deviation —
+    /// and for any value of 2^53 or more, which the general parser
+    /// refuses — so the caller falls back to the general parser: this is
+    /// an optimization, not a format change.
     fn parse_canonical(text: &str) -> Option<[u64; 11]> {
-        fn eat(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
-            if b[*pos..].starts_with(lit) {
-                *pos += lit.len();
-                true
-            } else {
-                false
-            }
-        }
-        fn digits(b: &[u8], pos: &mut usize) -> Option<u64> {
-            let start = *pos;
-            let mut v: u64 = 0;
-            while let Some(d) = b.get(*pos).filter(|c| c.is_ascii_digit()) {
-                v = v.checked_mul(10)?.checked_add((d - b'0') as u64)?;
-                *pos += 1;
-            }
-            (*pos > start).then_some(v)
-        }
         let b = text.as_bytes();
         let mut pos = 0;
-        let mut values = [0u64; 11];
-        if !eat(b, &mut pos, b"{") {
-            return None;
-        }
-        for (i, key) in Self::KEYS.iter().enumerate() {
-            if i > 0 && !eat(b, &mut pos, b",") {
-                return None;
-            }
-            if !eat(b, &mut pos, b"\"")
-                || !eat(b, &mut pos, key.as_bytes())
-                || !eat(b, &mut pos, b"\":")
-            {
-                return None;
-            }
-            values[i] = digits(b, &mut pos)?;
-        }
-        (eat(b, &mut pos, b"}") && pos == b.len()).then_some(values)
+        // One call per field, as in `write_json`: each prefix compare is
+        // a fixed-width compare in place.
+        let values = [
+            scan_field::<0>(b, &mut pos)?,
+            scan_field::<1>(b, &mut pos)?,
+            scan_field::<2>(b, &mut pos)?,
+            scan_field::<3>(b, &mut pos)?,
+            scan_field::<4>(b, &mut pos)?,
+            scan_field::<5>(b, &mut pos)?,
+            scan_field::<6>(b, &mut pos)?,
+            scan_field::<7>(b, &mut pos)?,
+            scan_field::<8>(b, &mut pos)?,
+            scan_field::<9>(b, &mut pos)?,
+            scan_field::<10>(b, &mut pos)?,
+        ];
+        (b.get(pos..) == Some(b"}")).then_some(values)
     }
 
     /// Parse from the JSON wire format. `arrivedRecords`,
     /// `ingestWindowMs`, and `executorFailures` are optional on the wire
     /// and default to 0. `numExecutors`, `queuedBatches` and
     /// `executorFailures` must fit in a `u32`; a larger value is an error,
-    /// never a silent wrap.
+    /// never a silent wrap. Every value must be below 2^53 (see
+    /// [`Json::as_u64`]).
     pub fn from_json(text: &str) -> Result<Self, json::Error> {
         let v = match Self::parse_canonical(text) {
             Some(v) => v,
@@ -218,7 +193,7 @@ impl StatusReport {
         let narrow = |i: usize| {
             u32::try_from(v[i]).map_err(|_| json::Error {
                 at: 0,
-                msg: format!("field `{}` = {} does not fit in u32", Self::KEYS[i], v[i]),
+                msg: format!("field `{}` = {} does not fit in u32", key(i), v[i]),
             })
         };
         Ok(StatusReport {
@@ -237,19 +212,128 @@ impl StatusReport {
     }
 }
 
-/// Append a decimal `u64` without going through the `fmt` machinery.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+/// The wire format's fixed layout: the bytes before each field's value —
+/// separator (`{` before the first), quoted camelCase key, colon — in
+/// wire order. Every value is a non-negative integer and there is no
+/// whitespace.
+const PREFIXES: [&str; 11] = [
+    "{\"batchId\":",
+    ",\"submissionTimeMs\":",
+    ",\"processingStartTimeMs\":",
+    ",\"processingEndTimeMs\":",
+    ",\"numRecords\":",
+    ",\"arrivedRecords\":",
+    ",\"batchIntervalMs\":",
+    ",\"ingestWindowMs\":",
+    ",\"numExecutors\":",
+    ",\"queuedBatches\":",
+    ",\"executorFailures\":",
+];
+
+/// Field `i`'s key, without separator, quotes and colon.
+fn key(i: usize) -> &'static str {
+    &PREFIXES[i][2..PREFIXES[i].len() - 2]
+}
+
+/// The first integer the general parser refuses (see [`Json::as_u64`]);
+/// the canonical scanner refuses it too, so both paths agree.
+const EXACT_INT_LIMIT: u64 = 1 << 53;
+
+/// Room for the longest encoding — every prefix, eleven 20-digit values
+/// and `}` — plus the 7 bytes a digit block may store past its value.
+const ENCODE_BUF_LEN: usize = {
+    let mut len = 11 * 20 + 1 + 7;
+    let mut i = 0;
+    while i < PREFIXES.len() {
+        len += PREFIXES[i].len();
+        i += 1;
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+    len
+};
+
+/// Write field `I` — prefix, then value — at `buf[pos..]`; returns the end.
+#[inline(always)]
+fn put_field<const I: usize>(buf: &mut [u8], pos: usize, value: u64) -> usize {
+    let prefix = PREFIXES[I].as_bytes();
+    buf[pos..pos + prefix.len()].copy_from_slice(prefix);
+    put_decimal(buf, pos + prefix.len(), value)
+}
+
+/// Scan field `I` at `b[*pos..]` and move `*pos` past it: the prefix,
+/// then a run of digits. The digits are read without an overflow check:
+/// a run longer than 16 digits is refused whatever its wrapped value.
+#[inline(always)]
+fn scan_field<const I: usize>(b: &[u8], pos: &mut usize) -> Option<u64> {
+    let prefix = PREFIXES[I].as_bytes();
+    if b.get(*pos..*pos + prefix.len()) != Some(prefix) {
+        return None;
+    }
+    let start = *pos + prefix.len();
+    let mut end = start;
+    let mut v: u64 = 0;
+    while let Some(d) = b.get(end).map(|c| c.wrapping_sub(b'0')).filter(|&d| d < 10) {
+        v = v.wrapping_mul(10).wrapping_add(d as u64);
+        end += 1;
+    }
+    *pos = end;
+    ((1..=16).contains(&(end - start)) && v < EXACT_INT_LIMIT).then_some(v)
+}
+
+/// `DIGIT_PAIRS[n]` is `n` as two ASCII digits, `00` to `99`.
+const DIGIT_PAIRS: [[u8; 2]; 100] = {
+    let mut pairs = [[0; 2]; 100];
+    let mut n = 0;
+    while n < 100 {
+        pairs[n] = [b'0' + (n / 10) as u8, b'0' + (n % 10) as u8];
+        n += 1;
+    }
+    pairs
+};
+
+/// Write `v` in decimal at `buf[pos..]` and return the end. Every digit
+/// comes from [`DIGIT_PAIRS`] and goes straight to its final place, in
+/// 8-digit blocks (the first one without its leading zeros).
+#[inline(always)]
+fn put_decimal(buf: &mut [u8], pos: usize, v: u64) -> usize {
+    const E8: u64 = 100_000_000;
+    if v < E8 {
+        return put_leading_block(buf, pos, v);
+    }
+    let pos = if v < E8 * E8 {
+        put_leading_block(buf, pos, v / E8)
+    } else {
+        let pos = put_leading_block(buf, pos, v / (E8 * E8));
+        put_block(buf, pos, v / E8 % E8)
+    };
+    put_block(buf, pos, v % E8)
+}
+
+/// `v` (below 10^8) as eight ASCII digits with leading zeros, first digit
+/// in the lowest byte: four pairs from [`DIGIT_PAIRS`], computed side by
+/// side and assembled in a register.
+fn digit_block(v: u64) -> u64 {
+    let v = v as u32;
+    let (high, low) = (v / 10_000, v % 10_000);
+    let pair = |p: u32| u16::from_le_bytes(DIGIT_PAIRS[p as usize]) as u64;
+    pair(high / 100) | pair(high % 100) << 16 | pair(low / 100) << 32 | pair(low % 100) << 48
+}
+
+/// Store the eight digits of `v` (below 10^8) at `buf[pos..]`.
+fn put_block(buf: &mut [u8], pos: usize, v: u64) -> usize {
+    buf[pos..pos + 8].copy_from_slice(&digit_block(v).to_le_bytes());
+    pos + 8
+}
+
+/// Store the digits of `v` (below 10^8) at `buf[pos..]` without leading
+/// zeros (`0` keeps one): the block shifted down past them and stored as
+/// one word, whose unused top bytes the next write covers.
+fn put_leading_block(buf: &mut [u8], pos: usize, v: u64) -> usize {
+    const ZERO_DIGITS: u64 = 0x3030_3030_3030_3030;
+    let block = digit_block(v);
+    // Digits never borrow, so each byte of the difference is its digit.
+    let zeros = (block.wrapping_sub(ZERO_DIGITS).trailing_zeros() / 8).min(7) as usize;
+    buf[pos..pos + 8].copy_from_slice(&(block >> (8 * zeros)).to_le_bytes());
+    pos + 8 - zeros
 }
 
 #[cfg(test)]
@@ -371,10 +455,10 @@ mod tests {
         extreme.executor_failures = u32::MAX;
         for r in [report(), extreme] {
             let tree = json::obj(
-                StatusReport::KEYS
+                r.field_values()
                     .iter()
-                    .zip(r.field_values())
-                    .map(|(k, v)| (*k, json::uint(v)))
+                    .enumerate()
+                    .map(|(i, &v)| (key(i), json::uint(v)))
                     .collect(),
             )
             .to_string();
@@ -399,9 +483,21 @@ mod tests {
         assert_eq!(StatusReport::parse_canonical(&spaced), None);
         assert_eq!(StatusReport::from_json(&spaced).unwrap(), r);
 
-        // u64::MAX in the tree writer survives the fast path too.
+        // The writer prints any u64 exactly, but from 2^53 up the general
+        // parser refuses the value (it would have rounded), and so does
+        // the fast path: both encodings give the same error.
         let mut big = r.clone();
-        big.num_records = u64::MAX;
+        for n in [1u64 << 53, (1 << 53) + 1, u64::MAX] {
+            big.num_records = n;
+            let canonical = big.to_json();
+            assert!(canonical.contains(&format!("\"numRecords\":{n},")));
+            assert_eq!(StatusReport::parse_canonical(&canonical), None);
+            for text in [canonical.clone(), canonical.replace(',', ", ")] {
+                let err = StatusReport::from_json(&text).unwrap_err();
+                assert_eq!(err.msg, "missing or mistyped field `numRecords`", "{n}");
+            }
+        }
+        big.num_records = (1 << 53) - 1;
         assert_eq!(StatusReport::from_json(&big.to_json()).unwrap(), big);
 
         // Digits overflowing u64 must punt to the general parser rather
