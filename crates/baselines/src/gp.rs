@@ -144,7 +144,7 @@ impl GaussianProcess {
         }
     }
 
-    /// Select the fitting path explicitly (tests, benches, probes). The
+    /// Select the fitting path explicitly (tests, probes). The
     /// fitted model is bitwise identical either way; only the cost differs.
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.incremental = incremental;

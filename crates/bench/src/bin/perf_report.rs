@@ -22,6 +22,11 @@
 //! scenario row also counts the ingest work per batch — `rate_at` calls
 //! and produce steps — which is seed-pure, unlike its wall time.
 //!
+//! The `obs_overhead` row times two matrix cells with the recorder
+//! disabled and with a ring recorder. Its ratio depends on the host, so
+//! it has no baseline and no gate: the full run writes it, `--smoke`
+//! prints it.
+//!
 //! Also records the peak RSS (`VmHWM` from `/proc/self/status`, a proxy
 //! for the bounded-listener memory guarantee) and the worker counts.
 //! Non-deterministic by construction (it measures wall time); everything
@@ -50,6 +55,7 @@ use nostop_core::scenario::{ClusterKind, RateSpec, ScenarioSpec, SkewSpec};
 use nostop_core::system::StreamingSystem;
 use nostop_datagen::rate::ConstantRate;
 use nostop_datagen::IngestStats;
+use nostop_obs::Recorder;
 use nostop_simcore::json::{self, Json};
 use nostop_simcore::SimDuration;
 use nostop_workloads::{CostModel, WorkloadKind};
@@ -96,9 +102,10 @@ fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// One engine-matrix cell: simulate `ENGINE_BATCHES` batches at a fixed
-/// configuration and return the simulated virtual seconds covered.
-fn run_engine_cell(kind: WorkloadKind, interval_s: f64, executors: u32) -> f64 {
-    let engine = StreamingEngine::new(
+/// configuration, recording into `obs`, and return the simulated virtual
+/// seconds covered.
+fn run_engine_cell(kind: WorkloadKind, interval_s: f64, executors: u32, obs: &Recorder) -> f64 {
+    let mut engine = StreamingEngine::new(
         EngineParams::paper(kind, 7),
         StreamConfig::new(SimDuration::from_secs_f64(interval_s), executors),
         Box::new(ConstantRate::new(match kind {
@@ -106,6 +113,7 @@ fn run_engine_cell(kind: WorkloadKind, interval_s: f64, executors: u32) -> f64 {
             _ => 120_000.0,
         })),
     );
+    engine.set_recorder(obs);
     let mut sys = SimSystem::new(engine);
     let mut virtual_s = 0.0;
     for _ in 0..ENGINE_BATCHES {
@@ -173,14 +181,37 @@ fn best_engine_cell(
     kind: WorkloadKind,
     interval: f64,
     executors: u32,
+    obs: &Recorder,
     repeats: usize,
 ) -> (f64, f64) {
     best_of(
         repeats,
         "engine cell virtual time",
-        || run_engine_cell(kind, interval, executors),
+        || run_engine_cell(kind, interval, executors, obs),
         |v| v.to_bits(),
     )
+}
+
+/// The `obs_overhead` row: ns per batch of the WordCount 15 s × 8 and
+/// LogisticRegression 15 s × 14 cells, recorder disabled vs a ring, and the ratio.
+fn obs_overhead_rows(repeats: usize) -> Vec<Json> {
+    let row = |&(kind, interval, executors): &(WorkloadKind, f64, u32)| {
+        let ns_per_batch = |obs: &Recorder| {
+            let (_, wall) = best_engine_cell(kind, interval, executors, obs, repeats);
+            wall * 1e6 / ENGINE_BATCHES as f64
+        };
+        let off = ns_per_batch(&Recorder::disabled());
+        let ring = ns_per_batch(&Recorder::ring(1 << 14));
+        json::obj(vec![
+            ("workload", json::str(kind.name())),
+            ("interval_s", json::num(interval)),
+            ("executors", json::uint(executors as u64)),
+            ("disabled_ns_per_batch", json::num(off)),
+            ("ring_ns_per_batch", json::num(ring)),
+            ("ring_over_disabled", json::num(ring / off)),
+        ])
+    };
+    [MATRIX[2], MATRIX[0]].iter().map(row).collect()
 }
 
 /// One fleet cell: run the steady 32-tenant fleet on one worker and
@@ -337,7 +368,7 @@ fn smoke(path: &str) -> i32 {
                 continue;
             }
         };
-        let (_, wall) = best_engine_cell(kind, interval, executors, repeats);
+        let (_, wall) = best_engine_cell(kind, interval, executors, &Recorder::disabled(), repeats);
         let bps = ENGINE_BATCHES as f64 / (wall / 1e3);
         let ratio = bps / base_bps;
         let verdict = if ratio >= SMOKE_FLOOR { "ok" } else { "FAIL" };
@@ -348,6 +379,10 @@ fn smoke(path: &str) -> i32 {
         if ratio < SMOKE_FLOOR {
             regressed += 1;
         }
+    }
+    // Printed, never gated: the ratio depends on the host.
+    for row in obs_overhead_rows(repeats) {
+        println!("smoke obs_overhead {row} (no gate)");
     }
     // 2,000-tenant scale row: a steady fleet at real fleet scale must
     // complete with the sparse fast path engaged. No committed baseline
@@ -493,7 +528,8 @@ fn main() {
     let repeats = repeats(3);
     let mut engine_rows = Vec::new();
     for &(kind, interval, executors) in &MATRIX {
-        let (virtual_s, wall) = best_engine_cell(kind, interval, executors, repeats);
+        let (virtual_s, wall) =
+            best_engine_cell(kind, interval, executors, &Recorder::disabled(), repeats);
         engine_rows.push(json::obj(vec![
             ("workload", json::str(kind.name())),
             ("interval_s", json::num(interval)),
@@ -616,6 +652,7 @@ fn main() {
         ("available_parallelism", json::uint(parallelism as u64)),
         ("engine_repeats", json::uint(repeats as u64)),
         ("engine_matrix", Json::Arr(engine_rows)),
+        ("obs_overhead", Json::Arr(obs_overhead_rows(repeats))),
         ("driver_grids", Json::Arr(driver_rows)),
         ("gp_fit_256", gp_row),
         ("scenario", scenario_row),

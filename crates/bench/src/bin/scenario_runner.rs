@@ -158,7 +158,10 @@ fn main() {
         canonicalize(&args.dir);
         return;
     }
-    let specs = load_corpus(&args.dir).unwrap_or_else(|e| panic!("corpus: {e}"));
+    let specs = load_corpus(&args.dir).unwrap_or_else(|e| {
+        eprintln!("corpus: {e}");
+        std::process::exit(2);
+    });
 
     // One fabric cell per (scenario, method); trace-only scenarios are a
     // single cell. Flat fan-out keeps the slowest grids from serializing

@@ -6,7 +6,8 @@
 //! mid-run reconfigurations. These properties drive a real engine (and, in
 //! the deterministic test, a real NoStop controller) through randomized
 //! crash/slowdown/outage/flaky-task schedules and validate both the
-//! in-memory trace and its JSONL export with the strict checker.
+//! in-memory trace and its JSONL export with the strict checker; the
+//! engine property also requires that recording change no batch.
 
 #![cfg(not(feature = "obs-off"))]
 
@@ -93,20 +94,24 @@ proptest! {
             outage_from_s,
             outage_len_s,
         );
-        let mut engine = StreamingEngine::new(
-            params,
-            StreamConfig::new(SimDuration::from_secs_f64(10.0), 8),
-            Box::new(ConstantRate::new(120_000.0)),
-        );
-        engine.set_recorder(&recorder);
-        engine.run_batches(10);
-        for &(interval_s, executors) in &reconfigs {
-            engine.apply_config(StreamConfig::new(
-                SimDuration::from_secs_f64(interval_s),
-                executors,
-            ));
-            engine.run_batches(5);
-        }
+        let run = |recorder: &Recorder| {
+            let mut engine = StreamingEngine::new(
+                params.clone(),
+                StreamConfig::new(SimDuration::from_secs_f64(10.0), 8),
+                Box::new(ConstantRate::new(120_000.0)),
+            );
+            engine.set_recorder(recorder);
+            engine.run_batches(10);
+            for &(interval_s, executors) in &reconfigs {
+                engine.apply_config(StreamConfig::new(
+                    SimDuration::from_secs_f64(interval_s),
+                    executors,
+                ));
+                engine.run_batches(5);
+            }
+            engine
+        };
+        let recorded = run(&recorder);
 
         let snap = recorder.snapshot();
         prop_assert!(snap.dropped == 0, "ring sized to hold the whole run");
@@ -129,6 +134,11 @@ proptest! {
             .map(|(_, t)| *t)
             .unwrap_or(0);
         prop_assert_eq!(reconf, reconfigs.len() as u64);
+        // Recording changes no result: the same run with the recorder
+        // disabled completes the same batches, field for field.
+        let plain = run(&Recorder::disabled());
+        prop_assert!(!recorded.listener().history().is_empty());
+        prop_assert_eq!(plain.listener().history(), recorded.listener().history());
     }
 }
 

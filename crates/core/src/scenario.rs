@@ -32,6 +32,11 @@ pub const SCENARIO_SCHEMA: &str = "nostop-scenario/1";
 /// over this many partitions, as the engine does.
 pub const BROKER_PARTITIONS: usize = 32;
 
+/// Ceiling on a [`RateSpec`]'s peak, records per second: about 11× the
+/// corpus's largest peak, and far from the 2^53 records per batch that the
+/// status-report wire refuses.
+pub const MAX_RATE_PER_S: f64 = 1e7;
+
 /// The tuning methods a scenario may race (the chaos-grid arms).
 pub const KNOWN_METHODS: [&str; 3] = ["nostop", "bo", "static"];
 
@@ -175,7 +180,8 @@ fn finite_nonneg(x: f64, what: &str) -> Result<(), String> {
 }
 
 impl RateSpec {
-    /// Structural validation; composite variants validate recursively.
+    /// Structural validation, plus a peak rate that is finite and at most
+    /// [`MAX_RATE_PER_S`]; composite variants validate recursively.
     pub fn validate(&self) -> Result<(), String> {
         match self {
             RateSpec::Constant { rate } => finite_nonneg(*rate, "constant rate"),
@@ -277,6 +283,47 @@ impl RateSpec {
                 whole_micros(*surge_secs, "surge_secs")?;
                 finite_pos(*mean_gap_secs, "mean_gap_secs")
             }
+        }?;
+        let peak = self.peak_rate();
+        require(
+            peak.is_finite() && peak <= MAX_RATE_PER_S,
+            &format!("peak rate {peak} rec/s must be finite and at most {MAX_RATE_PER_S}"),
+        )
+    }
+
+    /// The largest rate one event of this process can produce, records per
+    /// second. Composite variants bound their base by its own peak.
+    pub fn peak_rate(&self) -> f64 {
+        match self {
+            RateSpec::Constant { rate } => *rate,
+            RateSpec::UniformRandom { max_rate, .. } => *max_rate,
+            RateSpec::Sinusoid {
+                base, amplitude, ..
+            } => base + amplitude.abs(),
+            RateSpec::Ramp {
+                start_rate,
+                end_rate,
+                ..
+            } => start_rate.max(*end_rate),
+            RateSpec::Surge {
+                base_rate,
+                magnitude,
+                ..
+            } => base_rate * magnitude,
+            RateSpec::FlashCrowd {
+                base,
+                max_magnitude,
+                ..
+            } => base.peak_rate() * max_magnitude,
+            RateSpec::ParetoBurst {
+                base,
+                burst_secs,
+                max_burst_records,
+                ..
+            } => base.peak_rate() + max_burst_records / burst_secs,
+            RateSpec::CorrelatedSurge {
+                base, magnitude, ..
+            } => base.peak_rate() * magnitude,
         }
     }
 
@@ -1013,7 +1060,7 @@ mod tests {
     }
 
     #[test]
-    fn every_rate_variant_round_trips() {
+    fn every_rate_variant_round_trips_and_bounds_its_peak() {
         let variants = vec![
             RateSpec::Constant { rate: 500.0 },
             RateSpec::UniformRandom {
@@ -1023,12 +1070,12 @@ mod tests {
             },
             RateSpec::Sinusoid {
                 base: 400.0,
-                amplitude: 150.0,
+                amplitude: -150.0,
                 period_secs: 120.0,
             },
             RateSpec::Ramp {
-                start_rate: 100.0,
-                end_rate: 600.0,
+                start_rate: 600.0,
+                end_rate: 100.0,
                 duration_secs: 300.0,
             },
             RateSpec::Surge {
@@ -1057,11 +1104,15 @@ mod tests {
                 mean_gap_secs: 120.0,
             },
         ];
-        for spec in variants {
+        // The largest rate each variant can produce, in order.
+        let peaks = [500.0, 900.0, 550.0, 600.0, 900.0, 21_000.0, 1_000.0];
+        for (spec, peak) in variants.into_iter().zip(peaks) {
             spec.validate().expect("variant valid");
+            assert_eq!(spec.peak_rate(), peak, "{spec:?}");
             let back = RateSpec::from_json(&spec.to_json()).unwrap();
             assert_eq!(back, spec);
         }
+        assert_eq!(adversarial_spec().rate.peak_rate(), 190_000.0 * 4.0);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Hostile scenario values that used to pass validation and then hang or
 //! panic the run: a hold, surge, crowd or burst duration that rounds to
-//! zero microseconds, and a `hot_weight` so large that normalizing the
-//! skew weights overflows. Validation must name each with an error; the
-//! values just inside the limits must still build and run.
+//! zero microseconds, a `hot_weight` whose normalization overflows, and a
+//! peak rate above `MAX_RATE_PER_S`. Validation must name each with an
+//! error; the values just inside the limits must still build and run.
 
-use nostop_core::scenario::{ClusterKind, ScenarioSpec, SkewSpec, BROKER_PARTITIONS};
+use nostop_bench::scenario::{default_corpus_dir, parse_scenario, run_method};
+use nostop_core::scenario::{
+    ClusterKind, ScenarioSpec, SkewSpec, BROKER_PARTITIONS, MAX_RATE_PER_S,
+};
 use nostop_datagen::adversarial::{FlashCrowdRate, ParetoBurstRate};
 use nostop_datagen::broker::{Broker, BrokerConfig};
 use nostop_datagen::rate::{ConstantRate, RateSpec, RateSpecExt, SurgeRate, UniformRandomRate};
@@ -36,24 +39,36 @@ fn uniform(hold_secs: f64) -> RateSpec {
     }
 }
 
-/// Validate `rate`, and if it passes, build it and query it at 1 s. The
-/// work runs on a thread under a watchdog, since a duration that rounds to
-/// zero would spin the built process forever.
-fn validate_under_watchdog(rate: RateSpec) -> Result<(), String> {
+/// Run `work` on a thread under a watchdog: a spec that slipped past
+/// validation may spin forever instead of returning.
+fn under_watchdog<T: Send + 'static>(work: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
+    let worker = std::thread::spawn(move || tx.send(work()).ok());
+    let out = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("validation or the run hung");
+    worker.join().expect("the validation thread panicked");
+    out
+}
+
+/// Validate `rate`, and if it passes, build it and query it at 1 s, under
+/// the watchdog: a duration that rounds to zero would spin the built
+/// process forever.
+fn validate_under_watchdog(rate: RateSpec) -> Result<(), String> {
+    under_watchdog(move || {
         let verdict = scenario(rate.clone(), SkewSpec::None).validate();
         if verdict.is_ok() {
             let mut process = rate.build(SimRng::seed_from_u64(1));
             process.rate_at(SimTime::from_secs_f64(1.0));
         }
-        tx.send(verdict).ok();
-    });
-    let verdict = rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("validation or the rate process hung");
-    worker.join().expect("the validation thread panicked");
-    verdict
+        verdict
+    })
+}
+
+/// The text of a committed corpus scenario, by file stem.
+fn corpus(name: &str) -> String {
+    std::fs::read_to_string(default_corpus_dir().join(format!("{name}.json")))
+        .expect("corpus file reads")
 }
 
 fn surge(secs: f64) -> RateSpec {
@@ -76,14 +91,15 @@ fn flash_crowd(secs: f64) -> RateSpec {
     }
 }
 
+/// At most 5 records, so that a 1 µs burst stays under `MAX_RATE_PER_S`.
 fn pareto_burst(secs: f64) -> RateSpec {
     RateSpec::ParetoBurst {
         base: Box::new(RateSpec::Constant { rate: 100.0 }),
         mean_gap_secs: 1e-9,
         burst_secs: secs,
         pareto_shape: 1.5,
-        min_burst_records: 10.0,
-        max_burst_records: 1_000.0,
+        min_burst_records: 1.0,
+        max_burst_records: 5.0,
     }
 }
 
@@ -218,4 +234,34 @@ fn huge_but_representable_hot_weight_validates_and_produces() {
         (1_000_000 - BROKER_PARTITIONS as u64..=1_000_000).contains(&produced),
         "produced {produced}"
     );
+}
+
+/// Corpus files with a peak rate raised past `MAX_RATE_PER_S`. `max_rate`
+/// 4.3e9 on the Fig-6 LR file used to validate, then build a batch of
+/// 1.8e16 records that the status-report wire refuses, which panicked
+/// the simulator; a flash crowd multiplies its base's peak.
+#[test]
+fn corpus_rates_above_the_ceiling_are_validation_errors() {
+    // Each value occurs once in its file: `max_rate`, the `base` of the
+    // sinusoid under the crowds, and the constant `rate`.
+    for (name, from, to) in [
+        ("fig6-logistic-regression", ": 13000", ": 4.3e9"),
+        ("flash-crowd", ": 150000", ": 4.3e9"),
+        ("hot-keys", ": 150000", ": 1e308"),
+    ] {
+        let err = parse_scenario(&corpus(name).replace(from, to))
+            .expect_err("a peak above the ceiling must not validate");
+        assert!(err.contains("peak rate"), "{name}: {err}");
+    }
+}
+
+/// The ceiling itself is valid, and a short NoStop run over it completes.
+#[test]
+fn rate_at_the_ceiling_validates_and_runs_nostop() {
+    let at_ceiling = format!(": {MAX_RATE_PER_S}");
+    let spec = parse_scenario(&corpus("hot-keys").replace(": 150000", &at_ceiling))
+        .expect("a peak at the ceiling is valid");
+    let result = under_watchdog(move || run_method(&spec, "nostop").map(|(_, r)| r))
+        .expect("the nostop run completes");
+    assert!(result.batches > 0 && result.mean_delay_s.is_finite());
 }
