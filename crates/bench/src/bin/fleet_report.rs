@@ -139,8 +139,10 @@ fn scenario_row(
 
 /// The sparse-stepping scenario: 2,000 steady tenants with ledger
 /// checkpointing on. The stdout row carries only mode-independent
-/// values (the digest, the classification counter, the checkpoint
-/// base) so the fast path and probe mode print byte-identical reports;
+/// values (the digest, the classification counters — skippable epochs,
+/// their histogram by orbit period, failed arming checks by reason —
+/// and the checkpoint base) so the fast path and probe mode print
+/// byte-identical reports;
 /// the actually-skipped count joins `wall_ms` in the file only.
 /// Returns `(stdout_row, wall_ms, skipped_epochs)`.
 fn steady_scale_row() -> (Json, f64, u64) {
@@ -196,6 +198,26 @@ fn steady_scale_row() -> (Json, f64, u64) {
         ("policy", json::str(ArbiterPolicy::FairShare.name())),
         ("digest", json::str(format!("{:016x}", fleet.digest()))),
         ("would_skip_epochs", json::uint(fleet.would_skip_epochs())),
+        (
+            "would_skip_by_period",
+            Json::Arr(
+                fleet
+                    .would_skip_by_period()
+                    .iter()
+                    .map(|&n| json::uint(n))
+                    .collect(),
+            ),
+        ),
+        (
+            "arm_failures",
+            json::obj(
+                fleet
+                    .arm_failures()
+                    .iter()
+                    .map(|(&reason, &n)| (reason, json::uint(n)))
+                    .collect(),
+            ),
+        ),
         (
             "ledger_checkpoint_base_seq",
             json::uint(fleet.arbiter().base_seq()),

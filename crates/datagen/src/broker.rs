@@ -302,16 +302,19 @@ impl Broker {
     }
 
     /// Advance every partition by `per_partition` produced-and-consumed
-    /// offsets in one step. Only valid at the lag-0 fixed point (every
-    /// record cut as soon as it arrives), where production and consumption
-    /// telescope to the same per-partition advance.
-    pub fn fast_forward(&mut self, per_partition: u64) {
+    /// offsets in one step and set the production carry to `carry_bits`.
+    /// Only valid at the lag-0 fixed point (every record cut as soon as
+    /// it arrives), where production and consumption telescope to the
+    /// same per-partition advance, and with the carry the produce calls
+    /// would have left.
+    pub fn fast_forward(&mut self, per_partition: u64, carry_bits: u64) {
         assert!(
             self.skew.is_none(),
             "fast_forward requires uniform production"
         );
         debug_assert_eq!(self.total_lag(), 0, "fast_forward requires zero lag");
         self.produced_per_partition += per_partition;
+        self.produce_carry = f64::from_bits(carry_bits);
         for p in &mut self.partitions {
             p.consumed = self.produced_per_partition;
         }
@@ -446,12 +449,18 @@ mod tests {
     fn fast_forward_matches_produce_then_drain() {
         let mut slow = broker(4);
         let mut fast = broker(4);
+        // 100.5 records per partition: the carry cycles 0.5, 0, 0.5.
         for _ in 0..3 {
-            slow.produce(400);
+            let before = slow.produced_per_partition();
+            slow.produce(402);
             slow.consume_window(1.0);
-            fast.fast_forward(100);
+            fast.fast_forward(
+                slow.produced_per_partition() - before,
+                slow.produce_carry_bits(),
+            );
         }
         assert_eq!(slow.produced_per_partition(), fast.produced_per_partition());
+        assert_eq!(slow.produce_carry_bits(), fast.produce_carry_bits());
         assert_eq!(slow.total_consumed(), fast.total_consumed());
         assert_eq!(fast.total_lag(), 0);
     }
@@ -528,7 +537,7 @@ mod tests {
     #[should_panic(expected = "uniform production")]
     fn fast_forward_refuses_skewed_broker() {
         let mut b = skewed(2, vec![3.0, 1.0]);
-        b.fast_forward(10);
+        b.fast_forward(10, 0);
     }
 
     #[test]

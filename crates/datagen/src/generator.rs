@@ -153,13 +153,16 @@ impl StreamGenerator {
         self.stats
     }
 
-    /// Shift the integration watermark forward by `delta` without touching
-    /// the carry or the rate process. Only valid when the caller has already
-    /// accounted the window's production elsewhere (the fleet fast path
-    /// replays a proven-periodic epoch whose per-window production and carry
-    /// evolution are bit-identical to the previous one).
-    pub fn fast_forward(&mut self, delta: SimDuration) {
-        self.produced_until += delta;
+    /// Move the integration watermark forward to `until` and set the
+    /// fractional carry to `carry_bits`, without touching the rate
+    /// process. Only valid when the caller has already accounted the
+    /// window's production elsewhere (the fleet fast path replays a
+    /// proven-periodic epoch and restores the watermark and carry the
+    /// dense integration had at that point of the orbit).
+    pub fn fast_forward(&mut self, until: SimTime, carry_bits: u64) {
+        debug_assert!(until >= self.produced_until, "watermark must move forward");
+        self.produced_until = until;
+        self.carry = f64::from_bits(carry_bits);
     }
 }
 
@@ -273,12 +276,14 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_shifts_watermark_and_preserves_carry() {
+    fn fast_forward_moves_watermark_and_restores_carry() {
         let mut g = StreamGenerator::new(Box::new(ConstantRate::new(333.3)));
         let mut b = broker();
         g.advance_to(SimTime::from_secs_f64(3.0), &mut b);
         let carry = g.carry_bits();
-        g.fast_forward(SimDuration::from_secs(12));
+        g.advance_to(SimTime::from_secs_f64(3.3), &mut b);
+        assert_ne!(g.carry_bits(), carry);
+        g.fast_forward(SimTime::from_secs_f64(15.0), carry);
         assert_eq!(g.produced_until(), SimTime::from_secs_f64(15.0));
         assert_eq!(g.carry_bits(), carry);
         assert_eq!(

@@ -400,7 +400,7 @@ fn generator_case(source: &Source, seed: u64, plan_seed: u64) -> Result<(), Test
         if plan.bernoulli(0.1) {
             // A watermark jump, as the fleet fast path makes.
             let delta = SimDuration::from_micros(plan.uniform_u64(0, 20_000_000));
-            fast.fast_forward(delta);
+            fast.fast_forward(fast.produced_until() + delta, fast.carry_bits());
             slow.produced_until += delta;
             t = t.max(slow.produced_until);
             continue;

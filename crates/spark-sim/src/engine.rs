@@ -119,12 +119,21 @@ impl EngineParams {
     }
 }
 
-/// One epoch-boundary snapshot of everything that must be *stationary*
-/// between two consecutive controller rounds for the fleet fast path to
-/// replay a tenant in closed form. Every field is an integer or a bit
-/// pattern — equality is bitwise, with no tolerance anywhere — so two
-/// equal shapes plus per-batch template equality prove the engine is on a
-/// periodic orbit: the next epoch is the previous one shifted in time.
+/// One epoch-boundary snapshot of the engine state the fleet fast path
+/// compares to prove a tenant is on a periodic orbit. Every field is an
+/// integer or a bit pattern — equality is bitwise, with no tolerance
+/// anywhere — so two equal shapes `p` boundaries apart plus per-batch
+/// template equality prove the engine is on an orbit of period `p`: each
+/// epoch is the one `p` epochs earlier shifted in time.
+///
+/// Five fields are the orbit's *phase*: the cut watermarks, the ingest
+/// watermark and the two fractional carries may differ from one boundary
+/// to the next inside a period (a constant rate whose per-epoch
+/// production is an exact binary fraction leaves the broker carry
+/// cycling every 2 or 4 epochs).
+/// [`StreamingEngine::fleet_fast_forward`] restores them from the
+/// replayed phase's end shape. Every other field must hold across the
+/// whole period ([`QuiescenceShape::invariant_difference`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuiescenceShape {
     /// Time until the armed divider fires, µs.
@@ -158,13 +167,79 @@ pub struct QuiescenceShape {
     pub rng: [u64; 12],
 }
 
+impl QuiescenceShape {
+    /// Field names in declaration order, as
+    /// [`QuiescenceShape::first_difference`] reports them.
+    const FIELDS: [&'static str; 14] = [
+        "next_cut_in_us",
+        "since_last_cut_us",
+        "ingest_lag_us",
+        "interval_us",
+        "dropped_records",
+        "executors",
+        "fleet_version",
+        "desired_executors",
+        "executor_cap",
+        "pressure_bits",
+        "gen_carry_bits",
+        "gen_rate_bits",
+        "broker_carry_bits",
+        "rng",
+    ];
+
+    /// Indices into [`QuiescenceShape::FIELDS`] of the five phase fields
+    /// a replayed epoch restores.
+    const PHASE: [usize; 5] = [0, 1, 2, 10, 12];
+
+    /// Every field but `rng`, in declaration order.
+    fn words(&self) -> [u64; 13] {
+        [
+            self.next_cut_in_us,
+            self.since_last_cut_us,
+            self.ingest_lag_us,
+            self.interval_us,
+            self.dropped_records,
+            self.executors as u64,
+            self.fleet_version,
+            self.desired_executors as u64,
+            self.executor_cap as u64,
+            self.pressure_bits,
+            self.gen_carry_bits,
+            self.gen_rate_bits,
+            self.broker_carry_bits,
+        ]
+    }
+
+    /// The first field, in declaration order, in which the two shapes
+    /// differ, skipping the phase fields when `skip_phase` is set.
+    fn differing(&self, other: &Self, skip_phase: bool) -> Option<&'static str> {
+        let (a, b) = (self.words(), other.words());
+        (0..a.len())
+            .find(|&i| a[i] != b[i] && !(skip_phase && Self::PHASE.contains(&i)))
+            .map(|i| Self::FIELDS[i])
+            .or((self.rng != other.rng).then_some("rng"))
+    }
+
+    /// The first field, in declaration order, in which the two shapes
+    /// differ; `None` when they are equal.
+    pub(crate) fn first_difference(&self, other: &Self) -> Option<&'static str> {
+        self.differing(other, false)
+    }
+
+    /// The first field outside the five phase fields in which the two
+    /// shapes differ — something a replayed epoch cannot restore.
+    pub(crate) fn invariant_difference(&self, other: &Self) -> Option<&'static str> {
+        self.differing(other, true)
+    }
+}
+
 /// A passing structural probe at an epoch boundary: the engine is idle
 /// (no running job, empty queue, zero broker lag, settled executors) and
 /// *may* be quiescent. The cumulative counters let the caller diff two
 /// consecutive probes to learn the per-epoch advance it would replay.
 #[derive(Debug, Clone, Copy)]
 pub struct QuiescenceProbe {
-    /// The stationary part, compared bitwise across boundaries.
+    /// The boundary shape, compared bitwise across boundaries.
     pub shape: QuiescenceShape,
     /// Total batches ever cut.
     pub batches_cut: u64,
@@ -564,27 +639,40 @@ impl StreamingEngine {
         self.listener.on_batch_completed(m);
     }
 
-    /// Commit one replayed epoch's bookkeeping: shift the divider and cut
-    /// watermarks by `delta`, advance production closed-form (`batches`
-    /// cut ids, `per_partition` broker offsets at the lag-0 fixed point),
-    /// and accumulate the superbatch counters the skipped jobs would have
-    /// counted. Valid only after [`Self::replay_push`] advanced the clock
-    /// through the epoch and only under a stationary
-    /// [`QuiescenceShape`] — the engine state afterwards is bit-identical
-    /// to having stepped the epoch densely.
+    /// Commit one replayed epoch's bookkeeping. Valid only after
+    /// [`Self::replay_push`] advanced the clock to the epoch's end
+    /// boundary, for an epoch proven to repeat: advance production
+    /// closed-form (`batches` cut ids, `per_partition` broker offsets at
+    /// the lag-0 fixed point), accumulate the superbatch counters the
+    /// skipped jobs would have counted, and restore the orbit's phase —
+    /// the cut watermarks, the ingest watermark and both fractional
+    /// carries — from `end`, the shape the dense engine had at this
+    /// boundary of the orbit. The other fields of `end` must already hold
+    /// (see [`QuiescenceShape`]); the engine state afterwards is bit-
+    /// identical to having stepped the epoch densely.
     pub fn fleet_fast_forward(
         &mut self,
-        delta: SimDuration,
         batches: u64,
         per_partition: u64,
         stats_delta: &SuperbatchStats,
+        end: &QuiescenceShape,
     ) {
-        self.next_cut += delta;
-        self.last_cut += delta;
-        self.generator.fast_forward(delta);
-        self.broker.fast_forward(per_partition);
+        let boundary = self.clock;
+        self.next_cut = boundary + SimDuration::from_micros(end.next_cut_in_us);
+        self.last_cut = boundary - SimDuration::from_micros(end.since_last_cut_us);
+        self.generator.fast_forward(
+            boundary - SimDuration::from_micros(end.ingest_lag_us),
+            end.gen_carry_bits,
+        );
+        self.broker
+            .fast_forward(per_partition, end.broker_carry_bits);
         self.queue.skip_ids(batches);
         self.superbatch.accumulate(stats_delta);
+        debug_assert_eq!(
+            self.quiescence_probe().map(|p| p.shape),
+            Some(*end),
+            "fast-forward left the engine off its orbit"
+        );
     }
 
     /// Batches waiting in the queue.

@@ -43,13 +43,16 @@
 //! At fleet scale most tenants spend most epochs *quiescent*: controller
 //! paused at its optimum, constant arrival rate, no faults due, grant
 //! unchanged. The fast path classifies each tenant at every epoch
-//! boundary (see [`QuiescenceShape`]) and,
-//! once a tenant is proven to be on a periodic orbit — two consecutive
-//! epochs bitwise-identical up to a time shift — replays subsequent
-//! epochs from the recorded template instead of simulating them: the
-//! controller round runs for real against a `ReplayDriver` that feeds
-//! it the previous epoch's observations shifted by the period, and the
-//! engine's bookkeeping advances in closed form
+//! boundary (see [`QuiescenceShape`]) and, once a tenant is proven to be
+//! on a periodic orbit of some period `p ≤ MAX_PERIOD` — its newest
+//! epoch bitwise-identical to the one `p` epochs earlier up to a time
+//! shift — replays subsequent epochs phase by phase from the recorded
+//! template instead of simulating them. The period is rarely 1: a
+//! constant rate leaves the broker's fractional carry cycling every 2 or
+//! 4 epochs. The controller round runs for real against a
+//! `ReplayDriver` that feeds it the matching phase's observations
+//! shifted by whole periods, and the engine's bookkeeping advances in
+//! closed form and takes the phase's end shape
 //! ([`StreamingEngine::fleet_fast_forward`]). A replayed epoch draws zero
 //! RNG and is bit-identical to dense stepping; any wake condition (a
 //! scheduled fault, a rate change point, a contention episode, a grant
@@ -73,6 +76,7 @@ use nostop_datagen::rate::{tenant_seed, RateSpec, RateSpecExt};
 use nostop_obs::{track_name, Recorder};
 use nostop_simcore::{fnv1a64, jobs_env, json, probe_mode, SimDuration, SimRng, SimTime};
 use nostop_workloads::WorkloadKind;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -128,7 +132,11 @@ impl TenantSpec {
     /// controllers park. Steady tenants reach a periodic orbit after the
     /// controller pauses and its observation window hits the cap, which
     /// is what the sparse fast path fast-forwards; the per-tenant rate
-    /// varies with the id so neighboring tenants stay distinguishable.
+    /// (1,200 + 150·(id mod 5) rec/s) varies with the id so neighboring
+    /// tenants stay distinguishable. Parked on 36 s epochs, those rates
+    /// produce 1,350 + 168.75·(id mod 5) records per broker partition
+    /// per epoch, so the orbit's period is 1, 4, 2, 4 or 1 epochs: the
+    /// fractional carry repeats after that many.
     ///
     /// The config space's interval floor is raised to 3 s: the paper
     /// cluster's fixed per-batch overhead (~1.2–1.6 s of task launch and
@@ -178,14 +186,20 @@ impl TenantSpec {
     }
 }
 
-/// `b` as the dense engine would have produced it `k` epochs later on a
-/// periodic orbit of period `delta` cutting `n` batches per epoch: all
-/// three timestamps shift by `k·delta` (exact integer microseconds), the
-/// batch id by `k·n`, and every other field — records, interval, ingest
-/// window, executors, stages, busy cores — is time-invariant and carries
-/// over bitwise ([`BatchMetrics`] holds no floats).
-fn shift_batch(b: &BatchMetrics, delta: SimDuration, n: u64, k: u64) -> BatchMetrics {
-    let shift = delta * k;
+/// The longest orbit period, in epochs, the fast path arms on. The steady
+/// fleets' broker carries cycle every 1, 2 or 4 epochs; a longer orbit
+/// stays dense, and each tenant's ring and template hold at most this
+/// many epochs of batches (plus one in the ring).
+pub const MAX_PERIOD: usize = 8;
+
+/// `b` as the dense engine would have produced it `k` periods later on an
+/// orbit whose period lasts `period` and cuts `n` batches: all three
+/// timestamps shift by `k·period` (exact integer microseconds), the batch
+/// id by `k·n`, and every other field — records, interval, ingest window,
+/// executors, stages, busy cores — is time-invariant and carries over
+/// bitwise ([`BatchMetrics`] holds no floats).
+fn shift_batch(b: &BatchMetrics, period: SimDuration, n: u64, k: u64) -> BatchMetrics {
+    let shift = period * k;
     BatchMetrics {
         batch_id: b.batch_id + n * k,
         submitted_at: b.submitted_at + shift,
@@ -195,59 +209,164 @@ fn shift_batch(b: &BatchMetrics, delta: SimDuration, n: u64, k: u64) -> BatchMet
     }
 }
 
-/// The proven-periodic epoch an armed tenant replays.
-struct ArmedTemplate {
-    /// The base epoch's batches, in completion order.
-    batches: Vec<BatchMetrics>,
-    /// Epoch period, exact integer microseconds.
-    delta: SimDuration,
-    /// Broker per-partition offset advance over one epoch.
-    dpp: u64,
-    /// Superbatch counter advance over one epoch.
-    stats_delta: SuperbatchStats,
-    /// The boundary shape that must hold bitwise at every boundary.
-    shape: QuiescenceShape,
-    /// Clock at the base epoch's end boundary.
+/// A passing probe at a paused, densely stepped epoch boundary.
+#[derive(Clone, Copy)]
+struct Boundary {
+    probe: QuiescenceProbe,
+    /// The engine clock.
     at: SimTime,
-    /// `listener.completed()` at the base boundary.
+    /// `listener.completed()`.
     cursor: u64,
-    /// Epochs advanced past the base epoch (replayed or dense-verified).
+}
+
+/// One epoch between two consecutive passing boundaries: a ring entry
+/// while a tenant is watched, one phase of its template once armed.
+struct EpochRecord {
+    /// The epoch's batches in completion order, copied out of the
+    /// listener so arming never depends on how much history it keeps.
+    batches: Vec<BatchMetrics>,
+    /// Epoch duration, exact integer microseconds.
+    delta: SimDuration,
+    /// Broker per-partition offset advance over the epoch.
+    dpp: u64,
+    /// Superbatch counter advance over the epoch.
+    stats_delta: SuperbatchStats,
+    /// The boundary shape at the epoch's end.
+    shape: QuiescenceShape,
+}
+
+impl EpochRecord {
+    /// The epoch from `from` to `to`, or `None` when it cut no batch or
+    /// its batches are not all in the listener.
+    fn between(from: &Boundary, to: &Boundary, engine: &StreamingEngine) -> Option<Self> {
+        let n = to.probe.batches_cut.checked_sub(from.probe.batches_cut)?;
+        let slice = engine.listener().since(from.cursor);
+        let delta = to.at.saturating_since(from.at);
+        (n > 0
+            && to.cursor.checked_sub(from.cursor) == Some(n)
+            && slice.len() as u64 == n
+            && !delta.is_zero())
+        .then(|| EpochRecord {
+            batches: slice.to_vec(),
+            delta,
+            dpp: to
+                .probe
+                .produced_per_partition
+                .saturating_sub(from.probe.produced_per_partition),
+            stats_delta: to
+                .probe
+                .superbatch_stats
+                .delta_since(&from.probe.superbatch_stats),
+            shape: to.probe.shape,
+        })
+    }
+}
+
+/// Total duration and batch count of `epochs`.
+fn span<'a>(epochs: impl Iterator<Item = &'a EpochRecord>) -> (SimDuration, u64) {
+    epochs.fold((SimDuration::ZERO, 0), |(d, n), r| {
+        (d + r.delta, n + r.batches.len() as u64)
+    })
+}
+
+/// Why the epochs ending `ring[last - p]` and `ring[last]` do not prove
+/// an orbit of period `p`: the first shape field that differs (at the two
+/// boundaries, or outside the phase fields anywhere inside the period),
+/// `"counters"` when the epochs' durations or counter advances differ,
+/// `"slice"` when the batches differ from those a period earlier shifted
+/// by the period. `None` when the orbit is proven.
+fn orbit_mismatch(ring: &VecDeque<EpochRecord>, p: usize) -> Option<&'static str> {
+    let last = ring.len() - 1;
+    let (a, b) = (&ring[last - p], &ring[last]);
+    if let Some(field) = b.shape.first_difference(&a.shape) {
+        return Some(field);
+    }
+    let period = ring.range(last + 1 - p..);
+    if let Some(field) = period
+        .clone()
+        .find_map(|r| r.shape.invariant_difference(&b.shape))
+    {
+        return Some(field);
+    }
+    if a.delta != b.delta
+        || a.batches.len() != b.batches.len()
+        || a.dpp != b.dpp
+        || a.stats_delta != b.stats_delta
+    {
+        return Some("counters");
+    }
+    let (duration, n) = span(period);
+    let repeats = a
+        .batches
+        .iter()
+        .zip(&b.batches)
+        .all(|(b1, b2)| *b2 == shift_batch(b1, duration, n, 1));
+    (!repeats).then_some("slice")
+}
+
+/// The proven-periodic orbit an armed tenant replays.
+struct ArmedTemplate {
+    /// The orbit's `p` epochs in order (`1 ≤ p ≤ MAX_PERIOD`), each with
+    /// its own batches, counter advances and end-of-phase shape.
+    phases: Vec<EpochRecord>,
+    /// Duration of one period: the phases' deltas summed.
+    period: SimDuration,
+    /// Batches cut per period.
+    per_period: u64,
+    /// Clock at the last boundary the tenant reached on the orbit.
+    at: SimTime,
+    /// `listener.completed()` at that boundary.
+    cursor: u64,
+    /// Epochs advanced past the arming boundary (replayed or
+    /// dense-verified). The next epoch is phase `k mod p` shifted by
+    /// `k / p + 1` whole periods.
     k: u64,
 }
 
-/// Per-tenant quiescence classification. Arming takes three consecutive
-/// epoch boundaries: one passing structural probe (`Candidate`), a second
-/// with a bitwise-equal shape capturing the epoch's batch slice
-/// (`Arming`), and a third whose slice reproduces the previous one
-/// shifted by exactly the period (`Armed`). Every check is exact — shape
-/// equality covers all RNG stream positions (a quiescent epoch draws
-/// zero random values), and batch equality is field-wise on integers.
+impl ArmedTemplate {
+    /// The phase the next epoch replays, and by how many whole periods
+    /// its batches shift.
+    fn next(&self) -> (&EpochRecord, u64) {
+        let p = self.phases.len() as u64;
+        (&self.phases[(self.k % p) as usize], self.k / p + 1)
+    }
+
+    /// Step past the next epoch once it was replayed or verified.
+    fn advance(&mut self) {
+        let (phase, _) = self.next();
+        let (delta, n) = (phase.delta, phase.batches.len() as u64);
+        self.at += delta;
+        self.cursor += n;
+        self.k += 1;
+    }
+}
+
+/// A watched tenant's last boundary and its ring of the epochs before.
+struct Watch {
+    last: Boundary,
+    ring: VecDeque<EpochRecord>,
+}
+
+/// Per-tenant quiescence classification. At every paused, densely
+/// stepped boundary with a passing probe, the epoch that just ended joins
+/// a ring of the last `MAX_PERIOD + 1` epochs; the tenant arms on the
+/// smallest period `p` whose end shape, counter advances and shifted
+/// batches repeat the epoch `p` earlier. Every check is exact — shape
+/// equality covers all RNG stream positions (a quiescent epoch draws zero
+/// random values), and batch equality is field-wise on integers.
 enum Quiescence {
     /// Not at an idle fixed point (or never probed).
     Cold,
-    /// One passing probe at an epoch boundary.
-    Candidate {
-        probe: QuiescenceProbe,
-        at: SimTime,
-        cursor: u64,
-    },
-    /// Two consecutive passing probes with the epoch slice between them.
-    Arming {
-        probe: QuiescenceProbe,
-        at: SimTime,
-        cursor: u64,
-        batches: Vec<BatchMetrics>,
-        delta: SimDuration,
-        dpp: u64,
-        stats_delta: SuperbatchStats,
-    },
+    /// Paused and idle at the last boundary; the ring is not yet long
+    /// enough to show a repeat.
+    Watching(Box<Watch>),
     /// On a proven periodic orbit; eligible for fast-forward.
     Armed(ArmedTemplate),
 }
 
-/// A [`StreamingSystem`] that re-enacts an armed tenant's template epoch
-/// against the *real* controller: `next_batch` produces the base epoch's
-/// batches shifted `k` periods forward, pushes them into the engine's
+/// A [`StreamingSystem`] that re-enacts one phase of an armed tenant's
+/// orbit against the *real* controller: `next_batch` produces the phase's
+/// batches shifted whole periods forward, pushes them into the engine's
 /// listener ([`StreamingEngine::replay_push`], which also advances the
 /// clock exactly as the dense completion event would), and converts them
 /// through the same `StatusReport` the dense wire path uses — the wire
@@ -258,9 +377,10 @@ enum Quiescence {
 struct ReplayDriver<'a> {
     engine: &'a mut StreamingEngine,
     batches: &'a [BatchMetrics],
-    delta: SimDuration,
-    /// Periods past the template's base epoch this replay enacts.
-    k: u64,
+    period: SimDuration,
+    per_period: u64,
+    /// Whole periods the replayed batches shift.
+    periods: u64,
     /// Batches consumed so far; must end at 0 (a reset round) or
     /// `batches.len()` (a full paused window).
     idx: usize,
@@ -274,7 +394,7 @@ impl StreamingSystem for ReplayDriver<'_> {
     fn next_batch(&mut self) -> BatchObservation {
         let base = &self.batches[self.idx];
         self.idx += 1;
-        let m = shift_batch(base, self.delta, self.batches.len() as u64, self.k);
+        let m = shift_batch(base, self.period, self.per_period, self.periods);
         self.engine.replay_push(m);
         m.to_status_report().to_observation()
     }
@@ -297,9 +417,10 @@ struct Tenant {
     /// Quiescence classification, updated at every epoch boundary.
     quiescence: Quiescence,
     /// Set during phase A when the tenant classified as skippable this
-    /// epoch (`(from_us, until_us)` of the horizon) — mode-independent,
-    /// feeds the `fleet.fastforward` span and counter.
-    would_skip: Option<(u64, u64)>,
+    /// epoch (`(from_us, until_us)` of the horizon and the orbit's
+    /// period) — mode-independent, feeds the `fleet.fastforward` span and
+    /// the counters.
+    would_skip: Option<(u64, u64, usize)>,
     /// Whether the epoch was actually fast-forwarded (fast path only).
     skipped: bool,
 }
@@ -331,8 +452,13 @@ pub struct FleetSim {
     /// until_us)`. Outside the digest; the property battery asserts no
     /// span covers a wake event.
     skip_log: Vec<(u32, u64, u64, u64)>,
-    /// Epochs classified as skippable (mode-independent).
-    would_skip_epochs: u64,
+    /// Tenant-epochs by classification (mode-independent): index 0
+    /// counts those not skippable, index `p` those skippable on an orbit
+    /// of period `p`.
+    would_skip_by_period: [u64; MAX_PERIOD + 1],
+    /// Failed arming checks by reason (mode-independent); see
+    /// [`FleetSim::arm_failures`].
+    arm_failures: BTreeMap<&'static str, u64>,
     /// Epochs actually fast-forwarded (fast path only).
     skipped_epochs: u64,
     /// Root of the fleet's own trace ring (`fleet` track: fast-forward
@@ -378,7 +504,8 @@ impl FleetSim {
             recorders_enabled: false,
             last_wants: Vec::new(),
             skip_log: Vec::new(),
-            would_skip_epochs: 0,
+            would_skip_by_period: [0; MAX_PERIOD + 1],
+            arm_failures: BTreeMap::new(),
             skipped_epochs: 0,
             fleet_recorder: Recorder::disabled(),
             fleet_obs: Recorder::disabled(),
@@ -500,7 +627,29 @@ impl FleetSim {
     /// Epochs classified as skippable so far — identical across the fast
     /// path and probe mode, whether or not they were actually skipped.
     pub fn would_skip_epochs(&self) -> u64 {
-        self.would_skip_epochs
+        self.would_skip_by_period[1..].iter().sum()
+    }
+
+    /// Tenant-epochs so far by classification: index 0 counts those not
+    /// skippable, index `p` (1..=[`MAX_PERIOD`]) those skippable on an
+    /// orbit of period `p`. Identical across the fast path and probe
+    /// mode; the entries sum to tenants × epochs.
+    pub fn would_skip_by_period(&self) -> [u64; MAX_PERIOD + 1] {
+        self.would_skip_by_period
+    }
+
+    /// Failed arming checks so far, keyed by reason: the first
+    /// [`QuiescenceShape`] field that differed, `"counters"` when an
+    /// epoch's duration or counter advances differed, `"slice"` when its
+    /// batches differed, were not all in the listener, or numbered none.
+    /// A watched
+    /// tenant counts one failure per boundary at which its ring held a
+    /// repeat candidate and no period up to [`MAX_PERIOD`] fit (keyed by
+    /// the longest period tried); an armed tenant stepped densely counts
+    /// one when its epoch left the orbit. Identical across the fast path
+    /// and probe mode.
+    pub fn arm_failures(&self) -> &BTreeMap<&'static str, u64> {
+        &self.arm_failures
     }
 
     /// Every fast-forwarded epoch as `(tenant, epoch, from_us,
@@ -543,17 +692,17 @@ impl FleetSim {
         t.would_skip = match &t.quiescence {
             // Skippable only when the controller will take the paused
             // path and no wake-worthy event — fault, rate change point,
-            // contention episode — lies inside the epoch's horizon. The
-            // horizon check runs every epoch, so a fast-forwarded tenant
-            // always re-enters dense stepping the epoch before its first
-            // scheduled event.
+            // contention episode — lies inside the horizon of the phase
+            // to replay. The horizon check runs every epoch, so a
+            // fast-forwarded tenant always re-enters dense stepping the
+            // epoch before its first scheduled event.
             Quiescence::Armed(tpl) if t.ctrl.is_paused() => {
                 let from = t.sys.engine().now();
-                let until = from + tpl.delta;
+                let until = from + tpl.next().0.delta;
                 t.sys
                     .engine()
                     .horizon_quiet(from, until)
-                    .then(|| (from.as_micros(), until.as_micros()))
+                    .then(|| (from.as_micros(), until.as_micros(), tpl.phases.len()))
             }
             _ => None,
         };
@@ -566,34 +715,35 @@ impl FleetSim {
             t.ctrl.run_round(&mut t.sys);
             return;
         }
-        let Quiescence::Armed(tpl) = &t.quiescence else {
+        let Quiescence::Armed(tpl) = &mut t.quiescence else {
             unreachable!("skip decision implies an armed template");
         };
-        let n = tpl.batches.len();
-        let k = tpl.k + 1;
+        let (phase, periods) = tpl.next();
+        let n = phase.batches.len();
         let mut driver = ReplayDriver {
             engine: t.sys.engine_mut(),
-            batches: &tpl.batches,
-            delta: tpl.delta,
-            k,
+            batches: &phase.batches,
+            period: tpl.period,
+            per_period: tpl.per_period,
+            periods,
             idx: 0,
         };
         let outcome = t.ctrl.run_round(&mut driver);
         let idx = driver.idx;
         if idx == n {
-            // The paused window consumed the whole template: commit the
-            // epoch's closed-form bookkeeping. The engine is now bit-
-            // identical to having stepped the epoch densely.
-            let (delta, dpp, stats_delta) = (tpl.delta, tpl.dpp, tpl.stats_delta);
-            t.sys
-                .engine_mut()
-                .fleet_fast_forward(delta, n as u64, dpp, &stats_delta);
+            // The paused window consumed the whole phase: commit the
+            // epoch's closed-form bookkeeping and restore the phase's
+            // end shape. The engine is now bit-identical to having
+            // stepped the epoch densely.
+            t.sys.engine_mut().fleet_fast_forward(
+                n as u64,
+                phase.dpp,
+                &phase.stats_delta,
+                &phase.shape,
+            );
             t.skipped = true;
             if matches!(outcome, RoundOutcome::Paused { .. }) {
-                let Quiescence::Armed(tpl) = &mut t.quiescence else {
-                    unreachable!();
-                };
-                tpl.k = k;
+                tpl.advance();
             } else {
                 // Woke (or reset after the window): the orbit ended by
                 // the controller's own decision — identical to dense —
@@ -655,8 +805,9 @@ impl FleetSim {
                 let t = &self.tenants[i];
                 (t.id, t.would_skip, t.skipped)
             };
-            if let Some((from, until)) = would_skip {
-                self.would_skip_epochs += 1;
+            let period = would_skip.map_or(0, |(_, _, p)| p);
+            self.would_skip_by_period[period] += 1;
+            if let Some((from, until, _)) = would_skip {
                 if skipped {
                     self.skipped_epochs += 1;
                     self.skip_log.push((id, self.epoch, from, until));
@@ -680,126 +831,109 @@ impl FleetSim {
         }
     }
 
-    /// Classify every densely-stepped tenant at the epoch boundary (runs
-    /// after phase B so the shape captures the barrier's cap/pressure).
-    /// Fast-forwarded tenants were already advanced in phase A — their
-    /// template is correct by construction — and phase B demoted any
-    /// tenant whose grant changed.
+    /// Classify every tenant at the epoch boundary (runs after phase B so
+    /// the shape captures the barrier's cap/pressure). A fast-forwarded
+    /// tenant still armed was already advanced in phase A — its template
+    /// is correct by construction. One that fell cold (it woke, or phase
+    /// B demoted it on a grant change) is classified like a dense one,
+    /// so its ring restarts at the same boundary in both modes.
     fn classify(&mut self) {
         for t in self.tenants.iter_mut() {
-            if t.skipped {
+            if t.skipped && matches!(t.quiescence, Quiescence::Armed(_)) {
                 continue;
             }
             let state = std::mem::replace(&mut t.quiescence, Quiescence::Cold);
-            t.quiescence = Self::classify_tenant(state, t.sys.engine(), t.ctrl.is_paused());
+            let (next, failure) = Self::classify_tenant(state, t.sys.engine(), t.ctrl.is_paused());
+            t.quiescence = next;
+            if let Some(reason) = failure {
+                *self.arm_failures.entry(reason).or_insert(0) += 1;
+            }
         }
     }
 
-    /// The classification state machine for one densely-stepped tenant.
-    /// See [`Quiescence`] for the arming ladder; an armed tenant that was
-    /// stepped densely (probe mode, traces on, or a non-quiet horizon)
-    /// must reproduce its template shifted by the period to stay armed —
+    /// The classification state machine for one densely-stepped tenant,
+    /// with the reason of the arming check that failed, if one did. See
+    /// [`Quiescence`] for the ring; an armed tenant that was stepped
+    /// densely (probe mode, traces on, or a non-quiet horizon) must
+    /// reproduce its next phase shifted by whole periods to stay armed —
     /// the continuous cross-check that keeps both modes honest.
-    fn classify_tenant(state: Quiescence, engine: &StreamingEngine, paused: bool) -> Quiescence {
-        let Some(p) = (if paused {
-            engine.quiescence_probe()
-        } else {
-            None
-        }) else {
-            return Quiescence::Cold;
+    fn classify_tenant(
+        state: Quiescence,
+        engine: &StreamingEngine,
+        paused: bool,
+    ) -> (Quiescence, Option<&'static str>) {
+        let Some(probe) = paused.then(|| engine.quiescence_probe()).flatten() else {
+            return (Quiescence::Cold, None);
         };
-        let now = engine.now();
-        let completed = engine.listener().completed();
-        let restart = |p: QuiescenceProbe| Quiescence::Candidate {
-            probe: p,
-            at: now,
-            cursor: completed,
+        let here = Boundary {
+            probe,
+            at: engine.now(),
+            cursor: engine.listener().completed(),
+        };
+        let restart = |reason| {
+            let ring = VecDeque::new();
+            (
+                Quiescence::Watching(Box::new(Watch { last: here, ring })),
+                reason,
+            )
         };
         match state {
-            Quiescence::Cold => restart(p),
-            Quiescence::Candidate {
-                probe: p0,
-                at: t0,
-                cursor: c0,
-            } => {
-                let n = p.batches_cut.saturating_sub(p0.batches_cut);
-                let slice = engine.listener().since(c0);
-                if p.shape == p0.shape
-                    && n > 0
-                    && completed.saturating_sub(c0) == n
-                    && slice.len() as u64 == n
-                {
-                    Quiescence::Arming {
-                        probe: p,
-                        at: now,
-                        cursor: completed,
-                        batches: slice.to_vec(),
-                        delta: now.saturating_since(t0),
-                        dpp: p
-                            .produced_per_partition
-                            .saturating_sub(p0.produced_per_partition),
-                        stats_delta: p.superbatch_stats.delta_since(&p0.superbatch_stats),
+            Quiescence::Cold => restart(None),
+            Quiescence::Watching(mut watch) => {
+                let Some(epoch) = EpochRecord::between(&watch.last, &here, engine) else {
+                    return restart(Some("slice"));
+                };
+                let ring = &mut watch.ring;
+                if ring.len() == MAX_PERIOD + 1 {
+                    ring.pop_front();
+                }
+                ring.push_back(epoch);
+                let mut failure = None;
+                for p in 1..ring.len().min(MAX_PERIOD + 1) {
+                    failure = orbit_mismatch(ring, p);
+                    if failure.is_none() {
+                        let phases: Vec<EpochRecord> = ring.drain(ring.len() - p..).collect();
+                        let (period, per_period) = span(phases.iter());
+                        let tpl = ArmedTemplate {
+                            phases,
+                            period,
+                            per_period,
+                            at: here.at,
+                            cursor: here.cursor,
+                            k: 0,
+                        };
+                        return (Quiescence::Armed(tpl), None);
                     }
-                } else {
-                    restart(p)
                 }
+                watch.last = here;
+                (Quiescence::Watching(watch), failure)
             }
-            Quiescence::Arming {
-                probe: p1,
-                at: t1,
-                cursor: c1,
-                batches,
-                delta,
-                dpp,
-                stats_delta,
-            } => {
-                let n = batches.len() as u64;
-                let slice = engine.listener().since(c1);
-                let ok = p.shape == p1.shape
-                    && now.saturating_since(t1) == delta
-                    && !delta.is_zero()
-                    && p.batches_cut.saturating_sub(p1.batches_cut) == n
-                    && p.produced_per_partition
-                        .saturating_sub(p1.produced_per_partition)
-                        == dpp
-                    && p.superbatch_stats.delta_since(&p1.superbatch_stats) == stats_delta
-                    && completed.saturating_sub(c1) == n
-                    && slice.len() as u64 == n
-                    && slice
-                        .iter()
-                        .zip(&batches)
-                        .all(|(b2, b1)| *b2 == shift_batch(b1, delta, n, 1));
-                if ok {
-                    Quiescence::Armed(ArmedTemplate {
-                        batches: slice.to_vec(),
-                        delta,
-                        dpp,
-                        stats_delta,
-                        shape: p.shape,
-                        at: now,
-                        cursor: completed,
-                        k: 0,
-                    })
+            Quiescence::Armed(mut tpl) => {
+                let (phase, periods) = tpl.next();
+                let n = phase.batches.len() as u64;
+                let slice = engine.listener().since(tpl.cursor);
+                let failure = if here.at.saturating_since(tpl.at) != phase.delta
+                    || here.cursor != tpl.cursor + n
+                    || slice.len() as u64 != n
+                {
+                    Some("counters")
+                } else if let Some(field) = here.probe.shape.first_difference(&phase.shape) {
+                    Some(field)
+                } else if !slice
+                    .iter()
+                    .zip(&phase.batches)
+                    .all(|(b2, b1)| *b2 == shift_batch(b1, tpl.period, tpl.per_period, periods))
+                {
+                    Some("slice")
                 } else {
-                    restart(p)
-                }
-            }
-            Quiescence::Armed(tpl) => {
-                let n = tpl.batches.len() as u64;
-                let k = tpl.k + 1;
-                let slice = engine.listener().since(tpl.cursor + tpl.k * n);
-                let ok = p.shape == tpl.shape
-                    && now.saturating_since(tpl.at) == tpl.delta * k
-                    && completed == tpl.cursor + k * n
-                    && slice.len() as u64 == n
-                    && slice
-                        .iter()
-                        .zip(&tpl.batches)
-                        .all(|(b2, b1)| *b2 == shift_batch(b1, tpl.delta, n, k));
-                if ok {
-                    Quiescence::Armed(ArmedTemplate { k, ..tpl })
-                } else {
-                    restart(p)
+                    None
+                };
+                match failure {
+                    None => {
+                        tpl.advance();
+                        (Quiescence::Armed(tpl), None)
+                    }
+                    Some(_) => restart(failure),
                 }
             }
         }

@@ -27,10 +27,16 @@
 //!    delta-driven `arbitrate_sparse` entry point (with its dense
 //!    fallback) produces the same grants and the same ledger as calling
 //!    the dense pass every barrier.
+//! 6. **Orbits of period p.** Tenants whose broker carry cycles every 2,
+//!    4 or 8 epochs arm on that period and fast-forward, with every
+//!    tenant's full listener history and final boundary shape identical
+//!    to probe mode; a tenant whose carry period exceeds
+//!    [`MAX_PERIOD`] is never skipped.
 
 use nostop::core::arbiter::{ArbiterPolicy, ResourceRequest};
+use nostop::datagen::rate::RateSpec;
 use nostop::sim::arbiter::{check_ledger_conservation, ExecutorArbiter, TenantGrant};
-use nostop::sim::fleet::{FleetSim, TenantSpec};
+use nostop::sim::fleet::{FleetSim, TenantSpec, MAX_PERIOD};
 use nostop::sim::{FaultEvent, FaultPlan};
 use nostop::simcore::{probe_mode, SimDuration, SimRng, SimTime};
 use nostop::workloads::WorkloadKind;
@@ -52,17 +58,73 @@ fn run_modes(
     (fleet, summary)
 }
 
+/// Every tenant's full listener history and final boundary shape match
+/// between the two runs — a wrong carry or watermark restore can hide
+/// from `summary_jsonl` for several epochs, but not from these.
+fn assert_tenants_identical(fast: &FleetSim, probe: &FleetSim) {
+    for t in 0..fast.tenants() {
+        let (a, b) = (
+            fast.tenant_system(t).engine(),
+            probe.tenant_system(t).engine(),
+        );
+        assert_eq!(
+            a.listener().since(0),
+            b.listener().since(0),
+            "tenant {t}: listener histories diverged"
+        );
+        assert_eq!(
+            a.quiescence_probe().map(|p| p.shape),
+            b.quiescence_probe().map(|p| p.shape),
+            "tenant {t}: final boundary shapes diverged"
+        );
+    }
+}
+
+/// A steady spec's constant arrival rate.
+fn constant_rate(spec: &TenantSpec) -> f64 {
+    match spec.rate {
+        RateSpec::Constant { rate } => rate,
+        ref other => panic!("steady tenants have a constant rate, not {other:?}"),
+    }
+}
+
+fn gcd(a: u128, b: u128) -> u128 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// The broker-carry period, in epochs, of a tenant parked on a constant
+/// `rate` (a multiple of 1/4 rec/s) that cuts `batches` batches of
+/// `interval_us` per epoch: an epoch produces `rate · T` records over the
+/// broker's 32 partitions, so the integration state returns after the
+/// smallest `m` with `m · rate · T / 32` whole.
+fn carry_period(rate: f64, interval_us: u64, batches: u64) -> u64 {
+    let rate4 = (rate * 4.0) as u128;
+    assert_eq!(
+        rate4 as f64,
+        rate * 4.0,
+        "rate {rate} is not a multiple of 1/4"
+    );
+    let num = rate4 * (interval_us * batches) as u128;
+    let den = 4 * 32 * 1_000_000u128;
+    (den / gcd(num, den)) as u64
+}
+
+/// Steady tenant `id`, WordCount and PageAnalyze alternating.
+fn steady_spec(id: u32, seed: u64) -> TenantSpec {
+    let kind = if id.is_multiple_of(2) {
+        WorkloadKind::WordCount
+    } else {
+        WorkloadKind::PageAnalyze
+    };
+    TenantSpec::steady(kind, seed, id)
+}
+
 fn steady_specs(n: u32, seed: u64) -> Vec<TenantSpec> {
-    (0..n)
-        .map(|i| {
-            let kind = if i % 2 == 0 {
-                WorkloadKind::WordCount
-            } else {
-                WorkloadKind::PageAnalyze
-            };
-            TenantSpec::steady(kind, seed, i)
-        })
-        .collect()
+    (0..n).map(|i| steady_spec(i, seed)).collect()
 }
 
 /// Contract 1 over all four workloads: paper tenants never quiesce (their
@@ -134,6 +196,81 @@ fn steady_fleets_fast_forward_and_stay_bit_identical() {
         );
         check_ledger_conservation(fast.arbiter().ledger()).expect("fast-path ledger");
         check_ledger_conservation(probe.arbiter().ledger()).expect("probe ledger");
+        assert_tenants_identical(&fast, &probe);
+    }
+}
+
+/// Steady tenants park at the 3 s interval floor with 12-batch epochs.
+const PARKED_INTERVAL_US: u64 = 3_000_000;
+const PARKED_BATCHES: u64 = 12;
+
+/// Contract 6 on hand-picked fleets: the tenant ids whose steady rate
+/// gives a broker-carry period of 2 (and of 4) at the parked epoch, run
+/// as one fleet each. Every tenant really parks on that epoch, arms on
+/// exactly that period, and fast-forwards; every observable matches
+/// probe mode.
+#[test]
+fn period_two_and_four_orbits_fast_forward_bit_identically() {
+    let seed = 91;
+    let steady = |id: u32| steady_spec(id, seed);
+    let period_of = |id: u32| {
+        carry_period(
+            constant_rate(&steady(id)),
+            PARKED_INTERVAL_US,
+            PARKED_BATCHES,
+        )
+    };
+    for period in [2u64, 4] {
+        let ids: Vec<u32> = (0..10).filter(|&id| period_of(id) == period).collect();
+        // 1,500 rec/s · 36 s = 54,000 records, 16 mod 32: the carry
+        // alternates. 1,350 and 1,650 rec/s leave 24 and 8 mod 32.
+        let expected: &[u32] = if period == 2 { &[2, 7] } else { &[1, 3, 6, 8] };
+        assert_eq!(ids, expected, "carry arithmetic picked other tenants");
+        let specs: Vec<TenantSpec> = ids.iter().map(|&id| steady(id)).collect();
+        let run = |fastpath: bool| {
+            let mut fleet = FleetSim::new(&specs, None, ArbiterPolicy::FairShare);
+            fleet.set_fastpath(fastpath);
+            let mut batches = vec![0u64; specs.len()];
+            for _ in 0..70 {
+                let before: Vec<u64> = (0..specs.len())
+                    .map(|t| fleet.tenant_system(t).engine().listener().completed())
+                    .collect();
+                fleet.step_epoch();
+                for (t, n) in batches.iter_mut().enumerate() {
+                    *n = fleet.tenant_system(t).engine().listener().completed() - before[t];
+                }
+            }
+            (fleet, batches)
+        };
+        let (fast, batches) = run(true);
+        let (probe, _) = run(false);
+        for (t, &n) in batches.iter().enumerate() {
+            let interval = fast.tenant_system(t).engine().config().batch_interval;
+            assert_eq!(
+                (interval.as_micros(), n),
+                (PARKED_INTERVAL_US, PARKED_BATCHES),
+                "tenant {}: not parked on the epoch the arithmetic assumed",
+                ids[t]
+            );
+            assert!(
+                fast.skip_log().iter().any(|s| s.0 == t as u32),
+                "p={period}: tenant {} was never fast-forwarded",
+                ids[t]
+            );
+        }
+        let hist = fast.would_skip_by_period();
+        for (p, &count) in hist.iter().enumerate().skip(1) {
+            assert_eq!(
+                count > 0,
+                p as u64 == period,
+                "p={period}: skippable epochs by period {hist:?}"
+            );
+        }
+        assert_eq!(hist, probe.would_skip_by_period());
+        assert_eq!(fast.arm_failures(), probe.arm_failures());
+        assert_eq!(probe.total_skipped_epochs(), 0);
+        assert_eq!(fast.summary_jsonl(), probe.summary_jsonl());
+        assert_tenants_identical(&fast, &probe);
     }
 }
 
@@ -317,6 +454,82 @@ proptest! {
         }
         let (dense, sparse) = sparse_mirror_run(budget, policy, &walks, &priorities);
         prop_assert_eq!(dense, sparse, "sparse barrier diverged from dense");
+    }
+
+    /// Contract 6 over generated orbits: six steady tenants whose
+    /// constant rates (8·base + 0, 4, 2, 1, 1/2, 1/4 rec/s) give broker-
+    /// carry periods of 1, 2, 4, 8, 16 and 32 epochs at the parked
+    /// epoch, optionally under a binding budget whose grants change
+    /// mid-period. The fast path matches probe mode, the ledger
+    /// conserves, and no epoch is skipped on a parked epoch whose carry
+    /// period exceeds `MAX_PERIOD`.
+    #[test]
+    fn generated_orbits_match_probe_and_skip_only_short_periods(
+        seed in 0u64..1_000,
+        bases in proptest::collection::vec(140u32..250, 6..7),
+        budget_raw in 0u32..40,
+        epochs in 40u64..56,
+    ) {
+        const OFFSETS: [f64; 6] = [0.0, 4.0, 2.0, 1.0, 0.5, 0.25];
+        let specs: Vec<TenantSpec> = bases
+            .iter()
+            .zip(OFFSETS)
+            .enumerate()
+            .map(|(i, (&base, offset))| {
+                let mut spec = steady_spec(i as u32, seed);
+                spec.rate = RateSpec::Constant { rate: 8.0 * base as f64 + offset };
+                spec
+            })
+            .collect();
+        let designed: Vec<u64> = specs
+            .iter()
+            .map(|spec| carry_period(constant_rate(spec), PARKED_INTERVAL_US, PARKED_BATCHES))
+            .collect();
+        prop_assert_eq!(designed, vec![1, 2, 4, 8, 16, 32]);
+        // Half the cases run unconstrained; the rest share 16–39
+        // executors among six tenants that want up to 20 each.
+        let budget = (budget_raw >= 16).then_some(budget_raw);
+        let mut fast = FleetSim::new(&specs, budget, ArbiterPolicy::FairShare);
+        fast.set_fastpath(true);
+        let mut probe = FleetSim::new(&specs, budget, ArbiterPolicy::FairShare);
+        probe.set_fastpath(false);
+        let mut periods = vec![0u64; specs.len()];
+        for epoch in 0..epochs {
+            let before: Vec<u64> = (0..specs.len())
+                .map(|t| fast.tenant_system(t).engine().listener().completed())
+                .collect();
+            let skipped_before = fast.skip_log().len();
+            fast.step_epoch();
+            probe.step_epoch();
+            for (t, spec) in specs.iter().enumerate() {
+                let e = fast.tenant_system(t).engine();
+                let n = e.listener().completed() - before[t];
+                let interval = e.config().batch_interval.as_micros();
+                periods[t] = carry_period(constant_rate(spec), interval, n);
+            }
+            for &(t, _, _, _) in &fast.skip_log()[skipped_before..] {
+                prop_assert!(
+                    periods[t as usize] <= MAX_PERIOD as u64,
+                    "tenant {} skipped epoch {} on a carry period of {}",
+                    t, epoch, periods[t as usize]
+                );
+            }
+        }
+        prop_assert_eq!(fast.summary_jsonl(), probe.summary_jsonl(), "summaries diverged");
+        prop_assert_eq!(fast.would_skip_by_period(), probe.would_skip_by_period());
+        prop_assert_eq!(fast.arm_failures(), probe.arm_failures());
+        prop_assert_eq!(probe.total_skipped_epochs(), 0);
+        for (t, _) in specs.iter().enumerate() {
+            let (a, b) = (fast.tenant_system(t).engine(), probe.tenant_system(t).engine());
+            prop_assert_eq!(a.listener().since(0), b.listener().since(0), "tenant {} history", t);
+            prop_assert_eq!(
+                a.quiescence_probe().map(|p| p.shape),
+                b.quiescence_probe().map(|p| p.shape),
+                "tenant {} shape", t
+            );
+        }
+        prop_assert!(check_ledger_conservation(fast.arbiter().ledger()).is_ok());
+        prop_assert!(check_ledger_conservation(probe.arbiter().ledger()).is_ok());
     }
 
     /// Contracts 1 and 4 over random steady fleets with fault plans: the
