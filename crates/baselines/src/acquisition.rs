@@ -9,6 +9,10 @@
 //! where `y*` is the incumbent (best observed) value and ξ a small
 //! exploration margin. Φ/φ are computed via an Abramowitz–Stegun erf
 //! approximation — accurate to ~1.5e-7, far below measurement noise.
+//!
+//! [`expected_improvement_bound`] bounds EI from above over every
+//! variance up to a ceiling, from the mean alone; BayesOpt uses it to
+//! skip the variance of candidates that cannot win.
 
 /// Standard normal probability density.
 pub fn normal_pdf(z: f64) -> f64 {
@@ -47,6 +51,25 @@ pub fn expected_improvement(mean: f64, variance: f64, best: f64, xi: f64) -> f64
     let improvement = best - mean - xi;
     let z = improvement / sigma;
     (improvement * normal_cdf(z) + sigma * normal_pdf(z)).max(0.0)
+}
+
+/// Slack of [`expected_improvement_bound`], per unit of `|y* − μ − ξ| + σ`.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// An upper bound on [`expected_improvement`]`(mean, σ², best, xi)` over
+/// every `σ² ≤ max_variance`: the EI at `max_variance` plus a slack.
+///
+/// Exact EI is nondecreasing in σ (`∂EI/∂σ = φ(z) ≥ 0`), so the EI at the
+/// largest variance bounds the rest. The erf approximation and rounding
+/// break that by a hair: where the bound clamps to 0 a smaller σ can come
+/// out a few ulps positive, and a dense scan over `z` and `σ / σ_max`
+/// found no excess above 4e-16 × `(|improvement| + σ_max)`. The slack is
+/// therefore absolute, `1e-9 × (|improvement| + σ_max)`, not a multiple of
+/// the bound, which is 0 exactly where the excess shows up.
+pub fn expected_improvement_bound(mean: f64, max_variance: f64, best: f64, xi: f64) -> f64 {
+    let improvement = best - mean - xi;
+    expected_improvement(mean, max_variance, best, xi)
+        + BOUND_SLACK * (improvement.abs() + max_variance.max(0.0).sqrt())
 }
 
 #[cfg(test)]

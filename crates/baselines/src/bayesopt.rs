@@ -7,15 +7,144 @@
 //! system reconfiguration + measurement window — half of SPSA's per-
 //! iteration cost — but BO typically needs many more iterations, which is
 //! exactly the search-time gap Fig. 8 reports. Model fitting itself rides
-//! the incremental GP fast path (O(n²) per observation, batched posterior
-//! scoring of the candidate pool), so the comparison measures the search
-//! strategies rather than the surrogate's refit cost.
+//! the incremental GP fast path (O(n²) per observation), so the
+//! comparison measures the search strategies rather than the surrogate's
+//! refit cost.
+//!
+//! # Pruned scoring
+//!
+//! The pool is one flat buffer ([`CandidatePool`]) redrawn in place each
+//! proposal. [`CandidatePool::argmax_ei`] runs the GP's mean pass over
+//! every candidate, keys each by [`expected_improvement_bound`] at the
+//! GP's largest possible variance, and visits candidates by descending
+//! key, [`TILE`] at a time through the variance pass, until the next key
+//! is below the best EI found. A pruned candidate's EI is at most its key,
+//! so it could not have won; the result is the first maximum of the full
+//! scan, bit for bit (`tests/ei_pruning.rs` holds it to that).
 
-use crate::acquisition::expected_improvement;
+use crate::acquisition::{expected_improvement, expected_improvement_bound};
 use crate::gp::{GaussianProcess, Kernel};
+use crate::linalg::TILE;
 use crate::tuner::{BestTracker, Tuner};
 use nostop_core::space::ConfigSpace;
 use nostop_simcore::SimRng;
+
+/// How much of the candidate pool reached the variance pass: seed-pure
+/// counts, summed over every scored proposal.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScoringStats {
+    /// Candidates drawn into pools.
+    pub pooled: u64,
+    /// Candidates whose variance was computed.
+    pub scored: u64,
+}
+
+/// A candidate pool, row-major (`dim` coordinates per candidate), and the
+/// scratch its pruned EI argmax reuses.
+#[derive(Debug, Clone)]
+pub struct CandidatePool {
+    dim: usize,
+    coords: Vec<f64>,
+    /// Scratch: the posterior means, in pool order.
+    means: Vec<f64>,
+    /// Scratch: `(key, index)`, sorted into visiting order.
+    order: Vec<(f64, usize)>,
+    /// Scratch: one tile's variances.
+    vars: Vec<f64>,
+}
+
+impl CandidatePool {
+    /// A pool of the candidates in `coords`, `dim` coordinates each.
+    pub fn new(dim: usize, coords: Vec<f64>) -> Self {
+        assert!(
+            dim > 0 && coords.len().is_multiple_of(dim),
+            "dimension mismatch"
+        );
+        CandidatePool {
+            dim,
+            coords,
+            means: Vec::new(),
+            order: Vec::new(),
+            vars: Vec::new(),
+        }
+    }
+
+    /// Replace the candidates with `count × dim` coordinates from `draw`,
+    /// candidate by candidate.
+    pub fn redraw(&mut self, count: usize, draw: impl FnMut() -> f64) {
+        self.coords.clear();
+        self.coords
+            .extend(std::iter::repeat_with(draw).take(count * self.dim));
+    }
+
+    /// Number of candidates.
+    pub fn len(&self) -> usize {
+        self.coords.len() / self.dim
+    }
+
+    /// True when the pool holds no candidate.
+    pub fn is_empty(&self) -> bool {
+        self.coords.is_empty()
+    }
+
+    /// Candidate `i`'s coordinates.
+    pub fn candidate(&self, i: usize) -> &[f64] {
+        &self.coords[i * self.dim..(i + 1) * self.dim]
+    }
+
+    /// The first EI maximum under `gp` with incumbent `best` and margin
+    /// `xi` — the smallest index whose EI no candidate beats, `None` when
+    /// no EI compares — and the number of candidates whose variance was
+    /// computed. See the module docs.
+    pub fn argmax_ei(
+        &mut self,
+        gp: &GaussianProcess,
+        best: f64,
+        xi: f64,
+    ) -> (Option<usize>, usize) {
+        gp.posterior_means(&self.coords, self.dim, &mut self.means);
+        let ceiling = gp.max_variance();
+        self.order.clear();
+        self.order
+            .extend(self.means.iter().enumerate().map(|(i, &mean)| {
+                let key = expected_improvement_bound(mean, ceiling, best, xi);
+                // A NaN key never prunes: visit it first.
+                (if key.is_nan() { f64::INFINITY } else { key }, i)
+            }));
+        self.order
+            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut winner: Option<(f64, usize)> = None;
+        let mut scored = 0;
+        let mut picks = [0; TILE];
+        while scored < self.order.len() {
+            // The next tile: up to TILE candidates whose key can still
+            // reach the best EI so far. Keys only fall from here on.
+            let best_ei = winner.map_or(f64::NEG_INFINITY, |w| w.0);
+            let mut len = 0;
+            for &(key, i) in self.order[scored..].iter().take(TILE) {
+                if key < best_ei {
+                    break;
+                }
+                picks[len] = i;
+                len += 1;
+            }
+            if len == 0 {
+                break;
+            }
+            scored += len;
+            gp.posterior_variances(&self.coords, self.dim, &picks[..len], &mut self.vars);
+            for (&i, &var) in picks[..len].iter().zip(&self.vars) {
+                let ei = expected_improvement(self.means[i], var, best, xi);
+                if winner.map_or(ei > f64::NEG_INFINITY, |(w, j)| {
+                    ei > w || (ei == w && i < j)
+                }) {
+                    winner = Some((ei, i));
+                }
+            }
+        }
+        (winner.map(|w| w.1), scored)
+    }
+}
 
 /// GP-EI Bayesian optimization over a [`ConfigSpace`].
 pub struct BayesOpt {
@@ -25,17 +154,23 @@ pub struct BayesOpt {
     tracker: BestTracker,
     /// The proposal awaiting an observation (scaled space).
     pending_scaled: Option<Vec<f64>>,
+    /// The candidate pool, redrawn in place every proposal.
+    pool: CandidatePool,
+    stats: ScoringStats,
 }
 
 impl BayesOpt {
     /// A tuner over `space` with default kernel and budget-free operation.
     pub fn new(space: ConfigSpace, seed: u64) -> Self {
+        let pool = CandidatePool::new(space.dim(), Vec::new());
         BayesOpt {
             space,
             gp: GaussianProcess::new(Kernel::default()),
             rng: SimRng::seed_from_u64(seed),
             tracker: BestTracker::default(),
             pending_scaled: None,
+            pool,
+            stats: ScoringStats::default(),
         }
     }
 
@@ -49,6 +184,12 @@ impl BayesOpt {
         self
     }
 
+    /// Candidates pooled and candidates that reached the variance pass
+    /// so far.
+    pub fn scoring_stats(&self) -> ScoringStats {
+        self.stats
+    }
+
     fn random_scaled(&mut self) -> Vec<f64> {
         (0..self.space.dim())
             .map(|_| self.rng.uniform(self.space.scaled_lo, self.space.scaled_hi))
@@ -60,23 +201,19 @@ impl BayesOpt {
             return self.random_scaled();
         }
         let best = self.gp.best_y().expect("observations exist");
-        // Draw the whole candidate pool up front, then score it with one
-        // batched posterior pass over eight-candidate tiles instead of
-        // `N_CANDIDATES` independent posterior calls. The posteriors (and
-        // hence the argmax) are bitwise identical to the one-at-a-time
-        // loop this replaces.
-        let mut best_candidate = self.random_scaled();
-        let candidates: Vec<Vec<f64>> = (0..N_CANDIDATES).map(|_| self.random_scaled()).collect();
-        let posteriors = self.gp.posterior_batch(&candidates);
-        let mut best_ei = f64::NEG_INFINITY;
-        for (c, (mean, var)) in candidates.into_iter().zip(posteriors) {
-            let ei = expected_improvement(mean, var, best, XI);
-            if ei > best_ei {
-                best_ei = ei;
-                best_candidate = c;
-            }
+        // The fallback, then the pool: the RNG order of the one-at-a-time
+        // loop the batched scoring replaced.
+        let mut chosen = self.random_scaled();
+        let (lo, hi) = (self.space.scaled_lo, self.space.scaled_hi);
+        let rng = &mut self.rng;
+        self.pool.redraw(N_CANDIDATES, || rng.uniform(lo, hi));
+        let (winner, scored) = self.pool.argmax_ei(&self.gp, best, XI);
+        self.stats.pooled += N_CANDIDATES as u64;
+        self.stats.scored += scored as u64;
+        if let Some(i) = winner {
+            chosen.copy_from_slice(self.pool.candidate(i));
         }
-        best_candidate
+        chosen
     }
 }
 
@@ -194,6 +331,26 @@ mod tests {
         let p2 = bo.propose();
         bo.observe(&p2, 5.0);
         assert_eq!(bo.best().unwrap().1, 5.0);
+    }
+
+    #[test]
+    fn scoring_stats_count_the_pool_and_its_survivors() {
+        let run = || {
+            let mut bo = BayesOpt::new(ConfigSpace::extended(), 13);
+            for i in 0..40 {
+                let p = bo.propose();
+                let y = p.iter().sum::<f64>() * 0.01 + (i % 4) as f64 * 0.1;
+                bo.observe(&p, y);
+            }
+            bo.scoring_stats()
+        };
+        let stats = run();
+        assert_eq!(stats.pooled, (40 - N_INITIAL as u64) * N_CANDIDATES as u64);
+        assert!(
+            0 < stats.scored && stats.scored < stats.pooled,
+            "the variance pass sees a strict subset: {stats:?}"
+        );
+        assert_eq!(run(), stats, "seed-pure");
     }
 
     #[test]

@@ -30,19 +30,25 @@
 //!
 //! # Batched scoring
 //!
-//! [`GaussianProcess::posterior_batch`] scores candidates in tiles of
-//! [`TILE`]: their kernel columns are written interleaved into one
-//! `n × TILE` buffer, and [`dot_tile`] serves the mean (`alpha · k*`), the
-//! forward solve ([`solve_lower_tile`]) and the variance (`v · v`) for all
-//! eight at once. Every loop vectorises across the tile's candidates, never
-//! along a sum, so each lane keeps the per-point order of operations
-//! ([`Kernel::eval`]'s distance sum, [`dot`]'s partial sums) and every
-//! output is bitwise equal to [`GaussianProcess::posterior`], which stays
-//! as the per-point reference. Nothing here may use a fused multiply-add.
+//! Candidates are scored in two passes over one row-major pool, [`TILE`]
+//! at a time. The **mean pass** ([`GaussianProcess::posterior_means`])
+//! writes the tile's kernel columns interleaved into one `n × TILE` buffer
+//! and takes `alpha · k*` with [`dot_tile`]. The **variance pass**
+//! ([`GaussianProcess::posterior_variances`]) takes any picks, in any
+//! order, regroups them into tiles, recomputes their k* and runs the
+//! forward solve ([`solve_lower_tile`]) and `v · v`. BayesOpt runs the
+//! mean pass over its whole pool and the variance pass only over the
+//! candidates whose EI bound can still win. Every loop vectorises across
+//! the tile's candidates, never along a sum, so each lane keeps the
+//! per-point order of operations ([`Kernel::eval`]'s distance sum,
+//! [`dot`]'s partial sums) and every output is bitwise equal to
+//! [`GaussianProcess::posterior`], which stays as the per-point reference,
+//! whatever lane or tile a candidate lands in. Nothing here may use a
+//! fused multiply-add.
 //!
-//! *Width.* The tile loop is one `#[inline(always)]` body compiled twice:
+//! *Width.* Each pass is one `#[inline(always)]` body compiled twice:
 //! portably, and on `x86_64` inside an AVX2 `#[target_feature]` wrapper
-//! that `posterior_batch` picks per call when the host has AVX2. IEEE
+//! that the pass picks per call when the host has AVX2. IEEE
 //! `+ − × ÷` round per lane at any vector width and rustc never fuses
 //! `a * b + c`, so the two builds agree bit for bit; AVX2 only moves four
 //! lanes per instruction instead of two.
@@ -262,77 +268,158 @@ impl GaussianProcess {
         let mean = self.y_mean + dot(&k_star, &self.alpha);
         let mut v = k_star;
         solve_lower_in_place(&self.chol, &mut v);
-        let var = (self.kernel.eval_with(self.two_l2, x, x) - dot(&v, &v)).max(1e-12);
+        let var = (self.kernel.eval_with(self.two_l2, x, x) - dot(&v, &v)).max(VARIANCE_FLOOR);
         (mean, var)
     }
 
-    /// Posterior mean and variance at every candidate, scored [`TILE`]
-    /// candidates at a time (see the module docs). Bitwise identical to
-    /// calling [`GaussianProcess::posterior`] per point.
-    pub fn posterior_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+    /// The largest posterior variance any point can have:
+    /// `max(σ_f², floor)`. The posterior variance is
+    /// `max(k(x, x) − v·v, floor)`, `k(x, x)` is `σ_f² · exp(−0)`, which is
+    /// `σ_f²` exactly, and `v·v` is a sum of squares.
+    pub fn max_variance(&self) -> f64 {
+        self.kernel.signal_variance.max(VARIANCE_FLOOR)
+    }
+
+    /// The number of candidates in `xs`, `dim` coordinates each, checked
+    /// against the observations' dimension.
+    fn pool_len(&self, xs: &[f64], dim: usize) -> usize {
+        assert!(dim > 0, "a point needs at least one dimension");
+        assert!(
+            xs.len().is_multiple_of(dim) && (self.is_empty() || dim == self.dim),
+            "dimension mismatch"
+        );
+        xs.len() / dim
+    }
+
+    /// Mean pass: the posterior mean of every candidate in `xs`
+    /// (row-major, `dim` coordinates each) into `out`, scored [`TILE`] at a
+    /// time (see the module docs). Bitwise equal to
+    /// [`GaussianProcess::posterior`]'s mean.
+    pub fn posterior_means(&self, xs: &[f64], dim: usize, out: &mut Vec<f64>) {
+        let count = self.pool_len(xs, dim);
+        out.clear();
         if self.is_empty() {
-            return xs
-                .iter()
-                .map(|_| (self.y_mean, self.kernel.signal_variance))
-                .collect();
-        }
-        for xc in xs {
-            assert_eq!(xc.len(), self.dim, "dimension mismatch");
+            out.resize(count, self.y_mean);
+            return;
         }
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
             // SAFETY: the detection just above proves this host runs AVX2.
-            return unsafe { self.score_avx2(xs) };
+            return unsafe { self.means_avx2(xs, out) };
         }
-        self.score(xs)
+        self.means(xs, out)
     }
 
-    /// [`GaussianProcess::score`] compiled for AVX2: the same body, four
+    /// Variance pass: the posterior variance of candidates `picks` of `xs`
+    /// into `out`, in `picks` order, [`TILE`] picks per tile. Bitwise equal
+    /// to [`GaussianProcess::posterior`]'s variance.
+    pub fn posterior_variances(&self, xs: &[f64], dim: usize, picks: &[usize], out: &mut Vec<f64>) {
+        self.pool_len(xs, dim);
+        out.clear();
+        if self.is_empty() {
+            out.resize(picks.len(), self.kernel.signal_variance);
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the detection just above proves this host runs AVX2.
+            return unsafe { self.variances_avx2(xs, picks, out) };
+        }
+        self.variances(xs, picks, out)
+    }
+
+    /// [`GaussianProcess::means`] compiled for AVX2: the same body, four
     /// f64 lanes per register instead of two.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn score_avx2(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        self.score(xs)
+    fn means_avx2(&self, xs: &[f64], out: &mut Vec<f64>) {
+        self.means(xs, out)
     }
 
-    /// The tile loop behind [`GaussianProcess::posterior_batch`], for a
-    /// non-empty GP and candidates of its dimension. Always inlined, so
-    /// each caller compiles it for its own target features.
+    /// [`GaussianProcess::variances`] compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn variances_avx2(&self, xs: &[f64], picks: &[usize], out: &mut Vec<f64>) {
+        self.variances(xs, picks, out)
+    }
+
+    /// The mean pass behind [`GaussianProcess::posterior_means`], for a
+    /// non-empty GP and candidates of its dimension: k* and `alpha · k*`,
+    /// tile by tile in pool order. Always inlined, so each caller compiles
+    /// it for its own target features.
     #[inline(always)]
-    fn score(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+    fn means(&self, xs: &[f64], out: &mut Vec<f64>) {
+        let count = xs.len() / self.dim;
+        let mut tile = Tile::new(self);
+        for start in (0..count).step_by(TILE) {
+            let len = (count - start).min(TILE);
+            tile.fill(self, xs, |g| start + g.min(len - 1));
+            let means = dot_tile::<1>(&self.alpha, &tile.k);
+            out.extend(means[..len].iter().map(|m| self.y_mean + m));
+        }
+    }
+
+    /// The variance pass behind [`GaussianProcess::posterior_variances`]:
+    /// k* again, the forward solve and `v · v`, one tile per [`TILE`]
+    /// picks. Always inlined, like [`GaussianProcess::means`].
+    #[inline(always)]
+    fn variances(&self, xs: &[f64], picks: &[usize], out: &mut Vec<f64>) {
         let dim = self.dim;
-        let mut out = Vec::with_capacity(xs.len());
-        let mut tile = vec![0.0; self.len() * TILE];
-        let mut cand = vec![0.0; dim * TILE];
-        for group in xs.chunks(TILE) {
-            // The group's coordinates, interleaved like the tile; a short
-            // last group repeats its last candidate in the spare lanes.
-            for (k, slot) in cand.iter_mut().enumerate() {
-                *slot = group[(k % TILE).min(group.len() - 1)][k / TILE];
-            }
-            // k* columns straight into the interleaved layout. Each lane
-            // sums its squared distance in `Kernel::eval`'s order (terms
-            // are never negative, so the zero start matches `sum`'s).
-            for (row, xi) in tile.chunks_exact_mut(TILE).zip(self.x.chunks_exact(dim)) {
-                let mut d2 = [0.0; TILE];
-                for (&a, lanes) in xi.iter().zip(cand.chunks_exact(TILE)) {
-                    for (d, &b) in d2.iter_mut().zip(lanes) {
-                        *d += (a - b) * (a - b);
-                    }
-                }
-                for (slot, d2) in row.iter_mut().zip(d2) {
-                    *slot = self.kernel.of_sq_dist(self.two_l2, d2);
-                }
-            }
-            let means = dot_tile::<1>(&self.alpha, &tile);
-            solve_lower_tile(&self.chol, &mut tile);
-            let vv = dot_tile::<TILE>(&tile, &tile);
-            for ((xc, mean), vv) in group.iter().zip(means).zip(vv) {
-                let var = (self.kernel.eval_with(self.two_l2, xc, xc) - vv).max(1e-12);
-                out.push((self.y_mean + mean, var));
+        let mut tile = Tile::new(self);
+        for group in picks.chunks(TILE) {
+            tile.fill(self, xs, |g| group[g.min(group.len() - 1)]);
+            solve_lower_tile(&self.chol, &mut tile.k);
+            let vv = dot_tile::<TILE>(&tile.k, &tile.k);
+            for (&i, vv) in group.iter().zip(vv) {
+                let xc = &xs[i * dim..(i + 1) * dim];
+                let var = (self.kernel.eval_with(self.two_l2, xc, xc) - vv).max(VARIANCE_FLOOR);
+                out.push(var);
             }
         }
-        out
+    }
+}
+
+/// Floor on the posterior variance.
+const VARIANCE_FLOOR: f64 = 1e-12;
+
+/// Scratch for one tile: the `n × TILE` k* columns and the candidates'
+/// coordinates, both interleaved (`[j * TILE + g]` is entry `j` of lane
+/// `g`).
+struct Tile {
+    k: Vec<f64>,
+    cand: Vec<f64>,
+}
+
+impl Tile {
+    fn new(gp: &GaussianProcess) -> Self {
+        Tile {
+            k: vec![0.0; gp.len() * TILE],
+            cand: vec![0.0; gp.dim * TILE],
+        }
+    }
+
+    /// Load lane `g` with candidate `lane(g)` of `xs` and write the lanes'
+    /// k* columns. A short group names its last candidate again in the
+    /// spare lanes, whose outputs the caller drops. Each lane sums its
+    /// squared distance in `Kernel::eval`'s order (terms are never
+    /// negative, so the zero start matches `sum`'s).
+    #[inline(always)]
+    fn fill(&mut self, gp: &GaussianProcess, xs: &[f64], lane: impl Fn(usize) -> usize) {
+        let dim = gp.dim;
+        for (k, slot) in self.cand.iter_mut().enumerate() {
+            *slot = xs[lane(k % TILE) * dim + k / TILE];
+        }
+        for (row, xi) in self.k.chunks_exact_mut(TILE).zip(gp.x.chunks_exact(dim)) {
+            let mut d2 = [0.0; TILE];
+            for (&a, lanes) in xi.iter().zip(self.cand.chunks_exact(TILE)) {
+                for (d, &b) in d2.iter_mut().zip(lanes) {
+                    *d += (a - b) * (a - b);
+                }
+            }
+            for (slot, d2) in row.iter_mut().zip(d2) {
+                *slot = gp.kernel.of_sq_dist(gp.two_l2, d2);
+            }
+        }
     }
 }
 
@@ -429,8 +516,17 @@ mod tests {
         }
     }
 
+    /// Both passes over every candidate of `pool`, as `(mean, variance)`.
+    fn two_pass(gp: &GaussianProcess, pool: &[f64], dim: usize) -> Vec<(f64, f64)> {
+        let (mut means, mut vars) = (Vec::new(), Vec::new());
+        gp.posterior_means(pool, dim, &mut means);
+        let picks: Vec<usize> = (0..means.len()).collect();
+        gp.posterior_variances(pool, dim, &picks, &mut vars);
+        means.into_iter().zip(vars).collect()
+    }
+
     #[test]
-    fn posterior_batch_matches_per_point_bitwise() {
+    fn two_pass_scoring_matches_per_point_bitwise() {
         let gp = gp_with(&[
             (&[1.0, 2.0], 3.0),
             (&[5.0, 5.0], 7.0),
@@ -439,25 +535,33 @@ mod tests {
             (&[7.0, 6.0], 2.0),
         ]);
         // 33 candidates: four full tiles and one padded single.
-        let cands: Vec<Vec<f64>> = (0..33)
-            .map(|i| vec![1.0 + (i % 9) as f64, 1.0 + (i % 5) as f64 * 3.0])
+        let pool: Vec<f64> = (0..33)
+            .flat_map(|i| [1.0 + (i % 9) as f64, 1.0 + (i % 5) as f64 * 3.0])
             .collect();
-        let batch = gp.posterior_batch(&cands);
-        assert_eq!(batch.len(), cands.len());
-        for (c, got) in cands.iter().zip(&batch) {
+        let scored = two_pass(&gp, &pool, 2);
+        assert_eq!(scored.len(), 33);
+        for (c, got) in pool.chunks_exact(2).zip(&scored) {
             let want = gp.posterior(c);
             assert_eq!(got.0.to_bits(), want.0.to_bits());
             assert_eq!(got.1.to_bits(), want.1.to_bits());
         }
+        // Picks in any order and repeated come back in pick order.
+        let picks = [32, 0, 7, 7, 19];
+        let mut vars = Vec::new();
+        gp.posterior_variances(&pool, 2, &picks, &mut vars);
+        for (&i, v) in picks.iter().zip(&vars) {
+            assert_eq!(v.to_bits(), scored[i].1.to_bits(), "pick {i}");
+        }
     }
 
     #[test]
-    fn dispatched_scoring_matches_portable_body_bitwise() {
-        // On an AVX2 host `posterior_batch` runs the AVX2 build of `score`;
-        // elsewhere both sides are the portable build. Eight GPs, dims
-        // 1..=8, grow to 300 observations together; each n scores one of
-        // them, rotating so every dim meets every n mod 8, with 1..=16
-        // candidates to cover every remainder mod the tile width.
+    fn dispatched_passes_match_portable_bodies_bitwise() {
+        // On an AVX2 host the public passes run the AVX2 builds of `means`
+        // and `variances`; elsewhere both sides are the portable builds.
+        // Eight GPs, dims 1..=8, grow to 300 observations together; each n
+        // scores one of them, rotating so every dim meets every n mod 8,
+        // with 1..=16 candidates to cover every remainder mod the tile
+        // width, and picks every candidate in reverse order.
         let mut rng = SimRng::seed_from_u64(8);
         let mut gps: Vec<GaussianProcess> = (0..8)
             .map(|_| GaussianProcess::new(Kernel::default()))
@@ -469,24 +573,51 @@ mod tests {
             }
             let gp = &gps[(n + n / 8) % 8];
             let dim = gp.dim;
-            let cands: Vec<Vec<f64>> = (0..(n / 8) % (2 * TILE) + 1)
-                .map(|_| (0..dim).map(|_| rng.uniform(1.0, 20.0)).collect())
-                .collect();
-            let portable = gp.score(&cands);
-            let dispatched = gp.posterior_batch(&cands);
-            assert_eq!(portable.len(), dispatched.len());
+            let count = (n / 8) % (2 * TILE) + 1;
+            let pool: Vec<f64> = (0..count * dim).map(|_| rng.uniform(1.0, 20.0)).collect();
+            let picks: Vec<usize> = (0..count).rev().collect();
+            let (mut portable, mut dispatched) = (Vec::new(), Vec::new());
+            gp.means(&pool, &mut portable);
+            gp.posterior_means(&pool, dim, &mut dispatched);
+            gp.variances(&pool, &picks, &mut portable);
+            let mut vars = Vec::new();
+            gp.posterior_variances(&pool, dim, &picks, &mut vars);
+            dispatched.extend(vars);
+            assert_eq!(portable.len(), 2 * count);
             for (p, d) in portable.iter().zip(&dispatched) {
-                assert_eq!(p.0.to_bits(), d.0.to_bits(), "mean, dim {dim} n {n}");
-                assert_eq!(p.1.to_bits(), d.1.to_bits(), "variance, dim {dim} n {n}");
+                assert_eq!(p.to_bits(), d.to_bits(), "dim {dim} n {n}");
             }
         }
     }
 
     #[test]
-    fn posterior_batch_on_empty_gp_returns_prior() {
+    fn passes_on_empty_gp_return_prior() {
         let gp = GaussianProcess::new(Kernel::default());
-        let batch = gp.posterior_batch(&[vec![1.0], vec![2.0]]);
-        assert_eq!(batch, vec![(0.0, 25.0), (0.0, 25.0)]);
+        assert_eq!(
+            two_pass(&gp, &[1.0, 2.0], 1),
+            vec![(0.0, 25.0), (0.0, 25.0)]
+        );
+        assert_eq!(gp.max_variance(), 25.0);
+    }
+
+    #[test]
+    fn max_variance_bounds_every_posterior_variance() {
+        // A signal variance under the floor: every variance is the floor.
+        let mut gp = GaussianProcess::new(Kernel {
+            signal_variance: 1e-14,
+            length_scale: 2.0,
+            noise_variance: 1e-30,
+        });
+        gp.add(vec![1.0], 0.0);
+        assert_eq!(gp.max_variance(), VARIANCE_FLOOR);
+        assert_eq!(gp.posterior(&[1.0]).1, VARIANCE_FLOOR);
+        let gp = gp_with(&[(&[1.0, 2.0], 3.0), (&[5.0, 5.0], 7.0)]);
+        assert_eq!(gp.max_variance(), 4.0);
+        assert_eq!(
+            gp.posterior(&[100.0, 100.0]).1,
+            4.0,
+            "far away: the prior exactly"
+        );
     }
 
     #[test]
@@ -498,9 +629,16 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
-    fn short_candidate_rejected_by_posterior_batch() {
+    fn ragged_pool_rejected_by_the_mean_pass() {
         let gp = gp_with(&[(&[1.0, 2.0], 3.0)]);
-        gp.posterior_batch(&[vec![1.0, 2.0], vec![1.0]]);
+        gp.posterior_means(&[1.0, 2.0, 1.0], 2, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn wrong_dimension_rejected_by_the_variance_pass() {
+        let gp = gp_with(&[(&[1.0, 2.0], 3.0)]);
+        gp.posterior_variances(&[1.0, 2.0], 1, &[0], &mut Vec::new());
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod spsa_tuner;
 pub mod tuner;
 
 pub use backpressure::PidRateEstimator;
-pub use bayesopt::BayesOpt;
+pub use bayesopt::{BayesOpt, CandidatePool, ScoringStats};
 pub use grid_search::GridSearch;
 pub use random_search::RandomSearch;
 pub use spsa_tuner::SpsaTuner;

@@ -6,8 +6,10 @@
 //!    at a time with [`Matrix::extend_cholesky`] is bitwise identical to
 //!    the full factorization of the final matrix: both paths share the
 //!    same unrolled dot kernel and recurrence order.
-//! 2. **Batched posterior** — [`GaussianProcess::posterior_batch`] is
-//!    bitwise identical to scoring each candidate through
+//! 2. **Batched posterior** — the mean pass
+//!    ([`GaussianProcess::posterior_means`]) and the variance pass
+//!    ([`GaussianProcess::posterior_variances`], picks in a shuffled
+//!    order) are bitwise identical to scoring each candidate through
 //!    [`GaussianProcess::posterior`] one at a time, at up to BayesOpt's
 //!    8 knobs, 1–299 observations (BayesOpt runs to 255) and 1–299
 //!    candidates: every observation count mod 4 and every candidate
@@ -77,7 +79,7 @@ proptest! {
     }
 
     #[test]
-    fn posterior_batch_matches_per_point_bitwise(
+    fn two_pass_scoring_matches_per_point_bitwise(
         dim in 1usize..=8,
         n_obs in 1usize..300,
         n_cand in 1usize..300,
@@ -90,12 +92,22 @@ proptest! {
             gp.add(x, y);
         }
         let candidates = random_points(n_cand, dim, &mut rng);
-        let batch = gp.posterior_batch(&candidates);
-        prop_assert_eq!(batch.len(), candidates.len());
-        for (cand, (bm, bv)) in candidates.iter().zip(&batch) {
-            let (m, v) = gp.posterior(cand);
-            prop_assert_eq!(m.to_bits(), bm.to_bits(), "mean diverged");
-            prop_assert_eq!(v.to_bits(), bv.to_bits(), "variance diverged");
+        let pool: Vec<f64> = candidates.concat();
+        let mut means = Vec::new();
+        gp.posterior_means(&pool, dim, &mut means);
+        prop_assert_eq!(means.len(), candidates.len());
+        // Survivors reach the variance pass in key order, not pool order.
+        let mut picks: Vec<usize> = (0..n_cand).collect();
+        for i in (1..n_cand).rev() {
+            picks.swap(i, rng.uniform_u64(0, i as u64) as usize);
+        }
+        let mut vars = Vec::new();
+        gp.posterior_variances(&pool, dim, &picks, &mut vars);
+        prop_assert_eq!(vars.len(), picks.len());
+        for (&i, var) in picks.iter().zip(&vars) {
+            let (m, v) = gp.posterior(&candidates[i]);
+            prop_assert_eq!(m.to_bits(), means[i].to_bits(), "mean diverged");
+            prop_assert_eq!(v.to_bits(), var.to_bits(), "variance diverged");
         }
     }
 

@@ -17,14 +17,15 @@
 //! probe factorizes the same kernel matrix with the same summation order,
 //! so BayesOpt's proposals are bitwise identical either way. Wall-clock timings go to **stderr** and
 //! — as `wall_ms`, best of `NOSTOP_PERF_REPEATS` runs — into the report
-//! **file only**.
+//! **file only**; each BayesOpt cell's stderr line also carries the share
+//! of its candidate pools that reached the GP's variance pass.
 //!
 //! The binary is also its own acceptance test: before writing anything it
 //! drives two BayesOpt instances over the dim-8 space on a synthetic
 //! objective — one pinned to the incremental GP, one to the full-refit
 //! probe — and asserts every proposal is bitwise identical.
 
-use nostop_baselines::{BayesOpt, GridSearch, RandomSearch, SpsaTuner, Tuner};
+use nostop_baselines::{BayesOpt, GridSearch, RandomSearch, ScoringStats, SpsaTuner, Tuner};
 use nostop_bench::driver::{make_system, paper_rate, run_tuner};
 use nostop_bench::parallel::{jobs, map_cells};
 use nostop_bench::report::{best_of, repeats, with_wall};
@@ -61,11 +62,15 @@ fn make_tuner(name: &str, dim: usize, seed: u64) -> Box<dyn Tuner> {
     let space = space_for(dim);
     match name {
         "spsa" => Box::new(SpsaTuner::new(space, seed.wrapping_mul(7) + 1)),
-        "bayesopt" => Box::new(BayesOpt::new(space, seed.wrapping_mul(7) + 2)),
+        "bayesopt" => Box::new(bayesopt(dim, seed)),
         "random" => Box::new(RandomSearch::new(space, seed.wrapping_mul(7) + 3)),
         "grid" => Box::new(GridSearch::auto(space, EVALS)),
         _ => unreachable!("unknown tuner {name}"),
     }
+}
+
+fn bayesopt(dim: usize, seed: u64) -> BayesOpt {
+    BayesOpt::new(space_for(dim), seed.wrapping_mul(7) + 2)
 }
 
 /// One arena cell: a tuner racing on one workload at one seed.
@@ -88,6 +93,8 @@ struct CellOut {
     /// Virtual streaming seconds the search consumed.
     virtual_time_s: f64,
     wall_ms: f64,
+    /// BayesOpt's candidates pooled and scored (stderr only).
+    scoring: Option<ScoringStats>,
 }
 
 fn run_cell(cell: Cell) -> CellOut {
@@ -98,19 +105,25 @@ fn run_cell(cell: Cell) -> CellOut {
         cell.kind.name(),
         cell.seed
     );
-    let (run, wall_ms) = best_of(
+    let ((run, scoring), wall_ms) = best_of(
         repeats(1),
         &format!("{label}: trajectory"),
         || {
-            let mut tuner = make_tuner(cell.tuner, cell.dim, cell.seed);
             let mut sys = make_system(
                 cell.kind,
                 cell.seed,
                 paper_rate(cell.kind, cell.seed ^ 0x5EED),
             );
-            run_tuner(tuner.as_mut(), &mut sys, EVALS)
+            if cell.tuner == "bayesopt" {
+                let mut bo = bayesopt(cell.dim, cell.seed);
+                let run = run_tuner(&mut bo, &mut sys, EVALS);
+                (run, Some(bo.scoring_stats()))
+            } else {
+                let mut tuner = make_tuner(cell.tuner, cell.dim, cell.seed);
+                (run_tuner(tuner.as_mut(), &mut sys, EVALS), None)
+            }
         },
-        |run| {
+        |(run, _)| {
             run.history
                 .iter()
                 .map(|step| step.objective.to_bits())
@@ -133,6 +146,7 @@ fn run_cell(cell: Cell) -> CellOut {
         evals_used: run.history.len(),
         virtual_time_s: run.virtual_time_s,
         wall_ms,
+        scoring,
     }
 }
 
@@ -200,8 +214,16 @@ fn main() {
     let arena_start = Instant::now();
     let outs = map_cells(&cells, |cell| run_cell(*cell));
     for (cell, out) in cells.iter().zip(&outs) {
+        // BayesOpt's scored fraction: the share of its candidate pools
+        // that reached the GP's variance pass.
+        let scored = out.scoring.map_or(String::new(), |s| {
+            format!(
+                "  scored {:.1}%",
+                100.0 * s.scored as f64 / s.pooled.max(1) as f64
+            )
+        });
         eprintln!(
-            "cell {:<9} dim{} {:<12} seed{:<3} {:>2} evals  {:>8.1} ms",
+            "cell {:<9} dim{} {:<12} seed{:<3} {:>2} evals  {:>8.1} ms{scored}",
             cell.tuner,
             cell.dim,
             cell.kind.name(),

@@ -32,6 +32,16 @@ pub struct IngestStats {
     pub produce_steps: u64,
 }
 
+impl IngestStats {
+    /// Field-wise difference `self - before`: the work one window took.
+    pub fn delta_since(&self, before: &IngestStats) -> IngestStats {
+        IngestStats {
+            rate_calls: self.rate_calls - before.rate_calls,
+            produce_steps: self.produce_steps - before.produce_steps,
+        }
+    }
+}
+
 /// Drives a broker from an arrival-rate process.
 pub struct StreamGenerator {
     rate: Box<dyn RateProcess>,
@@ -153,16 +163,19 @@ impl StreamGenerator {
         self.stats
     }
 
-    /// Move the integration watermark forward to `until` and set the
-    /// fractional carry to `carry_bits`, without touching the rate
-    /// process. Only valid when the caller has already accounted the
+    /// Move the integration watermark forward to `until`, set the
+    /// fractional carry to `carry_bits` and count `work`, the rate samples
+    /// and produce steps the skipped window took, without touching the
+    /// rate process. Only valid when the caller has already accounted the
     /// window's production elsewhere (the fleet fast path replays a
-    /// proven-periodic epoch and restores the watermark and carry the
-    /// dense integration had at that point of the orbit).
-    pub fn fast_forward(&mut self, until: SimTime, carry_bits: u64) {
+    /// proven-periodic epoch and restores the watermark, carry and counts
+    /// the dense integration had at that point of the orbit).
+    pub fn fast_forward(&mut self, until: SimTime, carry_bits: u64, work: IngestStats) {
         debug_assert!(until >= self.produced_until, "watermark must move forward");
         self.produced_until = until;
         self.carry = f64::from_bits(carry_bits);
+        self.stats.rate_calls += work.rate_calls;
+        self.stats.produce_steps += work.produce_steps;
     }
 }
 
@@ -283,9 +296,15 @@ mod tests {
         let carry = g.carry_bits();
         g.advance_to(SimTime::from_secs_f64(3.3), &mut b);
         assert_ne!(g.carry_bits(), carry);
-        g.fast_forward(SimTime::from_secs_f64(15.0), carry);
+        let before = g.stats();
+        let work = IngestStats {
+            rate_calls: 3,
+            produce_steps: 117,
+        };
+        g.fast_forward(SimTime::from_secs_f64(15.0), carry, work);
         assert_eq!(g.produced_until(), SimTime::from_secs_f64(15.0));
         assert_eq!(g.carry_bits(), carry);
+        assert_eq!(g.stats().delta_since(&before), work, "work is counted");
         assert_eq!(
             g.next_change_at(SimTime::ZERO),
             nostop_simcore::SimTime::MAX

@@ -11,7 +11,7 @@
 use nostop_datagen::adversarial::{ADV_BASE_STREAM, ADV_EVENT_STREAM};
 use nostop_datagen::broker::{Broker, BrokerConfig};
 use nostop_datagen::rate::{RateProcess, RateSpec, RateSpecExt, TraceRate};
-use nostop_datagen::StreamGenerator;
+use nostop_datagen::{IngestStats, StreamGenerator};
 use nostop_simcore::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -400,7 +400,11 @@ fn generator_case(source: &Source, seed: u64, plan_seed: u64) -> Result<(), Test
         if plan.bernoulli(0.1) {
             // A watermark jump, as the fleet fast path makes.
             let delta = SimDuration::from_micros(plan.uniform_u64(0, 20_000_000));
-            fast.fast_forward(fast.produced_until() + delta, fast.carry_bits());
+            fast.fast_forward(
+                fast.produced_until() + delta,
+                fast.carry_bits(),
+                IngestStats::default(),
+            );
             slow.produced_until += delta;
             t = t.max(slow.produced_until);
             continue;

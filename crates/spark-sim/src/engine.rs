@@ -133,7 +133,7 @@ impl EngineParams {
 /// cycling every 2 or 4 epochs).
 /// [`StreamingEngine::fleet_fast_forward`] restores them from the
 /// replayed phase's end shape. Every other field must hold across the
-/// whole period ([`QuiescenceShape::invariant_difference`]).
+/// whole period (`QuiescenceShape::invariant_difference`, crate-private).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuiescenceShape {
     /// Time until the armed divider fires, µs.
@@ -247,6 +247,8 @@ pub struct QuiescenceProbe {
     pub produced_per_partition: u64,
     /// Superbatch engagement counters.
     pub superbatch_stats: SuperbatchStats,
+    /// Ingest work counters.
+    pub ingest_stats: IngestStats,
 }
 
 /// A running job: the batch being processed and when it will finish.
@@ -610,6 +612,7 @@ impl StreamingEngine {
             batches_cut: self.queue.total_cut(),
             produced_per_partition: self.broker.produced_per_partition(),
             superbatch_stats: self.superbatch,
+            ingest_stats: self.generator.stats(),
         })
     }
 
@@ -643,8 +646,9 @@ impl StreamingEngine {
     /// [`Self::replay_push`] advanced the clock to the epoch's end
     /// boundary, for an epoch proven to repeat: advance production
     /// closed-form (`batches` cut ids, `per_partition` broker offsets at
-    /// the lag-0 fixed point), accumulate the superbatch counters the
-    /// skipped jobs would have counted, and restore the orbit's phase —
+    /// the lag-0 fixed point), accumulate the superbatch and ingest
+    /// counters the skipped epoch would have counted, and restore the
+    /// orbit's phase —
     /// the cut watermarks, the ingest watermark and both fractional
     /// carries — from `end`, the shape the dense engine had at this
     /// boundary of the orbit. The other fields of `end` must already hold
@@ -655,6 +659,7 @@ impl StreamingEngine {
         batches: u64,
         per_partition: u64,
         stats_delta: &SuperbatchStats,
+        ingest_delta: IngestStats,
         end: &QuiescenceShape,
     ) {
         let boundary = self.clock;
@@ -663,6 +668,7 @@ impl StreamingEngine {
         self.generator.fast_forward(
             boundary - SimDuration::from_micros(end.ingest_lag_us),
             end.gen_carry_bits,
+            ingest_delta,
         );
         self.broker
             .fast_forward(per_partition, end.broker_carry_bits);

@@ -73,6 +73,7 @@ use nostop_core::controller::{NoStop, NoStopConfig, RoundOutcome};
 use nostop_core::space::{ConfigSpace, ParamSpec};
 use nostop_core::system::{BatchObservation, StreamingSystem};
 use nostop_datagen::rate::{tenant_seed, RateSpec, RateSpecExt};
+use nostop_datagen::IngestStats;
 use nostop_obs::{track_name, Recorder};
 use nostop_simcore::{fnv1a64, jobs_env, json, probe_mode, SimDuration, SimRng, SimTime};
 use nostop_workloads::WorkloadKind;
@@ -231,6 +232,8 @@ struct EpochRecord {
     dpp: u64,
     /// Superbatch counter advance over the epoch.
     stats_delta: SuperbatchStats,
+    /// Ingest counter advance over the epoch.
+    ingest_delta: IngestStats,
     /// The boundary shape at the epoch's end.
     shape: QuiescenceShape,
 }
@@ -257,6 +260,7 @@ impl EpochRecord {
                 .probe
                 .superbatch_stats
                 .delta_since(&from.probe.superbatch_stats),
+            ingest_delta: to.probe.ingest_stats.delta_since(&from.probe.ingest_stats),
             shape: to.probe.shape,
         })
     }
@@ -292,6 +296,7 @@ fn orbit_mismatch(ring: &VecDeque<EpochRecord>, p: usize) -> Option<&'static str
         || a.batches.len() != b.batches.len()
         || a.dpp != b.dpp
         || a.stats_delta != b.stats_delta
+        || a.ingest_delta != b.ingest_delta
     {
         return Some("counters");
     }
@@ -739,6 +744,7 @@ impl FleetSim {
                 n as u64,
                 phase.dpp,
                 &phase.stats_delta,
+                phase.ingest_delta,
                 &phase.shape,
             );
             t.skipped = true;

@@ -58,9 +58,10 @@ fn run_modes(
     (fleet, summary)
 }
 
-/// Every tenant's full listener history and final boundary shape match
-/// between the two runs — a wrong carry or watermark restore can hide
-/// from `summary_jsonl` for several epochs, but not from these.
+/// Every tenant's full listener history, final boundary shape and ingest
+/// work counts match between the two runs — a wrong carry or watermark
+/// restore can hide from `summary_jsonl` for several epochs, but not from
+/// these.
 fn assert_tenants_identical(fast: &FleetSim, probe: &FleetSim) {
     for t in 0..fast.tenants() {
         let (a, b) = (
@@ -76,6 +77,11 @@ fn assert_tenants_identical(fast: &FleetSim, probe: &FleetSim) {
             a.quiescence_probe().map(|p| p.shape),
             b.quiescence_probe().map(|p| p.shape),
             "tenant {t}: final boundary shapes diverged"
+        );
+        assert_eq!(
+            a.ingest_stats(),
+            b.ingest_stats(),
+            "tenant {t}: ingest work diverged"
         );
     }
 }
@@ -527,6 +533,7 @@ proptest! {
                 b.quiescence_probe().map(|p| p.shape),
                 "tenant {} shape", t
             );
+            prop_assert_eq!(a.ingest_stats(), b.ingest_stats(), "tenant {} ingest work", t);
         }
         prop_assert!(check_ledger_conservation(fast.arbiter().ledger()).is_ok());
         prop_assert!(check_ledger_conservation(probe.arbiter().ledger()).is_ok());
