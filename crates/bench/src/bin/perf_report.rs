@@ -218,7 +218,7 @@ fn obs_overhead_rows(repeats: usize) -> Vec<Json> {
 /// return its deterministic digest (pins the work against DCE and lets
 /// repeats assert they simulated the same fleet). Steady tenants park
 /// and arm, so the bulk of the epochs exercise the quiescent-tenant
-/// fast-forward and the delta-driven arbiter barrier.
+/// fast-forward; every barrier is one dense arbiter pass.
 fn run_fleet_cell() -> u64 {
     let specs: Vec<TenantSpec> = (0..FLEET_TENANTS)
         .map(|i| {

@@ -525,21 +525,18 @@ impl NoStop {
         // cluster would not wait longer than a couple of dozen intervals
         // for the system to settle before concluding it never will.
         let settle_deadline = sys.now_s() + (20.0 * target_interval).max(120.0);
-        let mut settled = false;
         for _ in 0..MEASURE_SCAN_CAP {
             let b = sys.next_batch();
             self.reset.record_rate(b.input_rate);
             self.reset.record_failure(b.executor_failures);
             let matched = (b.interval_s - target_interval).abs() < 0.051;
             if matched && b.queued_batches == 0 {
-                settled = true;
                 break;
             }
             if sys.now_s() > settle_deadline {
                 break;
             }
         }
-        let _ = settled; // measured dirty when a cap was hit
 
         // §5.4: the settling batch double-counts as the discarded first
         // batch; honour any additional configured skips.

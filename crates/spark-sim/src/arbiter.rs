@@ -88,9 +88,6 @@ pub struct ExecutorArbiter {
     alloc: Vec<u64>,
     /// Tenants currently short of their want (a live queued request).
     waiting: Vec<bool>,
-    /// How many entries of `waiting` are true — the sparse barrier's
-    /// cheapest license check.
-    waiting_count: usize,
     /// Each tenant's want at the previous barrier (storm detection).
     last_want: Vec<Option<u32>>,
     /// Decided-but-unenforced cuts, in decision order.
@@ -122,7 +119,6 @@ impl ExecutorArbiter {
             coalesce_threshold,
             alloc: Vec::new(),
             waiting: Vec::new(),
-            waiting_count: 0,
             last_want: Vec::new(),
             revocations: Vec::new(),
             ledger: Vec::new(),
@@ -419,13 +415,9 @@ impl ExecutorArbiter {
         for (i, r) in requests.iter().enumerate() {
             let want = r.want as u64;
             if self.alloc[i] >= want {
-                if self.waiting[i] {
-                    self.waiting[i] = false;
-                    self.waiting_count -= 1;
-                }
+                self.waiting[i] = false;
             } else if !self.waiting[i] {
                 self.waiting[i] = true;
-                self.waiting_count += 1;
                 let shortfall = want - self.alloc[i];
                 if self.alloc[i] == 0 {
                     self.stats.denies += 1;
@@ -463,136 +455,18 @@ impl ExecutorArbiter {
             .collect()
     }
 
-    /// The delta-driven barrier: `changed` is the ascending list of
-    /// tenant indices whose want differs from the previous barrier's.
-    /// When the fleet is in a state where touching only those tenants is
-    /// *provably* identical to the full pass — no tenant waiting, no
-    /// pending revocation, every changed tenant seen before, and the new
-    /// aggregate demand within budget — the arbiter serves just the
-    /// deltas and returns the full grant vector. Any condition failing
-    /// returns `None` and the caller falls back to [`Self::arbitrate`].
-    ///
-    /// Why the license suffices: after any barrier with nobody waiting,
-    /// every tenant holds exactly its want (step 4c put non-waiting
-    /// tenants at `alloc >= want`, and steps 2/4a cut `alloc > want` down
-    /// to the target, which equals the want whenever the budget covers
-    /// aggregate demand). So unchanged tenants are fixed points of the
-    /// full pass: no release (want == alloc), target == want == alloc so
-    /// no preempt and no grant, and no 4c entry. Changed tenants see the
-    /// same single Release or Grant the full pass would emit, in the same
-    /// ledger order (releases iterate ascending ids = the dense step-2
-    /// loop restricted to changed; grants follow the policy's service
-    /// order, and a sorted subset of a sorted sequence preserves relative
-    /// order). With demand within budget the dense pressure is the
-    /// literal `1.0`, reproduced here bit for bit.
+    /// Always declines (`None`): every barrier takes the dense
+    /// [`Self::arbitrate`] pass. Kept only because the benchmark's
+    /// `ArbiterReplay` still calls it before falling back to the dense
+    /// pass; the next benchmark change deletes that call and this method.
     pub fn arbitrate_sparse(
         &mut self,
-        epoch: u64,
-        now: SimTime,
-        requests: &[ResourceRequest],
-        changed: &[usize],
+        _epoch: u64,
+        _now: SimTime,
+        _requests: &[ResourceRequest],
+        _changed: &[usize],
     ) -> Option<Vec<TenantGrant>> {
-        debug_assert!(
-            requests
-                .iter()
-                .enumerate()
-                .all(|(i, r)| r.tenant as usize == i),
-            "requests must be dense and id-ordered"
-        );
-        debug_assert!(
-            changed.windows(2).all(|w| w[0] < w[1]),
-            "changed indices must be strictly ascending"
-        );
-
-        // License: the sparse pass must be bit-identical to the dense
-        // one. Any tenant the fleet has never presented (alloc too
-        // short), any queued shortfall, any pending cut, or a first-ever
-        // want for a changed tenant forces the full pass.
-        if requests.len() != self.alloc.len()
-            || self.waiting_count != 0
-            || !self.revocations.is_empty()
-            || changed.iter().any(|&i| self.last_want[i].is_none())
-        {
-            return None;
-        }
-        // New aggregate demand must fit the budget, else targets diverge
-        // from wants and the full policy pass is required. Nobody is
-        // waiting, so in_use == Σ want_prev; apply the changed deltas.
-        if self.budget != u64::MAX {
-            let drop_total: u64 = changed.iter().map(|&i| self.alloc[i]).sum();
-            let add_total: u64 = changed.iter().map(|&i| requests[i].want as u64).sum();
-            if self.in_use - drop_total + add_total > self.budget {
-                return None;
-            }
-        }
-
-        // Storm detection — same count the dense pass would compute,
-        // because `changed` is exactly the set of tenants whose want
-        // differs from `last_want` (all of which are `Some` here).
-        if self.coalesce_threshold > 0 && changed.len() >= self.coalesce_threshold {
-            self.stats.coalesced_rounds += 1;
-            if self.obs.is_enabled() {
-                self.obs.instant(
-                    now,
-                    "arbiter.coalesce",
-                    &[("requests", changed.len() as f64)],
-                );
-                self.obs.add(now, "arbiter.coalesce", 1);
-            }
-        }
-
-        // Releases first, ascending ids — the dense step-2 order.
-        for &i in changed {
-            let want = requests[i].want as u64;
-            if want < self.alloc[i] {
-                let delta = self.alloc[i] - want;
-                self.alloc[i] = want;
-                self.in_use -= delta;
-                self.stats.releases += 1;
-                self.push_event(now, epoch, i, LedgerEventKind::Release, delta);
-            }
-        }
-
-        // Grants in the policy's service order restricted to the risers.
-        let mut rising: Vec<usize> = changed
-            .iter()
-            .copied()
-            .filter(|&i| (requests[i].want as u64) > self.alloc[i])
-            .collect();
-        match self.policy {
-            ArbiterPolicy::FairShare => {}
-            ArbiterPolicy::StrictPriority | ArbiterPolicy::PreemptWithGrace { .. } => {
-                rising.sort_by_key(|&i| (std::cmp::Reverse(requests[i].priority), i));
-            }
-        }
-        for i in rising {
-            let give = requests[i].want as u64 - self.alloc[i];
-            self.alloc[i] += give;
-            self.in_use += give;
-            self.stats.grants += 1;
-            self.push_event(now, epoch, i, LedgerEventKind::Grant, give);
-        }
-
-        for &i in changed {
-            self.last_want[i] = Some(requests[i].want);
-        }
-
-        self.maybe_fold(epoch);
-
-        // Demand fits the budget, so the dense pass's pressure is the
-        // literal 1.0 — reproduce it exactly.
-        Some(
-            requests
-                .iter()
-                .enumerate()
-                .map(|(i, r)| TenantGrant {
-                    tenant: r.tenant,
-                    granted: self.alloc[i].min(u32::MAX as u64) as u32,
-                    satisfied: self.alloc[i] >= r.want as u64,
-                    pressure: 1.0,
-                })
-                .collect(),
-        )
+        None
     }
 
     /// Fold the ledger tail into the checkpoint once it exceeds the
@@ -949,174 +823,30 @@ mod tests {
         check_ledger_conservation(arb.ledger()).unwrap();
     }
 
-    /// Drive a dense and a sparse arbiter through the same want
-    /// schedule; the sparse one uses `arbitrate_sparse` whenever
-    /// licensed (computing `changed` from its own last-want mirror) and
-    /// falls back to `arbitrate` otherwise. Returns both final states
-    /// rendered as comparable strings.
-    fn dense_vs_sparse(
-        budget: Option<u32>,
-        policy: ArbiterPolicy,
-        threshold: usize,
-        schedule: &[Vec<ResourceRequest>],
-    ) -> (String, String, u64) {
-        let render = |arb: &ExecutorArbiter, grants: &[Vec<TenantGrant>]| {
-            let mut out = String::new();
-            for e in arb.ledger() {
-                out.push_str(&e.to_json_value().to_string());
-                out.push('\n');
-            }
-            out.push_str(&format!("{:?}\n", arb.stats()));
-            for round in grants {
-                for g in round {
-                    out.push_str(&format!(
-                        "{}:{}:{}:{} ",
-                        g.tenant,
-                        g.granted,
-                        g.satisfied,
-                        g.pressure.to_bits()
-                    ));
-                }
-                out.push('\n');
-            }
-            out
-        };
-
-        let mut dense = ExecutorArbiter::new(budget, policy, threshold);
-        let mut dense_grants = Vec::new();
-        for (e, reqs) in schedule.iter().enumerate() {
-            let now = SimTime::from_secs_f64(e as f64);
-            dense_grants.push(dense.arbitrate(e as u64, now, reqs));
-        }
-
-        let mut sparse = ExecutorArbiter::new(budget, policy, threshold);
-        let mut sparse_grants = Vec::new();
-        let mut mirror: Vec<u32> = Vec::new();
-        let mut sparse_rounds = 0u64;
-        for (e, reqs) in schedule.iter().enumerate() {
-            let now = SimTime::from_secs_f64(e as f64);
-            let grants = if mirror.len() == reqs.len() {
-                let changed: Vec<usize> = reqs
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, r)| r.want != mirror[*i])
-                    .map(|(i, _)| i)
-                    .collect();
-                match sparse.arbitrate_sparse(e as u64, now, reqs, &changed) {
-                    Some(g) => {
-                        sparse_rounds += 1;
-                        g
+    #[test]
+    fn sparse_entry_point_always_declines_and_touches_nothing() {
+        let snapshot = |arb: &ExecutorArbiter| (arb.ledger().to_vec(), arb.stats(), arb.in_use());
+        for policy in [
+            ArbiterPolicy::FairShare,
+            ArbiterPolicy::StrictPriority,
+            ArbiterPolicy::PreemptWithGrace { grace_epochs: 2 },
+        ] {
+            for budget in [None, Some(10), Some(64)] {
+                let mut arb = ExecutorArbiter::new(budget, policy, 1);
+                let reqs = [req(0, 8, 1), req(1, 12, 3), req(2, 4, 2)];
+                let changed = [req(0, 2, 1), req(1, 30, 3), req(2, 4, 2)];
+                for warm in [false, true] {
+                    if warm {
+                        run_epochs(&mut arb, 0, 3, &reqs);
                     }
-                    None => sparse.arbitrate(e as u64, now, reqs),
+                    let before = snapshot(&arb);
+                    for (reqs, ids) in [(&reqs, &[][..]), (&changed, &[0, 1][..])] {
+                        assert!(arb.arbitrate_sparse(3, SimTime::ZERO, reqs, ids).is_none());
+                        assert_eq!(snapshot(&arb), before, "declining touched the arbiter");
+                    }
                 }
-            } else {
-                sparse.arbitrate(e as u64, now, reqs)
-            };
-            mirror = reqs.iter().map(|r| r.want).collect();
-            sparse_grants.push(grants);
-        }
-
-        (
-            render(&dense, &dense_grants),
-            render(&sparse, &sparse_grants),
-            sparse_rounds,
-        )
-    }
-
-    #[test]
-    fn sparse_barrier_matches_dense_under_fair_share() {
-        let mut schedule = vec![vec![req(0, 8, 1), req(1, 12, 2), req(2, 4, 1)]];
-        // Quiet rounds, single-tenant wiggles, and a storm — all within
-        // the budget, so every round after the first is licensed.
-        for e in 1..12u32 {
-            let mut reqs = schedule[0].clone();
-            if e % 3 == 0 {
-                reqs[1].want = 12 + e;
             }
-            if e % 4 == 0 {
-                reqs[0].want = 6;
-                reqs[2].want = 9;
-            }
-            schedule.push(reqs);
         }
-        let (dense, sparse, sparse_rounds) =
-            dense_vs_sparse(Some(64), ArbiterPolicy::FairShare, 2, &schedule);
-        assert_eq!(dense, sparse);
-        assert!(sparse_rounds > 0, "the fast path never engaged");
-    }
-
-    #[test]
-    fn sparse_barrier_matches_dense_under_priorities() {
-        let mut schedule = Vec::new();
-        for e in 0..10u32 {
-            schedule.push(vec![
-                req(0, 10 + (e % 4), 1),
-                req(1, 6, 5),
-                req(2, if e >= 5 { 14 } else { 3 }, 3),
-            ]);
-        }
-        let (dense, sparse, sparse_rounds) =
-            dense_vs_sparse(Some(40), ArbiterPolicy::StrictPriority, 0, &schedule);
-        assert_eq!(dense, sparse);
-        assert!(sparse_rounds > 0);
-    }
-
-    #[test]
-    fn sparse_barrier_declines_when_not_licensed() {
-        // Oversubscribed fleet: tenants wait, so the license must fail.
-        let mut arb = ExecutorArbiter::new(Some(10), ArbiterPolicy::FairShare, 0);
-        let reqs = [req(0, 8, 1), req(1, 8, 1)];
-        arb.arbitrate(0, SimTime::ZERO, &reqs);
-        assert!(arb
-            .arbitrate_sparse(1, SimTime::from_secs_f64(1.0), &reqs, &[])
-            .is_none());
-
-        // Unseen tenant (request vector grew): decline.
-        let mut arb = ExecutorArbiter::new(Some(64), ArbiterPolicy::FairShare, 0);
-        arb.arbitrate(0, SimTime::ZERO, &[req(0, 4, 1)]);
-        assert!(arb
-            .arbitrate_sparse(
-                1,
-                SimTime::from_secs_f64(1.0),
-                &[req(0, 4, 1), req(1, 4, 1)],
-                &[1]
-            )
-            .is_none());
-
-        // A change that would blow the budget: decline (the dense pass
-        // must water-fill).
-        let mut arb = ExecutorArbiter::new(Some(20), ArbiterPolicy::FairShare, 0);
-        arb.arbitrate(0, SimTime::ZERO, &[req(0, 8, 1), req(1, 8, 1)]);
-        assert!(arb
-            .arbitrate_sparse(
-                1,
-                SimTime::from_secs_f64(1.0),
-                &[req(0, 18, 1), req(1, 8, 1)],
-                &[0]
-            )
-            .is_none());
-
-        // Pending revocation under the grace policy: decline.
-        let mut arb = ExecutorArbiter::new(
-            Some(32),
-            ArbiterPolicy::PreemptWithGrace { grace_epochs: 4 },
-            0,
-        );
-        arb.arbitrate(0, SimTime::ZERO, &[req(0, 32, 1)]);
-        arb.arbitrate(
-            1,
-            SimTime::from_secs_f64(1.0),
-            &[req(0, 32, 1), req(1, 16, 9)],
-        );
-        assert!(arb.pending_revocations() > 0);
-        assert!(arb
-            .arbitrate_sparse(
-                2,
-                SimTime::from_secs_f64(2.0),
-                &[req(0, 32, 1), req(1, 16, 9)],
-                &[]
-            )
-            .is_none());
     }
 
     #[test]

@@ -450,13 +450,10 @@ pub struct FleetSim {
     /// events only exist on the dense path, so recording disables actual
     /// fast-forwarding (classification still runs).
     recorders_enabled: bool,
-    /// Each tenant's want at the previous barrier — the delta-driven
-    /// barrier presents only the changed tenants to the arbiter.
-    last_wants: Vec<u32>,
-    /// Every actually fast-forwarded epoch: `(tenant, epoch, from_us,
-    /// until_us)`. Outside the digest; the property battery asserts no
-    /// span covers a wake event.
-    skip_log: Vec<(u32, u64, u64, u64)>,
+    /// The epochs fast-forwarded at the latest step: `(tenant, from_us,
+    /// until_us)`, cleared at the start of every phase A. Outside the
+    /// digest; the property battery asserts no span covers a wake event.
+    last_skips: Vec<(u32, u64, u64)>,
     /// Tenant-epochs by classification (mode-independent): index 0
     /// counts those not skippable, index `p` those skippable on an orbit
     /// of period `p`.
@@ -507,8 +504,7 @@ impl FleetSim {
             last_grants: Vec::new(),
             fastpath: !probe_mode(),
             recorders_enabled: false,
-            last_wants: Vec::new(),
-            skip_log: Vec::new(),
+            last_skips: Vec::new(),
             would_skip_by_period: [0; MAX_PERIOD + 1],
             arm_failures: BTreeMap::new(),
             skipped_epochs: 0,
@@ -657,11 +653,12 @@ impl FleetSim {
         &self.arm_failures
     }
 
-    /// Every fast-forwarded epoch as `(tenant, epoch, from_us,
-    /// until_us)` — outside the digest; the property battery checks that
-    /// no span covers a fault or rate-change event.
-    pub fn skip_log(&self) -> &[(u32, u64, u64, u64)] {
-        &self.skip_log
+    /// The epochs fast-forwarded by the latest [`FleetSim::step_epoch`],
+    /// as `(tenant, from_us, until_us)` in tenant-id order — outside the
+    /// digest; the property battery checks that no span covers a fault or
+    /// rate-change event.
+    pub fn last_skips(&self) -> &[(u32, u64, u64)] {
+        &self.last_skips
     }
 
     /// The fleet's own trace (fast-forward spans, skipped-epoch counter)
@@ -678,9 +675,9 @@ impl FleetSim {
     }
 
     /// One epoch: phase A (tenant-parallel controller rounds, replayed
-    /// in closed form for armed tenants), then phase B (the serial,
-    /// delta-driven arbiter barrier), then quiescence classification at
-    /// the boundary.
+    /// in closed form for armed tenants), then phase B (the serial
+    /// arbiter barrier: one dense pass over every tenant's demand), then
+    /// quiescence classification at the boundary.
     pub fn step_epoch(&mut self) {
         self.phase_a();
         self.phase_b();
@@ -773,6 +770,7 @@ impl FleetSim {
     /// size, and the order. Skip spans and counters are emitted serially
     /// in id order afterwards, keeping the fleet trace deterministic.
     fn phase_a(&mut self) {
+        self.last_skips.clear();
         let (fastpath, recorders) = (self.fastpath, self.recorders_enabled);
         let jobs = self.jobs.min(self.step_order.len()).max(1);
         if jobs == 1 {
@@ -816,7 +814,7 @@ impl FleetSim {
             if let Some((from, until, _)) = would_skip {
                 if skipped {
                     self.skipped_epochs += 1;
-                    self.skip_log.push((id, self.epoch, from, until));
+                    self.last_skips.push((id, from, until));
                 }
                 if self.fleet_obs.is_enabled() {
                     let enter = SimTime::from_micros(from);
@@ -945,16 +943,11 @@ impl FleetSim {
         }
     }
 
-    /// Phase B: collect demand in id order, arbitrate, apply caps and
-    /// pressure. The arbiter's trace timestamps use the fleet frontier
-    /// (the furthest tenant clock), which is monotone across barriers.
-    ///
-    /// The barrier is delta-driven: the fleet tracks every tenant's want
-    /// from the previous barrier and presents the arbiter only the
-    /// tenants whose demand changed ([`ExecutorArbiter::arbitrate_sparse`]).
-    /// The sparse entry point is event- and ledger-identical to the dense
-    /// pass and declines (returning `None`, falling back to the dense
-    /// pass) whenever any condition it relies on does not hold.
+    /// Phase B: collect demand in id order, run one dense arbiter pass
+    /// ([`ExecutorArbiter::arbitrate`]) over the whole request vector,
+    /// apply caps and pressure. The arbiter's trace timestamps use the
+    /// fleet frontier (the furthest tenant clock), which is monotone
+    /// across barriers.
     fn phase_b(&mut self) {
         let requests: Vec<ResourceRequest> = self
             .tenants
@@ -971,27 +964,7 @@ impl FleetSim {
             .map(|t| t.sys.engine().now())
             .max()
             .unwrap_or(SimTime::ZERO);
-        let grants = if self.last_wants.len() == requests.len() {
-            let changed: Vec<usize> = requests
-                .iter()
-                .enumerate()
-                .filter(|(i, r)| r.want != self.last_wants[*i])
-                .map(|(i, _)| i)
-                .collect();
-            match self
-                .arbiter
-                .arbitrate_sparse(self.epoch, frontier, &requests, &changed)
-            {
-                Some(grants) => grants,
-                None => self.arbiter.arbitrate(self.epoch, frontier, &requests),
-            }
-        } else {
-            // First barrier (or the fleet grew): the dense pass seeds
-            // every tenant's ledger state.
-            self.arbiter.arbitrate(self.epoch, frontier, &requests)
-        };
-        self.last_wants.clear();
-        self.last_wants.extend(requests.iter().map(|r| r.want));
+        let grants = self.arbiter.arbitrate(self.epoch, frontier, &requests);
         for (t, g) in self.tenants.iter_mut().zip(&grants) {
             // A grant covering the full want means the arbiter imposes
             // nothing: the cap goes to u32::MAX (the identity), so an

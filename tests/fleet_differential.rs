@@ -1,7 +1,7 @@
 //! Differential proof of the fleet layer: multi-tenancy is built *around*
 //! the single-job engine, never *into* it.
 //!
-//! Two contracts:
+//! Three contracts:
 //!
 //! 1. **Degenerate fleet ≡ bare engine.** A 1-tenant fleet with an
 //!    unlimited budget must be bit-identical — trace JSONL, counters, RNG
@@ -15,10 +15,17 @@
 //!    (per-tenant RNG fingerprints, clocks, listener totals, plus the
 //!    full arbiter ledger) must not change with the `NOSTOP_JOBS` worker
 //!    count or the phase-A execution order.
+//! 3. **One dense pass per barrier.** Phase B is exactly one
+//!    [`ExecutorArbiter::arbitrate`] call over the id-ordered demand
+//!    vector: a standalone arbiter fed each barrier's requests, rebuilt
+//!    from public fleet state, issues the same grants at every barrier
+//!    and ends on the same ledger.
 
-use nostop::core::arbiter::ArbiterPolicy;
+use nostop::core::arbiter::{ArbiterPolicy, ResourceRequest};
 use nostop::obs::Recorder;
+use nostop::sim::arbiter::ExecutorArbiter;
 use nostop::sim::fleet::{FleetSim, TenantSpec};
+use nostop::simcore::SimTime;
 use nostop::workloads::WorkloadKind;
 
 /// Everything an observer could distinguish a tenant run by.
@@ -206,4 +213,77 @@ fn hundred_tenant_fleet_replays_byte_identically_across_jobs() {
             policy.name(),
         );
     }
+}
+
+/// Step `specs` as a fleet for `epochs` barriers and replay each barrier
+/// on a standalone arbiter with the fleet's budget, policy and
+/// coalescing threshold; returns how many barriers changed some want.
+fn replay_barriers(
+    specs: &[TenantSpec],
+    budget: Option<u32>,
+    policy: ArbiterPolicy,
+    epochs: u64,
+) -> u64 {
+    let mut fleet = FleetSim::new(specs, budget, policy);
+    let mut arbiter = ExecutorArbiter::new(budget, policy, FleetSim::DEFAULT_COALESCE_K);
+    let mut last_wants: Vec<u32> = Vec::new();
+    let mut demand_changes = 0;
+    for epoch in 0..epochs {
+        fleet.step_epoch();
+        let requests: Vec<ResourceRequest> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| ResourceRequest {
+                tenant: i as u32,
+                priority: spec.priority,
+                want: fleet.tenant_system(i).engine().desired_executors(),
+            })
+            .collect();
+        let frontier = (0..specs.len())
+            .map(|i| fleet.tenant_system(i).engine().now())
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        let wants: Vec<u32> = requests.iter().map(|r| r.want).collect();
+        demand_changes += (epoch > 0 && wants != last_wants) as u64;
+        last_wants = wants;
+        let grants = arbiter.arbitrate(epoch, frontier, &requests);
+        assert_eq!(
+            fleet.last_grants(),
+            grants,
+            "{}: grants diverged at barrier {epoch}",
+            policy.name()
+        );
+    }
+    assert_eq!(
+        fleet.arbiter().ledger(),
+        arbiter.ledger(),
+        "{}: ledgers diverged",
+        policy.name()
+    );
+    assert_eq!(fleet.arbiter().stats(), arbiter.stats());
+    demand_changes
+}
+
+/// Contract 3 on a contended 100-tenant fleet (every policy) and on an
+/// unconstrained steady fleet whose tenants settle, so that most
+/// barriers change no want and the rest change a few.
+#[test]
+fn phase_b_is_one_dense_arbiter_pass_per_barrier() {
+    let specs = big_fleet_specs();
+    for policy in [
+        ArbiterPolicy::FairShare,
+        ArbiterPolicy::StrictPriority,
+        ArbiterPolicy::PreemptWithGrace { grace_epochs: 2 },
+    ] {
+        replay_barriers(&specs, Some(600), policy, 4);
+    }
+    let kinds = [WorkloadKind::WordCount, WorkloadKind::PageAnalyze];
+    let steady: Vec<TenantSpec> = (0..16u32)
+        .map(|i| TenantSpec::steady(kinds[i as usize % 2], 2026, i))
+        .collect();
+    let changes = replay_barriers(&steady, None, ArbiterPolicy::FairShare, 40);
+    assert!(
+        (1..39).contains(&changes),
+        "steady fleet: {changes} of 39 barriers changed demand"
+    );
 }

@@ -1,6 +1,6 @@
 //! Differential proof of the sparse fleet fast path: fast-forwarding
-//! quiescent tenants and the delta-driven arbiter barrier are pure
-//! optimizations — bit-for-bit invisible in every observable.
+//! quiescent tenants is a pure optimization — bit-for-bit invisible in
+//! every observable.
 //!
 //! Contracts:
 //!
@@ -13,9 +13,9 @@
 //!    (`set_fastpath(false)`, the `NOSTOP_PROBE=1` probe; the CI
 //!    `fastpaths` leg runs this file under both, and a default fleet must
 //!    start in the mode the env selects).
-//! 2. **Replay across workers.** The sparse barrier keeps the
-//!    100-tenant contended digest a pure function of
-//!    `(specs, budget, policy)` at `NOSTOP_JOBS` = 1, 4, and 8.
+//! 2. **Replay across workers.** The 100-tenant contended digest is a
+//!    pure function of `(specs, budget, policy)`: it does not change
+//!    with `NOSTOP_JOBS` = 1, 4, and 8, nor in probe mode.
 //! 3. **Traces.** With recorders on, both modes step densely (skips are
 //!    suppressed so the fast path stays continuously cross-checked) but
 //!    the would-skip spans and counters they emit must still match
@@ -23,22 +23,18 @@
 //! 4. **Wake no later.** A fast-forwarded span never covers a scheduled
 //!    fault: the horizon check wakes the tenant into dense stepping at
 //!    or before the epoch containing its first wake-worthy event.
-//! 5. **Sparse barrier ≡ dense barrier.** Over random demand walks the
-//!    delta-driven `arbitrate_sparse` entry point (with its dense
-//!    fallback) produces the same grants and the same ledger as calling
-//!    the dense pass every barrier.
-//! 6. **Orbits of period p.** Tenants whose broker carry cycles every 2,
+//! 5. **Orbits of period p.** Tenants whose broker carry cycles every 2,
 //!    4 or 8 epochs arm on that period and fast-forward, with every
 //!    tenant's full listener history and final boundary shape identical
 //!    to probe mode; a tenant whose carry period exceeds
 //!    [`MAX_PERIOD`] is never skipped.
 
-use nostop::core::arbiter::{ArbiterPolicy, ResourceRequest};
+use nostop::core::arbiter::ArbiterPolicy;
 use nostop::datagen::rate::RateSpec;
-use nostop::sim::arbiter::{check_ledger_conservation, ExecutorArbiter, TenantGrant};
+use nostop::sim::arbiter::check_ledger_conservation;
 use nostop::sim::fleet::{FleetSim, TenantSpec, MAX_PERIOD};
 use nostop::sim::{FaultEvent, FaultPlan};
-use nostop::simcore::{probe_mode, SimDuration, SimRng, SimTime};
+use nostop::simcore::{probe_mode, SimDuration, SimTime};
 use nostop::workloads::WorkloadKind;
 use proptest::prelude::*;
 
@@ -210,7 +206,7 @@ fn steady_fleets_fast_forward_and_stay_bit_identical() {
 const PARKED_INTERVAL_US: u64 = 3_000_000;
 const PARKED_BATCHES: u64 = 12;
 
-/// Contract 6 on hand-picked fleets: the tenant ids whose steady rate
+/// Contract 5 on hand-picked fleets: the tenant ids whose steady rate
 /// gives a broker-carry period of 2 (and of 4) at the parked epoch, run
 /// as one fleet each. Every tenant really parks on that epoch, arms on
 /// exactly that period, and fast-forwards; every observable matches
@@ -237,6 +233,7 @@ fn period_two_and_four_orbits_fast_forward_bit_identically() {
             let mut fleet = FleetSim::new(&specs, None, ArbiterPolicy::FairShare);
             fleet.set_fastpath(fastpath);
             let mut batches = vec![0u64; specs.len()];
+            let mut skipped = vec![false; specs.len()];
             for _ in 0..70 {
                 let before: Vec<u64> = (0..specs.len())
                     .map(|t| fleet.tenant_system(t).engine().listener().completed())
@@ -245,11 +242,14 @@ fn period_two_and_four_orbits_fast_forward_bit_identically() {
                 for (t, n) in batches.iter_mut().enumerate() {
                     *n = fleet.tenant_system(t).engine().listener().completed() - before[t];
                 }
+                for &(t, _, _) in fleet.last_skips() {
+                    skipped[t as usize] = true;
+                }
             }
-            (fleet, batches)
+            (fleet, batches, skipped)
         };
-        let (fast, batches) = run(true);
-        let (probe, _) = run(false);
+        let (fast, batches, skipped) = run(true);
+        let (probe, _, _) = run(false);
         for (t, &n) in batches.iter().enumerate() {
             let interval = fast.tenant_system(t).engine().config().batch_interval;
             assert_eq!(
@@ -259,7 +259,7 @@ fn period_two_and_four_orbits_fast_forward_bit_identically() {
                 ids[t]
             );
             assert!(
-                fast.skip_log().iter().any(|s| s.0 == t as u32),
+                skipped[t],
                 "p={period}: tenant {} was never fast-forwarded",
                 ids[t]
             );
@@ -291,8 +291,8 @@ fn contended_specs() -> Vec<TenantSpec> {
         .collect()
 }
 
-/// Contract 2: the sparse barrier keeps the 100-tenant contended digest
-/// identical across worker counts, and the fast path changes nothing.
+/// Contract 2: the 100-tenant contended digest is identical across
+/// worker counts, and probe mode changes nothing.
 #[test]
 fn contended_hundred_tenant_digest_is_jobs_and_mode_invariant() {
     let specs = contended_specs();
@@ -357,112 +357,8 @@ fn traces_are_identical_across_modes_and_contain_would_skip_spans() {
     assert_eq!(fast.would_skip_epochs(), probe.would_skip_epochs());
 }
 
-/// Drive one arbiter densely and one through the sparse entry point
-/// (with its dense fallback), and render everything an observer could
-/// compare.
-fn sparse_mirror_run(
-    budget: Option<u32>,
-    policy: ArbiterPolicy,
-    walks: &[Vec<u32>],
-    priorities: &[u32],
-) -> (String, String) {
-    let mut dense = ExecutorArbiter::new(budget, policy, 3);
-    let mut sparse = ExecutorArbiter::new(budget, policy, 3);
-    let mut last_wants: Option<Vec<u32>> = None;
-    let mut out_dense = String::new();
-    let mut out_sparse = String::new();
-    let render = |out: &mut String, grants: &[TenantGrant]| {
-        for g in grants {
-            out.push_str(&format!(
-                "{}:{}:{}:{:016x} ",
-                g.tenant,
-                g.granted,
-                g.satisfied,
-                g.pressure.to_bits()
-            ));
-        }
-        out.push('\n');
-    };
-    for (epoch, wants) in walks.iter().enumerate() {
-        let reqs: Vec<ResourceRequest> = wants
-            .iter()
-            .enumerate()
-            .map(|(i, &want)| ResourceRequest {
-                tenant: i as u32,
-                priority: priorities[i],
-                want,
-            })
-            .collect();
-        let now = SimTime::from_secs_f64(epoch as f64);
-        render(&mut out_dense, &dense.arbitrate(epoch as u64, now, &reqs));
-        let grants = match &last_wants {
-            Some(prev) => {
-                let changed: Vec<usize> = wants
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, w)| **w != prev[*i])
-                    .map(|(i, _)| i)
-                    .collect();
-                match sparse.arbitrate_sparse(epoch as u64, now, &reqs, &changed) {
-                    Some(grants) => grants,
-                    None => sparse.arbitrate(epoch as u64, now, &reqs),
-                }
-            }
-            None => sparse.arbitrate(epoch as u64, now, &reqs),
-        };
-        render(&mut out_sparse, &grants);
-        last_wants = Some(wants.clone());
-    }
-    for ev in dense.ledger() {
-        out_dense.push_str(&ev.to_json_value().to_string());
-        out_dense.push('\n');
-    }
-    for ev in sparse.ledger() {
-        out_sparse.push_str(&ev.to_json_value().to_string());
-        out_sparse.push('\n');
-    }
-    (out_dense, out_sparse)
-}
-
 proptest! {
-    /// Contract 5: over random demand walks the sparse barrier's grants
-    /// and ledger match the dense pass exactly, for every policy.
-    #[test]
-    fn sparse_barrier_equals_dense_over_random_demand(
-        seed in 0u64..10_000,
-        n in 1usize..10,
-        budget_raw in 0u32..200,
-        policy_ix in 0usize..3,
-        grace in 1u32..4,
-        epochs in 3u64..30,
-    ) {
-        let policy = match policy_ix {
-            0 => ArbiterPolicy::FairShare,
-            1 => ArbiterPolicy::StrictPriority,
-            _ => ArbiterPolicy::PreemptWithGrace { grace_epochs: grace },
-        };
-        let budget = (budget_raw > 0).then_some(budget_raw);
-        let mut rng = SimRng::seed_from_u64(seed);
-        let priorities: Vec<u32> = (0..n).map(|_| (rng.next_u64() % 4) as u32).collect();
-        let mut wants: Vec<u32> = (0..n).map(|_| (rng.next_u64() % 40) as u32).collect();
-        let mut walks = Vec::new();
-        for _ in 0..epochs {
-            for w in wants.iter_mut() {
-                match rng.next_u64() % 4 {
-                    0 => *w = w.saturating_add((rng.next_u64() % 8) as u32),
-                    1 => *w = w.saturating_sub((rng.next_u64() % 8) as u32),
-                    // Half the barriers leave most wants unchanged, so
-                    // the sparse license actually fires.
-                    _ => {}
-                }
-            }
-            walks.push(wants.clone());
-        }
-        let (dense, sparse) = sparse_mirror_run(budget, policy, &walks, &priorities);
-        prop_assert_eq!(dense, sparse, "sparse barrier diverged from dense");
-    }
-
-    /// Contract 6 over generated orbits: six steady tenants whose
+    /// Contract 5 over generated orbits: six steady tenants whose
     /// constant rates (8·base + 0, 4, 2, 1, 1/2, 1/4 rec/s) give broker-
     /// carry periods of 1, 2, 4, 8, 16 and 32 epochs at the parked
     /// epoch, optionally under a binding budget whose grants change
@@ -504,16 +400,21 @@ proptest! {
             let before: Vec<u64> = (0..specs.len())
                 .map(|t| fast.tenant_system(t).engine().listener().completed())
                 .collect();
-            let skipped_before = fast.skip_log().len();
+            let skipped_before = fast.total_skipped_epochs();
             fast.step_epoch();
             probe.step_epoch();
+            prop_assert_eq!(
+                fast.last_skips().len() as u64,
+                fast.total_skipped_epochs() - skipped_before,
+                "last_skips must hold exactly this epoch's skips"
+            );
             for (t, spec) in specs.iter().enumerate() {
                 let e = fast.tenant_system(t).engine();
                 let n = e.listener().completed() - before[t];
                 let interval = e.config().batch_interval.as_micros();
                 periods[t] = carry_period(constant_rate(spec), interval, n);
             }
-            for &(t, _, _, _) in &fast.skip_log()[skipped_before..] {
+            for &(t, _, _) in fast.last_skips() {
                 prop_assert!(
                     periods[t as usize] <= MAX_PERIOD as u64,
                     "tenant {} skipped epoch {} on a carry period of {}",
@@ -560,18 +461,23 @@ proptest! {
                 count: 1,
                 relaunch_after: (relaunch_ix == 1).then(|| SimDuration::from_secs(30)),
             }]);
-        let (fast, fast_summary) =
-            run_modes(&specs, None, ArbiterPolicy::FairShare, epochs, true);
+        let mut fast = FleetSim::new(&specs, None, ArbiterPolicy::FairShare);
+        fast.set_fastpath(true);
+        let mut skips = Vec::new();
+        for epoch in 0..epochs {
+            fast.step_epoch();
+            skips.extend(fast.last_skips().iter().map(|&(t, from, until)| (t, epoch, from, until)));
+        }
         let (probe, probe_summary) =
             run_modes(&specs, None, ArbiterPolicy::FairShare, epochs, false);
-        prop_assert_eq!(fast_summary, probe_summary, "summaries diverged");
+        prop_assert_eq!(fast.summary_jsonl(), probe_summary, "summaries diverged");
         prop_assert_eq!(probe.total_skipped_epochs(), 0);
         prop_assert_eq!(fast.would_skip_epochs(), probe.would_skip_epochs());
         // Wake no later: the faulted tenant's skip spans must all lie
         // strictly before (or strictly after, for relaunch timers long
         // past) the crash instant — never across it.
         let crash_us = SimTime::from_secs_f64(crash_at).as_micros();
-        for &(tenant, epoch, from_us, until_us) in fast.skip_log() {
+        for (tenant, epoch, from_us, until_us) in skips {
             prop_assert!(until_us > from_us, "empty skip span");
             if tenant == faulted {
                 prop_assert!(
