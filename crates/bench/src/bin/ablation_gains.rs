@@ -12,7 +12,7 @@
 
 use nostop_bench::driver::{make_system, nostop_config, paper_rate};
 use nostop_bench::parallel::{grid, map_cells};
-use nostop_bench::report::{f, print_section, Table};
+use nostop_bench::report::{f, mean_or_nan, print_section, Table};
 use nostop_core::controller::NoStop;
 use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
@@ -36,21 +36,11 @@ fn run_with(a: f64, c: f64, seed: u64) -> (Option<u64>, f64) {
     let mut sys = make_system(KIND, seed, paper_rate(KIND, seed ^ 0x6A1));
     let mut ns = NoStop::new(cfg, seed);
     ns.run(&mut sys, ROUNDS);
-    let converged = ns
-        .trace()
-        .rounds
-        .iter()
-        .find(|r| r.paused_after)
-        .map(|r| r.round);
+    let converged = ns.trace().first_pause().map(|r| r.round);
     // Mean intrinsic-style delay over the last 10 recorded delays.
     let delays: Vec<f64> = ns.trace().delay_series().iter().map(|&(_, d)| d).collect();
     let tail: Vec<f64> = delays.iter().rev().take(10).copied().collect();
-    let mean_tail = if tail.is_empty() {
-        f64::NAN
-    } else {
-        tail.iter().sum::<f64>() / tail.len() as f64
-    };
-    (converged, mean_tail)
+    (converged, mean_or_nan(&tail))
 }
 
 fn main() {

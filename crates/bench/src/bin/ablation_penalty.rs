@@ -12,10 +12,9 @@
 
 use nostop_bench::driver::{make_system, nostop_config, paper_rate};
 use nostop_bench::parallel::{grid, map_cells};
-use nostop_bench::report::{f, print_section, Table};
+use nostop_bench::report::{f, mean_or_nan, print_section, Table};
 use nostop_core::controller::NoStop;
 use nostop_core::objective::PenaltySchedule;
-use nostop_core::trace::RoundKind;
 use nostop_workloads::WorkloadKind;
 
 const KIND: WorkloadKind = WorkloadKind::LogisticRegression;
@@ -37,26 +36,19 @@ fn run_cell(penalty: PenaltySchedule, seed: u64) -> CellOutcome {
     let mut sys = make_system(KIND, seed, paper_rate(KIND, seed ^ 0xABA));
     let mut ns = NoStop::new(cfg, seed);
     ns.run(&mut sys, ROUNDS);
-    let converged = ns.trace().rounds.iter().any(|r| r.paused_after);
+    let converged = ns.trace().first_pause().is_some();
     // Judge the tail iterates: were the measured configs stable, and how
     // small an interval was achieved?
     let mut stable = 0usize;
     let mut total = 0usize;
     let mut intervals = Vec::new();
     for r in ns.trace().rounds.iter().rev().take(10) {
-        if let RoundKind::Optimized { plus, minus, .. } = &r.kind {
-            for m in [plus, minus] {
-                total += 1;
-                if m.processing_s <= m.interval_s {
-                    stable += 1;
-                }
-            }
-            intervals.push(r.theta_physical[0]);
-        } else if let RoundKind::Paused { observed } = &r.kind {
+        let before = total;
+        for m in r.measurements() {
             total += 1;
-            if observed.processing_s <= observed.interval_s {
-                stable += 1;
-            }
+            stable += usize::from(m.is_stable());
+        }
+        if total > before {
             intervals.push(r.theta_physical[0]);
         }
     }
@@ -102,15 +94,10 @@ fn main() {
         } else {
             stable as f64 / total as f64
         };
-        let mean_interval = if intervals.is_empty() {
-            f64::NAN
-        } else {
-            intervals.iter().sum::<f64>() / intervals.len() as f64
-        };
         table.row(&[
             name.to_string(),
             f(stable_frac, 2),
-            f(mean_interval, 1),
+            f(mean_or_nan(&intervals), 1),
             format!("{}/{}", converged, SEEDS.len()),
         ]);
     }

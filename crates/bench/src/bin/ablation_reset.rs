@@ -14,7 +14,7 @@
 
 use nostop_bench::driver::{make_system, nostop_config, surge_rate};
 use nostop_bench::parallel::{grid, map_cells};
-use nostop_bench::report::{f, print_section, Table};
+use nostop_bench::report::{f, mean_or_nan, print_section, Table};
 use nostop_core::controller::NoStop;
 use nostop_core::trace::RoundKind;
 use nostop_simcore::stats::summarize;
@@ -69,34 +69,18 @@ fn run(with_reset: bool, with_wake: bool, seed: u64) -> Outcome {
         if r.t_s < SURGE_ONSET_S + 500.0 {
             continue; // pre-surge and immediate transient
         }
-        match &r.kind {
-            RoundKind::Optimized { plus, minus, .. } => {
-                for m in [plus, minus] {
-                    total += 1;
-                    if m.processing_s <= m.interval_s {
-                        stable += 1;
-                    }
-                }
+        for m in r.measurements() {
+            total += 1;
+            stable += usize::from(m.is_stable());
+        }
+        if let RoundKind::Paused { observed } = &r.kind {
+            tail.push(observed.end_to_end_s);
+            if recovery_s.is_none() && observed.scheduling_delay_s < 0.5 * observed.interval_s {
+                recovery_s = Some(r.t_s - SURGE_ONSET_S);
             }
-            RoundKind::Paused { observed } => {
-                total += 1;
-                if observed.processing_s <= observed.interval_s {
-                    stable += 1;
-                }
-                tail.push(observed.end_to_end_s);
-                if recovery_s.is_none() && observed.scheduling_delay_s < 0.5 * observed.interval_s {
-                    recovery_s = Some(r.t_s - SURGE_ONSET_S);
-                }
-            }
-            _ => {}
         }
     }
-    let tail_delay = if tail.is_empty() {
-        f64::NAN
-    } else {
-        let last: Vec<f64> = tail.iter().rev().take(8).copied().collect();
-        last.iter().sum::<f64>() / last.len() as f64
-    };
+    let last: Vec<f64> = tail.iter().rev().take(8).copied().collect();
     Outcome {
         recovery_s,
         resets: ns.trace().resets(),
@@ -105,7 +89,7 @@ fn run(with_reset: bool, with_wake: bool, seed: u64) -> Outcome {
         } else {
             stable as f64 / total as f64
         },
-        post_surge_tail_delay: tail_delay,
+        post_surge_tail_delay: mean_or_nan(&last),
     }
 }
 

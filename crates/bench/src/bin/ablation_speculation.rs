@@ -13,28 +13,20 @@
 //! [`nostop_bench::parallel`] fabric, measuring its no-speculation and
 //! with-speculation arms back to back.
 
+use nostop_bench::driver::{stats_of, steady_window};
 use nostop_bench::parallel::map_cells;
 use nostop_bench::report::{f, print_section, Table};
-use nostop_core::system::StreamingSystem;
-use nostop_datagen::rate::ConstantRate;
-use nostop_simcore::SimDuration;
 use nostop_workloads::WorkloadKind;
 use spark_sim::scheduler::Speculation;
-use spark_sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
+use spark_sim::EngineParams;
 
 fn mean_proc(speculation: Option<Speculation>, interval_s: f64, executors: u32) -> f64 {
     let mut params = EngineParams::paper(WorkloadKind::WordCount, 7);
     params.speculation = speculation;
-    let engine = StreamingEngine::new(
-        params,
-        StreamConfig::new(SimDuration::from_secs_f64(interval_s), executors),
-        Box::new(ConstantRate::new(150_000.0)),
-    );
-    let mut sys = SimSystem::new(engine);
-    for _ in 0..2 {
-        sys.next_batch();
-    }
-    (0..10).map(|_| sys.next_batch().processing_s).sum::<f64>() / 10.0
+    stats_of(&steady_window(
+        params, interval_s, executors, 150_000.0, 2, 10,
+    ))
+    .mean_processing_s
 }
 
 fn main() {

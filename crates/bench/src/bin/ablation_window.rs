@@ -19,27 +19,18 @@
 //! prefix-stable, so each seed is simulated once at the widest window and
 //! every narrower window reads a prefix of that trace.
 
+use nostop_bench::driver::{fixed_system, steady_window};
 use nostop_bench::parallel::map_cells;
 use nostop_bench::report::{f, print_section, Table};
 use nostop_core::system::StreamingSystem;
-use nostop_datagen::rate::ConstantRate;
 use nostop_simcore::stats::summarize;
-use nostop_simcore::SimDuration;
 use nostop_workloads::WorkloadKind;
-use spark_sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
+use spark_sim::EngineParams;
 
 /// Rule-1 cell: one scale-up run — `(first post-change, two later)`.
 fn scale_up_cell(seed: u64) -> Option<(f64, f64)> {
     let params = EngineParams::paper(WorkloadKind::WordCount, seed);
-    let engine = StreamingEngine::new(
-        params,
-        StreamConfig::new(SimDuration::from_secs(15), 8),
-        Box::new(ConstantRate::new(120_000.0)),
-    );
-    let mut sys = SimSystem::new(engine);
-    for _ in 0..4 {
-        sys.next_batch();
-    }
+    let mut sys = fixed_system(params, 15.0, 8, 120_000.0, 4);
     // Scale up; the next batches run on fresh executors.
     sys.apply_config(&[15.0, 16.0]);
     let mut post = Vec::new();
@@ -56,15 +47,9 @@ fn scale_up_cell(seed: u64) -> Option<(f64, f64)> {
 /// (warm-up batch discarded). Every window size reads a prefix of this.
 fn seed_trace(seed: u64, trace_len: usize) -> Vec<f64> {
     let params = EngineParams::paper(WorkloadKind::LogisticRegression, seed);
-    let engine = StreamingEngine::new(
-        params,
-        StreamConfig::new(SimDuration::from_secs(15), 14),
-        Box::new(ConstantRate::new(10_000.0)),
-    );
-    let mut sys = SimSystem::new(engine);
-    sys.next_batch(); // warm-up
-    (0..trace_len)
-        .map(|_| sys.next_batch().processing_s)
+    steady_window(params, 15.0, 14, 10_000.0, 1, trace_len)
+        .iter()
+        .map(|b| b.processing_s)
         .collect()
 }
 

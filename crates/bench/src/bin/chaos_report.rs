@@ -26,7 +26,7 @@
 //! run.
 
 use nostop_bench::parallel::{jobs, map_cells};
-use nostop_bench::scenario::run_method;
+use nostop_bench::scenario::{log_means, run_method};
 use nostop_core::scenario::{ClusterKind, FaultSpec, RateSpec, ScenarioSpec, SkewSpec};
 use nostop_core::system::BatchObservation;
 use nostop_simcore::json::{self, Json};
@@ -124,24 +124,12 @@ struct CellResult {
     task_retries: u64,
 }
 
-fn stable_fraction(batches: &[&BatchObservation]) -> f64 {
-    if batches.is_empty() {
-        return 0.0;
-    }
-    batches.iter().filter(|b| b.is_stable()).count() as f64 / batches.len() as f64
-}
-
-fn mean_delay(batches: &[&BatchObservation]) -> f64 {
-    if batches.is_empty() {
-        return 0.0;
-    }
-    batches.iter().map(|b| b.end_to_end_s()).sum::<f64>() / batches.len() as f64
-}
-
 fn run_cell(scenario: &'static str, method: &'static str) -> CellResult {
     let (sys, _) = run_method(&spec_for(scenario), method).expect("chaos cells are valid");
-    let (pre, post): (Vec<&BatchObservation>, Vec<&BatchObservation>) =
+    let (pre, post): (Vec<BatchObservation>, Vec<BatchObservation>) =
         sys.log.iter().partition(|b| b.completed_at_s < FAULT_AT);
+    let (pre_stable, pre_delay, _) = log_means(&pre);
+    let (post_stable, post_delay, _) = log_means(&post);
     let recovery_batches = post
         .windows(STREAK)
         .position(|w| w.iter().all(|b| b.is_stable()))
@@ -152,10 +140,10 @@ fn run_cell(scenario: &'static str, method: &'static str) -> CellResult {
         scenario,
         method,
         batches: sys.log.len(),
-        pre_stable: stable_fraction(&pre),
-        post_stable: stable_fraction(&post),
-        pre_delay: mean_delay(&pre),
-        post_delay: mean_delay(&post),
+        pre_stable,
+        post_stable,
+        pre_delay,
+        post_delay,
         recovery_batches,
         dropped_records: sys.inner.engine().dropped_records(),
         executor_failures: listener.executor_failures(),

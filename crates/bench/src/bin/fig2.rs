@@ -6,12 +6,10 @@
 //! `y = interval` stability line near 10 s; (b) batch schedule delay is
 //! large below the crossover and ≈ 0 above it.
 
+use nostop_bench::driver::{stats_of, steady_window};
 use nostop_bench::report::{f, print_section, Table};
-use nostop_core::system::{BatchObservation, StreamingSystem};
-use nostop_datagen::rate::ConstantRate;
-use nostop_simcore::SimDuration;
 use nostop_workloads::WorkloadKind;
-use spark_sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
+use spark_sim::EngineParams;
 
 const EXECUTORS: u32 = 10;
 const RATE: f64 = 10_000.0; // records/s, mid LR range
@@ -19,20 +17,10 @@ const BATCHES: usize = 8;
 
 fn measure(interval_s: f64, seed: u64) -> (f64, f64) {
     let params = EngineParams::testbed(WorkloadKind::LogisticRegression, seed);
-    let engine = StreamingEngine::new(
-        params,
-        StreamConfig::new(SimDuration::from_secs_f64(interval_s), EXECUTORS),
-        Box::new(ConstantRate::new(RATE)),
-    );
-    let mut sys = SimSystem::new(engine);
-    // Warm-up, then measure.
-    for _ in 0..3 {
-        sys.next_batch();
-    }
-    let window: Vec<BatchObservation> = (0..BATCHES).map(|_| sys.next_batch()).collect();
-    let proc = window.iter().map(|b| b.processing_s).sum::<f64>() / BATCHES as f64;
-    let sched = window.iter().map(|b| b.scheduling_delay_s).sum::<f64>() / BATCHES as f64;
-    (proc, sched)
+    let stats = stats_of(&steady_window(
+        params, interval_s, EXECUTORS, RATE, 3, BATCHES,
+    ));
+    (stats.mean_processing_s, stats.mean_scheduling_s)
 }
 
 fn main() {

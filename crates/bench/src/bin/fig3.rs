@@ -7,12 +7,10 @@
 //! and the end-to-end delay is minimized around 20 (paper: "when the
 //! number of executors is around 20 … the smallest end-to-end delay").
 
+use nostop_bench::driver::{stats_of, steady_window};
 use nostop_bench::report::{f, print_section, Table};
-use nostop_core::system::{BatchObservation, StreamingSystem};
-use nostop_datagen::rate::ConstantRate;
-use nostop_simcore::SimDuration;
 use nostop_workloads::WorkloadKind;
-use spark_sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
+use spark_sim::EngineParams;
 
 const INTERVAL_S: f64 = 10.0;
 const RATE: f64 = 10_000.0;
@@ -20,20 +18,12 @@ const BATCHES: usize = 16;
 
 fn measure(executors: u32, seed: u64) -> (f64, f64, f64) {
     let params = EngineParams::testbed(WorkloadKind::LogisticRegression, seed);
-    let engine = StreamingEngine::new(
-        params,
-        StreamConfig::new(SimDuration::from_secs_f64(INTERVAL_S), executors),
-        Box::new(ConstantRate::new(RATE)),
-    );
-    let mut sys = SimSystem::new(engine);
-    for _ in 0..3 {
-        sys.next_batch();
-    }
-    let window: Vec<BatchObservation> = (0..BATCHES).map(|_| sys.next_batch()).collect();
-    let proc = window.iter().map(|b| b.processing_s).sum::<f64>() / BATCHES as f64;
-    let sched = window.iter().map(|b| b.scheduling_delay_s).sum::<f64>() / BATCHES as f64;
+    let window = steady_window(params, INTERVAL_S, executors, RATE, 3, BATCHES);
+    let stats = stats_of(&window);
+    // sum/n, not `stats_of`'s running (Welford) mean, which can differ
+    // in the last bit and move the printed digits.
     let e2e = window.iter().map(|b| b.end_to_end_s()).sum::<f64>() / BATCHES as f64;
-    (proc, sched, e2e)
+    (stats.mean_processing_s, stats.mean_scheduling_s, e2e)
 }
 
 fn main() {

@@ -10,7 +10,7 @@
 
 use nostop_bench::report::{f, print_section, Table};
 use nostop_bench::scenario::{default_corpus_dir, parse_scenario, sample_rate, workload_of};
-use nostop_simcore::{SimTime, TimeSeries};
+use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
 
 const SAMPLE_EVERY_S: u64 = 10;
@@ -35,11 +35,8 @@ fn main() {
             "{} names the wrong workload",
             spec.name
         );
-        let mut series = TimeSeries::new(kind.name());
-        for (t, rate) in sample_rate(&spec, SAMPLE_EVERY_S) {
-            series.push_at(SimTime::from_micros(t * 1_000_000), rate);
-        }
-        let s = series.summary();
+        let samples = sample_rate(&spec, SAMPLE_EVERY_S);
+        let s = summarize(&samples.iter().map(|&(_, rate)| rate).collect::<Vec<_>>());
         let (lo, hi) = kind.paper_rate_range();
         summary.row(&[
             kind.name().to_string(),
@@ -49,7 +46,10 @@ fn main() {
             f(s.mean, 0),
         ]);
         println!("--- {} trace (t_s, rate) ---", kind.name());
-        print!("{}", series.to_csv());
+        println!("x,{}", kind.name());
+        for (t, rate) in &samples {
+            println!("{t},{rate}");
+        }
         println!();
     }
     print_section("Fig 5: input-rate variation per workload (600 s)", &summary);

@@ -70,9 +70,7 @@ fn run_cell(kind: WorkloadKind) -> (String, Vec<String>) {
         .map(|(_, d)| f(d, 2))
         .unwrap_or_else(|| "-".into());
     let converged = trace
-        .rounds
-        .iter()
-        .find(|r| r.paused_after)
+        .first_pause()
         .map(|r| r.round.to_string())
         .unwrap_or_else(|| "-".into());
     let row = vec![

@@ -17,6 +17,7 @@ use nostop_bench::driver::{
 };
 use nostop_bench::parallel::{grid, map_cells};
 use nostop_bench::report::{pm, print_section, Table};
+use nostop_core::trace::RoundKind;
 use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
 
@@ -45,30 +46,22 @@ fn run_cell(kind: WorkloadKind, seed: u64) -> (MethodCell, MethodCell) {
         .map(|(p, _)| p)
         .unwrap_or_else(|| run.controller.current_physical());
     let spsa_delay = evaluate_best(kind, seed, &best);
-    // Search time: until the controller first paused, or the full run if
-    // it never did.
-    let spsa_time = run
-        .controller
-        .trace()
-        .rounds
-        .iter()
-        .find(|r| r.paused_after)
-        .map(|r| r.t_s)
-        .unwrap_or(run.virtual_time_s);
-    // Steps to convergence: two reconfigurations per optimization round
-    // before the first pause, plus the parking change.
-    let rounds_to_pause = run
-        .controller
-        .trace()
-        .rounds
-        .iter()
-        .take_while(|r| !r.paused_after)
-        .filter(|r| matches!(r.kind, nostop_core::trace::RoundKind::Optimized { .. }))
-        .count();
-    let spsa_steps = if run.controller.trace().rounds.iter().any(|r| r.paused_after) {
-        (rounds_to_pause * 2 + 1) as f64
-    } else {
-        run.controller.config_changes() as f64
+    // Search time: until the controller first paused. Steps to
+    // convergence: two reconfigurations per optimization round before
+    // the first pause, plus the parking change. A run that never paused
+    // counts in full.
+    let trace = run.controller.trace();
+    let (spsa_time, spsa_steps) = match trace.first_pause() {
+        Some(pause) => {
+            let searched = trace
+                .rounds
+                .iter()
+                .take_while(|r| !r.paused_after)
+                .filter(|r| matches!(r.kind, RoundKind::Optimized { .. }))
+                .count();
+            (pause.t_s, (searched * 2 + 1) as f64)
+        }
+        None => (run.virtual_time_s, run.controller.config_changes() as f64),
     };
 
     // --- Bayesian optimization ---

@@ -24,6 +24,7 @@
 //! exercises ledger checkpointing and requires the fast path to engage
 //! (when enabled).
 
+use nostop_bench::driver::steady_fleet;
 use nostop_bench::parallel::jobs;
 use nostop_bench::report::{best_of, repeats, with_wall};
 use nostop_core::arbiter::ArbiterPolicy;
@@ -146,16 +147,7 @@ fn scenario_row(
 /// the actually-skipped count joins `wall_ms` in the file only.
 /// Returns `(stdout_row, wall_ms, skipped_epochs)`.
 fn steady_scale_row() -> (Json, f64, u64) {
-    let specs: Vec<TenantSpec> = (0..STEADY_TENANTS)
-        .map(|i| {
-            let kind = if i % 2 == 0 {
-                WorkloadKind::WordCount
-            } else {
-                WorkloadKind::PageAnalyze
-            };
-            TenantSpec::steady(kind, 2026, i)
-        })
-        .collect();
+    let specs = steady_fleet(2026, STEADY_TENANTS);
     let (fleet, best_wall) = best_of(
         repeats(1),
         "steady_2000: digest",

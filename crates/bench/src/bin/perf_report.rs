@@ -36,39 +36,40 @@
 //! best wall time — on shared hosts the best-of-N is the least polluted
 //! estimate of what the code costs.
 //!
-//! `perf_report --smoke [path]` is the CI guard: it re-times the engine
-//! matrix and exits non-zero if any cell panics, lands more than 25%
-//! below the throughput committed in `BENCH_perf.json` (or `path`), or
-//! has no usable committed baseline at all (a stale report is a distinct
-//! hard failure, never a silent pass). Nothing is written in smoke mode.
+//! `perf_report --smoke [path]` is the CI guard: it re-measures the gated
+//! rows (engine matrix, `gp_fit_256`, `scenario`, `fleet`) with the full
+//! run's own builders, compares each in one loop through
+//! [`nostop_bench::smoke`], and exits non-zero if any cell panics, lands
+//! more than 25% below the throughput committed in `BENCH_perf.json` (or
+//! `path`), or has no usable committed baseline at all (a stale report is
+//! a distinct hard failure, never a silent pass). It also prints the
+//! ungated `obs_overhead` row and checks that a 2,000-tenant steady fleet
+//! fast-forwards. Nothing is written in smoke mode.
 
 use nostop_baselines::BayesOpt;
 use nostop_bench::driver::{
-    make_system, measure_config, nostop_config, paper_rate, run_nostop, run_tuner,
+    fixed_system, make_system, measure_config, nostop_config, paper_rate, run_nostop, run_tuner,
+    steady_fleet,
 };
 use nostop_bench::parallel::{grid, jobs, map_cells_weighted};
 use nostop_bench::report::{best_of, repeats};
 use nostop_bench::scenario::run_method;
-use nostop_bench::smoke::{engine_baseline, section_baseline};
+use nostop_bench::smoke::{Gate, Verdict};
 use nostop_core::arbiter::ArbiterPolicy;
 use nostop_core::scenario::{ClusterKind, RateSpec, ScenarioSpec, SkewSpec};
 use nostop_core::system::StreamingSystem;
-use nostop_datagen::rate::ConstantRate;
 use nostop_datagen::IngestStats;
 use nostop_obs::Recorder;
 use nostop_simcore::json::{self, Json};
-use nostop_simcore::SimDuration;
 use nostop_workloads::{CostModel, WorkloadKind};
-use spark_sim::fleet::{FleetSim, TenantSpec};
-use spark_sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
+use spark_sim::fleet::FleetSim;
+use spark_sim::EngineParams;
 use std::time::Instant;
 
 const ENGINE_BATCHES: usize = 300;
 const DRIVER_SEEDS: [u64; 2] = [11, 22];
 const FIG8_ROUNDS: u64 = 12;
 const BO_ITERATIONS: usize = 15;
-/// Throughput floor for `--smoke`: fail below 75% of the committed number.
-const SMOKE_FLOOR: f64 = 0.75;
 
 /// Fleet smoke cell: a steady multi-tenant fleet run long enough that
 /// most epochs are quiescent, single-threaded so the number tracks
@@ -95,31 +96,34 @@ const MATRIX: [(WorkloadKind, f64, u32); 6] = [
     (WorkloadKind::WordCount, 40.0, 8),
 ];
 
-fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64() * 1e3)
+/// One engine-matrix cell, best of `repeats`: simulate `ENGINE_BATCHES`
+/// batches at a fixed configuration, recording into `obs`. Returns
+/// `(virtual_s, best_wall_ms)`, the simulated virtual seconds covered and
+/// the best wall time.
+fn engine_cell(
+    (kind, interval_s, executors): (WorkloadKind, f64, u32),
+    obs: &Recorder,
+    repeats: usize,
+) -> (f64, f64) {
+    let run = || {
+        let params = EngineParams::paper(kind, 7);
+        let mut sys = fixed_system(params, interval_s, executors, matrix_rate(kind), 0);
+        sys.engine_mut().set_recorder(obs);
+        let mut virtual_s = 0.0;
+        for _ in 0..ENGINE_BATCHES {
+            virtual_s += sys.next_batch().interval_s;
+        }
+        virtual_s
+    };
+    best_of(repeats, "engine cell virtual time", run, |v| v.to_bits())
 }
 
-/// One engine-matrix cell: simulate `ENGINE_BATCHES` batches at a fixed
-/// configuration, recording into `obs`, and return the simulated virtual
-/// seconds covered.
-fn run_engine_cell(kind: WorkloadKind, interval_s: f64, executors: u32, obs: &Recorder) -> f64 {
-    let mut engine = StreamingEngine::new(
-        EngineParams::paper(kind, 7),
-        StreamConfig::new(SimDuration::from_secs_f64(interval_s), executors),
-        Box::new(ConstantRate::new(match kind {
-            WorkloadKind::LogisticRegression | WorkloadKind::LinearRegression => 10_000.0,
-            _ => 120_000.0,
-        })),
-    );
-    engine.set_recorder(obs);
-    let mut sys = SimSystem::new(engine);
-    let mut virtual_s = 0.0;
-    for _ in 0..ENGINE_BATCHES {
-        virtual_s += sys.next_batch().interval_s;
+/// The constant rate the engine matrix feeds `kind`, records/s.
+fn matrix_rate(kind: WorkloadKind) -> f64 {
+    match kind {
+        WorkloadKind::LogisticRegression | WorkloadKind::LinearRegression => 10_000.0,
+        _ => 120_000.0,
     }
-    virtual_s
 }
 
 /// A fig7-shaped driver cell: measure the default configuration, then a
@@ -147,11 +151,7 @@ fn fig8_style_cell(kind: WorkloadKind, seed: u64) -> f64 {
 /// closed-form estimate for a nominal paper batch. Only the ordering
 /// matters (heaviest workloads get scheduled first).
 fn cell_weight(kind: WorkloadKind) -> f64 {
-    let rate = match kind {
-        WorkloadKind::LogisticRegression | WorkloadKind::LinearRegression => 10_000.0,
-        _ => 120_000.0,
-    };
-    CostModel::preset(kind).estimate_processing_secs((rate * 15.0) as u64, 8, 75)
+    CostModel::preset(kind).estimate_processing_secs((matrix_rate(kind) * 15.0) as u64, 8, 75)
 }
 
 /// Time one driver grid at a given worker count; returns `(wall_ms, sum)`
@@ -160,13 +160,14 @@ fn cell_weight(kind: WorkloadKind) -> f64 {
 fn time_grid(jobs_env: usize, cell: impl Fn(WorkloadKind, u64) -> f64 + Sync) -> (f64, f64) {
     std::env::set_var("NOSTOP_JOBS", jobs_env.to_string());
     let cells = grid(&WorkloadKind::ALL, &DRIVER_SEEDS);
-    let (results, wall) = time_ms(|| {
+    let grid_run = || {
         map_cells_weighted(
             &cells,
             |&(kind, _)| cell_weight(kind),
             |&(kind, seed)| cell(kind, seed),
         )
-    });
+    };
+    let (results, wall) = best_of(1, "driver grid", grid_run, |_| ());
     (wall, results.iter().sum())
 }
 
@@ -176,28 +177,12 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Best-of-`repeats` engine cell: `(virtual_s, best_wall_ms)`.
-fn best_engine_cell(
-    kind: WorkloadKind,
-    interval: f64,
-    executors: u32,
-    obs: &Recorder,
-    repeats: usize,
-) -> (f64, f64) {
-    best_of(
-        repeats,
-        "engine cell virtual time",
-        || run_engine_cell(kind, interval, executors, obs),
-        |v| v.to_bits(),
-    )
-}
-
 /// The `obs_overhead` row: ns per batch of the WordCount 15 s × 8 and
 /// LogisticRegression 15 s × 14 cells, recorder disabled vs a ring, and the ratio.
 fn obs_overhead_rows(repeats: usize) -> Vec<Json> {
     let row = |&(kind, interval, executors): &(WorkloadKind, f64, u32)| {
         let ns_per_batch = |obs: &Recorder| {
-            let (_, wall) = best_engine_cell(kind, interval, executors, obs, repeats);
+            let (_, wall) = engine_cell((kind, interval, executors), obs, repeats);
             wall * 1e6 / ENGINE_BATCHES as f64
         };
         let off = ns_per_batch(&Recorder::disabled());
@@ -220,27 +205,31 @@ fn obs_overhead_rows(repeats: usize) -> Vec<Json> {
 /// and arm, so the bulk of the epochs exercise the quiescent-tenant
 /// fast-forward; every barrier is one dense arbiter pass.
 fn run_fleet_cell() -> u64 {
-    let specs: Vec<TenantSpec> = (0..FLEET_TENANTS)
-        .map(|i| {
-            let kind = if i % 2 == 0 {
-                WorkloadKind::WordCount
-            } else {
-                WorkloadKind::PageAnalyze
-            };
-            let mut spec = TenantSpec::steady(kind, 7, i);
-            spec.priority = 1 + (i % 5);
-            spec
-        })
-        .collect();
+    let mut specs = steady_fleet(7, FLEET_TENANTS);
+    for (i, spec) in (0..).zip(&mut specs) {
+        spec.priority = 1 + (i % 5);
+    }
     let mut fleet = FleetSim::new(&specs, Some(FLEET_BUDGET), ArbiterPolicy::FairShare);
     fleet.set_jobs(1);
     fleet.run_epochs(FLEET_EPOCHS);
     fleet.digest()
 }
 
-/// Best-of-`repeats` fleet cell: `(digest, best_wall_ms)`.
-fn best_fleet_cell(repeats: usize) -> (u64, f64) {
-    best_of(repeats, "fleet cell digest", run_fleet_cell, |&d| d)
+/// The `fleet` section: the best-of-`repeats` fleet cell.
+fn fleet_row(repeats: usize) -> Json {
+    let (digest, wall) = best_of(repeats, "fleet cell digest", run_fleet_cell, |&d| d);
+    json::obj(vec![
+        ("tenants", json::uint(FLEET_TENANTS as u64)),
+        ("epochs", json::uint(FLEET_EPOCHS)),
+        ("budget", json::uint(FLEET_BUDGET as u64)),
+        ("policy", json::str(ArbiterPolicy::FairShare.name())),
+        ("wall_ms", json::num(wall)),
+        (
+            "fleet_epochs_per_s",
+            json::num(FLEET_EPOCHS as f64 / (wall / 1e3)),
+        ),
+        ("digest", json::str(format!("{digest:016x}"))),
+    ])
 }
 
 /// Scenario smoke cell: horizon of the adversarial-arrivals run.
@@ -302,9 +291,26 @@ fn run_scenario_cell() -> ScenarioCell {
     }
 }
 
-/// Best-of-`repeats` scenario cell: `(cell, best_wall_ms)`.
-fn best_scenario_cell(repeats: usize) -> (ScenarioCell, f64) {
-    best_of(repeats, "scenario cell", run_scenario_cell, |&c| c)
+/// The `scenario` section: the best-of-`repeats` scenario cell.
+fn scenario_row(repeats: usize) -> Json {
+    let (cell, wall) = best_of(repeats, "scenario cell", run_scenario_cell, |&c| c);
+    json::obj(vec![
+        ("horizon_s", json::num(SCENARIO_HORIZON_S)),
+        ("batches", json::uint(cell.batches)),
+        ("wall_ms", json::num(wall)),
+        (
+            "scenario_batches_per_s",
+            json::num(cell.batches as f64 / (wall / 1e3)),
+        ),
+        (
+            "rate_calls_per_batch",
+            json::num(cell.per_batch(cell.ingest.rate_calls)),
+        ),
+        (
+            "produce_steps_per_batch",
+            json::num(cell.per_batch(cell.ingest.produce_steps)),
+        ),
+    ])
 }
 
 /// GP smoke cell: observations in the incremental fit (the tuner arena's
@@ -329,13 +335,100 @@ fn run_gp_cell() -> f64 {
     m + v
 }
 
-/// Best-of-`repeats` GP cell: `(checksum, best_wall_ms)`.
-fn best_gp_cell(repeats: usize) -> (f64, f64) {
-    best_of(repeats, "gp cell checksum", run_gp_cell, |c| c.to_bits())
+/// The `gp_fit_256` section: the best-of-`repeats` GP cell.
+fn gp_row(repeats: usize) -> Json {
+    let (check, wall) = best_of(repeats, "gp cell checksum", run_gp_cell, |c| c.to_bits());
+    json::obj(vec![
+        ("observations", json::uint(GP_OBSERVATIONS as u64)),
+        ("dim", json::uint(GP_DIM as u64)),
+        ("wall_ms", json::num(wall)),
+        (
+            "gp_adds_per_s",
+            json::num(GP_OBSERVATIONS as f64 / (wall / 1e3)),
+        ),
+        ("posterior_check", json::num(check)),
+    ])
 }
 
-/// CI smoke guard: re-time the engine matrix and compare against the
-/// committed report at `path`. Returns the process exit code.
+/// The `engine_matrix` section: every [`MATRIX`] cell, best-of-`repeats`.
+fn engine_matrix(repeats: usize) -> Json {
+    let row = |&(kind, interval, executors): &(WorkloadKind, f64, u32)| {
+        let (virtual_s, wall) =
+            engine_cell((kind, interval, executors), &Recorder::disabled(), repeats);
+        json::obj(vec![
+            ("workload", json::str(kind.name())),
+            ("interval_s", json::num(interval)),
+            ("executors", json::uint(executors as u64)),
+            ("batches", json::uint(ENGINE_BATCHES as u64)),
+            ("wall_ms", json::num(wall)),
+            (
+                "sim_batches_per_s",
+                json::num(ENGINE_BATCHES as f64 / (wall / 1e3)),
+            ),
+            ("virtual_s_simulated", json::num(virtual_s)),
+        ])
+    };
+    Json::Arr(MATRIX.iter().map(row).collect())
+}
+
+/// Measures one report section, each cell best of the given repeats.
+type Builder = fn(usize) -> Json;
+
+/// The gated sections, each with the builder that measures it. The full
+/// run writes them and `--smoke` re-measures and compares them, so a new
+/// gated row is one entry here.
+const GATED: [(Gate, Builder); 4] = [
+    (
+        Gate {
+            section: "engine_matrix",
+            keys: &["workload", "interval_s", "executors"],
+            field: "sim_batches_per_s",
+        },
+        engine_matrix,
+    ),
+    (Gate::single("gp_fit_256", "gp_adds_per_s"), gp_row),
+    (
+        Gate::single("scenario", "scenario_batches_per_s"),
+        scenario_row,
+    ),
+    (Gate::single("fleet", "fleet_epochs_per_s"), fleet_row),
+];
+
+/// The `--smoke` scale check: a 2,000-tenant steady fleet must complete
+/// with the fast path engaged (skipped epochs > 0). No committed baseline
+/// — this is a functional floor, not a throughput comparison, so it runs
+/// once. Returns whether it passed.
+fn scale_check() -> bool {
+    let start = Instant::now();
+    let mut fleet = FleetSim::new(
+        &steady_fleet(2026, SCALE_TENANTS),
+        None,
+        ArbiterPolicy::FairShare,
+    );
+    fleet.set_jobs(1);
+    fleet.enable_ledger_checkpointing(4_096);
+    fleet.run_epochs(SCALE_EPOCHS);
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let eps = SCALE_EPOCHS as f64 / (wall_ms / 1e3);
+    fleet
+        .arbiter()
+        .check_conservation()
+        .expect("2000-tenant ledger conserves");
+    let skipped = fleet.total_skipped_epochs();
+    let engaged = !fleet.fastpath_enabled() || skipped > 0;
+    if !engaged {
+        eprintln!("smoke: 2000-tenant steady fleet never fast-forwarded");
+    }
+    println!(
+        "smoke {:<40} {SCALE_TENANTS}t x{SCALE_EPOCHS} {eps:>9.1} ep/s  skipped={skipped} {}",
+        "fleet(2000 steady)",
+        if engaged { "ok" } else { "FAIL" }
+    );
+    engaged
+}
+
+/// CI smoke guard: re-measure the gated sections and compare them with
+/// the committed report at `path`. Returns the process exit code.
 fn smoke(path: &str) -> i32 {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -345,159 +438,53 @@ fn smoke(path: &str) -> i32 {
         }
     };
     let committed = Json::parse(&text).expect("committed report parses");
-    let rows = committed
-        .field_array("engine_matrix")
-        .expect("engine_matrix array");
     let repeats = repeats(3);
     let mut regressed = 0;
-    let mut unusable = 0;
-    for &(kind, interval, executors) in &MATRIX {
-        let base_bps = match engine_baseline(rows, kind.name(), interval, executors) {
-            Ok(bps) => bps,
-            Err(e) => {
-                // A cell the committed report cannot price is a hard
-                // failure in its own right — NOT a pass, and NOT counted
-                // as a regression (nothing got slower; the baseline is
-                // stale or corrupt and must be regenerated).
-                eprintln!(
-                    "smoke: {} @ {interval}s × {executors}: {e} — \
-                     regenerate {path} with `perf_report`",
-                    kind.name()
-                );
-                unusable += 1;
-                continue;
-            }
-        };
-        let (_, wall) = best_engine_cell(kind, interval, executors, &Recorder::disabled(), repeats);
-        let bps = ENGINE_BATCHES as f64 / (wall / 1e3);
-        let ratio = bps / base_bps;
-        let verdict = if ratio >= SMOKE_FLOOR { "ok" } else { "FAIL" };
-        println!(
-            "smoke {:<22} {interval:>5.1}s x{executors:<3} {bps:>9.0} b/s vs {base_bps:>9.0} committed  ({ratio:.2}x) {verdict}",
-            kind.name()
-        );
-        if ratio < SMOKE_FLOOR {
-            regressed += 1;
+    let mut stale = 0;
+    for (gate, build) in &GATED {
+        for check in gate.check(&committed, &build(repeats)) {
+            let (fresh, base, verdict) = match check.verdict {
+                Verdict::Ok(fresh, committed) => (fresh, committed, "ok"),
+                Verdict::Regressed(fresh, committed) => {
+                    regressed += 1;
+                    (fresh, committed, "FAIL")
+                }
+                Verdict::Stale(why) => {
+                    // Not a pass, and not a regression: nothing got
+                    // slower, the committed report must be regenerated.
+                    eprintln!(
+                        "smoke: {}: {why} — regenerate {path} with `perf_report`",
+                        check.label
+                    );
+                    stale += 1;
+                    continue;
+                }
+            };
+            println!(
+                "smoke {:<40} {fresh:>11.1} {} vs {base:>11.1} committed  ({:.2}x) {verdict}",
+                check.label,
+                gate.field,
+                fresh / base
+            );
         }
     }
     // Printed, never gated: the ratio depends on the host.
     for row in obs_overhead_rows(repeats) {
         println!("smoke obs_overhead {row} (no gate)");
     }
-    // 2,000-tenant scale row: a steady fleet at real fleet scale must
-    // complete with the sparse fast path engaged. No committed baseline
-    // — this is a functional floor (the fast path exists and engages at
-    // scale), not a throughput comparison, so it runs once.
-    {
-        let start = Instant::now();
-        let specs: Vec<TenantSpec> = (0..SCALE_TENANTS)
-            .map(|i| {
-                let kind = if i % 2 == 0 {
-                    WorkloadKind::WordCount
-                } else {
-                    WorkloadKind::PageAnalyze
-                };
-                TenantSpec::steady(kind, 2026, i)
-            })
-            .collect();
-        let mut fleet = FleetSim::new(&specs, None, ArbiterPolicy::FairShare);
-        fleet.set_jobs(1);
-        fleet.enable_ledger_checkpointing(4_096);
-        fleet.run_epochs(SCALE_EPOCHS);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let eps = SCALE_EPOCHS as f64 / (wall_ms / 1e3);
-        fleet
-            .arbiter()
-            .check_conservation()
-            .expect("2000-tenant ledger conserves");
-        let skipped = fleet.total_skipped_epochs();
-        if fleet.fastpath_enabled() && skipped == 0 {
-            eprintln!("smoke: 2000-tenant steady fleet never fast-forwarded");
-            regressed += 1;
-        }
-        println!(
-            "smoke {:<22} {SCALE_TENANTS:>3}t x{SCALE_EPOCHS:<4} {eps:>9.1} ep/s  skipped={skipped} ok",
-            "fleet(2000 steady)"
-        );
-    }
-    // GP smoke row: the incremental surrogate fit. Same floor, same
-    // stale-vs-slow distinction — a missing gp_fit_256 section is a
-    // stale report, not a regression, and still fails hard.
-    match section_baseline(&committed, "gp_fit_256", "gp_adds_per_s") {
-        Ok(base_aps) => {
-            let (_, wall) = best_gp_cell(repeats);
-            let aps = GP_OBSERVATIONS as f64 / (wall / 1e3);
-            let ratio = aps / base_aps;
-            let verdict = if ratio >= SMOKE_FLOOR { "ok" } else { "FAIL" };
-            println!(
-                "smoke {:<22} {GP_OBSERVATIONS:>3}obs dim{GP_DIM} {aps:>9.0} add/s vs {base_aps:>9.0} committed  ({ratio:.2}x) {verdict}",
-                "gp_fit_256"
-            );
-            if ratio < SMOKE_FLOOR {
-                regressed += 1;
-            }
-        }
-        Err(e) => {
-            eprintln!("smoke: gp_fit_256 cell: {e} — regenerate {path} with `perf_report`");
-            unusable += 1;
-        }
-    }
-    // Fleet smoke row: same floor, same stale-vs-slow distinction as the
-    // engine cells — a missing fleet section is a stale report, not a
-    // regression, and still fails hard.
-    match section_baseline(&committed, "fleet", "fleet_epochs_per_s") {
-        Ok(base_eps) => {
-            let (_, wall) = best_fleet_cell(repeats);
-            let eps = FLEET_EPOCHS as f64 / (wall / 1e3);
-            let ratio = eps / base_eps;
-            let verdict = if ratio >= SMOKE_FLOOR { "ok" } else { "FAIL" };
-            println!(
-                "smoke {:<22} {FLEET_TENANTS:>3}t x{FLEET_EPOCHS:<4} {eps:>9.1} ep/s vs {base_eps:>9.1} committed  ({ratio:.2}x) {verdict}",
-                "fleet(steady)"
-            );
-            if ratio < SMOKE_FLOOR {
-                regressed += 1;
-            }
-        }
-        Err(e) => {
-            eprintln!("smoke: fleet cell: {e} — regenerate {path} with `perf_report`");
-            unusable += 1;
-        }
-    }
-    // Scenario smoke row: the adversarial scenario stack (flash crowds +
-    // hot-key skew through `scenario_runner`'s library). Same floor, same
-    // stale-vs-slow distinction — a missing scenario section is a stale
-    // report, not a regression, and still fails hard.
-    match section_baseline(&committed, "scenario", "scenario_batches_per_s") {
-        Ok(base_bps) => {
-            let (cell, wall) = best_scenario_cell(repeats);
-            let batches = cell.batches;
-            let bps = batches as f64 / (wall / 1e3);
-            let ratio = bps / base_bps;
-            let verdict = if ratio >= SMOKE_FLOOR { "ok" } else { "FAIL" };
-            println!(
-                "smoke {:<22} {SCENARIO_HORIZON_S:>4.0}s x{batches:<4} {bps:>9.1} b/s vs {base_bps:>9.1} committed  ({ratio:.2}x) {verdict}",
-                "scenario(adversarial)"
-            );
-            if ratio < SMOKE_FLOOR {
-                regressed += 1;
-            }
-        }
-        Err(e) => {
-            eprintln!("smoke: scenario cell: {e} — regenerate {path} with `perf_report`");
-            unusable += 1;
-        }
+    if !scale_check() {
+        regressed += 1;
     }
     if regressed > 0 {
         eprintln!("smoke: {regressed} cell(s) regressed >25% vs {path}");
     }
-    if unusable > 0 {
+    if stale > 0 {
         eprintln!(
-            "smoke: {unusable} matrix cell(s) missing from or unusable in {path} — \
+            "smoke: {stale} cell(s) missing from or unusable in {path} — \
              the committed report is stale, not the code slow"
         );
     }
-    if regressed + unusable > 0 {
+    if regressed + stale > 0 {
         1
     } else {
         println!(
@@ -524,25 +511,10 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    // --- Layer 1: engine matrix, single-threaded, best-of-N ---
+    // --- Layer 1 and the single-cell rows: the gated sections, each
+    // cell single-threaded and best-of-N ---
     let repeats = repeats(3);
-    let mut engine_rows = Vec::new();
-    for &(kind, interval, executors) in &MATRIX {
-        let (virtual_s, wall) =
-            best_engine_cell(kind, interval, executors, &Recorder::disabled(), repeats);
-        engine_rows.push(json::obj(vec![
-            ("workload", json::str(kind.name())),
-            ("interval_s", json::num(interval)),
-            ("executors", json::uint(executors as u64)),
-            ("batches", json::uint(ENGINE_BATCHES as u64)),
-            ("wall_ms", json::num(wall)),
-            (
-                "sim_batches_per_s",
-                json::num(ENGINE_BATCHES as f64 / (wall / 1e3)),
-            ),
-            ("virtual_s_simulated", json::num(virtual_s)),
-        ]));
-    }
+    let [engine, gp, scenario, fleet] = GATED.map(|(gate, build)| (gate.section, build(repeats)));
 
     // --- Layer 2: driver grids, serial vs parallel ---
     let mut driver_rows = Vec::new();
@@ -598,65 +570,17 @@ fn main() {
         ]));
     }
 
-    // --- Layer 3: GP surrogate fit, single-threaded, best-of-N ---
-    let (gp_check, gp_wall) = best_gp_cell(repeats);
-    let gp_row = json::obj(vec![
-        ("observations", json::uint(GP_OBSERVATIONS as u64)),
-        ("dim", json::uint(GP_DIM as u64)),
-        ("wall_ms", json::num(gp_wall)),
-        (
-            "gp_adds_per_s",
-            json::num(GP_OBSERVATIONS as f64 / (gp_wall / 1e3)),
-        ),
-        ("posterior_check", json::num(gp_check)),
-    ]);
-
-    // --- Layer 3b: adversarial scenario cell, single-threaded, best-of-N ---
-    let (scenario, scenario_wall) = best_scenario_cell(repeats);
-    let scenario_row = json::obj(vec![
-        ("horizon_s", json::num(SCENARIO_HORIZON_S)),
-        ("batches", json::uint(scenario.batches)),
-        ("wall_ms", json::num(scenario_wall)),
-        (
-            "scenario_batches_per_s",
-            json::num(scenario.batches as f64 / (scenario_wall / 1e3)),
-        ),
-        (
-            "rate_calls_per_batch",
-            json::num(scenario.per_batch(scenario.ingest.rate_calls)),
-        ),
-        (
-            "produce_steps_per_batch",
-            json::num(scenario.per_batch(scenario.ingest.produce_steps)),
-        ),
-    ]);
-
-    // --- Layer 4: fleet cell, single-threaded, best-of-N ---
-    let (fleet_digest, fleet_wall) = best_fleet_cell(repeats);
-    let fleet_row = json::obj(vec![
-        ("tenants", json::uint(FLEET_TENANTS as u64)),
-        ("epochs", json::uint(FLEET_EPOCHS)),
-        ("budget", json::uint(FLEET_BUDGET as u64)),
-        ("policy", json::str(ArbiterPolicy::FairShare.name())),
-        ("wall_ms", json::num(fleet_wall)),
-        (
-            "fleet_epochs_per_s",
-            json::num(FLEET_EPOCHS as f64 / (fleet_wall / 1e3)),
-        ),
-        ("digest", json::str(format!("{fleet_digest:016x}"))),
-    ]);
-
     let report = json::obj(vec![
         ("schema", json::str("nostop-perf/1")),
         ("configured_jobs", json::uint(configured_jobs as u64)),
         ("available_parallelism", json::uint(parallelism as u64)),
         ("engine_repeats", json::uint(repeats as u64)),
-        ("engine_matrix", Json::Arr(engine_rows)),
+        engine,
         ("obs_overhead", Json::Arr(obs_overhead_rows(repeats))),
         ("driver_grids", Json::Arr(driver_rows)),
-        ("gp_fit_256", gp_row),
-        ("scenario", scenario_row),
-        ("fleet", fleet_row),
+        gp,
+        scenario,
+        fleet,
         (
             "peak_rss_kb",
             peak_rss_kb().map(json::uint).unwrap_or(Json::Null),

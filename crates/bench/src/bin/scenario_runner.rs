@@ -29,6 +29,7 @@ use nostop_bench::scenario::{
 use nostop_core::scenario::ScenarioSpec;
 use nostop_simcore::fnv1a64;
 use nostop_simcore::json::{self, Json};
+use nostop_simcore::stats::mean;
 use std::path::PathBuf;
 
 /// Trace-only scenarios sample the rate at this granularity.
@@ -37,8 +38,6 @@ const SAMPLE_EVERY_S: u64 = 10;
 fn trace_cell(spec: &ScenarioSpec) -> Json {
     let samples = sample_rate(spec, SAMPLE_EVERY_S);
     let rates: Vec<f64> = samples.iter().map(|&(_, r)| r).collect();
-    let n = rates.len() as f64;
-    let mean = rates.iter().sum::<f64>() / n;
     let min = rates.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = rates.iter().cloned().fold(0.0f64, f64::max);
     // The full trajectory is pinned by a digest instead of being inlined —
@@ -54,7 +53,7 @@ fn trace_cell(spec: &ScenarioSpec) -> Json {
         ("sample_every_s", json::uint(SAMPLE_EVERY_S)),
         ("min_rate", json::num(min)),
         ("max_rate", json::num(max)),
-        ("mean_rate", json::num(mean)),
+        ("mean_rate", json::num(mean(&rates))),
         (
             "trace_digest",
             json::str(format!("{:016x}", fnv1a64(csv.as_bytes()))),
@@ -85,20 +84,6 @@ fn method_cell(spec: &ScenarioSpec, method: &str) -> Json {
         ("converged_round", opt_uint(r.converged_round)),
         ("rounds", opt_uint(r.rounds)),
     ])
-}
-
-fn rate_kind(spec: &ScenarioSpec) -> &'static str {
-    use nostop_core::scenario::RateSpec::*;
-    match spec.rate {
-        Constant { .. } => "constant",
-        UniformRandom { .. } => "uniform-random",
-        Sinusoid { .. } => "sinusoid",
-        Ramp { .. } => "ramp",
-        Surge { .. } => "surge",
-        FlashCrowd { .. } => "flash-crowd",
-        ParetoBurst { .. } => "pareto-burst",
-        CorrelatedSurge { .. } => "correlated-surge",
-    }
 }
 
 struct Args {
@@ -208,7 +193,7 @@ fn main() {
             ("workload", json::str(kind.name())),
             ("cluster", json::str(spec.cluster.name())),
             ("seed", json::uint(spec.seed)),
-            ("rate_kind", json::str(rate_kind(spec))),
+            ("rate_kind", json::str(spec.rate.kind())),
             ("skewed", Json::Bool(!spec.skew.is_none())),
             ("faults", json::uint(spec.faults.len() as u64)),
             ("horizon_s", json::num(spec.horizon_s)),

@@ -31,6 +31,7 @@ use nostop_bench::parallel::{jobs, map_cells};
 use nostop_bench::report::{best_of, repeats, with_wall};
 use nostop_core::space::ConfigSpace;
 use nostop_simcore::json::{self, Json};
+use nostop_simcore::stats::mean;
 use nostop_workloads::WorkloadKind;
 use std::time::Instant;
 
@@ -180,10 +181,6 @@ fn assert_gp_modes_propose_identically() -> usize {
     }
     eprintln!("gp mode gate: {iters} proposals bitwise identical (incremental vs refit)");
     iters
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
 }
 
 fn main() {

@@ -9,10 +9,11 @@ use nostop_core::controller::{NoStop, NoStopConfig};
 use nostop_core::objective::{RHO_CAP, STABILITY_HEADROOM};
 use nostop_core::system::{BatchObservation, StreamingSystem};
 use nostop_core::trace::RoundKind;
-use nostop_datagen::rate::{RateProcess, SurgeRate, UniformRandomRate};
+use nostop_datagen::rate::{ConstantRate, RateProcess, SurgeRate, UniformRandomRate};
 use nostop_simcore::stats::{summarize, Summary};
-use nostop_simcore::SimRng;
+use nostop_simcore::{SimDuration, SimRng};
 use nostop_workloads::WorkloadKind;
+use spark_sim::fleet::TenantSpec;
 use spark_sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
 
 /// The paper's varying-rate process for a workload (Fig. 5 ranges,
@@ -54,6 +55,49 @@ pub fn make_system(kind: WorkloadKind, seed: u64, rate: Box<dyn RateProcess>) ->
         rate,
     );
     SimSystem::new(engine)
+}
+
+/// An engine built from `params` at a fixed `(interval_s, executors)`
+/// under a constant `rate` (records/s), with its first `warmup` batches
+/// already run and discarded.
+pub fn fixed_system(
+    params: EngineParams,
+    interval_s: f64,
+    executors: u32,
+    rate: f64,
+    warmup: usize,
+) -> SimSystem {
+    let config = StreamConfig::new(SimDuration::from_secs_f64(interval_s), executors);
+    let engine = StreamingEngine::new(params, config, Box::new(ConstantRate::new(rate)));
+    let mut sys = SimSystem::new(engine);
+    for _ in 0..warmup {
+        sys.next_batch();
+    }
+    sys
+}
+
+/// The fixed-configuration window of the sweep binaries (fig2, fig3,
+/// ablation_speculation, ablation_window): the `batches` observations
+/// that follow [`fixed_system`]'s warm-up.
+pub fn steady_window(
+    params: EngineParams,
+    interval_s: f64,
+    executors: u32,
+    rate: f64,
+    warmup: usize,
+    batches: usize,
+) -> Vec<BatchObservation> {
+    let mut sys = fixed_system(params, interval_s, executors, rate, warmup);
+    (0..batches).map(|_| sys.next_batch()).collect()
+}
+
+/// `tenants` steady fleet tenants of fleet seed `seed`, alternating
+/// WordCount and PageAnalyze (the two workloads whose tenants quiesce).
+pub fn steady_fleet(seed: u64, tenants: u32) -> Vec<TenantSpec> {
+    let kinds = [WorkloadKind::WordCount, WorkloadKind::PageAnalyze];
+    (0..tenants)
+        .map(|i| TenantSpec::steady(kinds[i as usize % 2], seed, i))
+        .collect()
 }
 
 /// The paper-default NoStop configuration adapted to `kind`'s rate range.

@@ -7,16 +7,17 @@
 //! clusters: [`driver`] (`make_system`/`paper_rate`, `measure_config`,
 //! `run_tuner`, `run_backpressure`) and [`scenario`] (a parsed
 //! `nostop-scenario/1` spec run through `build_system`/`run_method`). Both
-//! share `driver::measure_config`'s settle-and-measure protocol. A few
-//! binaries build engines directly because they sweep one mechanism at a
-//! fixed configuration. [`report`] renders aligned tables and CSV blocks
-//! for EXPERIMENTS.md.
+//! share `driver::measure_config`'s settle-and-measure protocol. The
+//! binaries that sweep one mechanism at a fixed configuration share
+//! `driver::steady_window` (constant rate, warm-up, then a window of
+//! batches). [`report`] renders aligned tables and CSV blocks for
+//! EXPERIMENTS.md, and [`smoke`] is `perf_report --smoke`'s comparator.
 //!
 //! | Binary | Reproduces | Stack |
 //! |---|---|---|
 //! | `table2` | Table 2 — cluster inventory | — |
-//! | `fig2` | Fig. 2 — batch interval vs processing time / schedule delay | engine |
-//! | `fig3` | Fig. 3 — executor count vs processing time / schedule delay | engine |
+//! | `fig2` | Fig. 2 — batch interval vs processing time / schedule delay | `driver::steady_window` |
+//! | `fig3` | Fig. 3 — executor count vs processing time / schedule delay | `driver::steady_window` |
 //! | `fig5` | Fig. 5 — varying input-rate traces for the four workloads | `scenario` |
 //! | `fig6` | Fig. 6 — optimization evolution per workload | `driver` + `scenario` |
 //! | `fig7` | Fig. 7 — improvement over the default configuration | `driver` |
@@ -24,9 +25,9 @@
 //! | `backpressure_cmp` | abstract — NoStop vs Spark Back Pressure | `driver` |
 //! | `ablation_gains` | §5.6 — gain-sequence choices | `driver` |
 //! | `ablation_penalty` | §4.2.2 — penalty ramp and cap | `driver` |
-//! | `ablation_window` | §5.4 — metric-collection rules | engine |
+//! | `ablation_window` | §5.4 — metric-collection rules | `driver::steady_window` |
 //! | `ablation_reset` | §5.5 — input-rate reset rule | `driver` |
-//! | `ablation_speculation` | speculative execution on the heterogeneous cluster | engine |
+//! | `ablation_speculation` | speculative execution on the heterogeneous cluster | `driver::steady_window` |
 //! | `chaos_report` | fault grid for every method → `BENCH_chaos.json` | `scenario` |
 //! | `fleet_report` | multi-tenant fleet + arbiter → `BENCH_fleet.json` | fleet |
 //! | `perf_report` | throughput trajectory → `BENCH_perf.json` | `driver` + `scenario` |

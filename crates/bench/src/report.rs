@@ -85,6 +85,16 @@ pub fn f(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
+/// The sum/len mean of `xs`, NaN when there are none, so an empty
+/// sample never reads as a measured 0.
+pub fn mean_or_nan(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        f64::NAN
+    } else {
+        nostop_simcore::stats::mean(xs)
+    }
+}
+
 /// Format a `mean ± std` cell.
 pub fn pm(mean: f64, std: f64, decimals: usize) -> String {
     format!("{mean:.decimals$} ± {std:.decimals$}")

@@ -189,6 +189,20 @@ pub struct MethodResult {
     pub rounds: Option<u64>,
 }
 
+/// `(stable fraction, mean end-to-end delay, mean processing time)` of
+/// `batches`, each a plain sum/len; all 0 for an empty log.
+pub fn log_means(batches: &[BatchObservation]) -> (f64, f64, f64) {
+    if batches.is_empty() {
+        return (0.0, 0.0, 0.0);
+    }
+    let n = batches.len() as f64;
+    (
+        batches.iter().filter(|b| b.is_stable()).count() as f64 / n,
+        batches.iter().map(|b| b.end_to_end_s()).sum::<f64>() / n,
+        batches.iter().map(|b| b.processing_s).sum::<f64>() / n,
+    )
+}
+
 /// Drive `method` over the spec's horizon (or, for `nostop` with
 /// `spec.rounds` set, that many controller rounds — the Fig-6 protocol).
 /// Returns the recording it ran on (every batch, and the engine behind
@@ -214,11 +228,7 @@ pub fn run_method(spec: &ScenarioSpec, method: &str) -> Result<(Recording, Metho
             }
             let trace = ns.trace();
             resets = Some(trace.resets() as u64);
-            converged_round = trace
-                .rounds
-                .iter()
-                .find(|r| r.paused_after)
-                .map(|r| r.round);
+            converged_round = trace.first_pause().map(|r| r.round);
             rounds = Some(trace.rounds.len() as u64);
             let phys = ns.current_physical();
             final_config = Some([phys[0], phys[1]]);
@@ -251,15 +261,7 @@ pub fn run_method(spec: &ScenarioSpec, method: &str) -> Result<(Recording, Metho
     }
     let log = &sys.log;
     let batches = log.len();
-    let (stable_fraction, mean_delay_s, mean_processing_s) = if batches == 0 {
-        (0.0, 0.0, 0.0)
-    } else {
-        (
-            log.iter().filter(|b| b.is_stable()).count() as f64 / batches as f64,
-            log.iter().map(|b| b.end_to_end_s()).sum::<f64>() / batches as f64,
-            log.iter().map(|b| b.processing_s).sum::<f64>() / batches as f64,
-        )
-    };
+    let (stable_fraction, mean_delay_s, mean_processing_s) = log_means(log);
     let fallback = log.last().map(|b| [b.interval_s, b.num_executors as f64]);
     let [final_interval_s, final_executors] =
         final_config.or(fallback).unwrap_or([f64::NAN, f64::NAN]);

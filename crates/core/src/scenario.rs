@@ -327,55 +327,63 @@ impl RateSpec {
         }
     }
 
+    /// The tag `to_json` writes as `"kind"`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            RateSpec::Constant { .. } => "constant",
+            RateSpec::UniformRandom { .. } => "uniform-random",
+            RateSpec::Sinusoid { .. } => "sinusoid",
+            RateSpec::Ramp { .. } => "ramp",
+            RateSpec::Surge { .. } => "surge",
+            RateSpec::FlashCrowd { .. } => "flash-crowd",
+            RateSpec::ParetoBurst { .. } => "pareto-burst",
+            RateSpec::CorrelatedSurge { .. } => "correlated-surge",
+        }
+    }
+
     /// Serialize as a tagged JSON object (`{"kind": "...", ...}`).
     pub fn to_json(&self) -> Json {
-        match self {
-            RateSpec::Constant { rate } => json::obj(vec![
-                ("kind", json::str("constant")),
-                ("rate", json::num(*rate)),
-            ]),
+        let mut fields = vec![("kind", json::str(self.kind()))];
+        fields.extend(match self {
+            RateSpec::Constant { rate } => vec![("rate", json::num(*rate))],
             RateSpec::UniformRandom {
                 min_rate,
                 max_rate,
                 hold_secs,
-            } => json::obj(vec![
-                ("kind", json::str("uniform-random")),
+            } => vec![
                 ("min_rate", json::num(*min_rate)),
                 ("max_rate", json::num(*max_rate)),
                 ("hold_secs", json::num(*hold_secs)),
-            ]),
+            ],
             RateSpec::Sinusoid {
                 base,
                 amplitude,
                 period_secs,
-            } => json::obj(vec![
-                ("kind", json::str("sinusoid")),
+            } => vec![
                 ("base", json::num(*base)),
                 ("amplitude", json::num(*amplitude)),
                 ("period_secs", json::num(*period_secs)),
-            ]),
+            ],
             RateSpec::Ramp {
                 start_rate,
                 end_rate,
                 duration_secs,
-            } => json::obj(vec![
-                ("kind", json::str("ramp")),
+            } => vec![
                 ("start_rate", json::num(*start_rate)),
                 ("end_rate", json::num(*end_rate)),
                 ("duration_secs", json::num(*duration_secs)),
-            ]),
+            ],
             RateSpec::Surge {
                 base_rate,
                 magnitude,
                 surge_secs,
                 mean_gap_secs,
-            } => json::obj(vec![
-                ("kind", json::str("surge")),
+            } => vec![
                 ("base_rate", json::num(*base_rate)),
                 ("magnitude", json::num(*magnitude)),
                 ("surge_secs", json::num(*surge_secs)),
                 ("mean_gap_secs", json::num(*mean_gap_secs)),
-            ]),
+            ],
             RateSpec::FlashCrowd {
                 base,
                 mean_gap_secs,
@@ -383,15 +391,14 @@ impl RateSpec {
                 pareto_shape,
                 min_magnitude,
                 max_magnitude,
-            } => json::obj(vec![
-                ("kind", json::str("flash-crowd")),
+            } => vec![
                 ("base", base.to_json()),
                 ("mean_gap_secs", json::num(*mean_gap_secs)),
                 ("crowd_secs", json::num(*crowd_secs)),
                 ("pareto_shape", json::num(*pareto_shape)),
                 ("min_magnitude", json::num(*min_magnitude)),
                 ("max_magnitude", json::num(*max_magnitude)),
-            ]),
+            ],
             RateSpec::ParetoBurst {
                 base,
                 mean_gap_secs,
@@ -399,30 +406,29 @@ impl RateSpec {
                 pareto_shape,
                 min_burst_records,
                 max_burst_records,
-            } => json::obj(vec![
-                ("kind", json::str("pareto-burst")),
+            } => vec![
                 ("base", base.to_json()),
                 ("mean_gap_secs", json::num(*mean_gap_secs)),
                 ("burst_secs", json::num(*burst_secs)),
                 ("pareto_shape", json::num(*pareto_shape)),
                 ("min_burst_records", json::num(*min_burst_records)),
                 ("max_burst_records", json::num(*max_burst_records)),
-            ]),
+            ],
             RateSpec::CorrelatedSurge {
                 base,
                 trigger_seed,
                 magnitude,
                 surge_secs,
                 mean_gap_secs,
-            } => json::obj(vec![
-                ("kind", json::str("correlated-surge")),
+            } => vec![
                 ("base", base.to_json()),
                 ("trigger_seed", json::uint(*trigger_seed)),
                 ("magnitude", json::num(*magnitude)),
                 ("surge_secs", json::num(*surge_secs)),
                 ("mean_gap_secs", json::num(*mean_gap_secs)),
-            ]),
-        }
+            ],
+        });
+        json::obj(fields)
     }
 
     /// Parse a tagged JSON object back into a spec (inverse of

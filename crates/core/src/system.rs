@@ -82,6 +82,12 @@ impl Measurement {
             batches: window.len(),
         }
     }
+
+    /// Stability per Eq. 2 on the window means: processing within the
+    /// interval.
+    pub fn is_stable(&self) -> bool {
+        self.processing_s <= self.interval_s
+    }
 }
 
 /// A tunable streaming system, as NoStop sees it.

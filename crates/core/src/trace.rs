@@ -62,6 +62,19 @@ pub struct RoundRecord {
     pub kind: RoundKind,
 }
 
+impl RoundRecord {
+    /// The measurements this round took: `θ⁺` and `θ⁻` for an SPSA step,
+    /// the observed window for a paused round, none for a reset or wake.
+    pub fn measurements(&self) -> impl Iterator<Item = &Measurement> {
+        let (first, second) = match &self.kind {
+            RoundKind::Optimized { plus, minus, .. } => (Some(plus), Some(minus)),
+            RoundKind::Paused { observed } => (Some(observed), None),
+            RoundKind::Reset | RoundKind::Woke => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
 /// The full trace of a controller run.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
@@ -105,6 +118,12 @@ impl Trace {
             .iter()
             .filter(|r| matches!(r.kind, RoundKind::Reset))
             .count()
+    }
+
+    /// The first round after which the controller was paused (where it
+    /// converged), if it ever paused.
+    pub fn first_pause(&self) -> Option<&RoundRecord> {
+        self.rounds.iter().find(|r| r.paused_after)
     }
 
     /// `(round index, end-to-end delay)` series for Fig-6-style plots,
@@ -183,6 +202,17 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.optimization_rounds(), 2);
         assert_eq!(t.resets(), 1);
+        assert_eq!(t.first_pause().map(|r| r.round), Some(2));
+        assert!(Trace::new().first_pause().is_none());
+    }
+
+    #[test]
+    fn measurements_follow_the_round_kind() {
+        let count = |kind| record(0, kind, false).measurements().count();
+        assert_eq!(count(optimized()), 2);
+        assert_eq!(count(RoundKind::Paused { observed: meas() }), 1);
+        assert_eq!(count(RoundKind::Reset), 0);
+        assert_eq!(count(RoundKind::Woke), 0);
     }
 
     #[test]

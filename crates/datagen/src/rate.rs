@@ -122,18 +122,6 @@ impl UniformRandomRate {
         s
     }
 
-    /// The paper's four workload ranges (Fig. 5), by name.
-    pub fn paper_range(workload: &str, rng: SimRng) -> Option<Self> {
-        let (lo, hi) = match workload {
-            "logistic-regression" => (7_000.0, 13_000.0),
-            "linear-regression" => (80_000.0, 120_000.0),
-            "wordcount" => (110_000.0, 190_000.0),
-            "page-analyze" | "log-analyze" => (170_000.0, 230_000.0),
-            _ => return None,
-        };
-        Some(UniformRandomRate::new(lo, hi, 30.0, rng))
-    }
-
     fn draw(&mut self) -> f64 {
         self.rng.uniform(self.min_rate, self.max_rate)
     }
@@ -596,20 +584,6 @@ mod tests {
         for i in 1..10 {
             assert_eq!(r.rate_at(t(i as f64 * 0.9)), first);
         }
-    }
-
-    #[test]
-    fn paper_ranges_match_fig5() {
-        for (name, lo, hi) in [
-            ("logistic-regression", 7_000.0, 13_000.0),
-            ("linear-regression", 80_000.0, 120_000.0),
-            ("wordcount", 110_000.0, 190_000.0),
-            ("page-analyze", 170_000.0, 230_000.0),
-        ] {
-            let r = UniformRandomRate::paper_range(name, SimRng::seed_from_u64(0)).unwrap();
-            assert_eq!(r.bounds(), Some((lo, hi)));
-        }
-        assert!(UniformRandomRate::paper_range("nope", SimRng::seed_from_u64(0)).is_none());
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //!   stream forking so independent subsystems draw from independent streams.
 //! * [`stats`] — online (Welford) and windowed statistics used by both the
 //!   metrics listener and the NoStop pause/reset policies.
-//! * [`series`] — lightweight time-series recording for the figure
-//!   regeneration binaries.
 //! * [`round`] — [`floor_split`] and [`round_half_up`], the libm-free
 //!   float-to-integer splits the ingest and scheduling hot paths use.
 //! * [`probe_mode`] — the one switch that sends every fast path down its
@@ -28,7 +26,6 @@ pub mod arena;
 pub mod json;
 pub mod rng;
 pub mod round;
-pub mod series;
 pub mod stats;
 pub mod time;
 
@@ -36,7 +33,6 @@ pub use arena::Arena;
 pub use json::Json;
 pub use rng::SimRng;
 pub use round::{floor_split, round_half_up};
-pub use series::TimeSeries;
 pub use stats::{RollingStats, Summary, Welford};
 pub use time::{SimDuration, SimTime};
 

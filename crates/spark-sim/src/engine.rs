@@ -68,8 +68,8 @@ pub struct EngineParams {
     /// matching Spark's default.
     pub speculation: Option<Speculation>,
     /// Completed-batch metrics the listener retains (the memory bound for
-    /// long runs). Whole-run aggregates (Welford summaries, stable
-    /// fraction counters) are unaffected; only per-batch records older
+    /// long runs). Whole-run aggregates (stable-fraction and fault
+    /// counters) are unaffected; only per-batch records older
     /// than the window are dropped. Callers polling `drain_completed`
     /// must do so within this many batches or lose the evicted ones.
     pub metrics_window: usize,

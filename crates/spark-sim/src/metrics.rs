@@ -9,8 +9,7 @@
 
 use nostop_core::listener::StatusReport;
 use nostop_core::system::BatchObservation;
-use nostop_simcore::stats::Summary;
-use nostop_simcore::{SimDuration, SimTime, Welford};
+use nostop_simcore::{SimDuration, SimTime};
 
 /// Metrics for one completed batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,8 +144,8 @@ impl BatchMetrics {
 /// keeps a sliding window of the most recent `window` batches, compacting
 /// amortized-O(1): the backing `Vec` holds at most `2 × window` entries
 /// and drops the oldest `window` in one `memmove` when it fills. Whole-run
-/// aggregates — Welford summaries, `completed()`, `stable_fraction()` —
-/// count every batch ever completed and are unaffected by eviction.
+/// aggregates — `completed()`, `stable_fraction()` and the fault counters
+/// — count every batch ever completed and are unaffected by eviction.
 #[derive(Debug, Clone)]
 pub struct Listener {
     /// Retained batches, oldest first (the most recent `≤ 2 × window`).
@@ -162,8 +161,6 @@ pub struct Listener {
     executor_failures: u64,
     /// Task re-runs over the whole run.
     task_retries: u64,
-    processing: Welford,
-    scheduling: Welford,
 }
 
 impl Default for Listener {
@@ -193,15 +190,11 @@ impl Listener {
             stable: 0,
             executor_failures: 0,
             task_retries: 0,
-            processing: Welford::default(),
-            scheduling: Welford::default(),
         }
     }
 
     /// Record a completed batch, evicting the oldest window when full.
     pub fn on_batch_completed(&mut self, m: BatchMetrics) {
-        self.processing.push(m.processing_time().as_secs_f64());
-        self.scheduling.push(m.scheduling_delay().as_secs_f64());
         if m.is_stable() {
             self.stable += 1;
         }
@@ -244,16 +237,6 @@ impl Listener {
     /// The most recent batch, if any.
     pub fn last(&self) -> Option<&BatchMetrics> {
         self.history.last()
-    }
-
-    /// Whole-run processing-time summary (seconds).
-    pub fn processing_summary(&self) -> Summary {
-        self.processing.summary()
-    }
-
-    /// Whole-run scheduling-delay summary (seconds).
-    pub fn scheduling_summary(&self) -> Summary {
-        self.scheduling.summary()
     }
 
     /// Executor losses recorded over the whole run (eviction-proof).
@@ -359,7 +342,6 @@ mod tests {
         assert_eq!(l.completed(), 3);
         assert_eq!(l.recent(2).len(), 2);
         assert_eq!(l.last().unwrap().batch_id, 1);
-        assert!((l.processing_summary().mean - (8.0 + 6.0 + 12.0) / 3.0).abs() < 1e-9);
         assert!((l.stable_fraction() - 2.0 / 3.0).abs() < 1e-9);
     }
 
@@ -411,14 +393,6 @@ mod tests {
         // Whole-run aggregates are identical whether or not eviction ran.
         assert_eq!(small.completed(), unbounded.completed());
         assert_eq!(small.stable_fraction(), unbounded.stable_fraction());
-        assert_eq!(
-            small.processing_summary().mean,
-            unbounded.processing_summary().mean
-        );
-        assert_eq!(
-            small.scheduling_summary().std_dev,
-            unbounded.scheduling_summary().std_dev
-        );
         assert!((small.stable_fraction() - 20.0 / 30.0).abs() < 1e-9);
     }
 
@@ -455,46 +429,6 @@ mod tests {
         // A cursor at (or past) the end yields an empty slice.
         assert!(l.since(l.completed()).is_empty());
         assert!(l.since(l.completed() + 5).is_empty());
-    }
-
-    #[test]
-    fn welford_aggregates_split_from_windowed_history() {
-        // The windowed history and the whole-run Welford summaries are
-        // independent state: after eviction the summaries must reflect
-        // every batch ever pushed, not just the retained suffix — and the
-        // retained suffix must disagree with them whenever the evicted
-        // prefix had a different distribution.
-        let mut l = Listener::with_window(4);
-        // Prefix (evicted later): slow batches, 9 s processing.
-        for id in 0..8 {
-            let t = id as f64 * 10.0;
-            l.on_batch_completed(metrics(t, t, t + 9.0, 10.0));
-        }
-        // Suffix (retained): fast batches, 3 s processing.
-        for id in 8..12 {
-            let t = id as f64 * 10.0;
-            l.on_batch_completed(metrics(t, t + 1.0, t + 4.0, 10.0));
-        }
-        assert!(l.history().len() < 12, "eviction must have happened");
-        let windowed_mean = l
-            .history()
-            .iter()
-            .map(|m| m.processing_time().as_secs_f64())
-            .sum::<f64>()
-            / l.history().len() as f64;
-        let whole_run = l.processing_summary();
-        assert_eq!(whole_run.n, 12);
-        assert!((whole_run.mean - (8.0 * 9.0 + 4.0 * 3.0) / 12.0).abs() < 1e-9);
-        assert!(
-            (windowed_mean - whole_run.mean).abs() > 1.0,
-            "windowed {windowed_mean} vs whole-run {} must differ",
-            whole_run.mean
-        );
-        // Scheduling-delay Welford: 8 zero-delay + 4 one-second batches.
-        let sched = l.scheduling_summary();
-        assert_eq!(sched.n, 12);
-        assert!((sched.mean - 4.0 / 12.0).abs() < 1e-9);
-        assert!(sched.std_dev > 0.0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ impl WorkloadKind {
         WorkloadKind::PageAnalyze,
     ];
 
-    /// Canonical kebab-case name (matches `UniformRandomRate::paper_range`).
+    /// Canonical kebab-case name (the `workload` field of a scenario spec).
     pub fn name(self) -> &'static str {
         match self {
             WorkloadKind::LogisticRegression => "logistic-regression",
