@@ -14,13 +14,16 @@
 //! # Pruned scoring
 //!
 //! The pool is one flat buffer ([`CandidatePool`]) redrawn in place each
-//! proposal. [`CandidatePool::argmax_ei`] runs the GP's mean pass over
-//! every candidate, keys each by [`expected_improvement_bound`] at the
-//! GP's largest possible variance, and visits candidates by descending
-//! key, [`TILE`] at a time through the variance pass, until the next key
-//! is below the best EI found. A pruned candidate's EI is at most its key,
-//! so it could not have won; the result is the first maximum of the full
-//! scan, bit for bit (`tests/ei_pruning.rs` holds it to that).
+//! proposal. [`CandidatePool::argmax_ei`] runs the GP's screen pass over
+//! every candidate, keys each by [`expected_improvement_bound`] at its
+//! screened mean less the screen's bound `δ` and at the GP's largest
+//! possible variance, and visits candidates by descending key, [`TILE`] at
+//! a time through the exact pass, until the next key is below the best EI
+//! found. The exact mean is at least `m̃ − δ` and EI only grows as the mean
+//! falls or the variance rises, so a pruned candidate's EI is at most its
+//! key and it could not have won. EI is scored from the exact pass alone;
+//! the result is the first maximum of the full scan, bit for bit
+//! (`tests/ei_pruning.rs` holds it to that).
 
 use crate::acquisition::{expected_improvement, expected_improvement_bound};
 use crate::gp::{GaussianProcess, Kernel};
@@ -29,13 +32,13 @@ use crate::tuner::{BestTracker, Tuner};
 use nostop_core::space::ConfigSpace;
 use nostop_simcore::SimRng;
 
-/// How much of the candidate pool reached the variance pass: seed-pure
+/// How much of the candidate pool reached the exact pass: seed-pure
 /// counts, summed over every scored proposal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScoringStats {
     /// Candidates drawn into pools.
     pub pooled: u64,
-    /// Candidates whose variance was computed.
+    /// Candidates that went through the exact pass.
     pub scored: u64,
 }
 
@@ -45,12 +48,12 @@ pub struct ScoringStats {
 pub struct CandidatePool {
     dim: usize,
     coords: Vec<f64>,
-    /// Scratch: the posterior means, in pool order.
+    /// Scratch: the screened means, in pool order.
     means: Vec<f64>,
     /// Scratch: `(key, index)`, sorted into visiting order.
     order: Vec<(f64, usize)>,
-    /// Scratch: one tile's variances.
-    vars: Vec<f64>,
+    /// Scratch: one tile's exact `(mean, variance)`.
+    exact: Vec<(f64, f64)>,
 }
 
 impl CandidatePool {
@@ -65,7 +68,7 @@ impl CandidatePool {
             coords,
             means: Vec::new(),
             order: Vec::new(),
-            vars: Vec::new(),
+            exact: Vec::new(),
         }
     }
 
@@ -94,21 +97,23 @@ impl CandidatePool {
 
     /// The first EI maximum under `gp` with incumbent `best` and margin
     /// `xi` — the smallest index whose EI no candidate beats, `None` when
-    /// no EI compares — and the number of candidates whose variance was
-    /// computed. See the module docs.
+    /// no EI compares — and the number of candidates that went through the
+    /// exact pass. See the module docs.
     pub fn argmax_ei(
         &mut self,
         gp: &GaussianProcess,
         best: f64,
         xi: f64,
     ) -> (Option<usize>, usize) {
-        gp.posterior_means(&self.coords, self.dim, &mut self.means);
+        let delta = gp.screen_means(&self.coords, self.dim, &mut self.means);
         let ceiling = gp.max_variance();
         self.order.clear();
         self.order
-            .extend(self.means.iter().enumerate().map(|(i, &mean)| {
-                let key = expected_improvement_bound(mean, ceiling, best, xi);
-                // A NaN key never prunes: visit it first.
+            .extend(self.means.iter().enumerate().map(|(i, &screened)| {
+                // The exact mean is at least `screened − δ`, and EI only
+                // grows as the mean falls. A NaN key never prunes: visit it
+                // first.
+                let key = expected_improvement_bound(screened - delta, ceiling, best, xi);
                 (if key.is_nan() { f64::INFINITY } else { key }, i)
             }));
         self.order
@@ -132,9 +137,9 @@ impl CandidatePool {
                 break;
             }
             scored += len;
-            gp.posterior_variances(&self.coords, self.dim, &picks[..len], &mut self.vars);
-            for (&i, &var) in picks[..len].iter().zip(&self.vars) {
-                let ei = expected_improvement(self.means[i], var, best, xi);
+            gp.exact_posteriors(&self.coords, self.dim, &picks[..len], &mut self.exact);
+            for (&i, &(mean, var)) in picks[..len].iter().zip(&self.exact) {
+                let ei = expected_improvement(mean, var, best, xi);
                 if winner.map_or(ei > f64::NEG_INFINITY, |(w, j)| {
                     ei > w || (ei == w && i < j)
                 }) {
@@ -184,8 +189,8 @@ impl BayesOpt {
         self
     }
 
-    /// Candidates pooled and candidates that reached the variance pass
-    /// so far.
+    /// Candidates pooled and candidates that reached the exact pass so
+    /// far.
     pub fn scoring_stats(&self) -> ScoringStats {
         self.stats
     }
@@ -348,7 +353,7 @@ mod tests {
         assert_eq!(stats.pooled, (40 - N_INITIAL as u64) * N_CANDIDATES as u64);
         assert!(
             0 < stats.scored && stats.scored < stats.pooled,
-            "the variance pass sees a strict subset: {stats:?}"
+            "the exact pass sees a strict subset: {stats:?}"
         );
         assert_eq!(run(), stats, "seed-pure");
     }

@@ -31,27 +31,37 @@
 //! # Batched scoring
 //!
 //! Candidates are scored in two passes over one row-major pool, [`TILE`]
-//! at a time. The **mean pass** ([`GaussianProcess::posterior_means`])
-//! writes the tile's kernel columns interleaved into one `n × TILE` buffer
-//! and takes `alpha · k*` with [`dot_tile`]. The **variance pass**
-//! ([`GaussianProcess::posterior_variances`]) takes any picks, in any
-//! order, regroups them into tiles, recomputes their k* and runs the
-//! forward solve ([`solve_lower_tile`]) and `v · v`. BayesOpt runs the
-//! mean pass over its whole pool and the variance pass only over the
+//! at a time; both write a tile's kernel columns interleaved into one
+//! `n × TILE` buffer.
+//!
+//! - The **screen pass** ([`GaussianProcess::screen_means`]) runs over the
+//!   whole pool and takes `alpha · k̃*`, where `k̃*` comes from an in-crate
+//!   polynomial `exp` with no table and no branch, so the tile loop runs
+//!   it at vector width. It returns each candidate's screened mean `m̃`
+//!   and one bound `δ` with `|m̃ − m| ≤ δ` for every candidate, `m` being
+//!   the exact mean (see [`GaussianProcess::screen_means`] for the
+//!   derivation). A screened mean only ranks candidates; it never reaches
+//!   an output.
+//! - The **exact pass** ([`GaussianProcess::exact_posteriors`]) takes any
+//!   picks, in any order, regroups them into tiles, fills their k* once
+//!   with libm `exp`, and takes the mean (`alpha · k*`), the forward solve
+//!   ([`solve_lower_tile`]) and `v · v`.
+//!
+//! BayesOpt screens its whole pool and runs the exact pass only over the
 //! candidates whose EI bound can still win. Every loop vectorises across
 //! the tile's candidates, never along a sum, so each lane keeps the
 //! per-point order of operations ([`Kernel::eval`]'s distance sum,
-//! [`dot`]'s partial sums) and every output is bitwise equal to
+//! [`dot`]'s partial sums) and every exact-pass output is bitwise equal to
 //! [`GaussianProcess::posterior`], which stays as the per-point reference,
 //! whatever lane or tile a candidate lands in. Nothing here may use a
-//! fused multiply-add.
+//! fused multiply-add, the screen's `exp` included.
 //!
 //! *Width.* Each pass is one `#[inline(always)]` body compiled twice:
 //! portably, and on `x86_64` inside an AVX2 `#[target_feature]` wrapper
 //! that the pass picks per call when the host has AVX2. IEEE
-//! `+ − × ÷` round per lane at any vector width and rustc never fuses
-//! `a * b + c`, so the two builds agree bit for bit; AVX2 only moves four
-//! lanes per instruction instead of two.
+//! `+ − × ÷` round per lane at any vector width, integer adds and shifts
+//! are exact, and rustc never fuses `a * b + c`, so the two builds agree
+//! bit for bit; AVX2 only moves four lanes per instruction instead of two.
 
 use crate::linalg::{
     cholesky_solve_into, dot, dot_tile, solve_lower_in_place, solve_lower_tile, Matrix, TILE,
@@ -94,12 +104,6 @@ impl Kernel {
     #[inline]
     fn eval_with(&self, two_l2: f64, a: &[f64], b: &[f64]) -> f64 {
         let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum();
-        self.of_sq_dist(two_l2, d2)
-    }
-
-    /// The kernel value at squared distance `d2`.
-    #[inline]
-    fn of_sq_dist(&self, two_l2: f64, d2: f64) -> f64 {
         self.signal_variance * (-d2 / two_l2).exp()
     }
 }
@@ -120,6 +124,8 @@ pub struct GaussianProcess {
     chol: Matrix,
     /// `(K + σ_n² I)⁻¹ (y − ȳ)`.
     alpha: Vec<f64>,
+    /// `Σ|alpha_j|`, for the screen pass's bound.
+    alpha_abs_sum: f64,
     /// Incremental rank-1 factor updates (default) vs full refit (probe).
     incremental: bool,
     /// Kernel-row cache: the newest point's kernel column, computed once
@@ -143,6 +149,7 @@ impl GaussianProcess {
             y_mean: 0.0,
             chol: Matrix::zeros(0),
             alpha: Vec::new(),
+            alpha_abs_sum: 0.0,
             incremental: !probe_mode(),
             kcol: Vec::new(),
             centered: Vec::new(),
@@ -218,6 +225,7 @@ impl GaussianProcess {
     }
 
     /// Recenter the targets and re-solve `alpha` from the current factor.
+    /// Both fitting paths end here.
     fn resolve_alpha(&mut self) {
         let n = self.len();
         self.y_mean = self.y.iter().sum::<f64>() / n as f64;
@@ -225,6 +233,7 @@ impl GaussianProcess {
         self.centered.clear();
         self.centered.extend(self.y.iter().map(|v| v - y_mean));
         cholesky_solve_into(&self.chol, &self.centered, &mut self.alpha);
+        self.alpha_abs_sum = self.alpha.iter().map(|a| a.abs()).sum();
     }
 
     /// Probe path: rebuild the full Gram matrix and refactor from scratch
@@ -291,91 +300,186 @@ impl GaussianProcess {
         xs.len() / dim
     }
 
-    /// Mean pass: the posterior mean of every candidate in `xs`
-    /// (row-major, `dim` coordinates each) into `out`, scored [`TILE`] at a
-    /// time (see the module docs). Bitwise equal to
-    /// [`GaussianProcess::posterior`]'s mean.
-    pub fn posterior_means(&self, xs: &[f64], dim: usize, out: &mut Vec<f64>) {
+    /// Screen pass: a screened posterior mean `m̃` of every candidate in
+    /// `xs` (row-major, `dim` coordinates each) into `out`, scored [`TILE`]
+    /// at a time through the polynomial `exp` (see the module docs), and
+    /// the bound `δ` on `|m̃ − m|` that holds for every candidate, `m`
+    /// being [`GaussianProcess::posterior`]'s mean.
+    ///
+    /// *The bound.* Both passes share the distance sums and `x = −d²/2ℓ²`,
+    /// so each kernel entry differs only in its `exp`. With `u = 2⁻⁵³`,
+    /// `A = Σ|α_j|` and `γ_n = n·u / (1 − n·u)`:
+    ///
+    /// - `|screen_exp(x) − exp(x)| ≤ 1e-13 + 2u` for `x ≤ 0`: both are
+    ///   within their relative error of `eˣ ≤ 1`, and below −700, where the
+    ///   screen returns 0, `eˣ < 1e-304`. Scaling by `σ_f²` rounds each side
+    ///   once more, so `|k̃_j − k_j| ≤ |σ_f²| (1e-13 + 4u)`.
+    /// - The two dots sum the same `α_j` in the same order, so
+    ///   `|fl(α·k̃) − fl(α·k)| ≤ |σ_f²| A (1e-13 + 4u + 2γ_n (1 + 1e-12))`:
+    ///   the entry errors plus each dot's `γ_n` rounding.
+    /// - Adding `ȳ` rounds each mean once: `u (|ȳ| + |σ_f²| A (1 + 1e-12))`
+    ///   apiece.
+    ///
+    /// For `n ≤ 10⁴`, `γ_n < 1.2e-12`, so `|m̃ − m| < 2.5e-12 |σ_f²| A +
+    /// 2.3e-16 |ȳ|`. `δ = 1e-10 (|ȳ| + |σ_f²| A)` covers that 40 times
+    /// over, which also absorbs the rounding of `A` and of `δ` itself.
+    /// Past 10⁴ observations `γ_n` grows linearly in `n`, and so does the
+    /// factor.
+    ///
+    /// A NaN coordinate gives a NaN `m̃`, as it gives a NaN `m`. With no
+    /// observations every `m̃` is the prior mean exactly and `δ` is 0.
+    pub fn screen_means(&self, xs: &[f64], dim: usize, out: &mut Vec<f64>) -> f64 {
         let count = self.pool_len(xs, dim);
         out.clear();
         if self.is_empty() {
             out.resize(count, self.y_mean);
-            return;
+            return 0.0;
         }
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
             // SAFETY: the detection just above proves this host runs AVX2.
-            return unsafe { self.means_avx2(xs, out) };
+            return unsafe { self.screen_avx2(xs, out) };
         }
-        self.means(xs, out)
+        self.screen(xs, out)
     }
 
-    /// Variance pass: the posterior variance of candidates `picks` of `xs`
-    /// into `out`, in `picks` order, [`TILE`] picks per tile. Bitwise equal
-    /// to [`GaussianProcess::posterior`]'s variance.
-    pub fn posterior_variances(&self, xs: &[f64], dim: usize, picks: &[usize], out: &mut Vec<f64>) {
+    /// Exact pass: the posterior `(mean, variance)` of candidates `picks`
+    /// of `xs` into `out`, in `picks` order, [`TILE`] picks per tile.
+    /// Bitwise equal to [`GaussianProcess::posterior`].
+    pub fn exact_posteriors(
+        &self,
+        xs: &[f64],
+        dim: usize,
+        picks: &[usize],
+        out: &mut Vec<(f64, f64)>,
+    ) {
         self.pool_len(xs, dim);
         out.clear();
         if self.is_empty() {
-            out.resize(picks.len(), self.kernel.signal_variance);
+            out.resize(picks.len(), (self.y_mean, self.kernel.signal_variance));
             return;
         }
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
             // SAFETY: the detection just above proves this host runs AVX2.
-            return unsafe { self.variances_avx2(xs, picks, out) };
+            return unsafe { self.exact_avx2(xs, picks, out) };
         }
-        self.variances(xs, picks, out)
+        self.exact(xs, picks, out)
     }
 
-    /// [`GaussianProcess::means`] compiled for AVX2: the same body, four
+    /// [`GaussianProcess::screen`] compiled for AVX2: the same body, four
     /// f64 lanes per register instead of two.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn means_avx2(&self, xs: &[f64], out: &mut Vec<f64>) {
-        self.means(xs, out)
+    fn screen_avx2(&self, xs: &[f64], out: &mut Vec<f64>) -> f64 {
+        self.screen(xs, out)
     }
 
-    /// [`GaussianProcess::variances`] compiled for AVX2.
+    /// [`GaussianProcess::exact`] compiled for AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn variances_avx2(&self, xs: &[f64], picks: &[usize], out: &mut Vec<f64>) {
-        self.variances(xs, picks, out)
+    fn exact_avx2(&self, xs: &[f64], picks: &[usize], out: &mut Vec<(f64, f64)>) {
+        self.exact(xs, picks, out)
     }
 
-    /// The mean pass behind [`GaussianProcess::posterior_means`], for a
-    /// non-empty GP and candidates of its dimension: k* and `alpha · k*`,
-    /// tile by tile in pool order. Always inlined, so each caller compiles
-    /// it for its own target features.
+    /// The screen pass behind [`GaussianProcess::screen_means`], for a
+    /// non-empty GP and candidates of its dimension: k̃* and `alpha · k̃*`,
+    /// tile by tile in pool order, then `δ`. Always inlined, so each caller
+    /// compiles it for its own target features.
     #[inline(always)]
-    fn means(&self, xs: &[f64], out: &mut Vec<f64>) {
+    fn screen(&self, xs: &[f64], out: &mut Vec<f64>) -> f64 {
         let count = xs.len() / self.dim;
         let mut tile = Tile::new(self);
         for start in (0..count).step_by(TILE) {
             let len = (count - start).min(TILE);
-            tile.fill(self, xs, |g| start + g.min(len - 1));
+            tile.fill(self, xs, |g| start + g.min(len - 1), screen_exp);
             let means = dot_tile::<1>(&self.alpha, &tile.k);
             out.extend(means[..len].iter().map(|m| self.y_mean + m));
         }
+        let growth = (self.len() as f64 / 1e4).max(1.0);
+        SCREEN_BOUND
+            * growth
+            * (self.y_mean.abs() + self.kernel.signal_variance.abs() * self.alpha_abs_sum)
     }
 
-    /// The variance pass behind [`GaussianProcess::posterior_variances`]:
-    /// k* again, the forward solve and `v · v`, one tile per [`TILE`]
-    /// picks. Always inlined, like [`GaussianProcess::means`].
+    /// The exact pass behind [`GaussianProcess::exact_posteriors`]: k*
+    /// once per tile of picks, then `alpha · k*`, the forward solve and
+    /// `v · v`. Always inlined, like [`GaussianProcess::screen`].
     #[inline(always)]
-    fn variances(&self, xs: &[f64], picks: &[usize], out: &mut Vec<f64>) {
+    fn exact(&self, xs: &[f64], picks: &[usize], out: &mut Vec<(f64, f64)>) {
         let dim = self.dim;
         let mut tile = Tile::new(self);
         for group in picks.chunks(TILE) {
-            tile.fill(self, xs, |g| group[g.min(group.len() - 1)]);
+            tile.fill(self, xs, |g| group[g.min(group.len() - 1)], f64::exp);
+            let means = dot_tile::<1>(&self.alpha, &tile.k);
             solve_lower_tile(&self.chol, &mut tile.k);
             let vv = dot_tile::<TILE>(&tile.k, &tile.k);
-            for (&i, vv) in group.iter().zip(vv) {
+            for ((&i, m), vv) in group.iter().zip(means).zip(vv) {
                 let xc = &xs[i * dim..(i + 1) * dim];
                 let var = (self.kernel.eval_with(self.two_l2, xc, xc) - vv).max(VARIANCE_FLOOR);
-                out.push(var);
+                out.push((self.y_mean + m, var));
             }
         }
+    }
+}
+
+/// `δ` per unit of `|ȳ| + |σ_f²| Σ|α|`, up to 10⁴ observations (see
+/// [`GaussianProcess::screen_means`]).
+const SCREEN_BOUND: f64 = 1e-10;
+
+/// `1 / j!` for `j` in `0..=12`: the Taylor coefficients of [`screen_exp`].
+const INV_FACTORIAL: [f64; 13] = [
+    1.0,
+    1.0,
+    1.0 / 2.0,
+    1.0 / 6.0,
+    1.0 / 24.0,
+    1.0 / 120.0,
+    1.0 / 720.0,
+    1.0 / 5040.0,
+    1.0 / 40320.0,
+    1.0 / 362880.0,
+    1.0 / 3628800.0,
+    1.0 / 39916800.0,
+    1.0 / 479001600.0,
+];
+
+/// `eˣ` for the screen pass: within 1e-13 relative error of libm's `exp`
+/// on `[−700, 0]`, 0 below −700 and NaN for NaN. It has no table and no
+/// branch, so the tile loop evaluates it at vector width.
+///
+/// `x = k·ln 2 + r`: adding `1.5·2⁵²` to `x·log₂e` rounds it to the
+/// integer `k` and leaves `k` in the sum's low mantissa bits. `r` comes
+/// from `x` by Cody–Waite: `LN2_HI` has 21 trailing zero bits, so
+/// `k·LN2_HI` and the subtraction from `x` are exact, and `|r| ≤ 0.35`.
+/// `eʳ` is its Taylor series to degree 12 (truncation costs under 4e-16
+/// relative: `0.35¹³ e^0.35 / 13!` against `eʳ ≥ 0.7`), evaluated by
+/// Estrin's scheme, whose chain of dependent operations is a third of
+/// Horner's, and with no fused multiply-add. `2ᵏ` is `k + 1023` shifted
+/// into the exponent field; the shift drops the sum's own exponent bits.
+/// Below −700 the biased exponent could leave its field, so a select (not
+/// `f64::max`, which drops NaN) zeroes those lanes.
+#[inline(always)]
+fn screen_exp(x: f64) -> f64 {
+    const SHIFT: f64 = 6755399441055744.0;
+    // fdlibm's split of ln 2: the high part has 21 trailing zero bits.
+    const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+    let y = x * std::f64::consts::LOG2_E + SHIFT;
+    let k = y - SHIFT;
+    let r = (x - k * LN2_HI) - k * LN2_LO;
+    let c = INV_FACTORIAL;
+    let r2 = r * r;
+    let r4 = r2 * r2;
+    let p = ((c[0] + c[1] * r) + (c[2] + c[3] * r) * r2)
+        + ((c[4] + c[5] * r) + (c[6] + c[7] * r) * r2) * r4
+        + (((c[8] + c[9] * r) + (c[10] + c[11] * r) * r2) + c[12] * r4) * (r4 * r4);
+    let two_k = f64::from_bits(y.to_bits().wrapping_add(1023) << 52);
+    let e = p * two_k;
+    if x < -700.0 {
+        0.0
+    } else {
+        e
     }
 }
 
@@ -399,12 +503,20 @@ impl Tile {
     }
 
     /// Load lane `g` with candidate `lane(g)` of `xs` and write the lanes'
-    /// k* columns. A short group names its last candidate again in the
-    /// spare lanes, whose outputs the caller drops. Each lane sums its
-    /// squared distance in `Kernel::eval`'s order (terms are never
-    /// negative, so the zero start matches `sum`'s).
+    /// kernel columns, `σ_f² · exp(−d²/2ℓ²)` through the given `exp`. A
+    /// short group names its last candidate again in the spare lanes,
+    /// whose outputs the caller drops. Each lane sums its squared distance
+    /// in `Kernel::eval`'s order (terms are never negative, so the zero
+    /// start matches `sum`'s); with `f64::exp` every entry is bitwise
+    /// [`Kernel::eval`]'s.
     #[inline(always)]
-    fn fill(&mut self, gp: &GaussianProcess, xs: &[f64], lane: impl Fn(usize) -> usize) {
+    fn fill(
+        &mut self,
+        gp: &GaussianProcess,
+        xs: &[f64],
+        lane: impl Fn(usize) -> usize,
+        exp: impl Fn(f64) -> f64,
+    ) {
         let dim = gp.dim;
         for (k, slot) in self.cand.iter_mut().enumerate() {
             *slot = xs[lane(k % TILE) * dim + k / TILE];
@@ -417,8 +529,14 @@ impl Tile {
                 }
             }
             for (slot, d2) in row.iter_mut().zip(d2) {
-                *slot = gp.kernel.of_sq_dist(gp.two_l2, d2);
+                *slot = -d2 / gp.two_l2;
             }
+        }
+        // The exponents first, then one flat map over the tile: its lanes
+        // and rows are independent, so a vector `exp` keeps several
+        // registers in flight instead of waiting on one row's chain.
+        for slot in &mut self.k {
+            *slot = gp.kernel.signal_variance * exp(*slot);
         }
     }
 }
@@ -516,13 +634,22 @@ mod tests {
         }
     }
 
-    /// Both passes over every candidate of `pool`, as `(mean, variance)`.
+    /// The exact pass over every candidate of `pool`, after checking
+    /// that the screen pass keeps every screened mean within its `δ` of
+    /// the exact one.
     fn two_pass(gp: &GaussianProcess, pool: &[f64], dim: usize) -> Vec<(f64, f64)> {
-        let (mut means, mut vars) = (Vec::new(), Vec::new());
-        gp.posterior_means(pool, dim, &mut means);
-        let picks: Vec<usize> = (0..means.len()).collect();
-        gp.posterior_variances(pool, dim, &picks, &mut vars);
-        means.into_iter().zip(vars).collect()
+        let (mut screened, mut exact) = (Vec::new(), Vec::new());
+        let delta = gp.screen_means(pool, dim, &mut screened);
+        let picks: Vec<usize> = (0..screened.len()).collect();
+        gp.exact_posteriors(pool, dim, &picks, &mut exact);
+        for (s, e) in screened.iter().zip(&exact) {
+            assert!(
+                (s - e.0).abs() <= delta,
+                "screened {s} vs {} ± {delta}",
+                e.0
+            );
+        }
+        exact
     }
 
     #[test]
@@ -547,21 +674,24 @@ mod tests {
         }
         // Picks in any order and repeated come back in pick order.
         let picks = [32, 0, 7, 7, 19];
-        let mut vars = Vec::new();
-        gp.posterior_variances(&pool, 2, &picks, &mut vars);
-        for (&i, v) in picks.iter().zip(&vars) {
-            assert_eq!(v.to_bits(), scored[i].1.to_bits(), "pick {i}");
+        let mut exact = Vec::new();
+        gp.exact_posteriors(&pool, 2, &picks, &mut exact);
+        for (&i, e) in picks.iter().zip(&exact) {
+            assert_eq!(e.0.to_bits(), scored[i].0.to_bits(), "pick {i}");
+            assert_eq!(e.1.to_bits(), scored[i].1.to_bits(), "pick {i}");
         }
     }
 
     #[test]
     fn dispatched_passes_match_portable_bodies_bitwise() {
-        // On an AVX2 host the public passes run the AVX2 builds of `means`
-        // and `variances`; elsewhere both sides are the portable builds.
-        // Eight GPs, dims 1..=8, grow to 300 observations together; each n
+        // On an AVX2 host the public passes run the AVX2 builds of `screen`
+        // and `exact`; elsewhere both sides are the portable builds. Eight
+        // GPs, dims 1..=8, grow to 300 observations together; each n
         // scores one of them, rotating so every dim meets every n mod 8,
         // with 1..=16 candidates to cover every remainder mod the tile
-        // width, and picks every candidate in reverse order.
+        // width, and picks every candidate in reverse order. The screen
+        // must agree too: its means order the pool, and so decide
+        // `ScoringStats`.
         let mut rng = SimRng::seed_from_u64(8);
         let mut gps: Vec<GaussianProcess> = (0..8)
             .map(|_| GaussianProcess::new(Kernel::default()))
@@ -577,17 +707,47 @@ mod tests {
             let pool: Vec<f64> = (0..count * dim).map(|_| rng.uniform(1.0, 20.0)).collect();
             let picks: Vec<usize> = (0..count).rev().collect();
             let (mut portable, mut dispatched) = (Vec::new(), Vec::new());
-            gp.means(&pool, &mut portable);
-            gp.posterior_means(&pool, dim, &mut dispatched);
-            gp.variances(&pool, &picks, &mut portable);
-            let mut vars = Vec::new();
-            gp.posterior_variances(&pool, dim, &picks, &mut vars);
-            dispatched.extend(vars);
-            assert_eq!(portable.len(), 2 * count);
+            let delta = gp.screen(&pool, &mut portable);
+            assert_eq!(gp.screen_means(&pool, dim, &mut dispatched), delta);
+            let (mut portable_exact, mut dispatched_exact) = (Vec::new(), Vec::new());
+            gp.exact(&pool, &picks, &mut portable_exact);
+            gp.exact_posteriors(&pool, dim, &picks, &mut dispatched_exact);
+            for (m, v) in portable_exact {
+                portable.extend([m, v]);
+            }
+            for (m, v) in dispatched_exact {
+                dispatched.extend([m, v]);
+            }
+            assert_eq!(portable.len(), 3 * count);
             for (p, d) in portable.iter().zip(&dispatched) {
                 assert_eq!(p.to_bits(), d.to_bits(), "dim {dim} n {n}");
             }
         }
+    }
+
+    #[test]
+    fn screen_exp_tracks_libm_and_keeps_nan() {
+        // A dense grid over [−700, 0] plus its ends and the values that
+        // sit on a reduction boundary (k·ln 2 and half-way between).
+        let grid = (0..=700_000).map(|i| -(i as f64) * 1e-3);
+        let edges = (0..=1010).flat_map(|k| {
+            let x = -(k as f64) * std::f64::consts::LN_2;
+            [x, x - 0.5 * std::f64::consts::LN_2]
+        });
+        for x in grid.chain(edges).filter(|&x| x >= -700.0) {
+            let (got, want) = (screen_exp(x), x.exp());
+            assert!(
+                ((got - want) / want).abs() <= 1e-13,
+                "exp({x}): {got} vs {want}"
+            );
+        }
+        assert_eq!(screen_exp(0.0), 1.0);
+        assert_eq!(screen_exp(-0.0), 1.0);
+        for x in [-700.5, -745.0, -1e6, f64::MIN, f64::NEG_INFINITY] {
+            assert_eq!(screen_exp(x), 0.0, "exp({x})");
+        }
+        assert!(screen_exp(f64::NAN).is_nan());
+        assert!(screen_exp(f64::from_bits(u64::MAX)).is_nan(), "any payload");
     }
 
     #[test]
@@ -597,6 +757,9 @@ mod tests {
             two_pass(&gp, &[1.0, 2.0], 1),
             vec![(0.0, 25.0), (0.0, 25.0)]
         );
+        let mut screened = Vec::new();
+        assert_eq!(gp.screen_means(&[1.0, 2.0], 1, &mut screened), 0.0);
+        assert_eq!(screened, vec![0.0, 0.0]);
         assert_eq!(gp.max_variance(), 25.0);
     }
 
@@ -629,16 +792,16 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
-    fn ragged_pool_rejected_by_the_mean_pass() {
+    fn ragged_pool_rejected_by_the_screen_pass() {
         let gp = gp_with(&[(&[1.0, 2.0], 3.0)]);
-        gp.posterior_means(&[1.0, 2.0, 1.0], 2, &mut Vec::new());
+        gp.screen_means(&[1.0, 2.0, 1.0], 2, &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
-    fn wrong_dimension_rejected_by_the_variance_pass() {
+    fn wrong_dimension_rejected_by_the_exact_pass() {
         let gp = gp_with(&[(&[1.0, 2.0], 3.0)]);
-        gp.posterior_variances(&[1.0, 2.0], 1, &[0], &mut Vec::new());
+        gp.exact_posteriors(&[1.0, 2.0], 1, &[0], &mut Vec::new());
     }
 
     #[test]

@@ -6,14 +6,18 @@
 //!    at a time with [`Matrix::extend_cholesky`] is bitwise identical to
 //!    the full factorization of the final matrix: both paths share the
 //!    same unrolled dot kernel and recurrence order.
-//! 2. **Batched posterior** — the mean pass
-//!    ([`GaussianProcess::posterior_means`]) and the variance pass
-//!    ([`GaussianProcess::posterior_variances`], picks in a shuffled
-//!    order) are bitwise identical to scoring each candidate through
-//!    [`GaussianProcess::posterior`] one at a time, at up to BayesOpt's
-//!    8 knobs, 1–299 observations (BayesOpt runs to 255) and 1–299
-//!    candidates: every observation count mod 4 and every candidate
-//!    count mod the tile width.
+//! 2. **Batched posterior** — the exact pass
+//!    ([`GaussianProcess::exact_posteriors`], picks in a shuffled order)
+//!    is bitwise identical to scoring each candidate through
+//!    [`GaussianProcess::posterior`] one at a time, and the screen pass
+//!    ([`GaussianProcess::screen_means`]) keeps every screened mean within
+//!    its bound `δ` of that mean, at up to BayesOpt's 8 knobs, 1–299
+//!    observations (BayesOpt runs to 255) and 1–299 candidates: every
+//!    observation count mod 4 and every candidate count mod the tile
+//!    width. The bound is also held on hostile kernels: a near-noiseless
+//!    one (a huge `Σ|α|`), one whose signal variance is under the
+//!    variance floor, and a length scale short enough to push the kernel
+//!    exponent below −700, where the screen's `exp` returns 0.
 //! 3. **Probe equivalence** — a GP fitted through the full-refit probe
 //!    path (`with_incremental(false)`, the `NOSTOP_PROBE=1` surface) produces posteriors bitwise identical to the incremental
 //!    path on arbitrary add-sequences — after *every* add, not just the
@@ -41,6 +45,29 @@ fn random_spd(n: usize, seed: u64) -> Matrix {
         }
         s + if i == j { n as f64 } else { 0.0 }
     })
+}
+
+/// The kernels contract 2 fits: BayesOpt's default; a near-noiseless one,
+/// whose `alpha` is huge; one whose signal variance is under the variance
+/// floor; and a length scale so short that most kernel exponents fall
+/// below −700.
+fn kernel(ix: u32) -> Kernel {
+    match ix {
+        0 => Kernel::default(),
+        1 => Kernel {
+            noise_variance: 1e-6,
+            ..Kernel::default()
+        },
+        2 => Kernel {
+            signal_variance: 1e-14,
+            length_scale: 4.0,
+            noise_variance: 1e-30,
+        },
+        _ => Kernel {
+            length_scale: 0.1,
+            ..Kernel::default()
+        },
+    }
 }
 
 /// Random points in the scaled configuration cube `[1, 20]^dim`.
@@ -83,31 +110,49 @@ proptest! {
         dim in 1usize..=8,
         n_obs in 1usize..300,
         n_cand in 1usize..300,
+        kernel_ix in 0u32..4,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = SimRng::seed_from_u64(seed ^ 0xBA7C4);
-        let mut gp = GaussianProcess::new(Kernel::default());
-        for (i, x) in random_points(n_obs, dim, &mut rng).into_iter().enumerate() {
+        let mut gp = GaussianProcess::new(kernel(kernel_ix));
+        let observed = random_points(n_obs, dim, &mut rng);
+        for (i, x) in observed.iter().enumerate() {
             let y = rng.uniform(-5.0, 5.0) + i as f64 * 0.1;
-            gp.add(x, y);
+            gp.add(x.clone(), y);
         }
-        let candidates = random_points(n_cand, dim, &mut rng);
+        // Random candidates, a quarter of them on observed points, where
+        // the near-noiseless kernel's posterior is sharpest.
+        let candidates: Vec<Vec<f64>> = random_points(n_cand, dim, &mut rng)
+            .into_iter()
+            .map(|c| {
+                if rng.bernoulli(0.25) {
+                    observed[rng.uniform_u64(0, n_obs as u64 - 1) as usize].clone()
+                } else {
+                    c
+                }
+            })
+            .collect();
         let pool: Vec<f64> = candidates.concat();
-        let mut means = Vec::new();
-        gp.posterior_means(&pool, dim, &mut means);
-        prop_assert_eq!(means.len(), candidates.len());
-        // Survivors reach the variance pass in key order, not pool order.
+        let mut screened = Vec::new();
+        let delta = gp.screen_means(&pool, dim, &mut screened);
+        prop_assert_eq!(screened.len(), candidates.len());
+        prop_assert!(delta.is_finite() && delta >= 0.0, "δ {}", delta);
+        // Survivors reach the exact pass in key order, not pool order.
         let mut picks: Vec<usize> = (0..n_cand).collect();
         for i in (1..n_cand).rev() {
             picks.swap(i, rng.uniform_u64(0, i as u64) as usize);
         }
-        let mut vars = Vec::new();
-        gp.posterior_variances(&pool, dim, &picks, &mut vars);
-        prop_assert_eq!(vars.len(), picks.len());
-        for (&i, var) in picks.iter().zip(&vars) {
+        let mut exact = Vec::new();
+        gp.exact_posteriors(&pool, dim, &picks, &mut exact);
+        prop_assert_eq!(exact.len(), picks.len());
+        for (&i, &(mean, var)) in picks.iter().zip(&exact) {
             let (m, v) = gp.posterior(&candidates[i]);
-            prop_assert_eq!(m.to_bits(), means[i].to_bits(), "mean diverged");
+            prop_assert_eq!(m.to_bits(), mean.to_bits(), "mean diverged");
             prop_assert_eq!(v.to_bits(), var.to_bits(), "variance diverged");
+            prop_assert!(
+                (screened[i] - m).abs() <= delta,
+                "screened {} vs exact {} beyond δ {}", screened[i], m, delta
+            );
         }
     }
 

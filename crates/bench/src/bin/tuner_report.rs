@@ -18,7 +18,7 @@
 //! so BayesOpt's proposals are bitwise identical either way. Wall-clock timings go to **stderr** and
 //! — as `wall_ms`, best of `NOSTOP_PERF_REPEATS` runs — into the report
 //! **file only**; each BayesOpt cell's stderr line also carries the share
-//! of its candidate pools that reached the GP's variance pass.
+//! of its candidate pools that reached the GP's exact pass.
 //!
 //! The binary is also its own acceptance test: before writing anything it
 //! drives two BayesOpt instances over the dim-8 space on a synthetic
@@ -212,7 +212,7 @@ fn main() {
     let outs = map_cells(&cells, |cell| run_cell(*cell));
     for (cell, out) in cells.iter().zip(&outs) {
         // BayesOpt's scored fraction: the share of its candidate pools
-        // that reached the GP's variance pass.
+        // that reached the GP's exact pass.
         let scored = out.scoring.map_or(String::new(), |s| {
             format!(
                 "  scored {:.1}%",
