@@ -16,7 +16,8 @@
 //! [`random_search`] and [`grid_search`] round out the comparison set, and
 //! every configuration-proposing method implements the common
 //! [`tuner::Tuner`] trait so the experiment harness can drive them all
-//! through the identical measurement procedure NoStop uses.
+//! through one measurement procedure, `nostop_core::measure`'s settle and
+//! window (without the time deadline and failure discard NoStop adds).
 
 pub mod acquisition;
 pub mod backpressure;

@@ -32,7 +32,7 @@ const DEFAULT: [f64; 2] = [20.5, 10.0];
 fn run_cell(seed: u64) -> (f64, f64, f64, f64, f64, bool) {
     // Static default.
     let mut sys = make_system(KIND, seed, paper_rate(KIND, seed ^ 0xAB));
-    let s = measure_config(&mut sys, &DEFAULT, 12, 15);
+    let s = measure_config(&mut sys, &DEFAULT, 12);
     let static_delay = s.end_to_end.mean;
 
     // Back pressure on the undersized fixed configuration.

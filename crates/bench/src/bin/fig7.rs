@@ -29,7 +29,7 @@ const DEFAULT: [f64; 2] = [20.5, 10.0];
 fn run_cell(kind: WorkloadKind, seed: u64) -> (f64, f64) {
     // Default arm: fresh system, static configuration.
     let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0xDEF));
-    let default_delay = measure_config(&mut sys, &DEFAULT, MEASURE_BATCHES, 15)
+    let default_delay = measure_config(&mut sys, &DEFAULT, MEASURE_BATCHES)
         .end_to_end
         .mean;
 

@@ -31,7 +31,7 @@ type MethodCell = (f64, f64, f64);
 
 fn evaluate_best(kind: WorkloadKind, seed: u64, best: &[f64]) -> f64 {
     let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0xF16));
-    measure_config(&mut sys, best, MEASURE_BATCHES, 15)
+    measure_config(&mut sys, best, MEASURE_BATCHES)
         .end_to_end
         .mean
 }

@@ -131,9 +131,7 @@ fn matrix_rate(kind: WorkloadKind) -> f64 {
 /// code path (engine + controller + measurement protocol).
 fn fig7_style_cell(kind: WorkloadKind, seed: u64) -> f64 {
     let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0xDEF));
-    let default = measure_config(&mut sys, &[20.5, 10.0], 8, 15)
-        .end_to_end
-        .mean;
+    let default = measure_config(&mut sys, &[20.5, 10.0], 8).end_to_end.mean;
     let (run, _) = run_nostop(kind, seed, FIG8_ROUNDS);
     default + run.virtual_time_s
 }

@@ -1,12 +1,18 @@
 //! The shared experiment driver.
 //!
 //! Builds paper-configured systems and runs each method — NoStop, any
-//! [`Tuner`] baseline, the static default, and back pressure — through
-//! identical measurement procedures so cross-method comparisons are fair.
+//! [`Tuner`] baseline, the static default, and back pressure — on them.
+//! Every method but back pressure measures through
+//! [`nostop_core::measure`]: NoStop under [`Protocol::Adjust`], which also
+//! gives up settling at a time deadline and discards failure-hit batches,
+//! and the tuners and the static default under [`Protocol::Tuner`], which
+//! does neither. Back pressure runs a fixed configuration and averages
+//! the batches after a warm-up.
 
 use nostop_baselines::{PidRateEstimator, Tuner};
 use nostop_core::controller::{NoStop, NoStopConfig};
-use nostop_core::objective::{RHO_CAP, STABILITY_HEADROOM};
+use nostop_core::measure::{measure, Protocol};
+use nostop_core::objective::{ranking_objective, RHO_CAP};
 use nostop_core::system::{BatchObservation, StreamingSystem};
 use nostop_core::trace::RoundKind;
 use nostop_datagen::rate::{ConstantRate, RateProcess, SurgeRate, UniformRandomRate};
@@ -139,32 +145,19 @@ pub fn stats_of(window: &[BatchObservation]) -> RunStats {
     }
 }
 
-/// Apply `physical`, let the system settle (drain + first matched batch),
-/// then measure `batches` batches. The same procedure the controller and
-/// every tuner use.
+/// Apply `physical`, settle, and summarize the next `batches` batches
+/// under [`Protocol::Tuner`].
 pub fn measure_config<S: StreamingSystem + ?Sized>(
     sys: &mut S,
     physical: &[f64],
     batches: usize,
-    settle_cap: usize,
 ) -> RunStats {
-    sys.apply_config(physical);
-    // Settle: wait for a batch cut under the new interval with an empty
-    // queue, bounded by the cap.
-    for _ in 0..settle_cap {
-        let b = sys.next_batch();
-        if (b.interval_s - physical[0]).abs() < 0.051 && b.queued_batches == 0 {
-            break;
-        }
-    }
-    let window: Vec<BatchObservation> = (0..batches).map(|_| sys.next_batch()).collect();
-    stats_of(&window)
+    stats_of(&measure(sys, physical, batches, Protocol::Tuner, |_| {}))
 }
 
-/// The Eq.-3 objective at the ρ cap with stability headroom — the
-/// method-agnostic score.
+/// [`ranking_objective`] at the ρ cap — the method-agnostic score.
 pub fn penalized_objective(interval_s: f64, stats: &RunStats) -> f64 {
-    interval_s + RHO_CAP * (stats.mean_processing_s - STABILITY_HEADROOM * interval_s).max(0.0)
+    ranking_objective(interval_s, stats.mean_processing_s, RHO_CAP)
 }
 
 /// Result of a NoStop run.
@@ -230,7 +223,7 @@ pub fn managed_delay(kind: WorkloadKind, seed: u64, rate: Box<dyn RateProcess>) 
         .map(|(p, _)| p)
         .unwrap_or_else(|| ns.current_physical());
     let mut fresh = make_system(kind, seed, paper_rate(kind, seed ^ 0xBEE));
-    let delay = measure_config(&mut fresh, &best, 12, 15).end_to_end.mean;
+    let delay = measure_config(&mut fresh, &best, 12).end_to_end.mean;
     (delay, false)
 }
 
@@ -257,8 +250,9 @@ pub struct TunerRun {
     pub virtual_time_s: f64,
 }
 
-/// Drive a tuner for `iterations` propose→measure→observe cycles using the
-/// same measurement procedure as NoStop (settle, then 3 batches).
+/// Drive a tuner for `iterations` propose→measure→observe cycles, each a
+/// [`measure_config`] of 3 batches scored by [`penalized_objective`].
+/// NoStop measures under [`Protocol::Adjust`] instead.
 pub fn run_tuner<S: StreamingSystem + ?Sized>(
     tuner: &mut dyn Tuner,
     sys: &mut S,
@@ -271,7 +265,7 @@ pub fn run_tuner<S: StreamingSystem + ?Sized>(
             break;
         }
         let physical = tuner.propose();
-        let stats = measure_config(sys, &physical, 3, 15);
+        let stats = measure_config(sys, &physical, 3);
         config_changes += 1;
         let objective = penalized_objective(physical[0], &stats);
         tuner.observe(&physical, objective);
@@ -343,7 +337,7 @@ mod tests {
     fn static_measurement_reports_sane_numbers() {
         let kind = WorkloadKind::WordCount;
         let mut sys = make_system(kind, 1, paper_rate(kind, 1 ^ 0x5EED));
-        let stats = measure_config(&mut sys, &[10.0, 15.0], 6, 15);
+        let stats = measure_config(&mut sys, &[10.0, 15.0], 6);
         assert_eq!(stats.batches, 6);
         assert!(stats.mean_processing_s > 0.0);
         assert!(stats.end_to_end.mean >= stats.mean_processing_s);
@@ -354,7 +348,7 @@ mod tests {
     fn penalized_objective_matches_eq3_at_cap() {
         let kind = WorkloadKind::WordCount;
         let mut sys = make_system(kind, 2, paper_rate(kind, 2 ^ 0x5EED));
-        let mut stats = measure_config(&mut sys, &[12.0, 15.0], 4, 15);
+        let mut stats = measure_config(&mut sys, &[12.0, 15.0], 4);
         stats.mean_processing_s = 10.0;
         assert_eq!(penalized_objective(12.0, &stats), 12.0);
         stats.mean_processing_s = 14.0;

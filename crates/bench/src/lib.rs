@@ -7,7 +7,9 @@
 //! clusters: [`driver`] (`make_system`/`paper_rate`, `measure_config`,
 //! `run_tuner`, `run_backpressure`) and [`scenario`] (a parsed
 //! `nostop-scenario/1` spec run through `build_system`/`run_method`). Both
-//! share `driver::measure_config`'s settle-and-measure protocol. The
+//! measure through `nostop_core::measure`: NoStop under its `Adjust`
+//! protocol, every tuner and the static default under `Tuner` (by way
+//! of `driver::measure_config`). The
 //! binaries that sweep one mechanism at a fixed configuration share
 //! `driver::steady_window` (constant rate, warm-up, then a window of
 //! batches). [`report`] renders aligned tables and CSV blocks for

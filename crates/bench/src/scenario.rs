@@ -237,7 +237,7 @@ pub fn run_method(spec: &ScenarioSpec, method: &str) -> Result<(Recording, Metho
             let mut bo = BayesOpt::new(nostop_config(kind).space, spec.seed);
             while sys.now_s() < horizon && !bo.finished() {
                 let physical = bo.propose();
-                let stats = measure_config(&mut sys, &physical, 3, 15);
+                let stats = measure_config(&mut sys, &physical, 3);
                 bo.observe(&physical, penalized_objective(physical[0], &stats));
             }
             // Park at the best configuration found and ride out the rest

@@ -22,7 +22,7 @@ const SEEDS: [u64; 2] = [11, 22];
 /// even in the last ulp — breaks the byte comparison.
 fn run_cell(kind: WorkloadKind, seed: u64) -> String {
     let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0xDEF));
-    let stats = measure_config(&mut sys, &[20.5, 10.0], 4, 15);
+    let stats = measure_config(&mut sys, &[20.5, 10.0], 4);
     let (run, _) = run_nostop(kind, seed, 6);
     let mut out = String::new();
     let _ = writeln!(

@@ -8,8 +8,8 @@
 //! 2. Otherwise, if paused, merely observe a window of batches (growing the
 //!    window additively, §5.4) and watch for instability or rate shifts.
 //! 3. Otherwise draw `Δ_k`, apply `checkBound(θ ± c_k Δ_k)` to the system
-//!    in turn, and run Algorithm 2's *Adjust* for each: reconfigure, skip
-//!    the first batch, average a window of batches, and evaluate
+//!    in turn, and run Algorithm 2's *Adjust* ([`crate::measure`]) for
+//!    each: reconfigure, settle, average a window of batches, and evaluate
 //!    `G = interval + ρ · max(0, processing − interval)`.
 //! 4. Step `θ ← checkBound(θ − a_k ĝ)`, ramp ρ, feed the pause rule with
 //!    the measured end-to-end delays, and pause when the N best delays
@@ -18,11 +18,12 @@
 //! Exactly **two** reconfigurations happen per optimization round,
 //! regardless of how many parameters are tuned — SPSA's defining economy.
 
-use crate::objective::{PenaltySchedule, STABILITY_HEADROOM};
+use crate::measure::{self, Protocol};
+use crate::objective::{ranking_objective, PenaltySchedule};
 use crate::policy::{PauseRule, ResetRule, WindowPolicy};
 use crate::sa::{Spsa, SpsaParams};
 use crate::space::ConfigSpace;
-use crate::system::{BatchObservation, Measurement, StreamingSystem};
+use crate::system::{Measurement, StreamingSystem};
 use crate::trace::{RoundKind, RoundRecord, Trace};
 use crate::GainSchedule;
 use nostop_obs::Recorder;
@@ -45,13 +46,6 @@ const RESET_WINDOW: usize = 12;
 /// coefficients and re-explore rather than inch toward the new optimum
 /// with end-of-schedule gains.
 const FAILURE_RESET_THRESHOLD: u32 = 3;
-
-/// Maximum batches scanned per measurement while waiting for batches cut
-/// under the just-applied interval (Algorithm 2's sleep loop; leftover
-/// queued batches were cut under the previous configuration and do not
-/// measure this one). Also the spare budget for discarding
-/// failure-poisoned batches.
-const MEASURE_SCAN_CAP: usize = 15;
 
 /// What callers choose about the controller. Everything else — the pause
 /// rule, the measurement window, the step cap, θ_initial — is a paper
@@ -275,13 +269,16 @@ impl NoStop {
 
         // Feed the pause rule and the best-config tracker from the two
         // measurements we already paid for. Both use the *intrinsic*
-        // penalized delay of a configuration (interval + capped penalty on
-        // any instability): under the stability constraint, end-to-end
-        // delay is equivalent to batch interval (§3.1), and unlike the raw
-        // per-batch total delay this metric is not contaminated by queue
-        // backlog left over from a previously-visited bad configuration.
-        let pd_plus = self.intrinsic_delay(&m_plus);
-        let pd_minus = self.intrinsic_delay(&m_minus);
+        // penalized delay of a configuration (interval + ρ-cap-weighted
+        // violation of the headroom-adjusted constraint): under the
+        // stability constraint, end-to-end delay is equivalent to batch
+        // interval (§3.1), and unlike the raw per-batch total delay this
+        // metric is not contaminated by queue backlog left over from a
+        // previously-visited bad configuration. The cap, unlike the live
+        // ρ, keeps it comparable across rounds.
+        let rho = self.penalty.rho_max;
+        let pd_plus = ranking_objective(m_plus.interval_s, m_plus.processing_s, rho);
+        let pd_minus = ranking_objective(m_minus.interval_s, m_minus.processing_s, rho);
         self.pause.record(pd_plus);
         self.pause.record(pd_minus);
         self.track_best(&phys_plus, pd_plus);
@@ -361,7 +358,7 @@ impl NoStop {
             self.reset.record_rate(b.input_rate);
             self.reset.record_failure(b.executor_failures);
             saw_failures |= b.executor_failures > 0;
-            if (b.interval_s - parked_interval).abs() < 0.051 {
+            if measure::cut_under(&b, parked_interval) {
                 parked_batches.push(b);
             }
             batches.push(b);
@@ -492,17 +489,10 @@ impl NoStop {
         RoundOutcome::Reset
     }
 
-    /// Algorithm 2's *Adjust*: reconfigure, settle, measure a window.
-    ///
-    /// The settling phase implements Algorithm 2's sleep loop: after the
-    /// reconfiguration, batches are consumed (not measured) until a batch
-    /// cut under the *applied* interval completes with an empty queue —
-    /// i.e. the system has drained whatever backlog previous
-    /// configurations left and reached steady state. A cap bounds the
-    /// wait: a configuration that cannot drain is measured dirty, and its
-    /// own growing queue makes the objective appropriately ugly. After
-    /// settling, the first batch is still discarded (§5.4: executor/jar
-    /// initialization) and the minimum window is averaged.
+    /// Algorithm 2's *Adjust* under [`Protocol::Adjust`]: reconfigure,
+    /// settle (the settling batch is §5.4's discarded first batch), and
+    /// average the minimum window. Every batch pulled feeds the reset
+    /// rule.
     fn measure<S: StreamingSystem>(&mut self, sys: &mut S, physical: &[f64]) -> Measurement {
         if self.obs.is_enabled() {
             let mut fields = vec![("interval_s", physical[0])];
@@ -518,56 +508,21 @@ impl NoStop {
             self.obs
                 .add(SimTime::from_secs_f64(sys.now_s()), "config_changes", 1);
         }
-        let target_interval = physical[0];
-
-        // Settling barrier (Algorithm 2's sleep loop), bounded both in
-        // batches and in system time — a controller polling a live
-        // cluster would not wait longer than a couple of dozen intervals
-        // for the system to settle before concluding it never will.
-        let settle_deadline = sys.now_s() + (20.0 * target_interval).max(120.0);
-        for _ in 0..MEASURE_SCAN_CAP {
-            let b = sys.next_batch();
-            self.reset.record_rate(b.input_rate);
-            self.reset.record_failure(b.executor_failures);
-            let matched = (b.interval_s - target_interval).abs() < 0.051;
-            if matched && b.queued_batches == 0 {
-                break;
-            }
-            if sys.now_s() > settle_deadline {
-                break;
-            }
-        }
-
-        // §5.4: the settling batch double-counts as the discarded first
-        // batch; honour any additional configured skips.
-        for _ in 1..self.window.skip_count() {
-            let b = sys.next_batch();
-            self.reset.record_rate(b.input_rate);
-            self.reset.record_failure(b.executor_failures);
-        }
-
-        // Batches that absorbed an executor failure measure the crash
-        // (task re-execution, lineage recovery), not the configuration —
-        // averaging them in would poison the gradient estimate. Discard
-        // them and re-pull, spending at most `MEASURE_SCAN_CAP` spares;
-        // a fault storm that exhausts the budget is measured dirty, and
-        // the reset rule (fed above) decides whether to re-explore.
-        let mut spare = MEASURE_SCAN_CAP;
-        let mut window: Vec<BatchObservation> = Vec::with_capacity(self.window.min_batches);
-        while window.len() < self.window.min_batches {
-            let b = sys.next_batch();
-            self.reset.record_rate(b.input_rate);
-            self.reset.record_failure(b.executor_failures);
-            if b.executor_failures > 0 && spare > 0 {
-                spare -= 1;
-                continue;
-            }
-            window.push(b);
-        }
+        let reset = &mut self.reset;
+        let window = measure::settle_and_pull(
+            sys,
+            physical[0],
+            self.window.min_batches,
+            Protocol::Adjust,
+            |b| {
+                reset.record_rate(b.input_rate);
+                reset.record_failure(b.executor_failures);
+            },
+        );
         let mut m = Measurement::from_window(&window);
         // The objective evaluates the *applied* interval (Algorithm 2 sets
         // `batchInterval = θ_BatchInterval` before reading the status).
-        m.interval_s = target_interval;
+        m.interval_s = physical[0];
         if self.obs.is_enabled() {
             self.obs.exit(
                 SimTime::from_secs_f64(sys.now_s()),
@@ -580,16 +535,6 @@ impl NoStop {
             );
         }
         m
-    }
-
-    /// A configuration's intrinsic penalized delay: its interval plus the
-    /// ρ-cap-weighted violation of the *headroom-adjusted* stability
-    /// constraint. Comparable across rounds (the live ρ ramps; the cap is
-    /// constant), immune to backlog carryover, and — through the headroom
-    /// — robust to rate variation between measurement and steady state.
-    fn intrinsic_delay(&self, m: &Measurement) -> f64 {
-        let slack = m.interval_s * STABILITY_HEADROOM;
-        m.interval_s + self.penalty.rho_max * (m.processing_s - slack).max(0.0)
     }
 
     /// Rank configurations by intrinsic penalized delay; the parked
@@ -674,6 +619,7 @@ impl NoStop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::BatchObservation;
 
     /// An analytic mock system implementing the qualitative Spark model:
     /// processing time rises with records-per-batch, falls with executors

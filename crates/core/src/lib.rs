@@ -20,8 +20,10 @@
 //!   the ρ ramp of Algorithm 1.
 //! * [`policy`] — the operational rules of §5.3–§5.5: the pause rule
 //!   (std-dev of the N best delays below S), the input-rate reset rule, and
-//!   the metric-collection window (skip the first batch after a change,
-//!   additive-increase window with a cap).
+//!   the metric-collection window (additive increase with a cap).
+//! * [`measure`] — Algorithm 2's measurement protocol: apply a
+//!   configuration, settle (the settling batch is §5.4's discarded first
+//!   batch), and pull a window. NoStop and every tuner measure through it.
 //! * [`system`] — the black-box boundary: a [`system::StreamingSystem`]
 //!   yields [`system::BatchObservation`]s and accepts configuration writes.
 //!   Anything behind this trait can be tuned — the bundled discrete-event
@@ -73,6 +75,7 @@
 pub mod arbiter;
 pub mod controller;
 pub mod listener;
+pub mod measure;
 pub mod objective;
 pub mod policy;
 pub mod sa;

@@ -30,6 +30,15 @@ pub const RHO_CAP: f64 = 2.0;
 /// "comfortably stable".
 pub const STABILITY_HEADROOM: f64 = 0.85;
 
+/// Eq. 3 at a fixed `rho` against the headroom-adjusted constraint
+/// `processing ≤ STABILITY_HEADROOM · interval`: the score that ranks
+/// configurations across rounds and methods (NoStop's pause rule and
+/// best-config tracking at `rho_max`, every tuner's objective at
+/// [`RHO_CAP`]).
+pub fn ranking_objective(interval_s: f64, processing_s: f64, rho: f64) -> f64 {
+    interval_s + rho * (processing_s - STABILITY_HEADROOM * interval_s).max(0.0)
+}
+
 /// The ρ penalty schedule of Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PenaltySchedule {

@@ -6,11 +6,10 @@
 //! * [`reset`] — when to restart: the standard deviation of recent input
 //!   rates exceeds `threshold_speed`, signalling a traffic surge that the
 //!   now-tiny SPSA step sizes could not chase (§5.5).
-//! * [`window`] — how to measure: skip the first batch after every
-//!   reconfiguration (executor/jar initialization pollutes it), average
-//!   over a window of batches, and grow that window additively while the
-//!   system sits at an optimum — capped so the controller never goes blind
-//!   to regime changes (§5.4).
+//! * [`window`] — how many batches to average: a minimum window during
+//!   optimization, grown additively while the system sits at an optimum —
+//!   capped so the controller never goes blind to regime changes (§5.4).
+//!   §5.4's skip-first rule is part of [`crate::measure`]'s protocol.
 
 pub mod pause;
 pub mod reset;

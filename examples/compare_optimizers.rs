@@ -2,16 +2,19 @@
 //! vs the static default, on WordCount under the paper's varying rate.
 //!
 //! A compact version of the Fig-7/Fig-8 experiments: every method tunes
-//! the same simulated cluster through the same measurement procedure, and
-//! the final configurations are re-measured on a fresh system for a fair
+//! the same simulated cluster through `nostop::core::measure` (NoStop
+//! under its `Adjust` protocol, the tuners under `Tuner`), and the final
+//! configurations are re-measured on a fresh system for a fair
 //! scoreboard.
 //!
 //! Run with: `cargo run --release --example compare_optimizers`
 
 use nostop::baselines::{BayesOpt, RandomSearch, Tuner};
 use nostop::core::controller::{NoStop, NoStopConfig};
+use nostop::core::measure::{measure, Protocol};
+use nostop::core::objective::{ranking_objective, RHO_CAP};
 use nostop::core::space::ConfigSpace;
-use nostop::core::system::{BatchObservation, StreamingSystem};
+use nostop::core::system::StreamingSystem;
 use nostop::datagen::rate::UniformRandomRate;
 use nostop::sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
 use nostop::simcore::SimRng;
@@ -36,14 +39,7 @@ fn fresh_system(seed: u64) -> SimSystem {
 
 /// Measure a configuration: settle, then average six batches.
 fn score(sys: &mut SimSystem, config: &[f64]) -> (f64, f64) {
-    sys.apply_config(config);
-    for _ in 0..12 {
-        let b = sys.next_batch();
-        if (b.interval_s - config[0]).abs() < 0.051 && b.queued_batches == 0 {
-            break;
-        }
-    }
-    let window: Vec<BatchObservation> = (0..6).map(|_| sys.next_batch()).collect();
+    let window = measure(sys, config, 6, Protocol::Tuner, |_| {});
     let e2e = window.iter().map(|b| b.end_to_end_s()).sum::<f64>() / 6.0;
     let proc = window.iter().map(|b| b.processing_s).sum::<f64>() / 6.0;
     (e2e, proc)
@@ -55,8 +51,7 @@ fn drive_tuner(tuner: &mut dyn Tuner, seed: u64) -> (Vec<f64>, f64) {
         let proposal = tuner.propose();
         let (_, proc) = score(&mut sys, &proposal);
         // The shared objective: Eq. 3 at the rho cap with headroom.
-        let objective = proposal[0] + 2.0 * (proc - 0.85 * proposal[0]).max(0.0);
-        tuner.observe(&proposal, objective);
+        tuner.observe(&proposal, ranking_objective(proposal[0], proc, RHO_CAP));
     }
     let t = sys.now_s();
     (tuner.best().map(|(c, _)| c).unwrap_or(vec![20.5, 10.0]), t)

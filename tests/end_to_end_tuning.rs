@@ -2,6 +2,7 @@
 //! every paper workload.
 
 use nostop::core::controller::{NoStop, NoStopConfig, RoundOutcome};
+use nostop::core::measure::{measure, Protocol};
 use nostop::core::system::StreamingSystem;
 use nostop::datagen::rate::UniformRandomRate;
 use nostop::sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
@@ -124,19 +125,8 @@ fn tuned_configuration_is_near_feasible_on_fresh_system() {
     let (best, _) = ns.best_config().expect("rounds ran");
 
     let mut fresh = system_for(kind, 99);
-    fresh.apply_config(&best);
-    // Settle, then measure 10 batches.
-    for _ in 0..12 {
-        let b = fresh.next_batch();
-        if (b.interval_s - best[0]).abs() < 0.051 && b.queued_batches == 0 {
-            break;
-        }
-    }
-    let mut proc = 0.0;
-    for _ in 0..10 {
-        proc += fresh.next_batch().processing_s;
-    }
-    proc /= 10.0;
+    let window = measure(&mut fresh, &best, 10, Protocol::Tuner, |_| {});
+    let proc = window.iter().map(|b| b.processing_s).sum::<f64>() / 10.0;
     assert!(
         proc < best[0] * 1.1,
         "near-feasible: proc {proc} vs interval {}",

@@ -3,6 +3,8 @@
 
 use nostop::baselines::{BayesOpt, GridSearch, PidRateEstimator, RandomSearch, Tuner};
 use nostop::core::listener::StatusReport;
+use nostop::core::measure::{measure, Protocol};
+use nostop::core::objective::{ranking_objective, RHO_CAP};
 use nostop::core::space::ConfigSpace;
 use nostop::core::system::StreamingSystem;
 use nostop::datagen::rate::ConstantRate;
@@ -109,20 +111,9 @@ fn bayesopt_tunes_the_simulator_end_to_end() {
     let mut bo = BayesOpt::new(ConfigSpace::paper_default(), 3);
     for _ in 0..20 {
         let p = bo.propose();
-        sys.apply_config(&p);
-        // Settle a little, then measure.
-        for _ in 0..6 {
-            let b = sys.next_batch();
-            if (b.interval_s - p[0]).abs() < 0.051 && b.queued_batches == 0 {
-                break;
-            }
-        }
-        let mut proc = 0.0;
-        for _ in 0..3 {
-            proc += sys.next_batch().processing_s;
-        }
-        proc /= 3.0;
-        bo.observe(&p, p[0] + 2.0 * (proc - 0.85 * p[0]).max(0.0));
+        let window = measure(&mut sys, &p, 3, Protocol::Tuner, |_| {});
+        let proc = window.iter().map(|b| b.processing_s).sum::<f64>() / 3.0;
+        bo.observe(&p, ranking_objective(p[0], proc, RHO_CAP));
     }
     let (best, obj) = bo.best().expect("20 evaluations");
     assert!(obj < 20.5, "BO beats the default: {obj} at {best:?}");
