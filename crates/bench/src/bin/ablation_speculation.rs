@@ -13,9 +13,10 @@
 //! [`nostop_bench::parallel`] fabric, measuring its no-speculation and
 //! with-speculation arms back to back.
 
-use nostop_bench::driver::{stats_of, steady_window};
+use nostop_bench::driver::steady_window;
 use nostop_bench::parallel::map_cells;
 use nostop_bench::report::{f, print_section, Table};
+use nostop_core::system::Measurement;
 use nostop_workloads::WorkloadKind;
 use spark_sim::scheduler::Speculation;
 use spark_sim::EngineParams;
@@ -23,10 +24,10 @@ use spark_sim::EngineParams;
 fn mean_proc(speculation: Option<Speculation>, interval_s: f64, executors: u32) -> f64 {
     let mut params = EngineParams::paper(WorkloadKind::WordCount, 7);
     params.speculation = speculation;
-    stats_of(&steady_window(
+    Measurement::from_window(&steady_window(
         params, interval_s, executors, 150_000.0, 2, 10,
     ))
-    .mean_processing_s
+    .processing_s
 }
 
 fn main() {

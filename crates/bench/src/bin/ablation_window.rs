@@ -23,7 +23,7 @@ use nostop_bench::driver::{fixed_system, steady_window};
 use nostop_bench::parallel::map_cells;
 use nostop_bench::report::{f, print_section, Table};
 use nostop_core::system::StreamingSystem;
-use nostop_simcore::stats::summarize;
+use nostop_simcore::stats::{mean, summarize};
 use nostop_workloads::WorkloadKind;
 use spark_sim::EngineParams;
 
@@ -55,10 +55,7 @@ fn seed_trace(seed: u64, trace_len: usize) -> Vec<f64> {
 
 /// The std over seeds of the mean of each trace's first `window` batches.
 fn window_noise(window: usize, traces: &[Vec<f64>]) -> f64 {
-    let means: Vec<f64> = traces
-        .iter()
-        .map(|trace| trace[..window].iter().sum::<f64>() / window as f64)
-        .collect();
+    let means: Vec<f64> = traces.iter().map(|trace| mean(&trace[..window])).collect();
     summarize(&means).std_dev
 }
 

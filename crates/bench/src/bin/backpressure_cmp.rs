@@ -18,6 +18,7 @@ use nostop_bench::driver::{
 };
 use nostop_bench::parallel::map_cells;
 use nostop_bench::report::{f, pm, print_section, Table};
+use nostop_bench::scenario::STATIC_CONFIG;
 use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
 
@@ -25,19 +26,17 @@ const SEEDS: [u64; 5] = [7, 17, 27, 37, 47];
 const KIND: WorkloadKind = WorkloadKind::LogisticRegression;
 /// A mildly undersized fixed configuration: stable only if throttled.
 const FIXED: [f64; 2] = [8.0, 8.0];
-const DEFAULT: [f64; 2] = [20.5, 10.0];
 
 /// One seed's numbers: `(static, bp delay, bp lag, bp limit, nostop,
 /// nostop settled)`.
 fn run_cell(seed: u64) -> (f64, f64, f64, f64, f64, bool) {
     // Static default.
     let mut sys = make_system(KIND, seed, paper_rate(KIND, seed ^ 0xAB));
-    let s = measure_config(&mut sys, &DEFAULT, 12);
-    let static_delay = s.end_to_end.mean;
+    let static_delay = measure_config(&mut sys, &STATIC_CONFIG, 12).end_to_end_s;
 
     // Back pressure on the undersized fixed configuration.
     let bp = run_backpressure(KIND, seed, &FIXED, 20, paper_rate(KIND, seed ^ 0xAB));
-    let bp_delay = bp.stats.end_to_end.mean;
+    let bp_delay = bp.stats.end_to_end_s;
     let bp_lag = bp.broker_lag as f64;
     let bp_limit = bp.final_rate_limit.unwrap_or(0.0);
 

@@ -6,8 +6,9 @@
 //! `y = interval` stability line near 10 s; (b) batch schedule delay is
 //! large below the crossover and ≈ 0 above it.
 
-use nostop_bench::driver::{stats_of, steady_window};
+use nostop_bench::driver::steady_window;
 use nostop_bench::report::{f, print_section, Table};
+use nostop_core::system::Measurement;
 use nostop_workloads::WorkloadKind;
 use spark_sim::EngineParams;
 
@@ -17,10 +18,10 @@ const BATCHES: usize = 8;
 
 fn measure(interval_s: f64, seed: u64) -> (f64, f64) {
     let params = EngineParams::testbed(WorkloadKind::LogisticRegression, seed);
-    let stats = stats_of(&steady_window(
+    let m = Measurement::from_window(&steady_window(
         params, interval_s, EXECUTORS, RATE, 3, BATCHES,
     ));
-    (stats.mean_processing_s, stats.mean_scheduling_s)
+    (m.processing_s, m.scheduling_delay_s)
 }
 
 fn main() {

@@ -7,8 +7,9 @@
 //! and the end-to-end delay is minimized around 20 (paper: "when the
 //! number of executors is around 20 … the smallest end-to-end delay").
 
-use nostop_bench::driver::{stats_of, steady_window};
+use nostop_bench::driver::steady_window;
 use nostop_bench::report::{f, print_section, Table};
+use nostop_core::system::Measurement;
 use nostop_workloads::WorkloadKind;
 use spark_sim::EngineParams;
 
@@ -18,12 +19,10 @@ const BATCHES: usize = 16;
 
 fn measure(executors: u32, seed: u64) -> (f64, f64, f64) {
     let params = EngineParams::testbed(WorkloadKind::LogisticRegression, seed);
-    let window = steady_window(params, INTERVAL_S, executors, RATE, 3, BATCHES);
-    let stats = stats_of(&window);
-    // sum/n, not `stats_of`'s running (Welford) mean, which can differ
-    // in the last bit and move the printed digits.
-    let e2e = window.iter().map(|b| b.end_to_end_s()).sum::<f64>() / BATCHES as f64;
-    (stats.mean_processing_s, stats.mean_scheduling_s, e2e)
+    let m = Measurement::from_window(&steady_window(
+        params, INTERVAL_S, executors, RATE, 3, BATCHES,
+    ));
+    (m.processing_s, m.scheduling_delay_s, m.end_to_end_s)
 }
 
 fn main() {

@@ -17,21 +17,19 @@
 use nostop_bench::driver::{make_system, managed_delay, measure_config, paper_rate};
 use nostop_bench::parallel::{grid, map_cells};
 use nostop_bench::report::{f, pm, print_section, Table};
+use nostop_bench::scenario::STATIC_CONFIG;
 use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
 
 const SEEDS: [u64; 5] = [11, 22, 33, 44, 55];
 const MEASURE_BATCHES: usize = 12;
-const DEFAULT: [f64; 2] = [20.5, 10.0];
 
 /// One `(workload, seed)` cell: the default arm's mean end-to-end delay
 /// and the NoStop-managed arm's converged mean.
 fn run_cell(kind: WorkloadKind, seed: u64) -> (f64, f64) {
     // Default arm: fresh system, static configuration.
     let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0xDEF));
-    let default_delay = measure_config(&mut sys, &DEFAULT, MEASURE_BATCHES)
-        .end_to_end
-        .mean;
+    let default_delay = measure_config(&mut sys, &STATIC_CONFIG, MEASURE_BATCHES).end_to_end_s;
 
     // NoStop arm: the *managed* system — the controller keeps running,
     // exactly what the paper deploys. The measured delay is the mean over

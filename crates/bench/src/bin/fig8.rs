@@ -17,6 +17,7 @@ use nostop_bench::driver::{
 };
 use nostop_bench::parallel::{grid, map_cells};
 use nostop_bench::report::{pm, print_section, Table};
+use nostop_bench::scenario::STATIC_CONFIG;
 use nostop_core::trace::RoundKind;
 use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
@@ -31,15 +32,13 @@ type MethodCell = (f64, f64, f64);
 
 fn evaluate_best(kind: WorkloadKind, seed: u64, best: &[f64]) -> f64 {
     let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0xF16));
-    measure_config(&mut sys, best, MEASURE_BATCHES)
-        .end_to_end
-        .mean
+    measure_config(&mut sys, best, MEASURE_BATCHES).end_to_end_s
 }
 
 /// One `(workload, seed)` cell: run NoStop/SPSA and BO back to back.
 fn run_cell(kind: WorkloadKind, seed: u64) -> (MethodCell, MethodCell) {
     // --- NoStop / SPSA ---
-    let (run, _) = run_nostop(kind, seed, NOSTOP_ROUNDS);
+    let run = run_nostop(kind, seed, NOSTOP_ROUNDS);
     let best = run
         .controller
         .best_config()
@@ -71,7 +70,7 @@ fn run_cell(kind: WorkloadKind, seed: u64) -> (MethodCell, MethodCell) {
     let bo_best = bo_run
         .best
         .map(|(p, _)| p)
-        .unwrap_or_else(|| vec![20.5, 10.0]);
+        .unwrap_or_else(|| STATIC_CONFIG.to_vec());
     let bo_delay = evaluate_best(kind, seed, &bo_best);
     // BO's convergence point, judged by the *same online stopping rule*
     // NoStop uses: pause when the std-dev of the 10 best objectives falls

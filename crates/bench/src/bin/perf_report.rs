@@ -53,7 +53,7 @@ use nostop_bench::driver::{
 };
 use nostop_bench::parallel::{grid, jobs, map_cells_weighted};
 use nostop_bench::report::{best_of, repeats};
-use nostop_bench::scenario::run_method;
+use nostop_bench::scenario::{run_method, STATIC_CONFIG};
 use nostop_bench::smoke::{Gate, Verdict};
 use nostop_core::arbiter::ArbiterPolicy;
 use nostop_core::scenario::{ClusterKind, RateSpec, ScenarioSpec, SkewSpec};
@@ -131,14 +131,14 @@ fn matrix_rate(kind: WorkloadKind) -> f64 {
 /// code path (engine + controller + measurement protocol).
 fn fig7_style_cell(kind: WorkloadKind, seed: u64) -> f64 {
     let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0xDEF));
-    let default = measure_config(&mut sys, &[20.5, 10.0], 8).end_to_end.mean;
-    let (run, _) = run_nostop(kind, seed, FIG8_ROUNDS);
+    let default = measure_config(&mut sys, &STATIC_CONFIG, 8).end_to_end_s;
+    let run = run_nostop(kind, seed, FIG8_ROUNDS);
     default + run.virtual_time_s
 }
 
 /// A fig8-shaped driver cell: a short SPSA run plus a short BO run.
 fn fig8_style_cell(kind: WorkloadKind, seed: u64) -> f64 {
-    let (run, _) = run_nostop(kind, seed, FIG8_ROUNDS);
+    let run = run_nostop(kind, seed, FIG8_ROUNDS);
     let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0x0B0));
     let mut tuner = BayesOpt::new(nostop_config(kind).space, seed);
     let bo = run_tuner(&mut tuner, &mut sys, BO_ITERATIONS);

@@ -13,10 +13,10 @@ use nostop_baselines::{PidRateEstimator, Tuner};
 use nostop_core::controller::{NoStop, NoStopConfig};
 use nostop_core::measure::{measure, Protocol};
 use nostop_core::objective::{ranking_objective, RHO_CAP};
-use nostop_core::system::{BatchObservation, StreamingSystem};
+use nostop_core::system::{BatchObservation, Measurement, StreamingSystem};
 use nostop_core::trace::RoundKind;
 use nostop_datagen::rate::{ConstantRate, RateProcess, SurgeRate, UniformRandomRate};
-use nostop_simcore::stats::{summarize, Summary};
+use nostop_simcore::stats::mean;
 use nostop_simcore::{SimDuration, SimRng};
 use nostop_workloads::WorkloadKind;
 use spark_sim::fleet::TenantSpec;
@@ -112,37 +112,11 @@ pub fn nostop_config(kind: WorkloadKind) -> NoStopConfig {
     NoStopConfig::paper_default().with_rate_range(lo, hi)
 }
 
-/// Performance of a configuration over a batch window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunStats {
-    /// Mean/std/min/max of per-batch end-to-end delay, seconds.
-    pub end_to_end: Summary,
-    /// Mean processing time, seconds.
-    pub mean_processing_s: f64,
-    /// Mean scheduling delay, seconds.
-    pub mean_scheduling_s: f64,
-    /// Fraction of stable batches (Eq. 2).
-    pub stable_fraction: f64,
-    /// Mean observed input rate, records/second.
-    pub mean_input_rate: f64,
-    /// Batches measured.
-    pub batches: usize,
-}
-
-/// Summarize a window of observations.
-pub fn stats_of(window: &[BatchObservation]) -> RunStats {
-    assert!(!window.is_empty(), "empty measurement window");
-    let e2e: Vec<f64> = window.iter().map(|b| b.end_to_end_s()).collect();
-    RunStats {
-        end_to_end: summarize(&e2e),
-        mean_processing_s: window.iter().map(|b| b.processing_s).sum::<f64>() / window.len() as f64,
-        mean_scheduling_s: window.iter().map(|b| b.scheduling_delay_s).sum::<f64>()
-            / window.len() as f64,
-        stable_fraction: window.iter().filter(|b| b.is_stable()).count() as f64
-            / window.len() as f64,
-        mean_input_rate: window.iter().map(|b| b.input_rate).sum::<f64>() / window.len() as f64,
-        batches: window.len(),
-    }
+/// [`Measurement::from_window`] under its old name, kept only because
+/// `benchmark/src/bo.rs` imports it. Crates call `from_window` directly;
+/// the forwarder goes when that caller moves (ROADMAP item 11).
+pub fn stats_of(window: &[BatchObservation]) -> Measurement {
+    Measurement::from_window(window)
 }
 
 /// Apply `physical`, settle, and summarize the next `batches` batches
@@ -151,13 +125,13 @@ pub fn measure_config<S: StreamingSystem + ?Sized>(
     sys: &mut S,
     physical: &[f64],
     batches: usize,
-) -> RunStats {
-    stats_of(&measure(sys, physical, batches, Protocol::Tuner, |_| {}))
+) -> Measurement {
+    Measurement::from_window(&measure(sys, physical, batches, Protocol::Tuner, |_| {}))
 }
 
 /// [`ranking_objective`] at the ρ cap — the method-agnostic score.
-pub fn penalized_objective(interval_s: f64, stats: &RunStats) -> f64 {
-    ranking_objective(interval_s, stats.mean_processing_s, RHO_CAP)
+pub fn penalized_objective(interval_s: f64, m: &Measurement) -> f64 {
+    ranking_objective(interval_s, m.processing_s, RHO_CAP)
 }
 
 /// Result of a NoStop run.
@@ -166,24 +140,17 @@ pub struct NoStopRun {
     pub controller: NoStop,
     /// Virtual seconds consumed.
     pub virtual_time_s: f64,
-    /// Rounds executed.
-    pub rounds: u64,
 }
 
 /// Run NoStop on `kind` for `rounds` controller rounds.
-pub fn run_nostop(kind: WorkloadKind, seed: u64, rounds: u64) -> (NoStopRun, SimSystem) {
+pub fn run_nostop(kind: WorkloadKind, seed: u64, rounds: u64) -> NoStopRun {
     let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0x5EED));
     let mut ns = NoStop::new(nostop_config(kind), seed);
     ns.run(&mut sys, rounds);
-    let t = sys.now_s();
-    (
-        NoStopRun {
-            controller: ns,
-            virtual_time_s: t,
-            rounds,
-        },
-        sys,
-    )
+    NoStopRun {
+        controller: ns,
+        virtual_time_s: sys.now_s(),
+    }
 }
 
 /// NoStop's managed steady state on `kind`, as fig7 and backpressure_cmp
@@ -216,14 +183,14 @@ pub fn managed_delay(kind: WorkloadKind, seed: u64, rate: Box<dyn RateProcess>) 
         }
     }
     if !samples.is_empty() {
-        return (samples.iter().sum::<f64>() / samples.len() as f64, true);
+        return (mean(&samples), true);
     }
     let best = ns
         .best_config()
         .map(|(p, _)| p)
         .unwrap_or_else(|| ns.current_physical());
     let mut fresh = make_system(kind, seed, paper_rate(kind, seed ^ 0xBEE));
-    let delay = measure_config(&mut fresh, &best, 12).end_to_end.mean;
+    let delay = measure_config(&mut fresh, &best, 12).end_to_end_s;
     (delay, false)
 }
 
@@ -244,8 +211,6 @@ pub struct TunerRun {
     pub history: Vec<TunerStep>,
     /// Best `(config, objective)`.
     pub best: Option<(Vec<f64>, f64)>,
-    /// Total reconfigurations applied.
-    pub config_changes: u64,
     /// Virtual seconds consumed.
     pub virtual_time_s: f64,
 }
@@ -259,15 +224,13 @@ pub fn run_tuner<S: StreamingSystem + ?Sized>(
     iterations: usize,
 ) -> TunerRun {
     let mut history = Vec::with_capacity(iterations);
-    let mut config_changes = 0;
     for _ in 0..iterations {
         if tuner.finished() {
             break;
         }
         let physical = tuner.propose();
-        let stats = measure_config(sys, &physical, 3);
-        config_changes += 1;
-        let objective = penalized_objective(physical[0], &stats);
+        let m = measure_config(sys, &physical, 3);
+        let objective = penalized_objective(physical[0], &m);
         tuner.observe(&physical, objective);
         history.push(TunerStep {
             physical,
@@ -278,7 +241,6 @@ pub fn run_tuner<S: StreamingSystem + ?Sized>(
     TunerRun {
         history,
         best: tuner.best(),
-        config_changes,
         virtual_time_s: sys.now_s(),
     }
 }
@@ -286,7 +248,7 @@ pub fn run_tuner<S: StreamingSystem + ?Sized>(
 /// Result of a back-pressure run.
 pub struct BackpressureRun {
     /// Performance over the measured window.
-    pub stats: RunStats,
+    pub stats: Measurement,
     /// Final rate limit the PID settled on (records/s).
     pub final_rate_limit: Option<f64>,
     /// Records retained (unconsumed) in the broker at the end — the
@@ -323,7 +285,7 @@ pub fn run_backpressure(
         }
     }
     BackpressureRun {
-        stats: stats_of(&window),
+        stats: Measurement::from_window(&window),
         final_rate_limit: pid.latest_rate(),
         broker_lag: sys.engine().broker_lag(),
     }
@@ -337,29 +299,29 @@ mod tests {
     fn static_measurement_reports_sane_numbers() {
         let kind = WorkloadKind::WordCount;
         let mut sys = make_system(kind, 1, paper_rate(kind, 1 ^ 0x5EED));
-        let stats = measure_config(&mut sys, &[10.0, 15.0], 6);
-        assert_eq!(stats.batches, 6);
-        assert!(stats.mean_processing_s > 0.0);
-        assert!(stats.end_to_end.mean >= stats.mean_processing_s);
-        assert!(stats.mean_input_rate > 100_000.0);
+        let m = measure_config(&mut sys, &[10.0, 15.0], 6);
+        assert_eq!(m.batches, 6);
+        assert!(m.processing_s > 0.0);
+        assert!(m.end_to_end_s >= m.processing_s);
+        assert!(m.input_rate > 100_000.0);
     }
 
     #[test]
     fn penalized_objective_matches_eq3_at_cap() {
         let kind = WorkloadKind::WordCount;
         let mut sys = make_system(kind, 2, paper_rate(kind, 2 ^ 0x5EED));
-        let mut stats = measure_config(&mut sys, &[12.0, 15.0], 4);
-        stats.mean_processing_s = 10.0;
-        assert_eq!(penalized_objective(12.0, &stats), 12.0);
-        stats.mean_processing_s = 14.0;
+        let mut m = measure_config(&mut sys, &[12.0, 15.0], 4);
+        m.processing_s = 10.0;
+        assert_eq!(penalized_objective(12.0, &m), 12.0);
+        m.processing_s = 14.0;
         // Violation measured against the 85% headroom point (10.2 s).
         let expected = 12.0 + 2.0 * (14.0 - 0.85 * 12.0);
-        assert!((penalized_objective(12.0, &stats) - expected).abs() < 1e-12);
+        assert!((penalized_objective(12.0, &m) - expected).abs() < 1e-12);
     }
 
     #[test]
     fn nostop_run_improves_on_default() {
-        let (run, _) = run_nostop(WorkloadKind::WordCount, 3, 25);
+        let run = run_nostop(WorkloadKind::WordCount, 3, 25);
         let (best, best_delay) = run.controller.best_config().expect("rounds ran");
         // Default = 20.5 s interval; NoStop's best intrinsic delay must
         // beat simply running at the default interval.
@@ -379,7 +341,6 @@ mod tests {
         let mut rs = RandomSearch::new(ConfigSpace::paper_default(), 4);
         let run = run_tuner(&mut rs, &mut sys, 8);
         assert_eq!(run.history.len(), 8);
-        assert_eq!(run.config_changes, 8);
         assert!(run.best.is_some());
         let objectives: Vec<f64> = run.history.iter().map(|h| h.objective).collect();
         let best = run.best.as_ref().unwrap().1;

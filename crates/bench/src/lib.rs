@@ -9,7 +9,9 @@
 //! `nostop-scenario/1` spec run through `build_system`/`run_method`). Both
 //! measure through `nostop_core::measure`: NoStop under its `Adjust`
 //! protocol, every tuner and the static default under `Tuner` (by way
-//! of `driver::measure_config`). The
+//! of `driver::measure_config`). Every batch window is averaged by
+//! `nostop_core::system::Measurement::from_window`, the mean NoStop and
+//! its trace use, and `measure_config` returns that `Measurement`. The
 //! binaries that sweep one mechanism at a fixed configuration share
 //! `driver::steady_window` (constant rate, warm-up, then a window of
 //! batches). [`report`] renders aligned tables and CSV blocks for

@@ -26,7 +26,8 @@ use nostop_workloads::WorkloadKind;
 use spark_sim::{EngineParams, FaultPlan, SimSystem, StreamConfig, StreamingEngine};
 use std::path::{Path, PathBuf};
 
-/// The static default configuration every comparison grid uses.
+/// The static default configuration every comparison uses: the middle of
+/// the paper's ranges, a 20.5 s interval and 10 executors.
 pub const STATIC_CONFIG: [f64; 2] = [20.5, 10.0];
 
 /// Locate the committed corpus: `./scenarios` relative to the invocation
@@ -237,8 +238,8 @@ pub fn run_method(spec: &ScenarioSpec, method: &str) -> Result<(Recording, Metho
             let mut bo = BayesOpt::new(nostop_config(kind).space, spec.seed);
             while sys.now_s() < horizon && !bo.finished() {
                 let physical = bo.propose();
-                let stats = measure_config(&mut sys, &physical, 3);
-                bo.observe(&physical, penalized_objective(physical[0], &stats));
+                let m = measure_config(&mut sys, &physical, 3);
+                bo.observe(&physical, penalized_objective(physical[0], &m));
             }
             // Park at the best configuration found and ride out the rest
             // of the horizon — BO has no online recovery story.
@@ -320,8 +321,10 @@ mod tests {
         let (_, result) = run_method(&spec(&["static"]), "static").unwrap();
         assert!(result.batches > 0);
         assert!(result.mean_processing_s > 0.0);
-        assert_eq!(result.final_interval_s, 20.5);
+        assert_eq!(result.final_interval_s, STATIC_CONFIG[0]);
         assert!(result.resets.is_none());
+        // The static default is the configuration every system starts in.
+        assert_eq!(StreamConfig::paper_initial().to_physical(), STATIC_CONFIG);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use nostop_bench::driver::{make_system, measure_config, paper_rate, run_nostop};
 use nostop_bench::parallel::{grid, map_cells};
+use nostop_bench::scenario::STATIC_CONFIG;
 use nostop_workloads::WorkloadKind;
 use std::fmt::Write as _;
 
@@ -22,15 +23,13 @@ const SEEDS: [u64; 2] = [11, 22];
 /// even in the last ulp — breaks the byte comparison.
 fn run_cell(kind: WorkloadKind, seed: u64) -> String {
     let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0xDEF));
-    let stats = measure_config(&mut sys, &[20.5, 10.0], 4);
-    let (run, _) = run_nostop(kind, seed, 6);
+    let m = measure_config(&mut sys, &STATIC_CONFIG, 4);
+    let run = run_nostop(kind, seed, 6);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{},{seed},{:?},{:?},{:?},{}",
+        "{},{seed},{m:?},{:?},{}",
         kind.name(),
-        stats.end_to_end.mean,
-        stats.end_to_end.std_dev,
         run.virtual_time_s,
         run.controller.config_changes(),
     );

@@ -739,7 +739,8 @@ mod tests {
             "intrinsic delay beat the 20.5 s starting interval: {best_delay}"
         );
         sys.apply_config(&best_phys);
-        let mean_proc: f64 = (0..10).map(|_| sys.next_batch().processing_s).sum::<f64>() / 10.0;
+        let window: Vec<_> = (0..10).map(|_| sys.next_batch()).collect();
+        let mean_proc = Measurement::from_window(&window).processing_s;
         assert!(
             mean_proc < best_phys[0] * 1.4,
             "near-feasible best: proc {mean_proc} vs interval {}",

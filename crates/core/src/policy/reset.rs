@@ -79,16 +79,6 @@ impl ResetRule {
         r
     }
 
-    /// A threshold derived from the workload's expected rate range: fire
-    /// when rate variability exceeds `fraction` of the range width. The
-    /// paper's in-range fluctuation (e.g. uniform over [7k, 13k]) has
-    /// std ≈ 0.29 × width, so `fraction = 0.5` ignores in-range noise but
-    /// catches surges beyond the range.
-    pub fn for_rate_range(min_rate: f64, max_rate: f64, fraction: f64, window: usize) -> Self {
-        assert!(max_rate > min_rate, "invalid rate range");
-        ResetRule::new(((max_rate - min_rate) * fraction).max(1e-9), window)
-    }
-
     /// Record one observed input-rate sample (records/s).
     ///
     /// Detection latches: once the windowed std-dev crosses the threshold,
@@ -192,8 +182,9 @@ mod tests {
 
     #[test]
     fn in_range_fluctuation_tolerated_surge_detected() {
-        // Threshold sized for the paper's LR range [7k, 13k].
-        let mut r = ResetRule::for_rate_range(7_000.0, 13_000.0, 0.5, 10);
+        // Threshold sized for the paper's LR range [7k, 13k]: half the
+        // 6k range width.
+        let mut r = ResetRule::new(3_000.0, 10);
         // Benign fluctuation across the whole range: std ≈ 1.7k < 3k.
         for i in 0..50 {
             r.record_rate(if i % 2 == 0 { 8_000.0 } else { 12_000.0 });

@@ -10,8 +10,9 @@
 //!   the simulator and the SPSA optimizer need (normal via Box–Muller,
 //!   log-normal, exponential, symmetric Bernoulli ±1), plus deterministic
 //!   stream forking so independent subsystems draw from independent streams.
-//! * [`stats`] — online (Welford) and windowed statistics used by both the
-//!   metrics listener and the NoStop pause/reset policies.
+//! * [`stats`] — sample-set ([`stats::summarize`]) and windowed
+//!   statistics used by the NoStop pause/reset policies and the
+//!   experiment reports.
 //! * [`round`] — [`floor_split`] and [`round_half_up`], the libm-free
 //!   float-to-integer splits the ingest and scheduling hot paths use.
 //! * [`probe_mode`] — the one switch that sends every fast path down its
@@ -33,7 +34,7 @@ pub use arena::Arena;
 pub use json::Json;
 pub use rng::SimRng;
 pub use round::{floor_split, round_half_up};
-pub use stats::{RollingStats, Summary, Welford};
+pub use stats::{RollingStats, Summary};
 pub use time::{SimDuration, SimTime};
 
 /// True iff `NOSTOP_PROBE=1`. Every fast path — the engine's superbatch

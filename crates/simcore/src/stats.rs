@@ -1,94 +1,12 @@
-//! Online and windowed statistics.
+//! Sample-set and windowed statistics.
 //!
 //! The NoStop policies are statistical: the pause rule compares the standard
 //! deviation of the N best delays against a threshold S (§5.3.5), and the
 //! reset rule watches the standard deviation of recent input rates (§5.5).
-//! Both are built on the utilities here.
+//! Both are built on the utilities here; the experiment reports summarize
+//! their per-seed numbers with [`summarize`].
 
 use std::collections::VecDeque;
-
-/// Streaming mean/variance via Welford's algorithm — numerically stable and
-/// O(1) per sample.
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold one sample in.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples folded in.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Maximum sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Snapshot as a [`Summary`].
-    pub fn summary(&self) -> Summary {
-        Summary {
-            n: self.n,
-            mean: self.mean(),
-            std_dev: self.std_dev(),
-            min: self.min().unwrap_or(0.0),
-            max: self.max().unwrap_or(0.0),
-        }
-    }
-}
 
 /// A compact summary of a sample set.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -105,13 +23,30 @@ pub struct Summary {
     pub max: f64,
 }
 
-/// Summarize a slice in one pass.
+/// Summarize a slice in one pass with Welford's update, which stays
+/// numerically stable where the naive `Σx²/n − mean²` cancels. An empty
+/// slice summarizes to all zeros, and fewer than two samples have σ = 0.
 pub fn summarize(xs: &[f64]) -> Summary {
-    let mut w = Welford::new();
-    for &x in xs {
-        w.push(x);
+    let (mut mean, mut m2) = (0.0, 0.0);
+    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (i, &x) in xs.iter().enumerate() {
+        let delta = x - mean;
+        mean += delta / (i + 1) as f64;
+        m2 += delta * (x - mean);
+        min = min.min(x);
+        max = max.max(x);
     }
-    w.summary()
+    let n = xs.len();
+    if n == 0 {
+        return Summary::default();
+    }
+    Summary {
+        n: n as u64,
+        mean,
+        std_dev: if n < 2 { 0.0 } else { (m2 / n as f64).sqrt() },
+        min,
+        max,
+    }
 }
 
 /// Mean of a slice (0 when empty).
@@ -120,30 +55,6 @@ pub fn mean(xs: &[f64]) -> f64 {
         0.0
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-/// Population standard deviation of a slice.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    summarize(xs).std_dev
-}
-
-/// Linear-interpolated percentile (`q` in `[0, 100]`) of an unsorted slice.
-pub fn percentile(xs: &[f64], q: f64) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let q = q.clamp(0.0, 100.0) / 100.0;
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        Some(sorted[lo])
-    } else {
-        let frac = pos - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
     }
 }
 
@@ -215,16 +126,6 @@ impl RollingStats {
         var.sqrt()
     }
 
-    /// The most recent sample.
-    pub fn last(&self) -> Option<f64> {
-        self.buf.back().copied()
-    }
-
-    /// Iterate over the windowed samples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.buf.iter().copied()
-    }
-
     /// Drop all samples.
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -272,37 +173,37 @@ impl Ewma {
 mod tests {
     use super::*;
 
+    /// Two-pass reference: the mean, then the population σ around it.
+    fn two_pass(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let m = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / n;
+        (m, var.sqrt())
+    }
+
     #[test]
-    fn welford_matches_two_pass() {
+    fn summarize_matches_two_pass() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         let s = summarize(&xs);
+        let (m, sd) = two_pass(&xs);
         assert_eq!(s.n, 8);
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.std_dev - 2.0).abs() < 1e-12);
+        assert!((s.mean - 5.0).abs() < 1e-12 && (s.mean - m).abs() < 1e-12);
+        assert!((s.std_dev - 2.0).abs() < 1e-12 && (s.std_dev - sd).abs() < 1e-12);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
     }
 
     #[test]
-    fn welford_empty_and_single() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.std_dev(), 0.0);
-        assert_eq!(w.min(), None);
-        let mut w = Welford::new();
-        w.push(3.5);
-        assert_eq!(w.mean(), 3.5);
-        assert_eq!(w.std_dev(), 0.0);
-        assert_eq!(w.min(), Some(3.5));
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), Some(1.0));
-        assert_eq!(percentile(&xs, 100.0), Some(4.0));
-        assert_eq!(percentile(&xs, 50.0), Some(2.5));
-        assert_eq!(percentile(&[], 50.0), None);
+    fn summarize_empty_and_single() {
+        assert_eq!(summarize(&[]), Summary::default());
+        let one = Summary {
+            n: 1,
+            mean: 3.5,
+            std_dev: 0.0,
+            min: 3.5,
+            max: 3.5,
+        };
+        assert_eq!(summarize(&[3.5]), one);
     }
 
     #[test]
@@ -313,9 +214,8 @@ mod tests {
         }
         assert_eq!(r.len(), 3);
         assert!((r.mean() - 3.0).abs() < 1e-12);
-        let expect = std_dev(&[2.0, 3.0, 4.0]);
+        let (_, expect) = two_pass(&[2.0, 3.0, 4.0]);
         assert!((r.std_dev() - expect).abs() < 1e-9);
-        assert_eq!(r.last(), Some(4.0));
     }
 
     #[test]
@@ -331,8 +231,9 @@ mod tests {
                 tail.pop_front();
             }
             let xs: Vec<f64> = tail.iter().copied().collect();
-            assert!((r.mean() - mean(&xs)).abs() < 1e-9);
-            assert!((r.std_dev() - std_dev(&xs)).abs() < 1e-7);
+            let (m, sd) = two_pass(&xs);
+            assert!((r.mean() - m).abs() < 1e-9);
+            assert!((r.std_dev() - sd).abs() < 1e-7);
         }
     }
 

@@ -1,8 +1,16 @@
 //! Property-based tests for the simulation primitives.
 
-use nostop_simcore::stats::{mean, percentile, std_dev, RollingStats, Welford};
+use nostop_simcore::stats::{summarize, RollingStats};
 use nostop_simcore::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+
+/// Two-pass reference: the mean, then the population σ around it.
+fn two_pass(xs: &[f64]) -> (f64, f64) {
+    let n = xs.len() as f64;
+    let m = xs.iter().sum::<f64>() / n;
+    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / n;
+    (m, var.sqrt())
+}
 
 proptest! {
     #[test]
@@ -31,16 +39,16 @@ proptest! {
     }
 
     #[test]
-    fn welford_matches_two_pass_formulas(xs in prop::collection::vec(-1e6f64..1e6, 1..200)) {
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        prop_assert!((w.mean() - mean(&xs)).abs() < 1e-6);
-        prop_assert!((w.std_dev() - std_dev(&xs)).abs() < 1e-6);
-        prop_assert_eq!(w.count(), xs.len() as u64);
+    fn summarize_matches_two_pass_formulas(xs in prop::collection::vec(-1e6f64..1e6, 1..200)) {
+        let s = summarize(&xs);
+        let (m, sd) = two_pass(&xs);
+        prop_assert!((s.mean - m).abs() < 1e-6);
+        prop_assert!((s.std_dev - sd).abs() < 1e-6);
+        prop_assert_eq!(s.n, xs.len() as u64);
         let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        prop_assert_eq!(w.min(), Some(min));
+        let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        prop_assert_eq!(s.min, min);
+        prop_assert_eq!(s.max, max);
     }
 
     #[test]
@@ -53,24 +61,10 @@ proptest! {
             r.push(x);
         }
         let tail: Vec<f64> = xs.iter().rev().take(cap).rev().copied().collect();
-        prop_assert!((r.mean() - mean(&tail)).abs() < 1e-6);
-        prop_assert!((r.std_dev() - std_dev(&tail)).abs() < 1e-4);
+        let (m, sd) = two_pass(&tail);
+        prop_assert!((r.mean() - m).abs() < 1e-6);
+        prop_assert!((r.std_dev() - sd).abs() < 1e-4);
         prop_assert_eq!(r.len(), tail.len());
-    }
-
-    #[test]
-    fn percentile_is_bounded_and_monotone(
-        xs in prop::collection::vec(-1e4f64..1e4, 1..100),
-        q1 in 0.0f64..100.0,
-        q2 in 0.0f64..100.0,
-    ) {
-        let (lo_q, hi_q) = if q1 < q2 { (q1, q2) } else { (q2, q1) };
-        let p_lo = percentile(&xs, lo_q).unwrap();
-        let p_hi = percentile(&xs, hi_q).unwrap();
-        prop_assert!(p_lo <= p_hi + 1e-9);
-        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(p_lo >= min - 1e-9 && p_hi <= max + 1e-9);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use nostop::core::controller::{NoStop, NoStopConfig};
 use nostop::core::measure::{measure, Protocol};
 use nostop::core::objective::{ranking_objective, RHO_CAP};
 use nostop::core::space::ConfigSpace;
-use nostop::core::system::StreamingSystem;
+use nostop::core::system::{Measurement, StreamingSystem};
 use nostop::datagen::rate::UniformRandomRate;
 use nostop::sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
 use nostop::simcore::SimRng;
@@ -38,23 +38,20 @@ fn fresh_system(seed: u64) -> SimSystem {
 }
 
 /// Measure a configuration: settle, then average six batches.
-fn score(sys: &mut SimSystem, config: &[f64]) -> (f64, f64) {
-    let window = measure(sys, config, 6, Protocol::Tuner, |_| {});
-    let e2e = window.iter().map(|b| b.end_to_end_s()).sum::<f64>() / 6.0;
-    let proc = window.iter().map(|b| b.processing_s).sum::<f64>() / 6.0;
-    (e2e, proc)
+fn score(sys: &mut SimSystem, config: &[f64]) -> Measurement {
+    Measurement::from_window(&measure(sys, config, 6, Protocol::Tuner, |_| {}))
 }
 
 fn drive_tuner(tuner: &mut dyn Tuner, seed: u64) -> (Vec<f64>, f64) {
     let mut sys = fresh_system(seed);
     for _ in 0..BUDGET_ITERS {
         let proposal = tuner.propose();
-        let (_, proc) = score(&mut sys, &proposal);
+        let proc = score(&mut sys, &proposal).processing_s;
         // The shared objective: Eq. 3 at the rho cap with headroom.
         tuner.observe(&proposal, ranking_objective(proposal[0], proc, RHO_CAP));
     }
-    let t = sys.now_s();
-    (tuner.best().map(|(c, _)| c).unwrap_or(vec![20.5, 10.0]), t)
+    let (best, _) = tuner.best().expect("the tuner observed every proposal");
+    (best, sys.now_s())
 }
 
 fn main() {
@@ -87,7 +84,8 @@ fn main() {
     results.push(("random search".into(), best, t));
 
     // Static default: no tuning at all.
-    results.push(("static default".into(), vec![20.5, 10.0], 0.0));
+    let default = StreamConfig::paper_initial().to_physical();
+    results.push(("static default".into(), default, 0.0));
 
     println!(
         "{:<16}{:>10}{:>11}{:>12}{:>13}{:>14}",
@@ -96,14 +94,15 @@ fn main() {
     for (name, config, search_time) in results {
         // Fair final exam: fresh system, same seed for everyone.
         let mut exam = fresh_system(99);
-        let (e2e, proc) = score(&mut exam, &config);
+        let m = score(&mut exam, &config);
+        let stable = if m.processing_s <= config[0] {
+            "yes"
+        } else {
+            "no"
+        };
         println!(
             "{name:<16}{:>9.1}s{:>11.0}{:>11.1}s{:>13}{:>13.0}s",
-            config[0],
-            config[1],
-            e2e,
-            if proc <= config[0] { "yes" } else { "no" },
-            search_time
+            config[0], config[1], m.end_to_end_s, stable, search_time
         );
     }
     println!("\n(the static default is always 'stable' — by wasting interval)");

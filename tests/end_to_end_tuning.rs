@@ -3,7 +3,7 @@
 
 use nostop::core::controller::{NoStop, NoStopConfig, RoundOutcome};
 use nostop::core::measure::{measure, Protocol};
-use nostop::core::system::StreamingSystem;
+use nostop::core::system::{Measurement, StreamingSystem};
 use nostop::datagen::rate::UniformRandomRate;
 use nostop::sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
 use nostop::simcore::SimRng;
@@ -126,7 +126,7 @@ fn tuned_configuration_is_near_feasible_on_fresh_system() {
 
     let mut fresh = system_for(kind, 99);
     let window = measure(&mut fresh, &best, 10, Protocol::Tuner, |_| {});
-    let proc = window.iter().map(|b| b.processing_s).sum::<f64>() / 10.0;
+    let proc = Measurement::from_window(&window).processing_s;
     assert!(
         proc < best[0] * 1.1,
         "near-feasible: proc {proc} vs interval {}",

@@ -6,7 +6,7 @@ use nostop::core::listener::StatusReport;
 use nostop::core::measure::{measure, Protocol};
 use nostop::core::objective::{ranking_objective, RHO_CAP};
 use nostop::core::space::ConfigSpace;
-use nostop::core::system::StreamingSystem;
+use nostop::core::system::{Measurement, StreamingSystem};
 use nostop::datagen::rate::ConstantRate;
 use nostop::sim::{EngineParams, SimSystem, StreamConfig, StreamingEngine};
 use nostop::simcore::SimDuration;
@@ -75,13 +75,8 @@ fn random_search_tunes_the_simulator() {
     let mut rs = RandomSearch::new(ConfigSpace::paper_default(), 2);
     for _ in 0..15 {
         let p = rs.propose();
-        sys.apply_config(&p);
-        let mut proc = 0.0;
-        for _ in 0..3 {
-            proc += sys.next_batch().processing_s;
-        }
-        proc /= 3.0;
-        rs.observe(&p, p[0] + 2.0 * (proc - p[0]).max(0.0));
+        let m = Measurement::from_window(&measure(&mut sys, &p, 3, Protocol::Tuner, |_| {}));
+        rs.observe(&p, ranking_objective(p[0], m.processing_s, RHO_CAP));
     }
     let (best, obj) = rs.best().expect("15 evaluations");
     assert!(
@@ -111,9 +106,8 @@ fn bayesopt_tunes_the_simulator_end_to_end() {
     let mut bo = BayesOpt::new(ConfigSpace::paper_default(), 3);
     for _ in 0..20 {
         let p = bo.propose();
-        let window = measure(&mut sys, &p, 3, Protocol::Tuner, |_| {});
-        let proc = window.iter().map(|b| b.processing_s).sum::<f64>() / 3.0;
-        bo.observe(&p, ranking_objective(p[0], proc, RHO_CAP));
+        let m = Measurement::from_window(&measure(&mut sys, &p, 3, Protocol::Tuner, |_| {}));
+        bo.observe(&p, ranking_objective(p[0], m.processing_s, RHO_CAP));
     }
     let (best, obj) = bo.best().expect("20 evaluations");
     assert!(obj < 20.5, "BO beats the default: {obj} at {best:?}");
