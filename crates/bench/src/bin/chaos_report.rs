@@ -27,9 +27,10 @@
 
 use nostop_bench::parallel::{jobs, map_cells};
 use nostop_bench::scenario::{log_means, run_method};
-use nostop_core::scenario::{ClusterKind, FaultSpec, RateSpec, ScenarioSpec, SkewSpec};
+use nostop_core::scenario::{ClusterKind, FaultEvent, RateSpec, ScenarioSpec, SkewSpec};
 use nostop_core::system::BatchObservation;
 use nostop_simcore::json::{self, Json};
+use nostop_simcore::{SimDuration, SimTime};
 use nostop_workloads::WorkloadKind;
 
 const KIND: WorkloadKind = WorkloadKind::WordCount;
@@ -54,27 +55,28 @@ const SCENARIOS: [&str; 5] = [
 ];
 const METHODS: [&str; 3] = ["nostop", "bo", "static"];
 
-fn faults_for(scenario: &str) -> Vec<FaultSpec> {
+fn faults_for(scenario: &str) -> Vec<FaultEvent> {
+    let t = SimTime::from_secs_f64;
     match scenario {
         "baseline" => Vec::new(),
-        "executor_crash" => vec![FaultSpec::ExecutorCrash {
-            at_s: FAULT_AT,
+        "executor_crash" => vec![FaultEvent::ExecutorCrash {
+            at: t(FAULT_AT),
             count: 5,
-            relaunch_after_s: Some(60.0),
+            relaunch_after: Some(SimDuration::from_secs(60)),
         }],
-        "receiver_outage" => vec![FaultSpec::ReceiverOutage {
-            from_s: FAULT_AT,
-            until_s: FAULT_AT + 120.0,
+        "receiver_outage" => vec![FaultEvent::ReceiverOutage {
+            from: t(FAULT_AT),
+            until: t(FAULT_AT + 120.0),
         }],
-        "stragglers" => vec![FaultSpec::NodeSlowdown {
+        "stragglers" => vec![FaultEvent::NodeSlowdown {
             node: 2,
-            from_s: FAULT_AT,
-            until_s: FAULT_AT + 1_200.0,
+            from: t(FAULT_AT),
+            until: t(FAULT_AT + 1_200.0),
             factor: 0.35,
         }],
-        "task_failures" => vec![FaultSpec::TaskFailures {
-            from_s: FAULT_AT,
-            until_s: FAULT_AT + 1_200.0,
+        "task_failures" => vec![FaultEvent::TaskFailures {
+            from: t(FAULT_AT),
+            until: t(FAULT_AT + 1_200.0),
             probability: 0.15,
         }],
         other => panic!("unknown scenario `{other}`"),

@@ -28,11 +28,12 @@ use nostop_bench::driver::steady_fleet;
 use nostop_bench::parallel::jobs;
 use nostop_bench::report::{best_of, repeats, with_wall};
 use nostop_core::arbiter::ArbiterPolicy;
+use nostop_core::scenario::FaultEvent;
 use nostop_simcore::json::{self, Json};
 use nostop_simcore::{SimDuration, SimTime};
 use nostop_workloads::WorkloadKind;
 use spark_sim::fleet::{FleetSim, TenantSpec};
-use spark_sim::{check_ledger_conservation, FaultEvent, FaultPlan};
+use spark_sim::{check_ledger_conservation, FaultPlan};
 use std::time::Instant;
 
 /// Headline fleet size (the replay contract is proven at this scale).

@@ -21,11 +21,12 @@
 use nostop_bench::driver::{nostop_config, paper_rate};
 use nostop_bench::parallel::{jobs, map_cells};
 use nostop_core::controller::NoStop;
+use nostop_core::scenario::FaultEvent;
 use nostop_obs::{check_jsonl, span_stats, Recorder, SpanStat};
 use nostop_simcore::json;
 use nostop_simcore::{SimDuration, SimTime};
 use nostop_workloads::WorkloadKind;
-use spark_sim::{EngineParams, FaultEvent, FaultPlan, SimSystem, StreamConfig, StreamingEngine};
+use spark_sim::{EngineParams, FaultPlan, SimSystem, StreamConfig, StreamingEngine};
 
 const SEED: u64 = 7;
 /// Controller rounds per cell — enough for spans, probes, faults, and a

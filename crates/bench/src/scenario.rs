@@ -17,7 +17,7 @@
 use crate::driver::{measure_config, nostop_config, penalized_objective};
 use nostop_baselines::{BayesOpt, Tuner};
 use nostop_core::controller::NoStop;
-use nostop_core::scenario::{ClusterKind, FaultSpec, ScenarioSpec};
+use nostop_core::scenario::{ClusterKind, FaultEvent, ScenarioSpec};
 use nostop_core::system::{BatchObservation, StreamingSystem};
 use nostop_datagen::rate::{RateProcess, RateSpecExt};
 use nostop_simcore::json::Json;
@@ -108,7 +108,7 @@ pub fn engine_params(spec: &ScenarioSpec) -> Result<EngineParams, String> {
     };
     let nodes = params.cluster.nodes.len();
     for fault in &spec.faults {
-        if let FaultSpec::NodeSlowdown { node, .. } = fault {
+        if let FaultEvent::NodeSlowdown { node, .. } = fault {
             if *node >= nodes {
                 return Err(format!(
                     "scenario `{}`: node-slowdown on node {node}, but the `{}` cluster has \
@@ -119,7 +119,7 @@ pub fn engine_params(spec: &ScenarioSpec) -> Result<EngineParams, String> {
             }
         }
     }
-    params.faults = FaultPlan::from_specs(&spec.faults);
+    params.faults = FaultPlan::new(spec.faults.clone());
     params.skew = spec.skew;
     Ok(params)
 }
@@ -337,10 +337,10 @@ mod tests {
 
     #[test]
     fn slowdown_on_a_missing_node_is_rejected() {
-        let slowdown = |node| FaultSpec::NodeSlowdown {
+        let slowdown = |node| FaultEvent::NodeSlowdown {
             node,
-            from_s: 60.0,
-            until_s: 120.0,
+            from: SimTime::from_secs_f64(60.0),
+            until: SimTime::from_secs_f64(120.0),
             factor: 0.5,
         };
         let mut s = spec(&[]);

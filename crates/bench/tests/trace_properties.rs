@@ -13,12 +13,13 @@
 
 use nostop_bench::driver::{nostop_config, paper_rate};
 use nostop_core::controller::NoStop;
+use nostop_core::scenario::FaultEvent;
 use nostop_datagen::rate::ConstantRate;
 use nostop_obs::{check_events, check_jsonl, span_stats, Recorder};
 use nostop_simcore::{SimDuration, SimTime};
 use nostop_workloads::WorkloadKind;
 use proptest::prelude::*;
-use spark_sim::{EngineParams, FaultEvent, FaultPlan, SimSystem, StreamConfig, StreamingEngine};
+use spark_sim::{EngineParams, FaultPlan, SimSystem, StreamConfig, StreamingEngine};
 
 /// Build a fault plan from raw generated knobs. Times are seconds.
 #[allow(clippy::too_many_arguments)]

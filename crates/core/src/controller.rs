@@ -20,6 +20,7 @@
 
 use crate::measure::{self, Protocol};
 use crate::objective::{ranking_objective, PenaltySchedule};
+use crate::policy::window::MIN_BATCHES;
 use crate::policy::{PauseRule, ResetRule, WindowPolicy};
 use crate::sa::{Spsa, SpsaParams};
 use crate::space::ConfigSpace;
@@ -509,16 +510,11 @@ impl NoStop {
                 .add(SimTime::from_secs_f64(sys.now_s()), "config_changes", 1);
         }
         let reset = &mut self.reset;
-        let window = measure::settle_and_pull(
-            sys,
-            physical[0],
-            self.window.min_batches,
-            Protocol::Adjust,
-            |b| {
+        let window =
+            measure::settle_and_pull(sys, physical[0], MIN_BATCHES, Protocol::Adjust, |b| {
                 reset.record_rate(b.input_rate);
                 reset.record_failure(b.executor_failures);
-            },
-        );
+            });
         let mut m = Measurement::from_window(&window);
         // The objective evaluates the *applied* interval (Algorithm 2 sets
         // `batchInterval = θ_BatchInterval` before reading the status).

@@ -88,6 +88,6 @@ pub use arbiter::{ArbiterPolicy, LedgerEvent, LedgerEventKind, ResourceRequest};
 pub use controller::{NoStop, NoStopConfig};
 pub use objective::PenaltySchedule;
 pub use sa::{GainSchedule, Spsa, SpsaParams};
-pub use scenario::{ClusterKind, FaultSpec, RateSpec, ScenarioSpec, SkewSpec};
+pub use scenario::{ClusterKind, FaultEvent, RateSpec, ScenarioSpec, SkewSpec};
 pub use space::{ConfigSpace, ParamSpec};
 pub use system::{BatchObservation, Measurement, StreamingSystem};

@@ -11,7 +11,7 @@
 
 /// §5.4 window lower bound: batches averaged per measurement during active
 /// optimization, and the size the paused window grows from.
-const MIN_BATCHES: usize = 3;
+pub const MIN_BATCHES: usize = 3;
 
 /// §5.4 window upper bound: the cap on the additively grown paused window,
 /// so a parked controller still sees a regime change within a dozen batches.
@@ -20,30 +20,16 @@ const MAX_BATCHES: usize = 12;
 /// Governs how many batches feed one performance measurement.
 #[derive(Debug, Clone)]
 pub struct WindowPolicy {
-    /// Minimum (and initial) averaging window, in batches.
-    pub min_batches: usize,
-    /// Cap on the grown window, in batches.
-    pub max_batches: usize,
-    /// Current averaging window.
+    /// Current averaging window, in `MIN_BATCHES..=MAX_BATCHES`.
     current: usize,
 }
 
 impl WindowPolicy {
-    /// A policy averaging over a window that grows from `min_batches` to
-    /// `max_batches`.
-    pub fn new(min_batches: usize, max_batches: usize) -> Self {
-        assert!(min_batches >= 1, "need at least one batch per measurement");
-        assert!(max_batches >= min_batches, "cap below minimum");
-        WindowPolicy {
-            min_batches,
-            max_batches,
-            current: min_batches,
-        }
-    }
-
     /// The controller's policy: average 3, grow to 12.
     pub fn paper_default() -> Self {
-        WindowPolicy::new(MIN_BATCHES, MAX_BATCHES)
+        WindowPolicy {
+            current: MIN_BATCHES,
+        }
     }
 
     /// The current averaging window size.
@@ -54,13 +40,13 @@ impl WindowPolicy {
     /// Additive increase: one more batch per completed batch while at the
     /// optimum, up to the cap (§5.4). Returns the new window.
     pub fn grow(&mut self) -> usize {
-        self.current = (self.current + 1).min(self.max_batches);
+        self.current = (self.current + 1).min(MAX_BATCHES);
         self.current
     }
 
     /// Snap back to the minimum window (a new optimization round started).
     pub fn shrink_to_min(&mut self) {
-        self.current = self.min_batches;
+        self.current = MIN_BATCHES;
     }
 }
 
@@ -70,27 +56,21 @@ mod tests {
 
     #[test]
     fn grows_additively_to_cap() {
-        let mut w = WindowPolicy::new(3, 6);
+        let mut w = WindowPolicy::paper_default();
         assert_eq!(w.window(), 3);
-        assert_eq!(w.grow(), 4);
-        assert_eq!(w.grow(), 5);
-        assert_eq!(w.grow(), 6);
-        assert_eq!(w.grow(), 6, "capped");
+        for expected in 4..=12 {
+            assert_eq!(w.grow(), expected);
+        }
+        assert_eq!(w.grow(), 12, "capped");
     }
 
     #[test]
     fn shrinks_back_for_active_rounds() {
-        let mut w = WindowPolicy::new(3, 10);
+        let mut w = WindowPolicy::paper_default();
         for _ in 0..20 {
             w.grow();
         }
         w.shrink_to_min();
         assert_eq!(w.window(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "cap below minimum")]
-    fn inverted_bounds_panic() {
-        let _ = WindowPolicy::new(5, 3);
     }
 }

@@ -13,16 +13,17 @@
 //!
 //! This module owns only the *wire* layer: parse, validate, serialize.
 //! Building live processes from a [`RateSpec`] happens in `nostop-datagen`
-//! (`RateSpecExt::build`), converting [`FaultSpec`]s into a `FaultPlan`
-//! happens in `spark-sim` — this crate depends on neither, so the types
-//! can flow in both directions without a dependency cycle.
+//! (`RateSpecExt::build`); the engine reads [`SkewSpec`] and
+//! [`FaultEvent`] directly (`spark-sim`'s `FaultPlan` is a list of them).
+//! This crate depends on neither, so the types can flow in both
+//! directions without a dependency cycle.
 //!
 //! Everything is `Result`-based rather than panicking: scenario files are
 //! external input, and a bad file must name its defect, not abort the
 //! whole corpus run with a stack trace.
 
 use nostop_simcore::json::{self, Json};
-use nostop_simcore::SimDuration;
+use nostop_simcore::{SimDuration, SimTime};
 
 /// Schema tag every scenario file carries.
 pub const SCENARIO_SCHEMA: &str = "nostop-scenario/1";
@@ -633,188 +634,201 @@ impl SkewSpec {
     }
 }
 
-/// A scheduled fault, in wall-of-wire form: plain seconds instead of
-/// `SimTime`, so scenario files stay hand-writable. `spark-sim` converts
-/// a list of these into its validated `FaultPlan`.
+/// One scheduled fault, on the engine's microsecond clock.
+///
+/// The scenario format and the engine share this type: scenario files
+/// carry its times as plain seconds (`at_s`, `from_s`, `until_s`,
+/// `relaunch_after_s`) so they stay hand-writable, [`FaultEvent::from_json`]
+/// converts them once at parse time, and `spark-sim`'s `FaultPlan`
+/// replays the typed value.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultSpec {
-    /// Kill `count` executors at `at_s`, optionally relaunching after
-    /// `relaunch_after_s`.
+pub enum FaultEvent {
+    /// Kill `count` executors at `at` (victims drawn uniformly from the
+    /// live set; the set never drops below one). With `relaunch_after`,
+    /// the cluster manager restores the target count after that delay —
+    /// replacements pay the usual launch latency and jar shipping.
     ExecutorCrash {
-        /// When the crash happens, seconds.
-        at_s: f64,
-        /// Executors killed.
+        /// When the crash happens.
+        at: SimTime,
+        /// Executors killed (capped so at least one survives).
         count: u32,
-        /// Delay until replacements launch (`None` = capacity gone).
-        relaunch_after_s: Option<f64>,
+        /// Delay until the cluster manager relaunches replacements
+        /// (`None` = the capacity is gone for good).
+        relaunch_after: Option<SimDuration>,
     },
-    /// Node `node` runs at `factor` × speed in `[from_s, until_s)`.
+    /// Node `node` runs at `factor` × its normal speed in `[from, until)`
+    /// — a straggler window (background load, thermal throttling).
     NodeSlowdown {
         /// Affected node id.
         node: usize,
-        /// Window start, seconds.
-        from_s: f64,
-        /// Window end, seconds.
-        until_s: f64,
-        /// Speed multiplier.
+        /// Window start (inclusive).
+        from: SimTime,
+        /// Window end (exclusive).
+        until: SimTime,
+        /// Speed multiplier in `(0, 1]`-ish; values > 1 model a boost.
         factor: f64,
     },
-    /// Receivers down in `[from_s, until_s)`; produced records are dropped.
+    /// Receivers are down in `[from, until)`: records produced by the
+    /// source during the window never reach the broker and are counted as
+    /// dropped (a Kafka-less receiver loses data; the declared drop keeps
+    /// the conservation ledger exact).
     ReceiverOutage {
-        /// Window start, seconds.
-        from_s: f64,
-        /// Window end, seconds.
-        until_s: f64,
+        /// Window start (inclusive).
+        from: SimTime,
+        /// Window end (exclusive).
+        until: SimTime,
     },
-    /// Tasks in `[from_s, until_s)` fail with `probability` per attempt.
+    /// Tasks scheduled in `[from, until)` fail with `probability` per
+    /// attempt and are retried on the same slot, up to the engine's
+    /// per-task retry bound.
     TaskFailures {
-        /// Window start, seconds.
-        from_s: f64,
-        /// Window end, seconds.
-        until_s: f64,
+        /// Window start (inclusive).
+        from: SimTime,
+        /// Window end (exclusive).
+        until: SimTime,
         /// Per-attempt failure probability in `[0, 1)`.
         probability: f64,
     },
 }
 
-impl FaultSpec {
-    /// Structural validation (mirrors `FaultEvent::validate`, but as a
-    /// `Result` naming the defect).
+/// A fault window must hold at least one microsecond: the engine compares
+/// `SimTime`s, so seconds that round to the same µs declare nothing.
+fn non_empty_window(what: &str, from: SimTime, until: SimTime) -> Result<(), String> {
+    require(
+        from < until,
+        &format!(
+            "{what} window must be non-empty, got [{}, {}) µs",
+            from.as_micros(),
+            until.as_micros()
+        ),
+    )
+}
+
+impl FaultEvent {
+    /// Structural validation on the µs values the engine reads: a positive
+    /// crash count, non-empty windows, a positive finite slowdown factor,
+    /// and a failure probability in `[0, 1)` (at 1 every task would loop
+    /// to the retry bound).
     pub fn validate(&self) -> Result<(), String> {
-        match self {
-            FaultSpec::ExecutorCrash {
-                at_s,
-                count,
-                relaunch_after_s,
-            } => {
-                finite_nonneg(*at_s, "at_s")?;
-                require(*count > 0, "crash must kill at least one executor")?;
-                if let Some(r) = relaunch_after_s {
-                    finite_pos(*r, "relaunch_after_s")?;
-                }
-                Ok(())
+        match *self {
+            FaultEvent::ExecutorCrash { count, .. } => {
+                require(count > 0, "crash must kill at least one executor")
             }
-            FaultSpec::NodeSlowdown {
-                from_s,
-                until_s,
+            FaultEvent::NodeSlowdown {
+                from,
+                until,
                 factor,
                 ..
             } => {
-                finite_nonneg(*from_s, "from_s")?;
-                require(
-                    until_s.is_finite() && until_s > from_s,
-                    "slowdown window must be non-empty",
-                )?;
-                finite_pos(*factor, "slowdown factor")
+                non_empty_window("slowdown", from, until)?;
+                finite_pos(factor, "slowdown factor")
             }
-            FaultSpec::ReceiverOutage { from_s, until_s } => {
-                finite_nonneg(*from_s, "from_s")?;
-                require(
-                    until_s.is_finite() && until_s > from_s,
-                    "outage window must be non-empty",
-                )
-            }
-            FaultSpec::TaskFailures {
-                from_s,
-                until_s,
+            FaultEvent::ReceiverOutage { from, until } => non_empty_window("outage", from, until),
+            FaultEvent::TaskFailures {
+                from,
+                until,
                 probability,
             } => {
-                finite_nonneg(*from_s, "from_s")?;
+                non_empty_window("failure", from, until)?;
                 require(
-                    until_s.is_finite() && until_s > from_s,
-                    "failure window must be non-empty",
-                )?;
-                require(
-                    (0.0..1.0).contains(probability),
-                    "failure probability must be in [0, 1)",
+                    (0.0..1.0).contains(&probability),
+                    &format!("failure probability must be in [0, 1), got {probability}"),
                 )
             }
         }
     }
 
-    /// Serialize as a tagged JSON object.
+    /// Serialize as a tagged JSON object, times in seconds.
     pub fn to_json(&self) -> Json {
-        match self {
-            FaultSpec::ExecutorCrash {
-                at_s,
+        let secs = |t: SimTime| json::num(t.as_secs_f64());
+        match *self {
+            FaultEvent::ExecutorCrash {
+                at,
                 count,
-                relaunch_after_s,
+                relaunch_after,
             } => {
                 let mut fields = vec![
                     ("kind", json::str("executor-crash")),
-                    ("at_s", json::num(*at_s)),
-                    ("count", json::uint(*count as u64)),
+                    ("at_s", secs(at)),
+                    ("count", json::uint(count as u64)),
                 ];
-                if let Some(r) = relaunch_after_s {
-                    fields.push(("relaunch_after_s", json::num(*r)));
+                if let Some(r) = relaunch_after {
+                    fields.push(("relaunch_after_s", json::num(r.as_secs_f64())));
                 }
                 json::obj(fields)
             }
-            FaultSpec::NodeSlowdown {
+            FaultEvent::NodeSlowdown {
                 node,
-                from_s,
-                until_s,
+                from,
+                until,
                 factor,
             } => json::obj(vec![
                 ("kind", json::str("node-slowdown")),
-                ("node", json::uint(*node as u64)),
-                ("from_s", json::num(*from_s)),
-                ("until_s", json::num(*until_s)),
-                ("factor", json::num(*factor)),
+                ("node", json::uint(node as u64)),
+                ("from_s", secs(from)),
+                ("until_s", secs(until)),
+                ("factor", json::num(factor)),
             ]),
-            FaultSpec::ReceiverOutage { from_s, until_s } => json::obj(vec![
+            FaultEvent::ReceiverOutage { from, until } => json::obj(vec![
                 ("kind", json::str("receiver-outage")),
-                ("from_s", json::num(*from_s)),
-                ("until_s", json::num(*until_s)),
+                ("from_s", secs(from)),
+                ("until_s", secs(until)),
             ]),
-            FaultSpec::TaskFailures {
-                from_s,
-                until_s,
+            FaultEvent::TaskFailures {
+                from,
+                until,
                 probability,
             } => json::obj(vec![
                 ("kind", json::str("task-failures")),
-                ("from_s", json::num(*from_s)),
-                ("until_s", json::num(*until_s)),
-                ("probability", json::num(*probability)),
+                ("from_s", secs(from)),
+                ("until_s", secs(until)),
+                ("probability", json::num(probability)),
             ]),
         }
     }
 
-    /// Parse a tagged JSON object (inverse of [`FaultSpec::to_json`]).
-    pub fn from_json(v: &Json) -> Result<FaultSpec, String> {
+    /// Parse a tagged JSON object (inverse of [`FaultEvent::to_json`]).
+    /// Seconds are checked before they are rounded to µs, because
+    /// `from_secs_f64` maps NaN and negative values to 0 without a word.
+    pub fn from_json(v: &Json) -> Result<FaultEvent, String> {
         let kind = v.field_str("kind").map_err(|e| e.to_string())?;
-        let f = |key: &str| v.field_f64(key).map_err(|e| format!("fault `{kind}`: {e}"));
+        let ctx = |e: String| format!("fault `{kind}`: {e}");
+        let f = |key: &str| v.field_f64(key).map_err(|e| ctx(e.to_string()));
+        let t = |key: &str| {
+            let secs = f(key)?;
+            finite_nonneg(secs, key).map_err(ctx)?;
+            Ok::<_, String>(SimTime::from_secs_f64(secs))
+        };
         match kind {
-            "executor-crash" => Ok(FaultSpec::ExecutorCrash {
-                at_s: f("at_s")?,
+            "executor-crash" => Ok(FaultEvent::ExecutorCrash {
+                at: t("at_s")?,
                 count: {
-                    let count = v
-                        .field_u64("count")
-                        .map_err(|e| format!("fault `{kind}`: {e}"))?;
-                    u32::try_from(count).map_err(|_| {
-                        format!("fault `{kind}`: field `count` = {count} does not fit in u32")
-                    })?
+                    let count = v.field_u64("count").map_err(|e| ctx(e.to_string()))?;
+                    u32::try_from(count)
+                        .map_err(|_| ctx(format!("field `count` = {count} does not fit in u32")))?
                 },
-                relaunch_after_s: match v.get("relaunch_after_s") {
+                relaunch_after: match v.get("relaunch_after_s") {
                     None | Some(Json::Null) => None,
-                    Some(_) => Some(f("relaunch_after_s")?),
+                    Some(_) => {
+                        let secs = f("relaunch_after_s")?;
+                        finite_pos(secs, "relaunch_after_s").map_err(ctx)?;
+                        Some(SimDuration::from_secs_f64(secs))
+                    }
                 },
             }),
-            "node-slowdown" => Ok(FaultSpec::NodeSlowdown {
-                node: v
-                    .field_u64("node")
-                    .map_err(|e| format!("fault `{kind}`: {e}"))? as usize,
-                from_s: f("from_s")?,
-                until_s: f("until_s")?,
+            "node-slowdown" => Ok(FaultEvent::NodeSlowdown {
+                node: v.field_u64("node").map_err(|e| ctx(e.to_string()))? as usize,
+                from: t("from_s")?,
+                until: t("until_s")?,
                 factor: f("factor")?,
             }),
-            "receiver-outage" => Ok(FaultSpec::ReceiverOutage {
-                from_s: f("from_s")?,
-                until_s: f("until_s")?,
+            "receiver-outage" => Ok(FaultEvent::ReceiverOutage {
+                from: t("from_s")?,
+                until: t("until_s")?,
             }),
-            "task-failures" => Ok(FaultSpec::TaskFailures {
-                from_s: f("from_s")?,
-                until_s: f("until_s")?,
+            "task-failures" => Ok(FaultEvent::TaskFailures {
+                from: t("from_s")?,
+                until: t("until_s")?,
                 probability: f("probability")?,
             }),
             other => Err(format!("unknown fault kind `{other}`")),
@@ -881,7 +895,7 @@ pub struct ScenarioSpec {
     /// Partition skew.
     pub skew: SkewSpec,
     /// Scheduled faults.
-    pub faults: Vec<FaultSpec>,
+    pub faults: Vec<FaultEvent>,
 }
 
 impl ScenarioSpec {
@@ -944,7 +958,7 @@ impl ScenarioSpec {
         fields.push(("skew", self.skew.to_json()));
         fields.push((
             "faults",
-            Json::Arr(self.faults.iter().map(FaultSpec::to_json).collect()),
+            Json::Arr(self.faults.iter().map(FaultEvent::to_json).collect()),
         ));
         json::obj(fields)
     }
@@ -974,7 +988,7 @@ impl ScenarioSpec {
                 .as_array()
                 .ok_or_else(|| "faults must be an array".to_string())?
                 .iter()
-                .map(FaultSpec::from_json)
+                .map(FaultEvent::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
         };
         let cluster_name = v.field_str("cluster").map_err(|e| e.to_string())?;
@@ -1040,14 +1054,14 @@ mod tests {
                 hot_weight: 6.0,
             },
             faults: vec![
-                FaultSpec::ExecutorCrash {
-                    at_s: 900.0,
+                FaultEvent::ExecutorCrash {
+                    at: SimTime::from_secs_f64(900.0),
                     count: 3,
-                    relaunch_after_s: Some(60.0),
+                    relaunch_after: Some(SimDuration::from_secs(60)),
                 },
-                FaultSpec::TaskFailures {
-                    from_s: 1_000.0,
-                    until_s: 1_300.0,
+                FaultEvent::TaskFailures {
+                    from: SimTime::from_secs_f64(1_000.0),
+                    until: SimTime::from_secs_f64(1_300.0),
                     probability: 0.1,
                 },
             ],
@@ -1144,11 +1158,53 @@ mod tests {
         };
         assert!(bad_skew.validate().is_err());
 
-        let bad_fault = FaultSpec::ReceiverOutage {
-            from_s: 10.0,
-            until_s: 10.0,
-        };
-        assert!(bad_fault.validate().is_err());
+        let t = SimTime::from_secs_f64;
+        let cases = [
+            (
+                FaultEvent::ReceiverOutage {
+                    from: t(10.0),
+                    until: t(10.0),
+                },
+                "outage window must be non-empty",
+            ),
+            (
+                FaultEvent::ExecutorCrash {
+                    at: t(1.0),
+                    count: 0,
+                    relaunch_after: None,
+                },
+                "at least one executor",
+            ),
+            (
+                FaultEvent::NodeSlowdown {
+                    node: 0,
+                    from: t(1.0),
+                    until: t(2.0),
+                    factor: f64::INFINITY,
+                },
+                "slowdown factor",
+            ),
+            (
+                FaultEvent::TaskFailures {
+                    from: t(1.0),
+                    until: t(2.0),
+                    probability: 1.0,
+                },
+                "probability",
+            ),
+            (
+                FaultEvent::TaskFailures {
+                    from: t(2.0),
+                    until: t(1.0),
+                    probability: 0.5,
+                },
+                "failure window must be non-empty",
+            ),
+        ];
+        for (fault, defect) in cases {
+            let err = fault.validate().unwrap_err();
+            assert!(err.contains(defect), "{fault:?}: {err}");
+        }
     }
 
     #[test]
@@ -1156,7 +1212,7 @@ mod tests {
         let j = Json::parse(r#"{"kind": "fractal"}"#).unwrap();
         assert!(RateSpec::from_json(&j).is_err());
         assert!(SkewSpec::from_json(&j).is_err());
-        assert!(FaultSpec::from_json(&j).is_err());
+        assert!(FaultEvent::from_json(&j).is_err());
         let old = Json::parse(r#"{"schema": "nostop-scenario/0", "name": "x"}"#).unwrap();
         assert!(ScenarioSpec::from_json(&old)
             .unwrap_err()
@@ -1172,17 +1228,29 @@ mod tests {
             .unwrap()
         };
         // 2^32 + 1 would wrap to a 1-executor crash under `as u32`.
-        let err = FaultSpec::from_json(&crash(u32::MAX as u64 + 2)).unwrap_err();
+        let err = FaultEvent::from_json(&crash(u32::MAX as u64 + 2)).unwrap_err();
         assert!(err.contains("`count` = 4294967297"), "{err}");
         assert!(err.contains("u32"), "{err}");
         assert_eq!(
-            FaultSpec::from_json(&crash(u32::MAX as u64)),
-            Ok(FaultSpec::ExecutorCrash {
-                at_s: 60.0,
+            FaultEvent::from_json(&crash(u32::MAX as u64)),
+            Ok(FaultEvent::ExecutorCrash {
+                at: SimTime::from_secs_f64(60.0),
                 count: u32::MAX,
-                relaunch_after_s: None,
+                relaunch_after: None,
             })
         );
+    }
+
+    #[test]
+    fn fault_seconds_are_checked_before_rounding() {
+        let parse = |text: &str| FaultEvent::from_json(&Json::parse(text).unwrap());
+        // `from_secs_f64` would clamp a negative start to 0 without a word.
+        let err = parse(r#"{"kind": "receiver-outage", "from_s": -5, "until_s": 10}"#).unwrap_err();
+        assert!(err.contains("from_s"), "{err}");
+        let err =
+            parse(r#"{"kind": "executor-crash", "at_s": 1, "count": 1, "relaunch_after_s": 0}"#)
+                .unwrap_err();
+        assert!(err.contains("relaunch_after_s"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Hostile scenario values that used to pass validation and then hang or
 //! panic the run: a hold, surge, crowd or burst duration that rounds to
-//! zero microseconds, a `hot_weight` whose normalization overflows, and a
-//! peak rate above `MAX_RATE_PER_S`. Validation must name each with an
-//! error; the values just inside the limits must still build and run.
+//! zero microseconds, a `hot_weight` whose normalization overflows, a
+//! peak rate above `MAX_RATE_PER_S`, and a fault window whose ends round
+//! to the same microsecond. Validation must name each with an error; the
+//! values just inside the limits must still build and run.
 
 use nostop_bench::scenario::{default_corpus_dir, parse_scenario, run_method};
 use nostop_core::scenario::{
     ClusterKind, ScenarioSpec, SkewSpec, BROKER_PARTITIONS, MAX_RATE_PER_S,
 };
+use nostop_core::system::StreamingSystem;
 use nostop_datagen::adversarial::{FlashCrowdRate, ParetoBurstRate};
 use nostop_datagen::broker::{Broker, BrokerConfig};
 use nostop_datagen::rate::{ConstantRate, RateSpec, RateSpecExt, SurgeRate, UniformRandomRate};
@@ -264,4 +266,66 @@ fn rate_at_the_ceiling_validates_and_runs_nostop() {
     let result = under_watchdog(move || run_method(&spec, "nostop").map(|(_, r)| r))
         .expect("the nostop run completes");
     assert!(result.batches > 0 && result.mean_delay_s.is_finite());
+}
+
+/// The base scenario with `faults` (JSON objects, times in seconds) as its
+/// fault list, through the file parser.
+fn with_faults(faults: &str) -> Result<ScenarioSpec, String> {
+    let text = scenario(uniform(30.0), SkewSpec::None)
+        .to_json()
+        .to_string();
+    assert!(text.contains(r#""faults":[]"#), "{text}");
+    parse_scenario(&text.replace(r#""faults":[]"#, &format!(r#""faults":[{faults}]"#)))
+}
+
+/// `100.0000001` s is 0.1 µs after `100.0` s: the window checked out in
+/// seconds, then rounded to an empty µs window that `build_system`
+/// refused with a panic.
+#[test]
+fn fault_windows_that_round_to_empty_are_rejected() {
+    for (fault, defect) in [
+        (
+            r#"{"kind":"receiver-outage","from_s":100.0,"until_s":100.0000001}"#,
+            "outage window must be non-empty",
+        ),
+        (
+            r#"{"kind":"node-slowdown","node":1,"from_s":100.0,"until_s":100.0000001,"factor":0.5}"#,
+            "slowdown window must be non-empty",
+        ),
+        (
+            r#"{"kind":"task-failures","from_s":100.0,"until_s":100.0000001,"probability":0.1}"#,
+            "failure window must be non-empty",
+        ),
+    ] {
+        let err = with_faults(fault).expect_err("a window that rounds to 0 µs must not validate");
+        assert!(err.contains(defect), "{fault}: {err}");
+    }
+}
+
+/// Both ends are finite seconds, but both saturate the µs clock at
+/// `SimTime::MAX`, leaving an empty window.
+#[test]
+fn fault_window_past_the_clock_is_rejected() {
+    let err = with_faults(r#"{"kind":"receiver-outage","from_s":1e300,"until_s":1e301}"#)
+        .expect_err("a window past the clock must not validate");
+    assert!(err.contains("outage window must be non-empty"), "{err}");
+}
+
+/// A 1 µs window is the shortest the engine can replay: all three window
+/// kinds validate, build and run to the horizon.
+#[test]
+fn one_microsecond_fault_windows_build_and_run() {
+    let spec = with_faults(concat!(
+        r#"{"kind":"receiver-outage","from_s":30.0,"until_s":30.000001},"#,
+        r#"{"kind":"node-slowdown","node":1,"from_s":30.0,"until_s":30.000001,"factor":0.5},"#,
+        r#"{"kind":"task-failures","from_s":30.0,"until_s":30.000001,"probability":0.1}"#,
+    ))
+    .expect("1 µs windows are valid");
+    let horizon_s = spec.horizon_s;
+    let (now_s, result) = under_watchdog(move || {
+        run_method(&spec, "static").map(|(sys, result)| (sys.now_s(), result))
+    })
+    .expect("the static run completes");
+    assert!(now_s >= horizon_s, "stopped at {now_s} s");
+    assert!(result.batches > 0);
 }

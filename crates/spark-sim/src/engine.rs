@@ -1107,8 +1107,9 @@ impl StreamingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultEvent;
+    use nostop_core::scenario::FaultEvent;
     use nostop_datagen::rate::{ConstantRate, SurgeRate};
+    use nostop_simcore::stats::mean;
 
     fn engine(rate: f64, interval_s: f64, executors: u32, seed: u64) -> StreamingEngine {
         let mut params = EngineParams::paper(WorkloadKind::LogisticRegression, seed);
@@ -1118,6 +1119,11 @@ mod tests {
             StreamConfig::new(SimDuration::from_secs_f64(interval_s), executors),
             Box::new(ConstantRate::new(rate)),
         )
+    }
+
+    /// Mean of `f` over the last `k` completed batches.
+    fn recent_mean(e: &StreamingEngine, k: usize, f: impl Fn(&BatchMetrics) -> f64) -> f64 {
+        mean(&e.listener().recent(k).iter().map(f).collect::<Vec<_>>())
     }
 
     #[test]
@@ -1188,22 +1194,10 @@ mod tests {
     fn executor_scale_up_improves_processing_time() {
         let mut slow = engine(10_000.0, 12.0, 6, 5);
         slow.run_batches(8);
-        let before = slow
-            .listener()
-            .recent(3)
-            .iter()
-            .map(|m| m.processing_time().as_secs_f64())
-            .sum::<f64>()
-            / 3.0;
+        let before = recent_mean(&slow, 3, |m| m.processing_time().as_secs_f64());
         slow.apply_config(StreamConfig::new(SimDuration::from_secs(12), 20));
         slow.run_batches(8);
-        let after = slow
-            .listener()
-            .recent(3)
-            .iter()
-            .map(|m| m.processing_time().as_secs_f64())
-            .sum::<f64>()
-            / 3.0;
+        let after = recent_mean(&slow, 3, |m| m.processing_time().as_secs_f64());
         assert!(after < before, "{before} -> {after}");
     }
 
@@ -1302,12 +1296,7 @@ mod tests {
         let idle_at = |interval: f64| {
             let mut e = engine(10_000.0, interval, 18, 11);
             e.run_batches(6);
-            e.listener()
-                .recent(4)
-                .iter()
-                .map(|m| m.engine_idle_fraction())
-                .sum::<f64>()
-                / 4.0
+            recent_mean(&e, 4, |m| m.engine_idle_fraction())
         };
         let near_frontier = idle_at(11.0);
         let oversized = idle_at(35.0);
@@ -1330,12 +1319,7 @@ mod tests {
                 Box::new(ConstantRate::new(10_000.0)),
             );
             e.run_batches(6);
-            e.listener()
-                .recent(3)
-                .iter()
-                .map(|m| m.processing_time().as_secs_f64())
-                .sum::<f64>()
-                / 3.0
+            recent_mean(&e, 3, |m| m.processing_time().as_secs_f64())
         };
         let p5 = time_at(5.0);
         let p14 = time_at(14.0);

@@ -2,16 +2,17 @@
 //!
 //! Real Spark clusters lose executors, develop stragglers, and drop
 //! receiver connections — exactly the regime where an online tuner must
-//! not destabilize. This module declares those events as data: a
-//! [`FaultPlan`] is a validated schedule of [`FaultEvent`]s that the
-//! engine replays off its own DES clock, drawing any randomness (crash
+//! not destabilize. Those events are declared as data: a [`FaultPlan`] is
+//! a validated schedule of [`FaultEvent`]s — the one fault type, defined
+//! in `nostop_core::scenario` and shared with the scenario format — that
+//! the engine replays off its own DES clock, drawing any randomness (crash
 //! victims, per-task failure coin flips) from a dedicated fork of the
 //! engine seed. The determinism contract is therefore the same as the
 //! rest of the simulator: the same `(params, config, rate, seed, plan)`
 //! tuple replays bit-for-bit, and an empty plan is byte-identical to a
 //! build without the fault layer.
 //!
-//! Event taxonomy:
+//! How the engine treats each kind:
 //!
 //! * **point events** — [`FaultEvent::ExecutorCrash`] (with an optional
 //!   relaunch timer) interrupts the run loop as a first-class DES event,
@@ -19,105 +20,12 @@
 //! * **window events** — [`FaultEvent::NodeSlowdown`],
 //!   [`FaultEvent::ReceiverOutage`], and [`FaultEvent::TaskFailures`]
 //!   declare intervals that the scheduler and ingest path consult lazily,
-//!   costing nothing while no window is active.
+//!   costing nothing while no window is active; a failing task is re-run
+//!   up to [`FaultPlan::max_task_retries`] times, each re-run paying
+//!   [`RETRY_OVERHEAD`].
 
+use nostop_core::scenario::FaultEvent;
 use nostop_simcore::{SimDuration, SimRng, SimTime};
-
-/// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEvent {
-    /// Kill `count` executors at `at` (victims drawn uniformly from the
-    /// live set; the set never drops below one). With `relaunch_after`,
-    /// the cluster manager restores the target count after that delay —
-    /// replacements pay the usual launch latency and jar shipping.
-    ExecutorCrash {
-        /// When the crash happens.
-        at: SimTime,
-        /// Executors killed (capped so at least one survives).
-        count: u32,
-        /// Delay until the cluster manager relaunches replacements
-        /// (`None` = the capacity is gone for good).
-        relaunch_after: Option<SimDuration>,
-    },
-    /// Node `node` runs at `factor` × its normal speed in `[from, until)`
-    /// — a straggler window (background load, thermal throttling).
-    NodeSlowdown {
-        /// Affected node id.
-        node: usize,
-        /// Window start (inclusive).
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-        /// Speed multiplier in `(0, 1]`-ish; values > 1 model a boost.
-        factor: f64,
-    },
-    /// Receivers are down in `[from, until)`: records produced by the
-    /// source during the window never reach the broker and are counted as
-    /// dropped (a Kafka-less receiver loses data; the declared drop keeps
-    /// the conservation ledger exact).
-    ReceiverOutage {
-        /// Window start (inclusive).
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-    },
-    /// Tasks scheduled in `[from, until)` fail with `probability` per
-    /// attempt and are retried on the same slot, up to the plan's
-    /// [`FaultPlan::max_task_retries`] bound.
-    TaskFailures {
-        /// Window start (inclusive).
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-        /// Per-attempt failure probability in `[0, 1)`.
-        probability: f64,
-    },
-}
-
-impl FaultEvent {
-    /// The instant the engine must wake for a point event; window events
-    /// need no wake-up (they are consulted lazily).
-    fn trigger_at(&self) -> Option<SimTime> {
-        match *self {
-            FaultEvent::ExecutorCrash { at, .. } => Some(at),
-            _ => None,
-        }
-    }
-
-    fn validate(&self) {
-        match *self {
-            FaultEvent::ExecutorCrash { count, .. } => {
-                assert!(count > 0, "crash must kill at least one executor");
-            }
-            FaultEvent::NodeSlowdown {
-                from,
-                until,
-                factor,
-                ..
-            } => {
-                assert!(from < until, "slowdown window must be non-empty");
-                assert!(
-                    factor > 0.0 && factor.is_finite(),
-                    "slowdown factor must be positive and finite"
-                );
-            }
-            FaultEvent::ReceiverOutage { from, until } => {
-                assert!(from < until, "outage window must be non-empty");
-            }
-            FaultEvent::TaskFailures {
-                from,
-                until,
-                probability,
-            } => {
-                assert!(from < until, "failure window must be non-empty");
-                assert!(
-                    (0.0..1.0).contains(&probability),
-                    "failure probability must be in [0, 1)"
-                );
-            }
-        }
-    }
-}
 
 /// A validated fault schedule plus the task-retry policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,9 +37,10 @@ pub struct FaultPlan {
     /// attempt succeeds, a bounded-penalty model that keeps the stream
     /// alive and charges the full retry cost instead).
     pub max_task_retries: u32,
-    /// Scheduling overhead added per task re-run.
-    pub retry_overhead: SimDuration,
 }
+
+/// Scheduling overhead added per task re-run.
+pub const RETRY_OVERHEAD: SimDuration = SimDuration::from_millis(100);
 
 impl Default for FaultPlan {
     fn default() -> Self {
@@ -146,66 +55,23 @@ impl FaultPlan {
         FaultPlan {
             events: Vec::new(),
             max_task_retries: 3,
-            retry_overhead: SimDuration::from_millis(100),
         }
     }
 
-    /// A validated plan over `events`. Panics on malformed events (empty
-    /// windows, zero crash counts, probabilities outside `[0, 1)`).
+    /// A validated plan over `events`. Panics with
+    /// [`FaultEvent::validate`]'s message on a malformed event (an empty
+    /// window, a zero crash count, a probability outside `[0, 1)`);
+    /// scenario files reach the engine already validated.
     pub fn new(events: Vec<FaultEvent>) -> Self {
         for e in &events {
-            e.validate();
+            if let Err(defect) = e.validate() {
+                panic!("{defect}");
+            }
         }
         FaultPlan {
             events,
             ..FaultPlan::none()
         }
-    }
-
-    /// Convert scenario-file fault specs (plain seconds, already
-    /// `validate()`d at parse time) into a plan. The wire type lives in
-    /// `nostop-core` so scenario files can be parsed without this crate.
-    pub fn from_specs(specs: &[nostop_core::scenario::FaultSpec]) -> Self {
-        use nostop_core::scenario::FaultSpec;
-        let events = specs
-            .iter()
-            .map(|s| match *s {
-                FaultSpec::ExecutorCrash {
-                    at_s,
-                    count,
-                    relaunch_after_s,
-                } => FaultEvent::ExecutorCrash {
-                    at: SimTime::from_secs_f64(at_s),
-                    count,
-                    relaunch_after: relaunch_after_s.map(SimDuration::from_secs_f64),
-                },
-                FaultSpec::NodeSlowdown {
-                    node,
-                    from_s,
-                    until_s,
-                    factor,
-                } => FaultEvent::NodeSlowdown {
-                    node,
-                    from: SimTime::from_secs_f64(from_s),
-                    until: SimTime::from_secs_f64(until_s),
-                    factor,
-                },
-                FaultSpec::ReceiverOutage { from_s, until_s } => FaultEvent::ReceiverOutage {
-                    from: SimTime::from_secs_f64(from_s),
-                    until: SimTime::from_secs_f64(until_s),
-                },
-                FaultSpec::TaskFailures {
-                    from_s,
-                    until_s,
-                    probability,
-                } => FaultEvent::TaskFailures {
-                    from: SimTime::from_secs_f64(from_s),
-                    until: SimTime::from_secs_f64(until_s),
-                    probability,
-                },
-            })
-            .collect();
-        FaultPlan::new(events)
     }
 
     /// Override the per-task retry bound.
@@ -289,11 +155,10 @@ impl FaultState {
             .events()
             .iter()
             .filter_map(|e| {
-                let at = e.trigger_at()?;
                 let FaultEvent::ExecutorCrash {
+                    at,
                     count,
                     relaunch_after,
-                    ..
                 } = *e
                 else {
                     return None;

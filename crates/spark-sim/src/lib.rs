@@ -27,10 +27,11 @@
 //!   bit-identical to the exact per-task path;
 //! * [`noise`] — the stochastic environment: multiplicative task noise and
 //!   Poisson contention windows per node;
-//! * [`fault`] — deterministic fault injection: a [`fault::FaultPlan`]
-//!   schedules executor crashes (with optional relaunch), node-slowdown
-//!   windows, receiver outages, and transient task failures with bounded
-//!   retry, all replayed off the DES clock and a dedicated seed fork;
+//! * [`fault`] — deterministic fault injection: a [`fault::FaultPlan`] of
+//!   [`nostop_core::scenario::FaultEvent`]s schedules executor crashes
+//!   (with optional relaunch), node-slowdown windows, receiver outages,
+//!   and transient task failures with bounded retry, all replayed off the
+//!   DES clock and a dedicated seed fork;
 //! * [`metrics`] — a `StreamingListener` equivalent producing
 //!   [`metrics::BatchMetrics`] and JSON [`nostop_core::listener::StatusReport`]s;
 //! * [`engine`] — [`engine::StreamingEngine`] ties it together: run loop,
@@ -70,7 +71,7 @@ pub use arbiter::{check_ledger_conservation, ArbiterStats, ExecutorArbiter, Tena
 pub use cluster::{Cluster, DiskClass, NodeSpec};
 pub use config::{ExtendedConfig, StreamConfig};
 pub use engine::{EngineParams, StreamingEngine};
-pub use fault::{FaultEvent, FaultPlan};
+pub use fault::FaultPlan;
 pub use fleet::{FleetSim, TenantSpec};
 pub use metrics::{BatchMetrics, Listener};
 pub use noise::NoiseParams;

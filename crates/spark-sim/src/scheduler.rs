@@ -27,7 +27,7 @@
 //! scattered `Vec`s and steady state runs allocation-free.
 
 use crate::executor::Executor;
-use crate::fault::TaskFaultCtx;
+use crate::fault::{TaskFaultCtx, RETRY_OVERHEAD};
 use crate::noise::NoiseModel;
 use crate::superbatch::SuperbatchArm;
 use nostop_obs::Recorder;
@@ -359,7 +359,7 @@ pub fn simulate_job(
                                 attempts += 1;
                             }
                             if attempts > 0 {
-                                let overhead = f.state.plan().retry_overhead.as_micros();
+                                let overhead = RETRY_OVERHEAD.as_micros();
                                 dur = dur * (attempts as u64 + 1) + overhead * attempts as u64;
                                 task_retries += attempts;
                             }

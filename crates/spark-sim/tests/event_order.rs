@@ -4,10 +4,11 @@
 //! would finish still hits that job, because the completion
 //! acknowledgment from a dead executor never arrives.
 
+use nostop_core::scenario::FaultEvent;
 use nostop_datagen::rate::ConstantRate;
 use nostop_simcore::{SimDuration, SimTime};
 use nostop_workloads::WorkloadKind;
-use spark_sim::{BatchMetrics, EngineParams, FaultEvent, FaultPlan, StreamConfig, StreamingEngine};
+use spark_sim::{BatchMetrics, EngineParams, FaultPlan, StreamConfig, StreamingEngine};
 
 /// The batch whose completion instant the crash is aimed at.
 const TARGET: usize = 10;

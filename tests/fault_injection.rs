@@ -2,9 +2,10 @@
 //! accounting, and controller resilience.
 
 use nostop::core::controller::{NoStop, NoStopConfig};
+use nostop::core::scenario::FaultEvent;
 use nostop::core::system::{BatchObservation, StreamingSystem};
 use nostop::datagen::rate::ConstantRate;
-use nostop::sim::{EngineParams, FaultEvent, FaultPlan, SimSystem, StreamConfig, StreamingEngine};
+use nostop::sim::{EngineParams, FaultPlan, SimSystem, StreamConfig, StreamingEngine};
 use nostop::simcore::{SimDuration, SimTime};
 use nostop::workloads::WorkloadKind;
 

@@ -2,8 +2,9 @@
 //! schedules never wedge the engine, never lose records, and never
 //! exceed the task-retry bound.
 
+use nostop::core::scenario::FaultEvent;
 use nostop::datagen::rate::ConstantRate;
-use nostop::sim::{EngineParams, FaultEvent, FaultPlan, StreamConfig, StreamingEngine};
+use nostop::sim::{EngineParams, FaultPlan, StreamConfig, StreamingEngine};
 use nostop::simcore::{SimDuration, SimTime};
 use nostop::workloads::WorkloadKind;
 use proptest::prelude::*;

@@ -30,10 +30,11 @@
 //!    [`MAX_PERIOD`] is never skipped.
 
 use nostop::core::arbiter::ArbiterPolicy;
+use nostop::core::scenario::FaultEvent;
 use nostop::datagen::rate::RateSpec;
 use nostop::sim::arbiter::check_ledger_conservation;
 use nostop::sim::fleet::{FleetSim, TenantSpec, MAX_PERIOD};
-use nostop::sim::{FaultEvent, FaultPlan};
+use nostop::sim::FaultPlan;
 use nostop::simcore::{probe_mode, SimDuration, SimTime};
 use nostop::workloads::WorkloadKind;
 use proptest::prelude::*;

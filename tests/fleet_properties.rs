@@ -16,9 +16,10 @@
 //!   request resolves at the very next barrier.
 
 use nostop::core::arbiter::{ArbiterPolicy, LedgerEventKind, ResourceRequest};
+use nostop::core::scenario::FaultEvent;
 use nostop::sim::arbiter::{check_ledger_conservation, ExecutorArbiter};
 use nostop::sim::fleet::{FleetSim, TenantSpec};
-use nostop::sim::{FaultEvent, FaultPlan};
+use nostop::sim::FaultPlan;
 use nostop::simcore::{SimRng, SimTime};
 use nostop::workloads::WorkloadKind;
 use proptest::prelude::*;

@@ -5,8 +5,9 @@
 //! outcome the policy is meant to produce.
 
 use nostop::core::arbiter::{ArbiterPolicy, LedgerEventKind};
+use nostop::core::scenario::FaultEvent;
 use nostop::sim::fleet::{FleetSim, TenantSpec};
-use nostop::sim::{check_ledger_conservation, FaultEvent, FaultPlan, StreamConfig};
+use nostop::sim::{check_ledger_conservation, FaultPlan, StreamConfig};
 use nostop::simcore::{SimDuration, SimTime};
 use nostop::workloads::WorkloadKind;
 

@@ -6,11 +6,12 @@
 //! both and exercises the env-var route on the binaries). The fast path is an *optimization*,
 //! never a model change — these tests are the contract that keeps it one.
 
+use nostop::core::scenario::FaultEvent;
 use nostop::core::system::StreamingSystem;
 use nostop::datagen::rate::{ConstantRate, RateProcess, SurgeRate};
 use nostop::obs::Recorder;
 use nostop::sim::{
-    EngineParams, FaultEvent, FaultPlan, SimSystem, StreamConfig, StreamingEngine, SuperbatchStats,
+    EngineParams, FaultPlan, SimSystem, StreamConfig, StreamingEngine, SuperbatchStats,
 };
 use nostop::simcore::{SimDuration, SimTime};
 use nostop::workloads::WorkloadKind;
