@@ -15,10 +15,11 @@
 //!
 //! The pool is one flat buffer ([`CandidatePool`]) redrawn in place each
 //! proposal. [`CandidatePool::argmax_ei`] runs the GP's screen pass over
-//! every candidate, keys each by [`expected_improvement_bound`] at its
-//! screened mean less the screen's bound `δ` and at the GP's largest
-//! possible variance, and visits candidates by descending key, [`TILE`] at
-//! a time through the exact pass, until the next key is below the best EI
+//! every candidate (single precision, with a bound `δ` on its error that
+//! the GP derives per call), keys each by [`expected_improvement_bound`]
+//! at its screened mean less `δ` and at the GP's largest possible
+//! variance, and visits candidates by descending key, [`TILE`] at a time
+//! through the exact pass, until the next key is below the best EI
 //! found. The exact mean is at least `m̃ − δ` and EI only grows as the mean
 //! falls or the variance rises, so a pruned candidate's EI is at most its
 //! key and it could not have won. EI is scored from the exact pass alone;

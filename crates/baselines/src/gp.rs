@@ -30,21 +30,21 @@
 //!
 //! # Batched scoring
 //!
-//! Candidates are scored in two passes over one row-major pool, [`TILE`]
-//! at a time; both write a tile's kernel columns interleaved into one
-//! `n × TILE` buffer.
+//! Candidates are scored in two passes over one row-major pool.
 //!
 //! - The **screen pass** ([`GaussianProcess::screen_means`]) runs over the
-//!   whole pool and takes `alpha · k̃*`, where `k̃*` comes from an in-crate
-//!   polynomial `exp` with no table and no branch, so the tile loop runs
-//!   it at vector width. It returns each candidate's screened mean `m̃`
-//!   and one bound `δ` with `|m̃ − m| ≤ δ` for every candidate, `m` being
-//!   the exact mean (see [`GaussianProcess::screen_means`] for the
+//!   whole pool in single precision, 16 candidates at a time.
+//!   It takes `alpha · k̃*`, where `k̃*` comes from `f32` coordinates and an
+//!   in-crate `f32` `exp` with no table and no branch, so the tile loop
+//!   runs it at vector width. It returns each candidate's screened mean
+//!   `m̃` and one bound `δ` with `|m̃ − m| ≤ δ` for every candidate, `m`
+//!   being the exact mean (see [`GaussianProcess::screen_means`] for the
 //!   derivation). A screened mean only ranks candidates; it never reaches
 //!   an output.
 //! - The **exact pass** ([`GaussianProcess::exact_posteriors`]) takes any
-//!   picks, in any order, regroups them into tiles, fills their k* once
-//!   with libm `exp`, and takes the mean (`alpha · k*`), the forward solve
+//!   picks, in any order, regroups them into tiles of [`TILE`], writes
+//!   their kernel columns interleaved into one `n × TILE` buffer with libm
+//!   `exp`, and takes the mean (`alpha · k*`), the forward solve
 //!   ([`solve_lower_tile`]) and `v · v`.
 //!
 //! BayesOpt screens its whole pool and runs the exact pass only over the
@@ -54,14 +54,17 @@
 //! [`dot`]'s partial sums) and every exact-pass output is bitwise equal to
 //! [`GaussianProcess::posterior`], which stays as the per-point reference,
 //! whatever lane or tile a candidate lands in. Nothing here may use a
-//! fused multiply-add, the screen's `exp` included.
+//! fused multiply-add, the screen's `exp` included. Single precision stays
+//! in the screen: no `f32` value reaches an output, and a CI lint keeps
+//! `f32` out of every other source file.
 //!
 //! *Width.* Each pass is one `#[inline(always)]` body compiled twice:
 //! portably, and on `x86_64` inside an AVX2 `#[target_feature]` wrapper
 //! that the pass picks per call when the host has AVX2. IEEE
-//! `+ − × ÷` round per lane at any vector width, integer adds and shifts
-//! are exact, and rustc never fuses `a * b + c`, so the two builds agree
-//! bit for bit; AVX2 only moves four lanes per instruction instead of two.
+//! `+ − × ÷` and conversions round per lane at any vector width, integer
+//! adds and shifts are exact, and rustc never fuses `a * b + c`, so the
+//! two builds agree bit for bit; AVX2 only moves eight `f32` (four `f64`)
+//! lanes per instruction instead of four (two).
 
 use crate::linalg::{
     cholesky_solve_into, dot, dot_tile, solve_lower_in_place, solve_lower_tile, Matrix, TILE,
@@ -126,6 +129,14 @@ pub struct GaussianProcess {
     alpha: Vec<f64>,
     /// `Σ|alpha_j|`, for the screen pass's bound.
     alpha_abs_sum: f64,
+    /// The screen's mirror of `x`: each coordinate as `(v − o)·t`,
+    /// rounded to `f32`, where `o` is the first observation and
+    /// `t = 1/√(2ℓ²)` (see [`GaussianProcess::screen_means`]).
+    x32: Vec<f32>,
+    /// The largest `|(v − o)·t|` over the observations, before rounding.
+    x32_max: f64,
+    /// The screen's mirror of `alpha`, rounded to `f32`.
+    alpha32: Vec<f32>,
     /// Incremental rank-1 factor updates (default) vs full refit (probe).
     incremental: bool,
     /// Kernel-row cache: the newest point's kernel column, computed once
@@ -150,6 +161,9 @@ impl GaussianProcess {
             chol: Matrix::zeros(0),
             alpha: Vec::new(),
             alpha_abs_sum: 0.0,
+            x32: Vec::new(),
+            x32_max: 0.0,
+            alpha32: Vec::new(),
             incremental: !probe_mode(),
             kcol: Vec::new(),
             centered: Vec::new(),
@@ -201,6 +215,17 @@ impl GaussianProcess {
             self.dim = x.len();
         }
         assert_eq!(self.dim, x.len(), "dimension mismatch");
+        let t = self.screen_scale();
+        let origin: &[f64] = if self.x.is_empty() {
+            &x
+        } else {
+            &self.x[..self.dim]
+        };
+        for (&v, &o) in x.iter().zip(origin) {
+            let z = (v - o) * t;
+            self.x32_max = self.x32_max.max(z.abs());
+            self.x32.push(z as f32);
+        }
         if self.incremental {
             // Kernel-row cache: the new point's column, computed once.
             self.kcol.clear();
@@ -234,6 +259,14 @@ impl GaussianProcess {
         self.centered.extend(self.y.iter().map(|v| v - y_mean));
         cholesky_solve_into(&self.chol, &self.centered, &mut self.alpha);
         self.alpha_abs_sum = self.alpha.iter().map(|a| a.abs()).sum();
+        self.alpha32.clear();
+        self.alpha32.extend(self.alpha.iter().map(|&a| a as f32));
+    }
+
+    /// The screen's coordinate scale `t = 1/√(2ℓ²)`: the kernel exponent
+    /// of two points is `−Σ((a − b)·t)²`.
+    fn screen_scale(&self) -> f64 {
+        1.0 / self.two_l2.sqrt()
     }
 
     /// Probe path: rebuild the full Gram matrix and refactor from scratch
@@ -301,32 +334,70 @@ impl GaussianProcess {
     }
 
     /// Screen pass: a screened posterior mean `m̃` of every candidate in
-    /// `xs` (row-major, `dim` coordinates each) into `out`, scored [`TILE`]
-    /// at a time through the polynomial `exp` (see the module docs), and
-    /// the bound `δ` on `|m̃ − m|` that holds for every candidate, `m`
-    /// being [`GaussianProcess::posterior`]'s mean.
+    /// `xs` (row-major, `dim` coordinates each) into `out`, and the bound
+    /// `δ` on `|m̃ − m|` that holds for every candidate, `m` being
+    /// [`GaussianProcess::posterior`]'s mean.
     ///
-    /// *The bound.* Both passes share the distance sums and `x = −d²/2ℓ²`,
-    /// so each kernel entry differs only in its `exp`. With `u = 2⁻⁵³`,
-    /// `A = Σ|α_j|` and `γ_n = n·u / (1 − n·u)`:
+    /// *The arithmetic.* A coordinate `v` enters as `z = (v − o)·t`, taken
+    /// in `f64` and rounded once to `f32`, where `o` is the first
+    /// observation and `t = 1/√(2ℓ²)`; a pair's kernel exponent is then
+    /// `x = −Σ(z_a − z_b)²`, with no per-entry scale. The GP keeps the
+    /// observations' `z` and `α` as `f32` mirrors, and the pool is
+    /// converted once per tile of 16 candidates. Each lane sums its
+    /// squared differences in `f32`, takes `exp32` of the exponent, sums
+    /// `α_j·k̃_j` in `f32` over blocks of 32 observations, adds each block
+    /// total into an `f64` accumulator `S`, and returns `m̃ = ȳ + σ_f²·S`.
     ///
-    /// - `|screen_exp(x) − exp(x)| ≤ 1e-13 + 2u` for `x ≤ 0`: both are
-    ///   within their relative error of `eˣ ≤ 1`, and below −700, where the
-    ///   screen returns 0, `eˣ < 1e-304`. Scaling by `σ_f²` rounds each side
-    ///   once more, so `|k̃_j − k_j| ≤ |σ_f²| (1e-13 + 4u)`.
-    /// - The two dots sum the same `α_j` in the same order, so
-    ///   `|fl(α·k̃) − fl(α·k)| ≤ |σ_f²| A (1e-13 + 4u + 2γ_n (1 + 1e-12))`:
-    ///   the entry errors plus each dot's `γ_n` rounding.
-    /// - Adding `ȳ` rounds each mean once: `u (|ȳ| + |σ_f²| A (1 + 1e-12))`
-    ///   apiece.
+    /// *The bound.* Let `u = 2⁻²⁴` and `U = 2⁻⁵³` be the two unit
+    /// roundoffs, `γ_k(u) = k·u/(1 − k·u)`, `ρ = 1e-7` the relative error
+    /// of `exp32` on `[−87, 0]` (bounded by a scan of every `f32` there),
+    /// `A = Σ|α_j|`, `M` the largest `|z|` over the observations and the
+    /// pool (found per call), and `s = D/2ℓ² ≥ 0` a pair's exact exponent
+    /// magnitude, `D` its squared distance.
     ///
-    /// For `n ≤ 10⁴`, `γ_n < 1.2e-12`, so `|m̃ − m| < 2.5e-12 |σ_f²| A +
-    /// 2.3e-16 |ȳ|`. `δ = 1e-10 (|ȳ| + |σ_f²| A)` covers that 40 times
-    /// over, which also absorbs the rounding of `A` and of `δ` itself.
-    /// Past 10⁴ observations `γ_n` grows linearly in `n`, and so does the
-    /// factor.
+    /// 1. *Coordinate rounding.* Each `f32` coordinate is within
+    ///    `e = (u + 3U)·M + 2⁻¹²⁶` of `(v − o)·t`: the `f64` subtraction and
+    ///    scaling, the `f32` rounding, and `2⁻¹²⁶` for subnormals. Over a
+    ///    pair's scaled differences `w_i` it moves the squared distance by
+    ///    at most `4e·Σ|w_i| + 4·dim·e² ≤ 4e·√(dim·s) + 4·dim·e²`.
+    /// 2. *Distance, scale and `exp`.* The `f32` distance rounds each term
+    ///    `dim + 2` times; the exact pass's distance and division round
+    ///    `dim + 3` times; `t` carries `γ₂(U)`, which `x` sees squared. All
+    ///    are relative in `x`: `a = γ_{dim+2}(u) + γ_{dim+7}(U)`. So the
+    ///    two exponents differ by at most `a·s + b·√s + c`, and each lies
+    ///    within that of `−s`, with
+    ///    `b = 4e·√dim·(1 + γ_{dim+2}(u))` and
+    ///    `c = 4·dim·e²·(1 + γ_{dim+2}(u)) + dim·(2⁻¹²⁶ + 2⁻¹⁰²²/2ℓ²)`
+    ///    (squares that underflow, in `f32` and in `f64`). By
+    ///    `b·√s ≤ s/64 + 16b²`, `eˣ` between the two exponents is at most
+    ///    `e^{16b²+c}·e^{−κs}` with `κ = 63/64 − a`, and `s·e^{−κs} ≤ 1/κe`,
+    ///    `√s·e^{−κs} ≤ 1/√(2κe)`. The two entries therefore differ by at
+    ///    most `E = ρ + 2U + 2⁻¹²⁵ + e^{16b²+c}·(a/κe + b/√(2κe) + c)`:
+    ///    `exp32`'s error, libm's (one ulp), the cutoff and underflow, and
+    ///    the spread of the exponents. `|x|eˣ ≤ 1/e` makes this scale-free,
+    ///    with no bound on `s`. Both entries lie in `[0, 1 + ρ]`, so `E` is
+    ///    capped at `1 + ρ`, which also covers a distance that overflows
+    ///    `f32`.
+    /// 3. *`α` rounding* costs `u·A`, and each *block sum* `γ₃₂(u)` of its
+    ///    `Σ|α_j k̃_j|`: `γ₃₃(u)·(1 + ρ)(1 + u)·A` together, plus `2⁻¹²⁶`
+    ///    per observation for `f32` values that underflow.
+    /// 4. *The `f64` fold*, the `σ_f²` scaling, the exact pass's products
+    ///    and dot, and the two additions of `ȳ` cost at most
+    ///    `γ_{2n+9}(U)·|σ_f²|·A + 2U·|ȳ|`.
     ///
-    /// A NaN coordinate gives a NaN `m̃`, as it gives a NaN `m`. With no
+    /// So `δ = (1 + 2⁻⁸)·(|σ_f²|·(A·(E + γ₃₃(u)(1 + ρ)(1 + u) +
+    /// γ_{2n+9}(U)) + n·2⁻¹²⁶) + 2U·|ȳ|)`, the factor covering the
+    /// second-order products of these terms and the rounding of `A` and of
+    /// `δ` itself. It holds for every finite input whose `2ℓ²` is a
+    /// positive finite `f64`. A mirror that could overflow a block sum
+    /// (`A > 2¹²⁰`) makes `δ` infinite, which keys every candidate at the
+    /// top. On BayesOpt's cube (`dim` 8, `M < 3.6`) `δ` is about
+    /// `3.4e-6·|σ_f²|·A`; a coordinate far from `o`, at any scale, only
+    /// widens `e`.
+    ///
+    /// A NaN coordinate gives a NaN `m̃`, as it gives a NaN `m`; so can
+    /// coordinates past `f32`'s range, whose other entries are 0 and within
+    /// the cap. A NaN `m̃` keys its candidate as never pruned. With no
     /// observations every `m̃` is the prior mean exactly and `δ` is 0.
     pub fn screen_means(&self, xs: &[f64], dim: usize, out: &mut Vec<f64>) -> f64 {
         let count = self.pool_len(xs, dim);
@@ -367,8 +438,8 @@ impl GaussianProcess {
         self.exact(xs, picks, out)
     }
 
-    /// [`GaussianProcess::screen`] compiled for AVX2: the same body, four
-    /// f64 lanes per register instead of two.
+    /// [`GaussianProcess::screen`] compiled for AVX2: the same body, eight
+    /// `f32` lanes per register instead of four.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn screen_avx2(&self, xs: &[f64], out: &mut Vec<f64>) -> f64 {
@@ -383,23 +454,111 @@ impl GaussianProcess {
     }
 
     /// The screen pass behind [`GaussianProcess::screen_means`], for a
-    /// non-empty GP and candidates of its dimension: k̃* and `alpha · k̃*`,
-    /// tile by tile in pool order, then `δ`. Always inlined, so each caller
-    /// compiles it for its own target features.
+    /// non-empty GP and candidates of its dimension: per tile, the
+    /// candidates' `f32` coordinates, then per block of observations the
+    /// exponents, `exp32` and the block sums, folded into `f64`; then `δ`.
+    /// Always inlined, so each caller compiles it for its own target
+    /// features.
     #[inline(always)]
     fn screen(&self, xs: &[f64], out: &mut Vec<f64>) -> f64 {
-        let count = xs.len() / self.dim;
-        let mut tile = Tile::new(self);
-        for start in (0..count).step_by(TILE) {
-            let len = (count - start).min(TILE);
-            tile.fill(self, xs, |g| start + g.min(len - 1), screen_exp);
-            let means = dot_tile::<1>(&self.alpha, &tile.k);
-            out.extend(means[..len].iter().map(|m| self.y_mean + m));
+        let dim = self.dim;
+        let count = xs.len() / dim;
+        let (origin, t) = (&self.x[..dim], self.screen_scale());
+        // One row of lanes per coordinate; on the stack up to 16
+        // dimensions, so BayesOpt's screen allocates nothing.
+        let mut stack = [[0.0f32; SCREEN_TILE]; 16];
+        let mut heap = Vec::new();
+        let lanes = if dim <= stack.len() {
+            &mut stack[..dim]
+        } else {
+            heap.resize(dim, [0.0; SCREEN_TILE]);
+            &mut heap[..]
+        };
+        let mut k = [[0.0f32; SCREEN_TILE]; SCREEN_BLOCK];
+        let mut max = self.x32_max;
+        for start in (0..count).step_by(SCREEN_TILE) {
+            // A short tile names its last candidate again in the spare
+            // lanes, whose outputs are dropped.
+            for g in 0..SCREEN_TILE {
+                let c = (start + g).min(count - 1);
+                for ((row, &v), &o) in lanes.iter_mut().zip(&xs[c * dim..]).zip(origin) {
+                    let z = (v - o) * t;
+                    max = max.max(z.abs());
+                    row[g] = z as f32;
+                }
+            }
+            let mut acc = [0.0f64; SCREEN_TILE];
+            let blocks = self.x32.chunks(SCREEN_BLOCK * dim);
+            for (obs, alpha) in blocks.zip(self.alpha32.chunks(SCREEN_BLOCK)) {
+                for (row, xj) in k.iter_mut().zip(obs.chunks_exact(dim)) {
+                    let mut d2 = [0.0f32; SCREEN_TILE];
+                    for (&a, lane) in xj.iter().zip(lanes.iter()) {
+                        for (d, &b) in d2.iter_mut().zip(lane) {
+                            *d += (a - b) * (a - b);
+                        }
+                    }
+                    *row = d2;
+                }
+                // The exponents first, then one flat map over the block:
+                // its entries are independent, so several registers of
+                // `exp32` are in flight at once.
+                for v in k[..alpha.len()].as_flattened_mut() {
+                    *v = exp32(-*v);
+                }
+                let mut block = [0.0f32; SCREEN_TILE];
+                for (row, &a) in k.iter().zip(alpha) {
+                    for (s, &kv) in block.iter_mut().zip(row) {
+                        *s += a * kv;
+                    }
+                }
+                for (acc, s) in acc.iter_mut().zip(block) {
+                    *acc += f64::from(s);
+                }
+            }
+            let len = (count - start).min(SCREEN_TILE);
+            let sf = self.kernel.signal_variance;
+            out.extend(acc[..len].iter().map(|&s| self.y_mean + sf * s));
         }
-        let growth = (self.len() as f64 / 1e4).max(1.0);
-        SCREEN_BOUND
-            * growth
-            * (self.y_mean.abs() + self.kernel.signal_variance.abs() * self.alpha_abs_sum)
+        self.screen_bound(max)
+    }
+
+    /// [`GaussianProcess::screen_means`]'s `δ` for a call whose scaled
+    /// coordinates reach `max` in magnitude, term by term as derived there.
+    fn screen_bound(&self, max: f64) -> f64 {
+        const U: f64 = f64::EPSILON / 2.0;
+        const U32: f64 = f32::EPSILON as f64 / 2.0;
+        const TINY: f64 = f32::MIN_POSITIVE as f64;
+        let gamma = |k: f64, u: f64| {
+            if k * u < 0.5 {
+                k * u / (1.0 - k * u)
+            } else {
+                f64::INFINITY
+            }
+        };
+        let a_sum = self.alpha_abs_sum;
+        if a_sum > 2f64.powi(120) {
+            return f64::INFINITY;
+        }
+        let (dim, n) = (self.dim as f64, self.len() as f64);
+        let e = (U32 + 3.0 * U) * max + TINY;
+        let g = gamma(dim + 2.0, U32);
+        let a = g + gamma(dim + 7.0, U);
+        let b = 4.0 * e * dim.sqrt() * (1.0 + g);
+        let c = 4.0 * dim * e * e * (1.0 + g) + dim * (TINY + f64::MIN_POSITIVE / self.two_l2);
+        let kappa = 63.0 / 64.0 - a;
+        let cap = 1.0 + EXP_REL;
+        let entry = if kappa > 0.0 {
+            let ke = kappa * std::f64::consts::E;
+            let spread = (16.0 * b * b + c).exp() * (a / ke + b / (2.0 * ke).sqrt() + c);
+            // `min` also maps a NaN spread (a degenerate kernel) to the cap.
+            (EXP_REL + 2.0 * U + 2.0 * TINY + spread).min(cap)
+        } else {
+            cap
+        };
+        let sums = gamma(33.0, U32) * (1.0 + EXP_REL) * (1.0 + U32) + gamma(2.0 * n + 9.0, U);
+        let sf = self.kernel.signal_variance.abs();
+        (1.0 + 1.0 / 256.0)
+            * (sf * (a_sum * (entry + sums) + n * TINY) + 2.0 * U * self.y_mean.abs())
     }
 
     /// The exact pass behind [`GaussianProcess::exact_posteriors`]: k*
@@ -410,7 +569,7 @@ impl GaussianProcess {
         let dim = self.dim;
         let mut tile = Tile::new(self);
         for group in picks.chunks(TILE) {
-            tile.fill(self, xs, |g| group[g.min(group.len() - 1)], f64::exp);
+            tile.fill(self, xs, |g| group[g.min(group.len() - 1)]);
             let means = dot_tile::<1>(&self.alpha, &tile.k);
             solve_lower_tile(&self.chol, &mut tile.k);
             let vv = dot_tile::<TILE>(&tile.k, &tile.k);
@@ -423,60 +582,52 @@ impl GaussianProcess {
     }
 }
 
-/// `δ` per unit of `|ȳ| + |σ_f²| Σ|α|`, up to 10⁴ observations (see
-/// [`GaussianProcess::screen_means`]).
-const SCREEN_BOUND: f64 = 1e-10;
+/// Candidates per screen tile: two AVX2 registers of `f32`.
+const SCREEN_TILE: usize = 16;
 
-/// `1 / j!` for `j` in `0..=12`: the Taylor coefficients of [`screen_exp`].
-const INV_FACTORIAL: [f64; 13] = [
-    1.0,
-    1.0,
-    1.0 / 2.0,
-    1.0 / 6.0,
-    1.0 / 24.0,
-    1.0 / 120.0,
-    1.0 / 720.0,
-    1.0 / 5040.0,
-    1.0 / 40320.0,
-    1.0 / 362880.0,
-    1.0 / 3628800.0,
-    1.0 / 39916800.0,
-    1.0 / 479001600.0,
-];
+/// Observations per `f32` block sum of the screen.
+const SCREEN_BLOCK: usize = 32;
 
-/// `eˣ` for the screen pass: within 1e-13 relative error of libm's `exp`
-/// on `[−700, 0]`, 0 below −700 and NaN for NaN. It has no table and no
-/// branch, so the tile loop evaluates it at vector width.
+/// [`exp32`]'s relative error bound against `eˣ` on `[−87, 0]`. A scan of
+/// every `f32` in that range against `f64::exp` found at most 9.05e-8
+/// (1.52 units of `2⁻²⁴`); the bound leaves room for `f64::exp`'s own
+/// error.
+const EXP_REL: f64 = 1e-7;
+
+/// `eˣ` in single precision, for the screen: within [`EXP_REL`] relative
+/// error of `eˣ` on `[−87, 0]`, 0 below −87 and NaN for NaN. It has no
+/// table and no branch, so the block loop evaluates it at vector width.
 ///
-/// `x = k·ln 2 + r`: adding `1.5·2⁵²` to `x·log₂e` rounds it to the
+/// `x = k·ln 2 + r`: adding `1.5·2²³` to `x·log₂e` rounds it to the
 /// integer `k` and leaves `k` in the sum's low mantissa bits. `r` comes
-/// from `x` by Cody–Waite: `LN2_HI` has 21 trailing zero bits, so
-/// `k·LN2_HI` and the subtraction from `x` are exact, and `|r| ≤ 0.35`.
-/// `eʳ` is its Taylor series to degree 12 (truncation costs under 4e-16
-/// relative: `0.35¹³ e^0.35 / 13!` against `eʳ ≥ 0.7`), evaluated by
-/// Estrin's scheme, whose chain of dependent operations is a third of
-/// Horner's, and with no fused multiply-add. `2ᵏ` is `k + 1023` shifted
+/// from `x` by Cody–Waite: `LN2_HI` has 15 trailing zero bits, so
+/// `k·LN2_HI` (`|k| ≤ 126`) and the subtraction from `x` are exact, and
+/// `|r| ≤ 0.3466`. `eʳ` is `1 + r + r²/2 + c₃r³ + … + c₆r⁶`, a Chebyshev
+/// fit of degree 6 whose own error is 1e-8 relative, evaluated by
+/// Estrin's scheme with no fused multiply-add. `2ᵏ` is `k + 127` shifted
 /// into the exponent field; the shift drops the sum's own exponent bits.
-/// Below −700 the biased exponent could leave its field, so a select (not
-/// `f64::max`, which drops NaN) zeroes those lanes.
+/// Down to −87 the result stays normal. Below it the biased exponent could
+/// leave its field, so a select (not `f32::max`, which drops NaN) zeroes
+/// those lanes, where `eˣ < 2⁻¹²⁵`.
 #[inline(always)]
-fn screen_exp(x: f64) -> f64 {
-    const SHIFT: f64 = 6755399441055744.0;
-    // fdlibm's split of ln 2: the high part has 21 trailing zero bits.
-    const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
-    const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
-    let y = x * std::f64::consts::LOG2_E + SHIFT;
+fn exp32(x: f32) -> f32 {
+    const SHIFT: f32 = 12_582_912.0;
+    // ln 2 split in two: the high part has 15 trailing zero bits.
+    const LN2_HI: f32 = f32::from_bits(0x3f31_8000);
+    const LN2_LO: f32 = f32::from_bits(0xb95e_8083);
+    // c₃ to c₆ (c₀ = c₁ = 1 and c₂ = 1/2 are exact).
+    const C3: f32 = f32::from_bits(0x3e2a_aa3e);
+    const C4: f32 = f32::from_bits(0x3d2a_aa74);
+    const C5: f32 = f32::from_bits(0x3c09_1edd);
+    const C6: f32 = f32::from_bits(0x3ab6_a1a7);
+    let y = x * std::f32::consts::LOG2_E + SHIFT;
     let k = y - SHIFT;
     let r = (x - k * LN2_HI) - k * LN2_LO;
-    let c = INV_FACTORIAL;
     let r2 = r * r;
-    let r4 = r2 * r2;
-    let p = ((c[0] + c[1] * r) + (c[2] + c[3] * r) * r2)
-        + ((c[4] + c[5] * r) + (c[6] + c[7] * r) * r2) * r4
-        + (((c[8] + c[9] * r) + (c[10] + c[11] * r) * r2) + c[12] * r4) * (r4 * r4);
-    let two_k = f64::from_bits(y.to_bits().wrapping_add(1023) << 52);
+    let p = 1.0 + (r + ((0.5 + C3 * r) * r2 + ((C4 + C5 * r) + C6 * r2) * (r2 * r2)));
+    let two_k = f32::from_bits(y.to_bits().wrapping_add(127) << 23);
     let e = p * two_k;
-    if x < -700.0 {
+    if x < -87.0 {
         0.0
     } else {
         e
@@ -486,9 +637,9 @@ fn screen_exp(x: f64) -> f64 {
 /// Floor on the posterior variance.
 const VARIANCE_FLOOR: f64 = 1e-12;
 
-/// Scratch for one tile: the `n × TILE` k* columns and the candidates'
-/// coordinates, both interleaved (`[j * TILE + g]` is entry `j` of lane
-/// `g`).
+/// The exact pass's scratch for one tile: the `n × TILE` k* columns and
+/// the candidates' coordinates, both interleaved (`[j * TILE + g]` is
+/// entry `j` of lane `g`).
 struct Tile {
     k: Vec<f64>,
     cand: Vec<f64>,
@@ -503,20 +654,13 @@ impl Tile {
     }
 
     /// Load lane `g` with candidate `lane(g)` of `xs` and write the lanes'
-    /// kernel columns, `σ_f² · exp(−d²/2ℓ²)` through the given `exp`. A
-    /// short group names its last candidate again in the spare lanes,
-    /// whose outputs the caller drops. Each lane sums its squared distance
-    /// in `Kernel::eval`'s order (terms are never negative, so the zero
-    /// start matches `sum`'s); with `f64::exp` every entry is bitwise
-    /// [`Kernel::eval`]'s.
+    /// kernel columns, `σ_f² · exp(−d²/2ℓ²)`. A short group names its last
+    /// candidate again in the spare lanes, whose outputs the caller drops.
+    /// Each lane sums its squared distance in `Kernel::eval`'s order (terms
+    /// are never negative, so the zero start matches `sum`'s), so every
+    /// entry is bitwise [`Kernel::eval`]'s.
     #[inline(always)]
-    fn fill(
-        &mut self,
-        gp: &GaussianProcess,
-        xs: &[f64],
-        lane: impl Fn(usize) -> usize,
-        exp: impl Fn(f64) -> f64,
-    ) {
+    fn fill(&mut self, gp: &GaussianProcess, xs: &[f64], lane: impl Fn(usize) -> usize) {
         let dim = gp.dim;
         for (k, slot) in self.cand.iter_mut().enumerate() {
             *slot = xs[lane(k % TILE) * dim + k / TILE];
@@ -532,11 +676,8 @@ impl Tile {
                 *slot = -d2 / gp.two_l2;
             }
         }
-        // The exponents first, then one flat map over the tile: its lanes
-        // and rows are independent, so a vector `exp` keeps several
-        // registers in flight instead of waiting on one row's chain.
         for slot in &mut self.k {
-            *slot = gp.kernel.signal_variance * exp(*slot);
+            *slot = gp.kernel.signal_variance * slot.exp();
         }
     }
 }
@@ -726,28 +867,41 @@ mod tests {
     }
 
     #[test]
-    fn screen_exp_tracks_libm_and_keeps_nan() {
-        // A dense grid over [−700, 0] plus its ends and the values that
-        // sit on a reduction boundary (k·ln 2 and half-way between).
-        let grid = (0..=700_000).map(|i| -(i as f64) * 1e-3);
-        let edges = (0..=1010).flat_map(|k| {
-            let x = -(k as f64) * std::f64::consts::LN_2;
-            [x, x - 0.5 * std::f64::consts::LN_2]
+    fn exp32_tracks_libm_and_keeps_nan() {
+        // A dense grid over [−87, 0], the values that sit on a reduction
+        // boundary (k·ln 2 and half-way between), the last thousand `f32`
+        // above the cutoff and magnitudes down to the subnormals.
+        let grid = (0..=870_000).map(|i| -(i as f32) * 1e-4);
+        let edges = (0..=126).flat_map(|k| {
+            let x = -(k as f32) * std::f32::consts::LN_2;
+            [x, x - 0.5 * std::f32::consts::LN_2]
         });
-        for x in grid.chain(edges).filter(|&x| x >= -700.0) {
-            let (got, want) = (screen_exp(x), x.exp());
+        let cutoff = (-87.0f32).to_bits();
+        let near_cutoff = (cutoff - 1000..=cutoff).map(f32::from_bits);
+        let tiny = (0..150).map(|p| -(2.0f32).powi(-p));
+        for x in grid.chain(edges).chain(near_cutoff).chain(tiny) {
+            if x < -87.0 {
+                continue;
+            }
+            let (got, want) = (f64::from(exp32(x)), f64::from(x).exp());
             assert!(
-                ((got - want) / want).abs() <= 1e-13,
+                ((got - want) / want).abs() <= EXP_REL,
                 "exp({x}): {got} vs {want}"
             );
         }
-        assert_eq!(screen_exp(0.0), 1.0);
-        assert_eq!(screen_exp(-0.0), 1.0);
-        for x in [-700.5, -745.0, -1e6, f64::MIN, f64::NEG_INFINITY] {
-            assert_eq!(screen_exp(x), 0.0, "exp({x})");
+        assert_eq!(exp32(0.0), 1.0);
+        assert_eq!(exp32(-0.0), 1.0);
+        let below = f32::from_bits(cutoff + 1);
+        for x in [below, -87.5, -100.0, -1e30, f32::MIN, f32::NEG_INFINITY] {
+            assert_eq!(exp32(x), 0.0, "exp({x})");
         }
-        assert!(screen_exp(f64::NAN).is_nan());
-        assert!(screen_exp(f64::from_bits(u64::MAX)).is_nan(), "any payload");
+        // Every NaN payload, of either sign.
+        for bits in 0x7f80_0001u32..=0x7fff_ffff {
+            for sign in [0, 0x8000_0000] {
+                let x = f32::from_bits(bits | sign);
+                assert!(exp32(x).is_nan(), "exp({bits:#x})");
+            }
+        }
     }
 
     #[test]

@@ -69,10 +69,15 @@ fn point(dim: usize, rng: &mut SimRng) -> Vec<f64> {
     (0..dim).map(|_| rng.uniform(1.0, 20.0)).collect()
 }
 
-/// `x` with each coordinate moved by up to 8 ulps either way.
+/// `x` with each coordinate moved by up to 8 `f32` ulps either way: the
+/// screen rounds coordinates to `f32`, so a smaller nudge could leave the
+/// copies' screened means identical.
 fn nudged(x: &[f64], rng: &mut SimRng) -> Vec<f64> {
     x.iter()
-        .map(|&v| f64::from_bits((v.to_bits() as i64 + rng.uniform_u64(0, 16) as i64 - 8) as u64))
+        .map(|&v| {
+            let ulp = f64::from(f32::EPSILON) * v.abs();
+            v + (rng.uniform_u64(0, 16) as f64 - 8.0) * ulp
+        })
         .collect()
 }
 
@@ -198,9 +203,10 @@ fn nan_keys_are_never_pruned() {
 
 #[test]
 fn keys_that_tie_within_delta_keep_the_first_maximum() {
-    // Copies of a few points nudged by ulps: their exact means differ in
-    // the last bits, so their screened keys sit within δ of each other,
-    // and the first maximum of the full scan must still win.
+    // Copies of a few points nudged by `f32` ulps: their means differ in
+    // the last bits the screen resolves, so their screened keys sit within
+    // δ of each other, and the first maximum of the full scan must still
+    // win.
     for seed in 0..40u64 {
         let mut rng = SimRng::seed_from_u64(seed ^ 0x71E5);
         let dim = 1 + seed as usize % 8;

@@ -14,10 +14,14 @@
 //!    its bound `δ` of that mean, at up to BayesOpt's 8 knobs, 1–299
 //!    observations (BayesOpt runs to 255) and 1–299 candidates: every
 //!    observation count mod 4 and every candidate count mod the tile
-//!    width. The bound is also held on hostile kernels: a near-noiseless
-//!    one (a huge `Σ|α|`), one whose signal variance is under the
-//!    variance floor, and a length scale short enough to push the kernel
-//!    exponent below −700, where the screen's `exp` returns 0.
+//!    width, with candidates on and near observed points. The bound is
+//!    also held on hostile kernels: a near-noiseless one (a huge `Σ|α|`),
+//!    one whose signal variance is under the variance floor, and a length
+//!    scale short enough to push the kernel exponent below −87, where the
+//!    screen's `exp` returns 0. The screen rounds coordinates to `f32`, so
+//!    its bound is also held along a coordinate-scale axis: the cube
+//!    scaled by 1e-3 to 1e6, reflected to negative coordinates, and
+//!    translated far from the origin.
 //! 3. **Probe equivalence** — a GP fitted through the full-refit probe
 //!    path (`with_incremental(false)`, the `NOSTOP_PROBE=1` surface) produces posteriors bitwise identical to the incremental
 //!    path on arbitrary add-sequences — after *every* add, not just the
@@ -70,6 +74,19 @@ fn kernel(ix: u32) -> Kernel {
     }
 }
 
+/// Where contract 2 puts the cube `[1, 20]^dim`: scaled by
+/// `10^log_scale`, then as is, reflected to negative coordinates, or
+/// translated 10⁵ of its widths from the origin.
+fn placement(log_scale: f64, shape: u32) -> impl Fn(f64) -> f64 {
+    let scale = 10f64.powf(log_scale);
+    let (sign, offset) = match shape {
+        0 => (1.0, 0.0),
+        1 => (-1.0, 0.0),
+        _ => (1.0, 2e6 * scale),
+    };
+    move |v| offset + sign * scale * v
+}
+
 /// Random points in the scaled configuration cube `[1, 20]^dim`.
 fn random_points(count: usize, dim: usize, rng: &mut SimRng) -> Vec<Vec<f64>> {
     (0..count)
@@ -111,24 +128,42 @@ proptest! {
         n_obs in 1usize..300,
         n_cand in 1usize..300,
         kernel_ix in 0u32..4,
+        log_scale in -3.0f64..6.0,
+        shape in 0u32..3,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = SimRng::seed_from_u64(seed ^ 0xBA7C4);
         let mut gp = GaussianProcess::new(kernel(kernel_ix));
-        let observed = random_points(n_obs, dim, &mut rng);
+        // Half the cases keep BayesOpt's own cube.
+        let place = if rng.bernoulli(0.5) {
+            placement(0.0, 0)
+        } else {
+            placement(log_scale, shape)
+        };
+        let moved = |points: Vec<Vec<f64>>| -> Vec<Vec<f64>> {
+            points
+                .into_iter()
+                .map(|p| p.into_iter().map(&place).collect())
+                .collect()
+        };
+        let observed = moved(random_points(n_obs, dim, &mut rng));
         for (i, x) in observed.iter().enumerate() {
             let y = rng.uniform(-5.0, 5.0) + i as f64 * 0.1;
             gp.add(x.clone(), y);
         }
         // Random candidates, a quarter of them on observed points, where
-        // the near-noiseless kernel's posterior is sharpest.
-        let candidates: Vec<Vec<f64>> = random_points(n_cand, dim, &mut rng)
+        // the near-noiseless kernel's posterior is sharpest, and a quarter
+        // within two length scales of one, where the kernel is steepest
+        // and the screen's `f32` coordinates cost the most.
+        let reach = 2.0 * kernel(kernel_ix).length_scale;
+        let candidates: Vec<Vec<f64>> = moved(random_points(n_cand, dim, &mut rng))
             .into_iter()
             .map(|c| {
-                if rng.bernoulli(0.25) {
-                    observed[rng.uniform_u64(0, n_obs as u64 - 1) as usize].clone()
-                } else {
-                    c
+                let near = &observed[rng.uniform_u64(0, n_obs as u64 - 1) as usize];
+                match rng.uniform_u64(0, 3) {
+                    0 => near.clone(),
+                    1 => near.iter().map(|v| v + rng.uniform(-reach, reach)).collect(),
+                    _ => c,
                 }
             })
             .collect();

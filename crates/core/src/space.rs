@@ -85,13 +85,13 @@ impl ConfigSpace {
         )
     }
 
-    /// The extended 8-knob space for high-dimensional tuning (ROADMAP open
-    /// item 1): the paper's two parameters followed by six further
-    /// Spark-meaningful knobs, all mapped onto simulator mechanics by
-    /// `spark-sim`'s `ExtendedConfig`. Dimension order is a stable
-    /// contract — index 0/1 must stay batch interval/executors so the
-    /// 2-knob controller and the extended arena share one physical-vector
-    /// convention (`StreamConfig::from_physical` reads a prefix of it).
+    /// The extended 8-knob space for high-dimensional tuning: the paper's
+    /// two parameters followed by six further Spark-meaningful knobs, all
+    /// mapped onto simulator mechanics by `spark-sim`'s `ExtendedConfig`.
+    /// Dimension order is a stable contract — index 0/1 must stay batch
+    /// interval/executors so the 2-knob controller and the extended arena
+    /// share one physical-vector convention (`StreamConfig::from_physical`
+    /// reads a prefix of it).
     pub fn extended() -> Self {
         ConfigSpace::new(
             vec![
