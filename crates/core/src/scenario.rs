@@ -7,9 +7,16 @@
 //! adversarial combinators: flash crowds over a diurnal base, Pareto-sized
 //! bursts, correlated multi-source surges), hot-key partition skew, a
 //! fault schedule, and the tuning methods to race. The `scenario_runner`
-//! binary replays a corpus of these through the parallel fabric; the
-//! fig/ablation binaries load committed scenario files instead of
-//! hard-coding their parameters.
+//! binary replays a corpus of these through the parallel fabric; `fig5`
+//! and `fig6` load their committed scenario files instead of hard-coding
+//! their parameters (the other figure and ablation binaries still build
+//! theirs in code).
+//!
+//! Each type's field table (a `wire!` invocation below) is the one
+//! place its wire fields are declared: the type, its `kind` tags, both
+//! codec directions and the canonical field order all come from it, and
+//! each field type's wire form is its `Field` impl. Only `validate`, which
+//! holds the domain rules, is written by hand.
 //!
 //! This module owns only the *wire* layer: parse, validate, serialize.
 //! Building live processes from a [`RateSpec`] happens in `nostop-datagen`
@@ -38,113 +45,341 @@ pub const BROKER_PARTITIONS: usize = 32;
 /// status-report wire refuses.
 pub const MAX_RATE_PER_S: f64 = 1e7;
 
+/// Ceiling on a scenario's `horizon_s`, seconds (about 11.6 days): 250×
+/// the corpus's longest horizon (4,000 s). A trace-only run samples the
+/// rate once per step up to the horizon, and its µs clock overflows `u64`
+/// above about 1.8e13 s.
+pub const MAX_HORIZON_S: f64 = 1e6;
+
 /// The tuning methods a scenario may race (the chaos-grid arms).
 pub const KNOWN_METHODS: [&str; 3] = ["nostop", "bo", "static"];
 
-/// A declarative, comparable description of an arrival-rate process.
+/// How one field type crosses the wire. `encode` gives the field's JSON
+/// value (`None` leaves the key out); `decode` reads the value found at
+/// `key` (`None` when the key is absent) and names the key in its errors.
+trait Field: Sized {
+    fn encode(&self) -> Option<Json>;
+    fn decode(v: Option<&Json>, key: &str) -> Result<Self, String>;
+}
+
+/// A required field that is absent or of the wrong type.
+fn missing(key: &str) -> String {
+    json::missing(key).to_string()
+}
+
+/// An integer field narrower than `u64`: a value that does not fit is an
+/// error, not a wrap.
+fn narrow<T: TryFrom<u64>>(v: Option<&Json>, key: &str) -> Result<T, String> {
+    let n = u64::decode(v, key)?;
+    let name = std::any::type_name::<T>();
+    T::try_from(n).map_err(|_| format!("field `{key}` = {n} does not fit in {name}"))
+}
+
+/// `Field` impls for the scalar field types, one row each: the encoder
+/// of the field value `x`, then the decoder of the wire value `v` at `key`.
+macro_rules! scalar_fields {
+    ($(
+        $(#[$doc:meta])*
+        $t:ty: |$x:ident| $enc:expr, |$v:ident, $key:ident| $dec:expr;
+    )*) => {$(
+        $(#[$doc])*
+        impl Field for $t {
+            fn encode(&self) -> Option<Json> {
+                let $x = self;
+                Some($enc)
+            }
+            fn decode($v: Option<&Json>, $key: &str) -> Result<Self, String> {
+                $dec
+            }
+        }
+    )*};
+}
+
+scalar_fields! {
+    f64: |x| json::num(*x), |v, key| v.and_then(Json::as_f64).ok_or_else(|| missing(key));
+    /// Integers from 2^53 up are refused (`Json::as_u64`): they may have
+    /// rounded into a different integer when the text was parsed.
+    u64: |x| json::uint(*x), |v, key| v.and_then(Json::as_u64).ok_or_else(|| missing(key));
+    u32: |x| json::uint(u64::from(*x)), |v, key| narrow(v, key);
+    usize: |x| json::uint(*x as u64), |v, key| narrow(v, key);
+    String: |x| json::str(x.as_str()), |v, key| {
+        v.and_then(Json::as_str).map(str::to_string).ok_or_else(|| missing(key))
+    };
+    /// Instants travel as plain seconds, so that files stay hand-writable.
+    /// The seconds are checked before they are rounded to µs, because
+    /// `from_secs_f64` maps NaN and negative values to 0 without a word.
+    SimTime: |x| json::num(x.as_secs_f64()), |v, key| {
+        let secs = f64::decode(v, key)?;
+        finite_nonneg(secs, key).map(|()| SimTime::from_secs_f64(secs))
+    };
+    /// Spans travel as seconds too, and must be positive.
+    SimDuration: |x| json::num(x.as_secs_f64()), |v, key| {
+        let secs = f64::decode(v, key)?;
+        finite_pos(secs, key).map(|()| SimDuration::from_secs_f64(secs))
+    };
+    ClusterKind: |x| json::str(x.name()), |v, key| {
+        let name = v.and_then(Json::as_str).ok_or_else(|| missing(key))?;
+        ClusterKind::from_name(name).ok_or_else(|| format!("unknown cluster `{name}`"))
+    };
+}
+
+/// `None` leaves the key out; an absent key or `null` reads as `None`.
+impl<T: Field> Field for Option<T> {
+    fn encode(&self) -> Option<Json> {
+        self.as_ref().and_then(T::encode)
+    }
+    fn decode(v: Option<&Json>, key: &str) -> Result<Self, String> {
+        match v {
+            None | Some(Json::Null) => Ok(None),
+            _ => T::decode(v, key).map(Some),
+        }
+    }
+}
+
+impl<T: Field> Field for Box<T> {
+    fn encode(&self) -> Option<Json> {
+        T::encode(self)
+    }
+    fn decode(v: Option<&Json>, key: &str) -> Result<Self, String> {
+        T::decode(v, key).map(Box::new)
+    }
+}
+
+/// An array whose every element has the field type `T`.
+impl<T: Field> Field for Vec<T> {
+    fn encode(&self) -> Option<Json> {
+        Some(Json::Arr(self.iter().filter_map(T::encode).collect()))
+    }
+    fn decode(v: Option<&Json>, key: &str) -> Result<Self, String> {
+        let items = v.and_then(Json::as_array).ok_or_else(|| missing(key))?;
+        items.iter().map(|i| T::decode(Some(i), key)).collect()
+    }
+}
+
+/// Declares a wire type from its field table and generates its codec.
 ///
-/// Lives here (not in `datagen`) because it is a *wire type*: fleet
-/// tenant specs, scenario files, and reports all carry it, and none of
-/// them should drag in the live process implementations. The composite
-/// variants box their base spec, so a diurnal cycle with superimposed
-/// flash crowds is literally `FlashCrowd { base: Sinusoid { .. }, .. }`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RateSpec {
-    /// A constant rate — the idealized regime prior work assumes.
-    Constant {
-        /// Records per second.
-        rate: f64,
-    },
-    /// The paper's uniform-random redraw model (§6.2.2).
-    UniformRandom {
-        /// Lower rate bound.
-        min_rate: f64,
-        /// Upper rate bound.
-        max_rate: f64,
-        /// Seconds between redraws.
-        hold_secs: f64,
-    },
-    /// A sinusoidal (diurnal-style) rate.
-    Sinusoid {
-        /// Mean rate.
-        base: f64,
-        /// Peak deviation from the mean.
-        amplitude: f64,
-        /// Full-cycle period in seconds.
-        period_secs: f64,
-    },
-    /// A linear ramp — the "slow drift" regime where NoStop's std-dev
-    /// reset trigger never fires.
-    Ramp {
-        /// Rate at `t = 0`.
-        start_rate: f64,
-        /// Rate at `t = duration_secs` and beyond.
-        end_rate: f64,
-        /// Seconds the ramp spans.
-        duration_secs: f64,
-    },
-    /// Poisson surges of fixed magnitude over a constant base (§5.5).
-    Surge {
-        /// Base records per second between surges.
-        base_rate: f64,
-        /// Multiplicative surge factor (`>= 1`).
-        magnitude: f64,
-        /// Surge duration in seconds.
-        surge_secs: f64,
-        /// Mean seconds between surge onsets (Poisson).
-        mean_gap_secs: f64,
-    },
-    /// Flash crowds over any base: Poisson onsets whose *magnitude* is
-    /// drawn per-event from a capped Pareto — most crowds are mild, a
-    /// heavy tail is violent. The regime where the reset trigger fires
-    /// constantly.
-    FlashCrowd {
-        /// The underlying process the crowds multiply.
-        base: Box<RateSpec>,
-        /// Mean seconds between crowd onsets (Poisson).
-        mean_gap_secs: f64,
-        /// How long each crowd lasts, seconds.
-        crowd_secs: f64,
-        /// Pareto tail index for the magnitude draw (smaller = heavier).
-        pareto_shape: f64,
-        /// Smallest crowd magnitude (the Pareto scale), `>= 1`.
-        min_magnitude: f64,
-        /// Hard cap on the crowd magnitude.
-        max_magnitude: f64,
-    },
-    /// Heavy-tailed burst *arrivals*: Poisson onsets each injecting a
-    /// Pareto-sized record count (capped), spread over the burst window
-    /// as surplus rate on top of the base.
-    ParetoBurst {
-        /// The underlying process the bursts ride on.
-        base: Box<RateSpec>,
-        /// Mean seconds between burst onsets (Poisson).
-        mean_gap_secs: f64,
-        /// Seconds each burst's records are spread over.
-        burst_secs: f64,
-        /// Pareto tail index for the burst size (smaller = heavier).
-        pareto_shape: f64,
-        /// Smallest burst size in records (the Pareto scale).
-        min_burst_records: f64,
-        /// Hard cap on the burst size in records.
-        max_burst_records: f64,
-    },
-    /// Multi-source surges sharing a trigger stream: every process built
-    /// with the same `trigger_seed` surges at the *same instants*
-    /// regardless of its own RNG fork — N tenants spike together, the
-    /// way correlated production incidents do.
-    CorrelatedSurge {
-        /// The underlying process each source runs between surges.
-        base: Box<RateSpec>,
-        /// The shared trigger stream; equal seeds ⇒ equal onset times.
-        trigger_seed: u64,
-        /// Multiplicative surge factor (`>= 1`).
-        magnitude: f64,
-        /// Surge duration in seconds.
-        surge_secs: f64,
-        /// Mean seconds between surge onsets (Poisson).
-        mean_gap_secs: f64,
-    },
+/// An enum is a tagged object: each variant is `Name = "kind-tag"`, with
+/// its fields, if any, in braces (`name: Type => "wire_key",`). A struct
+/// carries a fixed tag instead (the schema); its fields may name the value
+/// an absent key stands for (`name: Type = default => "wire_key",`), and
+/// its `from_json` also runs the hand-written `validate`. Both emit the
+/// type with its docs and derives, `to_json` (the tag, then the fields in
+/// table order) and `from_json`; an enum also gets `kind()`, errors that
+/// name the variant (``rate `surge`: …``) and the `Field` impl that nests
+/// it in another table.
+macro_rules! wire {
+    (
+        $(#[$attr:meta])*
+        pub enum $Name:ident as $what:literal {
+            $(
+                $(#[$vattr:meta])*
+                $Variant:ident = $tag:literal $({
+                    $($(#[$fattr:meta])* $field:ident: $fty:ty => $key:literal,)*
+                })?,
+            )*
+        }
+    ) => {
+        $(#[$attr])*
+        pub enum $Name {
+            $(
+                $(#[$vattr])*
+                $Variant $({ $($(#[$fattr])* $field: $fty,)* })?,
+            )*
+        }
+
+        impl $Name {
+            /// The tag `to_json` writes as `"kind"`.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $($Name::$Variant { .. } => $tag,)*
+                }
+            }
+
+            /// Serialize as a tagged JSON object (`{"kind": "...", ...}`),
+            /// fields in table order.
+            pub fn to_json(&self) -> Json {
+                let mut fields = vec![("kind", json::str(self.kind()))];
+                match self {
+                    $($Name::$Variant $({ $($field,)* })? => {
+                        $($(fields.extend(Field::encode($field).map(|j| ($key, j)));)*)?
+                    })*
+                }
+                json::obj(fields)
+            }
+
+            /// Parse a tagged JSON object (inverse of `to_json`). Ranges
+            /// are not checked: call `validate` after.
+            pub fn from_json(v: &Json) -> Result<Self, String> {
+                let kind = v.field_str("kind").map_err(|e| e.to_string())?;
+                let ctx = |e: String| format!("{} `{kind}`: {e}", $what);
+                match kind {
+                    $($tag => Ok($Name::$Variant $({
+                        $($field: <$fty as Field>::decode(v.get($key), $key).map_err(ctx)?,)*
+                    })?),)*
+                    other => Err(format!("unknown {} kind `{other}`", $what)),
+                }
+            }
+        }
+
+        impl Field for $Name {
+            fn encode(&self) -> Option<Json> {
+                Some(self.to_json())
+            }
+            fn decode(v: Option<&Json>, key: &str) -> Result<Self, String> {
+                $Name::from_json(v.ok_or_else(|| format!("missing `{key}`"))?)
+            }
+        }
+    };
+    (
+        $(#[$attr:meta])*
+        pub struct $Name:ident as $what:literal, $tag_key:literal = $tag:ident {
+            $(
+                $(#[$fattr:meta])*
+                pub $field:ident: $fty:ty $(= $default:expr)? => $key:literal,
+            )*
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct $Name {
+            $($(#[$fattr])* pub $field: $fty,)*
+        }
+
+        impl $Name {
+            /// Serialize: the tag, then the fields in table order (inverse
+            /// of `from_json`).
+            pub fn to_json(&self) -> Json {
+                let mut fields = vec![($tag_key, json::str($tag))];
+                $(fields.extend(Field::encode(&self.$field).map(|j| ($key, j)));)*
+                json::obj(fields)
+            }
+
+            /// Parse and validate. The tag must match exactly: an unknown
+            /// one is a hard error, so format evolution stays explicit.
+            pub fn from_json(v: &Json) -> Result<Self, String> {
+                let tag = v.field_str($tag_key).map_err(|e| e.to_string())?;
+                require(
+                    tag == $tag,
+                    &format!("unsupported {} {} `{tag}` (want `{}`)", $what, $tag_key, $tag),
+                )?;
+                let spec = $Name {
+                    $($field: match v.get($key) {
+                        $(None => $default,)?
+                        value => <$fty as Field>::decode(value, $key)?,
+                    },)*
+                };
+                spec.validate()?;
+                Ok(spec)
+            }
+        }
+    };
+}
+
+wire! {
+    /// A declarative, comparable description of an arrival-rate process.
+    ///
+    /// Lives here (not in `datagen`) because it is a *wire type*: fleet
+    /// tenant specs, scenario files, and reports all carry it, and none of
+    /// them should drag in the live process implementations. The composite
+    /// variants box their base spec, so a diurnal cycle with superimposed
+    /// flash crowds is literally `FlashCrowd { base: Sinusoid { .. }, .. }`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum RateSpec as "rate" {
+        /// A constant rate — the idealized regime prior work assumes.
+        Constant = "constant" {
+            /// Records per second.
+            rate: f64 => "rate",
+        },
+        /// The paper's uniform-random redraw model (§6.2.2).
+        UniformRandom = "uniform-random" {
+            /// Lower rate bound.
+            min_rate: f64 => "min_rate",
+            /// Upper rate bound.
+            max_rate: f64 => "max_rate",
+            /// Seconds between redraws.
+            hold_secs: f64 => "hold_secs",
+        },
+        /// A sinusoidal (diurnal-style) rate.
+        Sinusoid = "sinusoid" {
+            /// Mean rate.
+            base: f64 => "base",
+            /// Peak deviation from the mean.
+            amplitude: f64 => "amplitude",
+            /// Full-cycle period in seconds.
+            period_secs: f64 => "period_secs",
+        },
+        /// A linear ramp — the "slow drift" regime where NoStop's std-dev
+        /// reset trigger never fires.
+        Ramp = "ramp" {
+            /// Rate at `t = 0`.
+            start_rate: f64 => "start_rate",
+            /// Rate at `t = duration_secs` and beyond.
+            end_rate: f64 => "end_rate",
+            /// Seconds the ramp spans.
+            duration_secs: f64 => "duration_secs",
+        },
+        /// Poisson surges of fixed magnitude over a constant base (§5.5).
+        Surge = "surge" {
+            /// Base records per second between surges.
+            base_rate: f64 => "base_rate",
+            /// Multiplicative surge factor (`>= 1`).
+            magnitude: f64 => "magnitude",
+            /// Surge duration in seconds.
+            surge_secs: f64 => "surge_secs",
+            /// Mean seconds between surge onsets (Poisson).
+            mean_gap_secs: f64 => "mean_gap_secs",
+        },
+        /// Flash crowds over any base: Poisson onsets whose *magnitude* is
+        /// drawn per-event from a capped Pareto — most crowds are mild, a
+        /// heavy tail is violent. The regime where the reset trigger fires
+        /// constantly.
+        FlashCrowd = "flash-crowd" {
+            /// The underlying process the crowds multiply.
+            base: Box<RateSpec> => "base",
+            /// Mean seconds between crowd onsets (Poisson).
+            mean_gap_secs: f64 => "mean_gap_secs",
+            /// How long each crowd lasts, seconds.
+            crowd_secs: f64 => "crowd_secs",
+            /// Pareto tail index for the magnitude draw (smaller = heavier).
+            pareto_shape: f64 => "pareto_shape",
+            /// Smallest crowd magnitude (the Pareto scale), `>= 1`.
+            min_magnitude: f64 => "min_magnitude",
+            /// Hard cap on the crowd magnitude.
+            max_magnitude: f64 => "max_magnitude",
+        },
+        /// Heavy-tailed burst *arrivals*: Poisson onsets each injecting a
+        /// Pareto-sized record count (capped), spread over the burst window
+        /// as surplus rate on top of the base.
+        ParetoBurst = "pareto-burst" {
+            /// The underlying process the bursts ride on.
+            base: Box<RateSpec> => "base",
+            /// Mean seconds between burst onsets (Poisson).
+            mean_gap_secs: f64 => "mean_gap_secs",
+            /// Seconds each burst's records are spread over.
+            burst_secs: f64 => "burst_secs",
+            /// Pareto tail index for the burst size (smaller = heavier).
+            pareto_shape: f64 => "pareto_shape",
+            /// Smallest burst size in records (the Pareto scale).
+            min_burst_records: f64 => "min_burst_records",
+            /// Hard cap on the burst size in records.
+            max_burst_records: f64 => "max_burst_records",
+        },
+        /// Multi-source surges sharing a trigger stream: every process built
+        /// with the same `trigger_seed` surges at the *same instants*
+        /// regardless of its own RNG fork — N tenants spike together, the
+        /// way correlated production incidents do.
+        CorrelatedSurge = "correlated-surge" {
+            /// The underlying process each source runs between surges.
+            base: Box<RateSpec> => "base",
+            /// The shared trigger stream; equal seeds ⇒ equal onset times.
+            trigger_seed: u64 => "trigger_seed",
+            /// Multiplicative surge factor (`>= 1`).
+            magnitude: f64 => "magnitude",
+            /// Surge duration in seconds.
+            surge_secs: f64 => "surge_secs",
+            /// Mean seconds between surge onsets (Poisson).
+            mean_gap_secs: f64 => "mean_gap_secs",
+        },
+    }
 }
 
 fn require(cond: bool, msg: &str) -> Result<(), String> {
@@ -327,195 +562,29 @@ impl RateSpec {
             } => base.peak_rate() * magnitude,
         }
     }
-
-    /// The tag `to_json` writes as `"kind"`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RateSpec::Constant { .. } => "constant",
-            RateSpec::UniformRandom { .. } => "uniform-random",
-            RateSpec::Sinusoid { .. } => "sinusoid",
-            RateSpec::Ramp { .. } => "ramp",
-            RateSpec::Surge { .. } => "surge",
-            RateSpec::FlashCrowd { .. } => "flash-crowd",
-            RateSpec::ParetoBurst { .. } => "pareto-burst",
-            RateSpec::CorrelatedSurge { .. } => "correlated-surge",
-        }
-    }
-
-    /// Serialize as a tagged JSON object (`{"kind": "...", ...}`).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![("kind", json::str(self.kind()))];
-        fields.extend(match self {
-            RateSpec::Constant { rate } => vec![("rate", json::num(*rate))],
-            RateSpec::UniformRandom {
-                min_rate,
-                max_rate,
-                hold_secs,
-            } => vec![
-                ("min_rate", json::num(*min_rate)),
-                ("max_rate", json::num(*max_rate)),
-                ("hold_secs", json::num(*hold_secs)),
-            ],
-            RateSpec::Sinusoid {
-                base,
-                amplitude,
-                period_secs,
-            } => vec![
-                ("base", json::num(*base)),
-                ("amplitude", json::num(*amplitude)),
-                ("period_secs", json::num(*period_secs)),
-            ],
-            RateSpec::Ramp {
-                start_rate,
-                end_rate,
-                duration_secs,
-            } => vec![
-                ("start_rate", json::num(*start_rate)),
-                ("end_rate", json::num(*end_rate)),
-                ("duration_secs", json::num(*duration_secs)),
-            ],
-            RateSpec::Surge {
-                base_rate,
-                magnitude,
-                surge_secs,
-                mean_gap_secs,
-            } => vec![
-                ("base_rate", json::num(*base_rate)),
-                ("magnitude", json::num(*magnitude)),
-                ("surge_secs", json::num(*surge_secs)),
-                ("mean_gap_secs", json::num(*mean_gap_secs)),
-            ],
-            RateSpec::FlashCrowd {
-                base,
-                mean_gap_secs,
-                crowd_secs,
-                pareto_shape,
-                min_magnitude,
-                max_magnitude,
-            } => vec![
-                ("base", base.to_json()),
-                ("mean_gap_secs", json::num(*mean_gap_secs)),
-                ("crowd_secs", json::num(*crowd_secs)),
-                ("pareto_shape", json::num(*pareto_shape)),
-                ("min_magnitude", json::num(*min_magnitude)),
-                ("max_magnitude", json::num(*max_magnitude)),
-            ],
-            RateSpec::ParetoBurst {
-                base,
-                mean_gap_secs,
-                burst_secs,
-                pareto_shape,
-                min_burst_records,
-                max_burst_records,
-            } => vec![
-                ("base", base.to_json()),
-                ("mean_gap_secs", json::num(*mean_gap_secs)),
-                ("burst_secs", json::num(*burst_secs)),
-                ("pareto_shape", json::num(*pareto_shape)),
-                ("min_burst_records", json::num(*min_burst_records)),
-                ("max_burst_records", json::num(*max_burst_records)),
-            ],
-            RateSpec::CorrelatedSurge {
-                base,
-                trigger_seed,
-                magnitude,
-                surge_secs,
-                mean_gap_secs,
-            } => vec![
-                ("base", base.to_json()),
-                ("trigger_seed", json::uint(*trigger_seed)),
-                ("magnitude", json::num(*magnitude)),
-                ("surge_secs", json::num(*surge_secs)),
-                ("mean_gap_secs", json::num(*mean_gap_secs)),
-            ],
-        });
-        json::obj(fields)
-    }
-
-    /// Parse a tagged JSON object back into a spec (inverse of
-    /// [`RateSpec::to_json`]). Does not validate ranges — call
-    /// [`RateSpec::validate`] after.
-    pub fn from_json(v: &Json) -> Result<RateSpec, String> {
-        let kind = v.field_str("kind").map_err(|e| e.to_string())?;
-        let f = |key: &str| v.field_f64(key).map_err(|e| format!("rate `{kind}`: {e}"));
-        let sub = |key: &str| -> Result<Box<RateSpec>, String> {
-            let inner = v
-                .get(key)
-                .ok_or_else(|| format!("rate `{kind}`: missing `{key}`"))?;
-            Ok(Box::new(RateSpec::from_json(inner)?))
-        };
-        match kind {
-            "constant" => Ok(RateSpec::Constant { rate: f("rate")? }),
-            "uniform-random" => Ok(RateSpec::UniformRandom {
-                min_rate: f("min_rate")?,
-                max_rate: f("max_rate")?,
-                hold_secs: f("hold_secs")?,
-            }),
-            "sinusoid" => Ok(RateSpec::Sinusoid {
-                base: f("base")?,
-                amplitude: f("amplitude")?,
-                period_secs: f("period_secs")?,
-            }),
-            "ramp" => Ok(RateSpec::Ramp {
-                start_rate: f("start_rate")?,
-                end_rate: f("end_rate")?,
-                duration_secs: f("duration_secs")?,
-            }),
-            "surge" => Ok(RateSpec::Surge {
-                base_rate: f("base_rate")?,
-                magnitude: f("magnitude")?,
-                surge_secs: f("surge_secs")?,
-                mean_gap_secs: f("mean_gap_secs")?,
-            }),
-            "flash-crowd" => Ok(RateSpec::FlashCrowd {
-                base: sub("base")?,
-                mean_gap_secs: f("mean_gap_secs")?,
-                crowd_secs: f("crowd_secs")?,
-                pareto_shape: f("pareto_shape")?,
-                min_magnitude: f("min_magnitude")?,
-                max_magnitude: f("max_magnitude")?,
-            }),
-            "pareto-burst" => Ok(RateSpec::ParetoBurst {
-                base: sub("base")?,
-                mean_gap_secs: f("mean_gap_secs")?,
-                burst_secs: f("burst_secs")?,
-                pareto_shape: f("pareto_shape")?,
-                min_burst_records: f("min_burst_records")?,
-                max_burst_records: f("max_burst_records")?,
-            }),
-            "correlated-surge" => Ok(RateSpec::CorrelatedSurge {
-                base: sub("base")?,
-                trigger_seed: v
-                    .field_u64("trigger_seed")
-                    .map_err(|e| format!("rate `{kind}`: {e}"))?,
-                magnitude: f("magnitude")?,
-                surge_secs: f("surge_secs")?,
-                mean_gap_secs: f("mean_gap_secs")?,
-            }),
-            other => Err(format!("unknown rate kind `{other}`")),
-        }
-    }
 }
 
-/// Partition skew applied at the broker's produce side.
-///
-/// The paper's deployment avoids skew by construction (§6.1: more
-/// partitions than cores, uniform keying); production traffic does not.
-/// `HotKey` concentrates a `hot_weight`-times-fair share of every produce
-/// call onto the first `⌈hot_fraction · partitions⌉` partitions —
-/// deterministic (no RNG), conservation-exact modulo per-partition
-/// fractional carries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SkewSpec {
-    /// Uniform production — byte-identical to a build without skew.
-    None,
-    /// Hot-key skew: a fraction of partitions receives a multiplied share.
-    HotKey {
-        /// Fraction of partitions that are hot, in `(0, 1)`.
-        hot_fraction: f64,
-        /// Relative weight of a hot partition vs a cold one, `> 1`.
-        hot_weight: f64,
-    },
+wire! {
+    /// Partition skew applied at the broker's produce side.
+    ///
+    /// The paper's deployment avoids skew by construction (§6.1: more
+    /// partitions than cores, uniform keying); production traffic does not.
+    /// `HotKey` concentrates a `hot_weight`-times-fair share of every produce
+    /// call onto the first `⌈hot_fraction · partitions⌉` partitions —
+    /// deterministic (no RNG), conservation-exact modulo per-partition
+    /// fractional carries.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum SkewSpec as "skew" {
+        /// Uniform production — byte-identical to a build without skew.
+        None = "none",
+        /// Hot-key skew: a fraction of partitions receives a multiplied share.
+        HotKey = "hot-key" {
+            /// Fraction of partitions that are hot, in `(0, 1)`.
+            hot_fraction: f64 => "hot_fraction",
+            /// Relative weight of a hot partition vs a cold one, `> 1`.
+            hot_weight: f64 => "hot_weight",
+        },
+    }
 }
 
 impl SkewSpec {
@@ -605,90 +674,65 @@ impl SkewSpec {
             }
         }
     }
-
-    /// Serialize as a tagged JSON object.
-    pub fn to_json(&self) -> Json {
-        match self {
-            SkewSpec::None => json::obj(vec![("kind", json::str("none"))]),
-            SkewSpec::HotKey {
-                hot_fraction,
-                hot_weight,
-            } => json::obj(vec![
-                ("kind", json::str("hot-key")),
-                ("hot_fraction", json::num(*hot_fraction)),
-                ("hot_weight", json::num(*hot_weight)),
-            ]),
-        }
-    }
-
-    /// Parse a tagged JSON object (inverse of [`SkewSpec::to_json`]).
-    pub fn from_json(v: &Json) -> Result<SkewSpec, String> {
-        match v.field_str("kind").map_err(|e| e.to_string())? {
-            "none" => Ok(SkewSpec::None),
-            "hot-key" => Ok(SkewSpec::HotKey {
-                hot_fraction: v.field_f64("hot_fraction").map_err(|e| e.to_string())?,
-                hot_weight: v.field_f64("hot_weight").map_err(|e| e.to_string())?,
-            }),
-            other => Err(format!("unknown skew kind `{other}`")),
-        }
-    }
 }
 
-/// One scheduled fault, on the engine's microsecond clock.
-///
-/// The scenario format and the engine share this type: scenario files
-/// carry its times as plain seconds (`at_s`, `from_s`, `until_s`,
-/// `relaunch_after_s`) so they stay hand-writable, [`FaultEvent::from_json`]
-/// converts them once at parse time, and `spark-sim`'s `FaultPlan`
-/// replays the typed value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEvent {
-    /// Kill `count` executors at `at` (victims drawn uniformly from the
-    /// live set; the set never drops below one). With `relaunch_after`,
-    /// the cluster manager restores the target count after that delay —
-    /// replacements pay the usual launch latency and jar shipping.
-    ExecutorCrash {
-        /// When the crash happens.
-        at: SimTime,
-        /// Executors killed (capped so at least one survives).
-        count: u32,
-        /// Delay until the cluster manager relaunches replacements
-        /// (`None` = the capacity is gone for good).
-        relaunch_after: Option<SimDuration>,
-    },
-    /// Node `node` runs at `factor` × its normal speed in `[from, until)`
-    /// — a straggler window (background load, thermal throttling).
-    NodeSlowdown {
-        /// Affected node id.
-        node: usize,
-        /// Window start (inclusive).
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-        /// Speed multiplier in `(0, 1]`-ish; values > 1 model a boost.
-        factor: f64,
-    },
-    /// Receivers are down in `[from, until)`: records produced by the
-    /// source during the window never reach the broker and are counted as
-    /// dropped (a Kafka-less receiver loses data; the declared drop keeps
-    /// the conservation ledger exact).
-    ReceiverOutage {
-        /// Window start (inclusive).
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-    },
-    /// Tasks scheduled in `[from, until)` fail with `probability` per
-    /// attempt and are retried on the same slot, up to the engine's
-    /// per-task retry bound.
-    TaskFailures {
-        /// Window start (inclusive).
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-        /// Per-attempt failure probability in `[0, 1)`.
-        probability: f64,
-    },
+wire! {
+    /// One scheduled fault, on the engine's microsecond clock.
+    ///
+    /// The scenario format and the engine share this type: scenario files
+    /// carry its times as plain seconds (`at_s`, `from_s`, `until_s`,
+    /// `relaunch_after_s`) so they stay hand-writable, [`FaultEvent::from_json`]
+    /// converts them once at parse time, and `spark-sim`'s `FaultPlan`
+    /// replays the typed value.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum FaultEvent as "fault" {
+        /// Kill `count` executors at `at` (victims drawn uniformly from the
+        /// live set; the set never drops below one). With `relaunch_after`,
+        /// the cluster manager restores the target count after that delay —
+        /// replacements pay the usual launch latency and jar shipping.
+        ExecutorCrash = "executor-crash" {
+            /// When the crash happens.
+            at: SimTime => "at_s",
+            /// Executors killed (capped so at least one survives).
+            count: u32 => "count",
+            /// Delay until the cluster manager relaunches replacements
+            /// (`None` = the capacity is gone for good).
+            relaunch_after: Option<SimDuration> => "relaunch_after_s",
+        },
+        /// Node `node` runs at `factor` × its normal speed in `[from, until)`
+        /// — a straggler window (background load, thermal throttling).
+        NodeSlowdown = "node-slowdown" {
+            /// Affected node id.
+            node: usize => "node",
+            /// Window start (inclusive).
+            from: SimTime => "from_s",
+            /// Window end (exclusive).
+            until: SimTime => "until_s",
+            /// Speed multiplier in `(0, 1]`-ish; values > 1 model a boost.
+            factor: f64 => "factor",
+        },
+        /// Receivers are down in `[from, until)`: records produced by the
+        /// source during the window never reach the broker and are counted as
+        /// dropped (a Kafka-less receiver loses data; the declared drop keeps
+        /// the conservation ledger exact).
+        ReceiverOutage = "receiver-outage" {
+            /// Window start (inclusive).
+            from: SimTime => "from_s",
+            /// Window end (exclusive).
+            until: SimTime => "until_s",
+        },
+        /// Tasks scheduled in `[from, until)` fail with `probability` per
+        /// attempt and are retried on the same slot, up to the engine's
+        /// per-task retry bound.
+        TaskFailures = "task-failures" {
+            /// Window start (inclusive).
+            from: SimTime => "from_s",
+            /// Window end (exclusive).
+            until: SimTime => "until_s",
+            /// Per-attempt failure probability in `[0, 1)`.
+            probability: f64 => "probability",
+        },
+    }
 }
 
 /// A fault window must hold at least one microsecond: the engine compares
@@ -737,103 +781,6 @@ impl FaultEvent {
             }
         }
     }
-
-    /// Serialize as a tagged JSON object, times in seconds.
-    pub fn to_json(&self) -> Json {
-        let secs = |t: SimTime| json::num(t.as_secs_f64());
-        match *self {
-            FaultEvent::ExecutorCrash {
-                at,
-                count,
-                relaunch_after,
-            } => {
-                let mut fields = vec![
-                    ("kind", json::str("executor-crash")),
-                    ("at_s", secs(at)),
-                    ("count", json::uint(count as u64)),
-                ];
-                if let Some(r) = relaunch_after {
-                    fields.push(("relaunch_after_s", json::num(r.as_secs_f64())));
-                }
-                json::obj(fields)
-            }
-            FaultEvent::NodeSlowdown {
-                node,
-                from,
-                until,
-                factor,
-            } => json::obj(vec![
-                ("kind", json::str("node-slowdown")),
-                ("node", json::uint(node as u64)),
-                ("from_s", secs(from)),
-                ("until_s", secs(until)),
-                ("factor", json::num(factor)),
-            ]),
-            FaultEvent::ReceiverOutage { from, until } => json::obj(vec![
-                ("kind", json::str("receiver-outage")),
-                ("from_s", secs(from)),
-                ("until_s", secs(until)),
-            ]),
-            FaultEvent::TaskFailures {
-                from,
-                until,
-                probability,
-            } => json::obj(vec![
-                ("kind", json::str("task-failures")),
-                ("from_s", secs(from)),
-                ("until_s", secs(until)),
-                ("probability", json::num(probability)),
-            ]),
-        }
-    }
-
-    /// Parse a tagged JSON object (inverse of [`FaultEvent::to_json`]).
-    /// Seconds are checked before they are rounded to µs, because
-    /// `from_secs_f64` maps NaN and negative values to 0 without a word.
-    pub fn from_json(v: &Json) -> Result<FaultEvent, String> {
-        let kind = v.field_str("kind").map_err(|e| e.to_string())?;
-        let ctx = |e: String| format!("fault `{kind}`: {e}");
-        let f = |key: &str| v.field_f64(key).map_err(|e| ctx(e.to_string()));
-        let t = |key: &str| {
-            let secs = f(key)?;
-            finite_nonneg(secs, key).map_err(ctx)?;
-            Ok::<_, String>(SimTime::from_secs_f64(secs))
-        };
-        match kind {
-            "executor-crash" => Ok(FaultEvent::ExecutorCrash {
-                at: t("at_s")?,
-                count: {
-                    let count = v.field_u64("count").map_err(|e| ctx(e.to_string()))?;
-                    u32::try_from(count)
-                        .map_err(|_| ctx(format!("field `count` = {count} does not fit in u32")))?
-                },
-                relaunch_after: match v.get("relaunch_after_s") {
-                    None | Some(Json::Null) => None,
-                    Some(_) => {
-                        let secs = f("relaunch_after_s")?;
-                        finite_pos(secs, "relaunch_after_s").map_err(ctx)?;
-                        Some(SimDuration::from_secs_f64(secs))
-                    }
-                },
-            }),
-            "node-slowdown" => Ok(FaultEvent::NodeSlowdown {
-                node: v.field_u64("node").map_err(|e| ctx(e.to_string()))? as usize,
-                from: t("from_s")?,
-                until: t("until_s")?,
-                factor: f("factor")?,
-            }),
-            "receiver-outage" => Ok(FaultEvent::ReceiverOutage {
-                from: t("from_s")?,
-                until: t("until_s")?,
-            }),
-            "task-failures" => Ok(FaultEvent::TaskFailures {
-                from: t("from_s")?,
-                until: t("until_s")?,
-                probability: f("probability")?,
-            }),
-            other => Err(format!("unknown fault kind `{other}`")),
-        }
-    }
 }
 
 /// Which cluster preset a scenario runs on.
@@ -856,46 +803,46 @@ impl ClusterKind {
 
     /// Parse from the canonical name.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "paper" => Some(ClusterKind::Paper),
-            "testbed" => Some(ClusterKind::Testbed),
-            _ => None,
-        }
+        [ClusterKind::Paper, ClusterKind::Testbed]
+            .into_iter()
+            .find(|c| c.name() == name)
     }
 }
 
-/// One validated scenario: everything an experiment cell is a pure
-/// function of. See the module docs for the file format.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSpec {
-    /// Unique scenario name (the digest table's key).
-    pub name: String,
-    /// Workload name, resolved by the runner (`nostop-workloads` owns the
-    /// canonical list; this crate only requires it to be non-empty).
-    pub workload: String,
-    /// Cluster preset.
-    pub cluster: ClusterKind,
-    /// Master seed; the engine forks all internal streams from it.
-    pub seed: u64,
-    /// Explicit rate-process seed. `None` derives `seed ^ 0x5EED` — the
-    /// experiment drivers' convention, which decorrelates the arrival
-    /// process from the engine's internal streams.
-    pub rate_seed: Option<u64>,
-    /// Virtual horizon each method runs to, seconds.
-    pub horizon_s: f64,
-    /// When set, the `nostop` method runs this many controller rounds
-    /// instead of free-running to the horizon (the Fig-6 protocol).
-    pub rounds: Option<u64>,
-    /// Methods to race (subset of [`KNOWN_METHODS`]). Empty = trace-only:
-    /// the runner samples and digests the rate trajectory without
-    /// simulating the engine (the Fig-5 protocol).
-    pub methods: Vec<String>,
-    /// Arrival-rate process.
-    pub rate: RateSpec,
-    /// Partition skew.
-    pub skew: SkewSpec,
-    /// Scheduled faults.
-    pub faults: Vec<FaultEvent>,
+wire! {
+    /// One validated scenario: everything an experiment cell is a pure
+    /// function of. See the module docs for the file format.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioSpec as "scenario", "schema" = SCENARIO_SCHEMA {
+        /// Unique scenario name (the digest table's key).
+        pub name: String => "name",
+        /// Workload name, resolved by the runner (`nostop-workloads` owns the
+        /// canonical list; this crate only requires it to be non-empty).
+        pub workload: String => "workload",
+        /// Cluster preset.
+        pub cluster: ClusterKind => "cluster",
+        /// Master seed; the engine forks all internal streams from it.
+        pub seed: u64 => "seed",
+        /// Explicit rate-process seed. `None` derives `seed ^ 0x5EED` — the
+        /// experiment drivers' convention, which decorrelates the arrival
+        /// process from the engine's internal streams.
+        pub rate_seed: Option<u64> => "rate_seed",
+        /// Virtual horizon each method runs to, seconds.
+        pub horizon_s: f64 => "horizon_s",
+        /// When set, the `nostop` method runs this many controller rounds
+        /// instead of free-running to the horizon (the Fig-6 protocol).
+        pub rounds: Option<u64> => "rounds",
+        /// Methods to race (subset of [`KNOWN_METHODS`]). Empty = trace-only:
+        /// the runner samples and digests the rate trajectory without
+        /// simulating the engine (the Fig-5 protocol).
+        pub methods: Vec<String> => "methods",
+        /// Arrival-rate process.
+        pub rate: RateSpec => "rate",
+        /// Partition skew.
+        pub skew: SkewSpec = SkewSpec::None => "skew",
+        /// Scheduled faults.
+        pub faults: Vec<FaultEvent> = Vec::new() => "faults",
+    }
 }
 
 impl ScenarioSpec {
@@ -910,7 +857,12 @@ impl ScenarioSpec {
             &format!("scenario name `{}` must be [A-Za-z0-9_-]", self.name),
         )?;
         require(!self.workload.is_empty(), "workload must be non-empty").map_err(ctx)?;
-        finite_pos(self.horizon_s, "horizon_s").map_err(ctx)?;
+        let h = self.horizon_s;
+        require(
+            h.is_finite() && h > 0.0 && h <= MAX_HORIZON_S,
+            &format!("horizon_s must be positive and at most {MAX_HORIZON_S} s, got {h}"),
+        )
+        .map_err(ctx)?;
         if let Some(r) = self.rounds {
             require(r > 0, "rounds must be positive when present").map_err(ctx)?;
         }
@@ -932,94 +884,6 @@ impl ScenarioSpec {
     /// The rate-process seed in force (explicit, or derived from `seed`).
     pub fn effective_rate_seed(&self) -> u64 {
         self.rate_seed.unwrap_or(self.seed ^ 0x5EED)
-    }
-
-    /// Serialize the full scenario (inverse of [`ScenarioSpec::from_json`]).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("schema", json::str(SCENARIO_SCHEMA)),
-            ("name", json::str(self.name.clone())),
-            ("workload", json::str(self.workload.clone())),
-            ("cluster", json::str(self.cluster.name())),
-            ("seed", json::uint(self.seed)),
-        ];
-        if let Some(rs) = self.rate_seed {
-            fields.push(("rate_seed", json::uint(rs)));
-        }
-        fields.push(("horizon_s", json::num(self.horizon_s)));
-        if let Some(r) = self.rounds {
-            fields.push(("rounds", json::uint(r)));
-        }
-        fields.push((
-            "methods",
-            Json::Arr(self.methods.iter().map(|m| json::str(m.clone())).collect()),
-        ));
-        fields.push(("rate", self.rate.to_json()));
-        fields.push(("skew", self.skew.to_json()));
-        fields.push((
-            "faults",
-            Json::Arr(self.faults.iter().map(FaultEvent::to_json).collect()),
-        ));
-        json::obj(fields)
-    }
-
-    /// Parse and structurally check a scenario object. The schema tag must
-    /// match [`SCENARIO_SCHEMA`]; unknown tags are a hard error so format
-    /// evolution stays explicit.
-    pub fn from_json(v: &Json) -> Result<ScenarioSpec, String> {
-        let schema = v.field_str("schema").map_err(|e| e.to_string())?;
-        require(
-            schema == SCENARIO_SCHEMA,
-            &format!("unsupported scenario schema `{schema}` (want `{SCENARIO_SCHEMA}`)"),
-        )?;
-        let methods = v
-            .field_array("methods")
-            .map_err(|e| e.to_string())?
-            .iter()
-            .map(|m| {
-                m.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "methods must be strings".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let faults = match v.get("faults") {
-            None => Vec::new(),
-            Some(arr) => arr
-                .as_array()
-                .ok_or_else(|| "faults must be an array".to_string())?
-                .iter()
-                .map(FaultEvent::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let cluster_name = v.field_str("cluster").map_err(|e| e.to_string())?;
-        let spec = ScenarioSpec {
-            name: v.field_str("name").map_err(|e| e.to_string())?.to_string(),
-            workload: v
-                .field_str("workload")
-                .map_err(|e| e.to_string())?
-                .to_string(),
-            cluster: ClusterKind::from_name(cluster_name)
-                .ok_or_else(|| format!("unknown cluster `{cluster_name}`"))?,
-            seed: v.field_u64("seed").map_err(|e| e.to_string())?,
-            rate_seed: match v.get("rate_seed") {
-                None | Some(Json::Null) => None,
-                Some(rs) => Some(rs.as_u64().ok_or("rate_seed must be an integer")?),
-            },
-            horizon_s: v.field_f64("horizon_s").map_err(|e| e.to_string())?,
-            rounds: match v.get("rounds") {
-                None | Some(Json::Null) => None,
-                Some(r) => Some(r.as_u64().ok_or("rounds must be an integer")?),
-            },
-            methods,
-            rate: RateSpec::from_json(v.get("rate").ok_or_else(|| "missing `rate`".to_string())?)?,
-            skew: match v.get("skew") {
-                None => SkewSpec::None,
-                Some(s) => SkewSpec::from_json(s)?,
-            },
-            faults,
-        };
-        spec.validate()?;
-        Ok(spec)
     }
 }
 
@@ -1217,6 +1081,26 @@ mod tests {
         assert!(ScenarioSpec::from_json(&old)
             .unwrap_err()
             .contains("schema"));
+    }
+
+    #[test]
+    fn absent_optional_fields_read_as_their_defaults() {
+        let text = r#"{"schema": "nostop-scenario/1", "name": "bare", "workload": "wc",
+            "cluster": "testbed", "seed": 3, "rate_seed": null, "horizon_s": 60,
+            "methods": [], "rate": {"kind": "constant", "rate": 10}}"#;
+        let parse = |text: &str| ScenarioSpec::from_json(&Json::parse(text).unwrap());
+        let spec = parse(text).unwrap();
+        assert_eq!((spec.rate_seed, spec.rounds), (None, None));
+        assert_eq!(spec.skew, SkewSpec::None);
+        assert!(spec.faults.is_empty());
+        // Required fields have no default, and errors name the key (and,
+        // inside a tagged object, the variant).
+        let err = parse(&text.replace(r#""methods": [], "#, "")).unwrap_err();
+        assert!(err.contains("`methods`"), "{err}");
+        let hot_key = Json::parse(r#"{"kind": "hot-key", "hot_weight": 2}"#).unwrap();
+        let err = SkewSpec::from_json(&hot_key).unwrap_err();
+        assert!(err.starts_with("skew `hot-key`: "), "{err}");
+        assert!(err.contains("`hot_fraction`"), "{err}");
     }
 
     #[test]

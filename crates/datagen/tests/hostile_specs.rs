@@ -1,13 +1,14 @@
 //! Hostile scenario values that used to pass validation and then hang or
 //! panic the run: a hold, surge, crowd or burst duration that rounds to
 //! zero microseconds, a `hot_weight` whose normalization overflows, a
-//! peak rate above `MAX_RATE_PER_S`, and a fault window whose ends round
-//! to the same microsecond. Validation must name each with an error; the
-//! values just inside the limits must still build and run.
+//! peak rate above `MAX_RATE_PER_S`, a horizon above `MAX_HORIZON_S`, and
+//! a fault window whose ends round to the same microsecond. Validation
+//! must name each with an error; the values just inside the limits must
+//! still build and run.
 
 use nostop_bench::scenario::{default_corpus_dir, parse_scenario, run_method};
 use nostop_core::scenario::{
-    ClusterKind, ScenarioSpec, SkewSpec, BROKER_PARTITIONS, MAX_RATE_PER_S,
+    ClusterKind, ScenarioSpec, SkewSpec, BROKER_PARTITIONS, MAX_HORIZON_S, MAX_RATE_PER_S,
 };
 use nostop_core::system::StreamingSystem;
 use nostop_datagen::adversarial::{FlashCrowdRate, ParetoBurstRate};
@@ -266,6 +267,25 @@ fn rate_at_the_ceiling_validates_and_runs_nostop() {
     let result = under_watchdog(move || run_method(&spec, "nostop").map(|(_, r)| r))
         .expect("the nostop run completes");
     assert!(result.batches > 0 && result.mean_delay_s.is_finite());
+}
+
+/// A trace-only file with `horizon_s: 1e15` used to validate. The trace
+/// sampler would then collect 1e14 samples, and its µs clock overflows
+/// `u64` above about 1.8e13 s. Only the validation error is asserted: no
+/// such spec is ever run.
+#[test]
+fn horizon_above_the_ceiling_is_a_validation_error() {
+    let text = corpus("fig5-wordcount");
+    for horizon in ["1e15", "1000001"] {
+        let hostile = text.replace(r#""horizon_s": 600"#, &format!(r#""horizon_s": {horizon}"#));
+        assert_ne!(hostile, text, "the fig5 file's horizon moved");
+        let err =
+            parse_scenario(&hostile).expect_err("a horizon above the ceiling must not validate");
+        assert!(err.contains("horizon_s"), "{horizon}: {err}");
+    }
+    let mut spec = parse_scenario(&text).expect("the corpus file is valid");
+    spec.horizon_s = MAX_HORIZON_S;
+    spec.validate().expect("a horizon at the ceiling is valid");
 }
 
 /// The base scenario with `faults` (JSON objects, times in seconds) as its

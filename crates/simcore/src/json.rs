@@ -221,7 +221,9 @@ impl Json {
     }
 }
 
-fn missing(key: &str) -> Error {
+/// The error of the required-field helpers: `key` is absent, or its value
+/// has the wrong type.
+pub fn missing(key: &str) -> Error {
     Error {
         at: 0,
         msg: format!("missing or mistyped field `{key}`"),

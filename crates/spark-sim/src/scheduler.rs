@@ -16,9 +16,9 @@
 //! episodes, fault windows, speculation) intervenes, which is what the
 //! engine's superbatch fast path exploits. Task *waves*
 //! (`⌈tasks / executors⌉`), heterogeneity (per-node speed), disk class
-//! (shuffle/sink I/O), contention windows, stragglers, and the U-shaped
-//! executor-count effect of Fig. 3 all emerge from this model rather than
-//! being postulated.
+//! (shuffle/sink I/O), contention windows, stragglers, and Fig. 3's
+//! executor-count effect (a steep fall that flattens at high counts) all
+//! emerge from this model rather than being postulated.
 //!
 //! Per-job scratch is a single two-lane arena frame
 //! ([`nostop_simcore::Arena`]) carved into struct-of-arrays task state —
@@ -526,8 +526,8 @@ mod tests {
 
     #[test]
     fn more_executors_speed_up_until_overhead_wins() {
-        // The Fig-3 U-shape must emerge from list scheduling + management
-        // overhead (fixed 10 s interval, fixed records).
+        // Fig 3's fall-then-flatten must emerge from list scheduling +
+        // management overhead (fixed 10 s interval, fixed records).
         let time = |n: u32| {
             let mut e = executors(n);
             run(100_000, 10.0, &mut e, 8).as_secs_f64()
