@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Shared determinism harness for the CI legs that all follow the same
-# shape: build one release binary from nostop-bench, run it with
-# NOSTOP_JOBS=1 and NOSTOP_JOBS=8, and byte-diff the stdout (and, when
-# the artifact itself is deterministic, the written file). --probe adds
-# a third run under NOSTOP_PROBE=1, which holds every fast path to its
-# exact result; its output must also match the serial run. A serial
+# shape: build one release binary from nostop-bench, run it twice, and
+# byte-diff the stdout (and, when the artifact itself is deterministic,
+# the written file). --probe adds a third run under NOSTOP_PROBE=1,
+# which holds every fast path to its exact result; its output must also
+# match the serial run. A serial
 # stdout that contains the word NaN fails the run: a report that prints
 # NaN has lost a measurement somewhere.
 #
@@ -15,7 +15,7 @@
 #   --artifact <ext> the binary takes an output path as its first
 #                    positional argument; write it under /tmp with <ext>
 #   --diff-artifact  also byte-diff the serial artifact against the
-#                    parallel (and probe) one (omit for reports that
+#                    rerun (and probe) one (omit for reports that
 #                    embed wall times)
 #   --probe          extra run with NOSTOP_PROBE=1; stdout (and, with
 #                    --diff-artifact, the artifact) must match serial
@@ -69,14 +69,14 @@ same_as_serial() { # same_as_serial <label>
   fi
 }
 
-run serial NOSTOP_JOBS=1
+run serial
 if grep -qw NaN "$out/serial.txt"; then
   echo "determinism: $bin printed NaN:" >&2
   grep -nw NaN "$out/serial.txt" >&2
   exit 1
 fi
-run parallel NOSTOP_JOBS=8
-same_as_serial parallel
+run rerun
+same_as_serial rerun
 if [ "$probe" = 1 ]; then
   run probe NOSTOP_PROBE=1
   same_as_serial probe

@@ -6,13 +6,10 @@
 //! and `c` around those values and reports, per pair, how many runs
 //! converge, in which round on average, and the tail delay.
 //!
-//! Each `((a, c), seed)` pair is an independent cell on the
-//! [`nostop_bench::parallel`] fabric; the table is identical for any
-//! `NOSTOP_JOBS`.
+//! Each `((a, c), seed)` pair is an independent cell, run in grid order.
 
 use nostop_bench::driver::{make_system, nostop_config, paper_rate};
-use nostop_bench::parallel::{grid, map_cells};
-use nostop_bench::report::{f, mean_or_nan, print_section, Table};
+use nostop_bench::report::{f, grid, mean_or_nan, print_section, Table};
 use nostop_core::controller::NoStop;
 use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
@@ -45,7 +42,10 @@ fn run_with(a: f64, c: f64, seed: u64) -> (Option<u64>, f64) {
 
 fn main() {
     let cells = grid(&SETTINGS, &SEEDS);
-    let results = map_cells(&cells, |&((a, c), seed)| run_with(a, c, seed));
+    let results: Vec<_> = cells
+        .iter()
+        .map(|&((a, c), seed)| run_with(a, c, seed))
+        .collect();
 
     let mut table = Table::new(&[
         "a",

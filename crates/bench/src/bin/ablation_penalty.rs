@@ -6,13 +6,11 @@
 //! sweep compares: no penalty at all (constraint ignored), fixed large ρ
 //! from the start, the paper's ramp, and an enormous cap.
 //!
-//! Each `(schedule, seed)` pair is an independent cell on the
-//! [`nostop_bench::parallel`] fabric; per-seed tallies merge in grid order
-//! so the table is identical for any `NOSTOP_JOBS`.
+//! Each `(schedule, seed)` pair is an independent cell; per-seed tallies
+//! are read back in grid order.
 
 use nostop_bench::driver::{make_system, nostop_config, paper_rate};
-use nostop_bench::parallel::{grid, map_cells};
-use nostop_bench::report::{f, mean_or_nan, print_section, Table};
+use nostop_bench::report::{f, grid, mean_or_nan, print_section, Table};
 use nostop_core::controller::NoStop;
 use nostop_core::objective::PenaltySchedule;
 use nostop_workloads::WorkloadKind;
@@ -75,7 +73,7 @@ fn main() {
     ];
     let schedules: Vec<PenaltySchedule> = variants.iter().map(|&(_, p)| p).collect();
     let cells = grid(&schedules, &SEEDS);
-    let results = map_cells(&cells, |&(p, seed)| run_cell(p, seed));
+    let results: Vec<_> = cells.iter().map(|&(p, seed)| run_cell(p, seed)).collect();
 
     let mut table = Table::new(&[
         "penalty",

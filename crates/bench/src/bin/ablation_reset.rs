@@ -8,13 +8,11 @@
 //! crawls toward the new optimum. The binary reports the delay evolution
 //! after the surge under both variants.
 //!
-//! Each `(variant, seed)` pair is an independent cell on the
-//! [`nostop_bench::parallel`] fabric; per-seed outcomes merge in grid
-//! order so the table is identical for any `NOSTOP_JOBS`.
+//! Each `(variant, seed)` pair is an independent cell; per-seed outcomes
+//! are read back in grid order.
 
 use nostop_bench::driver::{make_system, nostop_config, surge_rate};
-use nostop_bench::parallel::{grid, map_cells};
-use nostop_bench::report::{f, mean_or_nan, print_section, Table};
+use nostop_bench::report::{f, grid, mean_or_nan, print_section, Table};
 use nostop_core::controller::NoStop;
 use nostop_core::trace::RoundKind;
 use nostop_simcore::stats::summarize;
@@ -102,9 +100,10 @@ fn main() {
     ];
     let arms: Vec<(bool, bool)> = VARIANTS.iter().map(|&(_, r, w)| (r, w)).collect();
     let cells = grid(&arms, &SEEDS);
-    let results = map_cells(&cells, |&((with_reset, with_wake), seed)| {
-        run(with_reset, with_wake, seed)
-    });
+    let results: Vec<_> = cells
+        .iter()
+        .map(|&((with_reset, with_wake), seed)| run(with_reset, with_wake, seed))
+        .collect();
 
     let mut table = Table::new(&[
         "variant",

@@ -9,12 +9,10 @@
 //! faster idle executors) and reports both mean processing times and the
 //! share speculation saves.
 //!
-//! Each `(interval, executors)` row is an independent cell on the
-//! [`nostop_bench::parallel`] fabric, measuring its no-speculation and
-//! with-speculation arms back to back.
+//! Each `(interval, executors)` row is an independent cell, measuring
+//! its no-speculation and with-speculation arms back to back.
 
 use nostop_bench::driver::steady_window;
-use nostop_bench::parallel::map_cells;
 use nostop_bench::report::{f, print_section, Table};
 use nostop_core::system::Measurement;
 use nostop_workloads::WorkloadKind;
@@ -35,12 +33,15 @@ fn main() {
     // 15 and 20 tasks on as many executors run each stage in one wave;
     // 50 and 100 tasks on 20 executors run it in several.
     const ROWS: [(f64, u32); 4] = [(3.0, 15), (4.0, 20), (10.0, 20), (20.0, 20)];
-    let results = map_cells(&ROWS, |&(interval, executors)| {
-        (
-            mean_proc(None, interval, executors),
-            mean_proc(Some(Speculation::default()), interval, executors),
-        )
-    });
+    let results: Vec<_> = ROWS
+        .iter()
+        .map(|&(interval, executors)| {
+            (
+                mean_proc(None, interval, executors),
+                mean_proc(Some(Speculation::default()), interval, executors),
+            )
+        })
+        .collect();
 
     let mut table = Table::new(&[
         "interval_s (tasks)",

@@ -10,9 +10,7 @@
 //! a couple of batches suffice for SPSA while a paused controller benefits
 //! from the additively-grown window.
 //!
-//! Both sweeps fan their independent cells (one per seed) over the
-//! [`nostop_bench::parallel`] fabric; merged output is identical for any
-//! `NOSTOP_JOBS`.
+//! Both sweeps run one independent cell per seed.
 //!
 //! The rule-2 sweep computes every window mean from the *same* per-seed
 //! batch stream — the engine is deterministic and batch streams are
@@ -20,7 +18,6 @@
 //! every narrower window reads a prefix of that trace.
 
 use nostop_bench::driver::{fixed_system, steady_window};
-use nostop_bench::parallel::map_cells;
 use nostop_bench::report::{f, print_section, Table};
 use nostop_core::system::StreamingSystem;
 use nostop_simcore::stats::{mean, summarize};
@@ -62,7 +59,7 @@ fn window_noise(window: usize, traces: &[Vec<f64>]) -> f64 {
 fn main() {
     // --- Rule 1: skip-first bias ---
     let seeds: Vec<u64> = (0..20).collect();
-    let pairs = map_cells(&seeds, |&seed| scale_up_cell(seed));
+    let pairs: Vec<_> = seeds.iter().map(|&seed| scale_up_cell(seed)).collect();
     let mut first_batch = Vec::new();
     let mut settled = Vec::new();
     for (first, later) in pairs.into_iter().flatten() {
@@ -88,7 +85,10 @@ fn main() {
     const WINDOWS: [usize; 5] = [1, 2, 3, 6, 12];
     let trace_len = *WINDOWS.iter().max().expect("non-empty window sweep");
     let trace_seeds: Vec<u64> = (0..24).collect();
-    let traces = map_cells(&trace_seeds, |&seed| seed_trace(seed, trace_len));
+    let traces: Vec<_> = trace_seeds
+        .iter()
+        .map(|&seed| seed_trace(seed, trace_len))
+        .collect();
     let mut t2 = Table::new(&["window (batches)", "std of window-mean processing_s"]);
     for window in WINDOWS {
         t2.row(&[window.to_string(), f(window_noise(window, &traces), 3)]);

@@ -9,14 +9,12 @@
 //! The NoStop row goes through [`managed_delay`], as fig7's does, and
 //! states on how many seeds the controller settled.
 //!
-//! Each seed is an independent cell on the [`nostop_bench::parallel`]
-//! fabric; the three arms share a cell so their per-seed numbers stay
-//! paired, and the merged report is identical for any `NOSTOP_JOBS`.
+//! Each seed is an independent cell; the three arms share a cell so
+//! their per-seed numbers stay paired.
 
 use nostop_bench::driver::{
     make_system, managed_delay, measure_config, paper_rate, run_backpressure,
 };
-use nostop_bench::parallel::map_cells;
 use nostop_bench::report::{f, pm, print_section, Table};
 use nostop_bench::scenario::STATIC_CONFIG;
 use nostop_simcore::stats::summarize;
@@ -46,7 +44,7 @@ fn run_cell(seed: u64) -> (f64, f64, f64, f64, f64, bool) {
 }
 
 fn main() {
-    let results = map_cells(&SEEDS, |&seed| run_cell(seed));
+    let results: Vec<_> = SEEDS.iter().map(|&seed| run_cell(seed)).collect();
 
     let delays_static: Vec<f64> = results.iter().map(|r| r.0).collect();
     let delays_bp: Vec<f64> = results.iter().map(|r| r.1).collect();

@@ -21,11 +21,9 @@
 //! is exactly what the chaos columns should show.
 //!
 //! Every cell is a pure function of `(scenario, method, SEED)`, so the
-//! grid runs through the parallel fabric and the report is byte-identical
-//! for any `NOSTOP_JOBS` — CI diffs the stdout of a serial and an 8-way
-//! run.
+//! report is byte-identical from run to run — CI diffs the stdout and the
+//! file of two runs.
 
-use nostop_bench::parallel::{jobs, map_cells};
 use nostop_bench::scenario::{log_means, run_method};
 use nostop_core::scenario::{ClusterKind, FaultEvent, RateSpec, ScenarioSpec, SkewSpec};
 use nostop_core::system::BatchObservation;
@@ -157,7 +155,7 @@ fn main() {
         .iter()
         .flat_map(|&s| METHODS.iter().map(move |&m| (s, m)))
         .collect();
-    let results = map_cells(&cells, |&(s, m)| run_cell(s, m));
+    let results: Vec<_> = cells.iter().map(|&(s, m)| run_cell(s, m)).collect();
 
     // The acceptance contract: NoStop restores a sustained stable streak
     // within a bounded number of post-fault batches on the scenarios a
@@ -216,5 +214,5 @@ fn main() {
         .unwrap_or_else(|| "BENCH_chaos.json".to_string());
     std::fs::write(&path, format!("{text}\n")).expect("write BENCH_chaos.json");
     println!("{text}");
-    eprintln!("wrote {path} (jobs={})", jobs());
+    eprintln!("wrote {path}");
 }

@@ -14,13 +14,10 @@
 //! built through [`nostop_bench::scenario`]; only the Fig-6 presentation
 //! remains here.
 //!
-//! The four workload runs are independent cells on the
-//! [`nostop_bench::parallel`] fabric; each cell renders its evolution
-//! block to a string so the merged printout matches a serial run byte for
-//! byte.
+//! The four workload runs are independent cells; each renders its
+//! evolution block to a string and returns it with its summary row.
 
 use nostop_bench::driver::nostop_config;
-use nostop_bench::parallel::map_cells;
 use nostop_bench::report::{f, print_section, Table};
 use nostop_bench::scenario::{build_system, default_corpus_dir, parse_scenario, workload_of};
 use nostop_core::controller::NoStop;
@@ -86,7 +83,10 @@ fn run_cell(kind: WorkloadKind) -> (String, Vec<String>) {
 }
 
 fn main() {
-    let results = map_cells(&WorkloadKind::ALL, |&kind| run_cell(kind));
+    let results: Vec<_> = WorkloadKind::ALL
+        .iter()
+        .map(|&kind| run_cell(kind))
+        .collect();
 
     let mut summary = Table::new(&[
         "workload",

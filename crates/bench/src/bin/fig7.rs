@@ -10,13 +10,11 @@
 //! mean ± std over the five runs. Expected shape: NoStop significantly
 //! lower for all four workloads.
 //!
-//! Each `(workload, seed)` pair is an independent cell; the runs fan out
-//! over the [`nostop_bench::parallel`] fabric (`NOSTOP_JOBS` workers) and
-//! the report is identical for any worker count.
+//! Each `(workload, seed)` pair is an independent cell, run in grid
+//! order.
 
 use nostop_bench::driver::{make_system, managed_delay, measure_config, paper_rate};
-use nostop_bench::parallel::{grid, map_cells};
-use nostop_bench::report::{f, pm, print_section, Table};
+use nostop_bench::report::{f, grid, pm, print_section, Table};
 use nostop_bench::scenario::STATIC_CONFIG;
 use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
@@ -41,7 +39,10 @@ fn run_cell(kind: WorkloadKind, seed: u64) -> (f64, f64) {
 
 fn main() {
     let cells = grid(&WorkloadKind::ALL, &SEEDS);
-    let results = map_cells(&cells, |&(kind, seed)| run_cell(kind, seed));
+    let results: Vec<_> = cells
+        .iter()
+        .map(|&(kind, seed)| run_cell(kind, seed))
+        .collect();
 
     let mut table = Table::new(&["workload", "default e2e_s", "nostop e2e_s", "improvement %"]);
     for (w, kind) in WorkloadKind::ALL.iter().enumerate() {

@@ -7,16 +7,14 @@
 //! with SPSA needing *fewer steps and less search time* — the paper's
 //! run-time-efficiency claim.
 //!
-//! Each `(workload, seed)` pair runs both methods in one independent cell
-//! on the [`nostop_bench::parallel`] fabric; per-cell numbers merge in
-//! grid order, so the report is identical for any `NOSTOP_JOBS`.
+//! Each `(workload, seed)` pair runs both methods in one independent
+//! cell; per-cell numbers are read back in grid order.
 
 use nostop_baselines::BayesOpt;
 use nostop_bench::driver::{
     make_system, measure_config, nostop_config, paper_rate, run_nostop, run_tuner,
 };
-use nostop_bench::parallel::{grid, map_cells};
-use nostop_bench::report::{pm, print_section, Table};
+use nostop_bench::report::{grid, pm, print_section, Table};
 use nostop_bench::scenario::STATIC_CONFIG;
 use nostop_core::trace::RoundKind;
 use nostop_simcore::stats::summarize;
@@ -100,7 +98,10 @@ fn run_cell(kind: WorkloadKind, seed: u64) -> (MethodCell, MethodCell) {
 
 fn main() {
     let cells = grid(&WorkloadKind::ALL, &SEEDS);
-    let results = map_cells(&cells, |&(kind, seed)| run_cell(kind, seed));
+    let results: Vec<_> = cells
+        .iter()
+        .map(|&(kind, seed)| run_cell(kind, seed))
+        .collect();
 
     let mut table = Table::new(&[
         "workload",

@@ -1,19 +1,10 @@
 //! The benchmark trajectory — writes `BENCH_perf.json`.
 //!
-//! Times two layers and records the numbers the performance work is
-//! judged by:
-//!
-//! 1. **Engine matrix** — the DES hot path, single-threaded: a fixed
-//!    matrix of `(workload, interval, executors)` cells, each simulating a
-//!    few hundred batches on one `StreamingEngine`. Reported as wall time
-//!    and simulated batches per second (the unit the scheduler/broker
-//!    optimizations move).
-//! 2. **Driver matrix** — the experiment fabric: fig7-style and
-//!    fig8-style cell grids run twice, once with `NOSTOP_JOBS=1` and once
-//!    with the configured worker count. On a multi-core host the second
-//!    pass shows the fan-out speedup; on a single-core host it honestly
-//!    shows ~1× (the fabric's value there is the byte-identity contract,
-//!    not throughput).
+//! Records the numbers the performance work is judged by. The **engine
+//! matrix** times the DES hot path: a fixed matrix of `(workload,
+//! interval, executors)` cells, each simulating a few hundred batches on
+//! one `StreamingEngine`. It is reported as wall time and simulated
+//! batches per second (the unit the scheduler/broker optimizations move).
 //!
 //! Plus three single-cell rows: the incremental GP surrogate fit
 //! (`gp_fit_256`, the tuner arena's steady state), the adversarial
@@ -28,9 +19,9 @@
 //! prints it.
 //!
 //! Also records the peak RSS (`VmHWM` from `/proc/self/status`, a proxy
-//! for the bounded-listener memory guarantee) and the worker counts.
-//! Non-deterministic by construction (it measures wall time); everything
-//! else in the harness stays deterministic.
+//! for the bounded-listener memory guarantee) and the host's available
+//! parallelism. Non-deterministic by construction (it measures wall
+//! time); everything else in the harness stays deterministic.
 //!
 //! Engine cells run `NOSTOP_PERF_REPEATS` times (default 3) and keep the
 //! best wall time — on shared hosts the best-of-N is the least polluted
@@ -46,14 +37,9 @@
 //! ungated `obs_overhead` row and checks that a 2,000-tenant steady fleet
 //! fast-forwards. Nothing is written in smoke mode.
 
-use nostop_baselines::BayesOpt;
-use nostop_bench::driver::{
-    fixed_system, make_system, measure_config, nostop_config, paper_rate, run_nostop, run_tuner,
-    steady_fleet,
-};
-use nostop_bench::parallel::{grid, jobs, map_cells_weighted};
+use nostop_bench::driver::{fixed_system, steady_fleet};
 use nostop_bench::report::{best_of, repeats};
-use nostop_bench::scenario::{run_method, STATIC_CONFIG};
+use nostop_bench::scenario::run_method;
 use nostop_bench::smoke::{Gate, Verdict};
 use nostop_core::arbiter::ArbiterPolicy;
 use nostop_core::scenario::{ClusterKind, RateSpec, ScenarioSpec, SkewSpec};
@@ -61,23 +47,18 @@ use nostop_core::system::StreamingSystem;
 use nostop_datagen::IngestStats;
 use nostop_obs::Recorder;
 use nostop_simcore::json::{self, Json};
-use nostop_workloads::{CostModel, WorkloadKind};
+use nostop_workloads::WorkloadKind;
 use spark_sim::fleet::FleetSim;
 use spark_sim::EngineParams;
 use std::time::Instant;
 
 const ENGINE_BATCHES: usize = 300;
-const DRIVER_SEEDS: [u64; 2] = [11, 22];
-const FIG8_ROUNDS: u64 = 12;
-const BO_ITERATIONS: usize = 15;
 
 /// Fleet smoke cell: a steady multi-tenant fleet run long enough that
-/// most epochs are quiescent, single-threaded so the number tracks
-/// per-core work (the worker pool is the driver matrix's story, not this
-/// cell's). The cell's story is the sparse fast path: after the arming
-/// runway (~25 dense epochs while controllers park and windows cap) the
-/// remaining epochs replay in closed form, so epochs/s measures the
-/// skip machinery, not the DES.
+/// most epochs are quiescent. The cell's story is the sparse fast path:
+/// after the arming runway (~25 dense epochs while controllers park and
+/// windows cap) the remaining epochs replay in closed form, so epochs/s
+/// measures the skip machinery, not the DES.
 const FLEET_TENANTS: u32 = 32;
 const FLEET_EPOCHS: u64 = 128;
 const FLEET_BUDGET: u32 = 640;
@@ -126,49 +107,6 @@ fn matrix_rate(kind: WorkloadKind) -> f64 {
     }
 }
 
-/// A fig7-shaped driver cell: measure the default configuration, then a
-/// short managed run. Much smaller than the real fig7 cell but the same
-/// code path (engine + controller + measurement protocol).
-fn fig7_style_cell(kind: WorkloadKind, seed: u64) -> f64 {
-    let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0xDEF));
-    let default = measure_config(&mut sys, &STATIC_CONFIG, 8).end_to_end_s;
-    let run = run_nostop(kind, seed, FIG8_ROUNDS);
-    default + run.virtual_time_s
-}
-
-/// A fig8-shaped driver cell: a short SPSA run plus a short BO run.
-fn fig8_style_cell(kind: WorkloadKind, seed: u64) -> f64 {
-    let run = run_nostop(kind, seed, FIG8_ROUNDS);
-    let mut sys = make_system(kind, seed, paper_rate(kind, seed ^ 0x0B0));
-    let mut tuner = BayesOpt::new(nostop_config(kind).space, seed);
-    let bo = run_tuner(&mut tuner, &mut sys, BO_ITERATIONS);
-    run.virtual_time_s + bo.virtual_time_s
-}
-
-/// Relative host-time weight of one driver cell: the cost model's
-/// closed-form estimate for a nominal paper batch. Only the ordering
-/// matters (heaviest workloads get scheduled first).
-fn cell_weight(kind: WorkloadKind) -> f64 {
-    CostModel::preset(kind).estimate_processing_secs((matrix_rate(kind) * 15.0) as u64, 8, 75)
-}
-
-/// Time one driver grid at a given worker count; returns `(wall_ms, sum)`
-/// where the sum pins the work against dead-code elimination and lets the
-/// two passes assert they computed the same thing.
-fn time_grid(jobs_env: usize, cell: impl Fn(WorkloadKind, u64) -> f64 + Sync) -> (f64, f64) {
-    std::env::set_var("NOSTOP_JOBS", jobs_env.to_string());
-    let cells = grid(&WorkloadKind::ALL, &DRIVER_SEEDS);
-    let grid_run = || {
-        map_cells_weighted(
-            &cells,
-            |&(kind, _)| cell_weight(kind),
-            |&(kind, seed)| cell(kind, seed),
-        )
-    };
-    let (results, wall) = best_of(1, "driver grid", grid_run, |_| ());
-    (wall, results.iter().sum())
-}
-
 fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -197,18 +135,17 @@ fn obs_overhead_rows(repeats: usize) -> Vec<Json> {
     [MATRIX[2], MATRIX[0]].iter().map(row).collect()
 }
 
-/// One fleet cell: run the steady 32-tenant fleet on one worker and
-/// return its deterministic digest (pins the work against DCE and lets
-/// repeats assert they simulated the same fleet). Steady tenants park
-/// and arm, so the bulk of the epochs exercise the quiescent-tenant
-/// fast-forward; every barrier is one dense arbiter pass.
+/// One fleet cell: run the steady 32-tenant fleet and return its
+/// deterministic digest (pins the work against DCE and lets repeats
+/// assert they simulated the same fleet). Steady tenants park and arm,
+/// so the bulk of the epochs exercise the quiescent-tenant fast-forward;
+/// every barrier is one dense arbiter pass.
 fn run_fleet_cell() -> u64 {
     let mut specs = steady_fleet(7, FLEET_TENANTS);
     for (i, spec) in (0..).zip(&mut specs) {
         spec.priority = 1 + (i % 5);
     }
     let mut fleet = FleetSim::new(&specs, Some(FLEET_BUDGET), ArbiterPolicy::FairShare);
-    fleet.set_jobs(1);
     fleet.run_epochs(FLEET_EPOCHS);
     fleet.digest()
 }
@@ -403,7 +340,6 @@ fn scale_check() -> bool {
         None,
         ArbiterPolicy::FairShare,
     );
-    fleet.set_jobs(1);
     fleet.enable_ledger_checkpointing(4_096);
     fleet.run_epochs(SCALE_EPOCHS);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -504,78 +440,21 @@ fn main() {
         std::process::exit(smoke(&path));
     }
 
-    let configured_jobs = jobs();
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
 
-    // --- Layer 1 and the single-cell rows: the gated sections, each
-    // cell single-threaded and best-of-N ---
+    // --- The engine matrix and the single-cell rows: the gated
+    // sections, each cell best-of-N ---
     let repeats = repeats(3);
     let [engine, gp, scenario, fleet] = GATED.map(|(gate, build)| (gate.section, build(repeats)));
 
-    // --- Layer 2: driver grids, serial vs parallel ---
-    let mut driver_rows = Vec::new();
-    for (name, cell) in [
-        (
-            "fig7_style",
-            &fig7_style_cell as &(dyn Fn(WorkloadKind, u64) -> f64 + Sync),
-        ),
-        ("fig8_style", &fig8_style_cell),
-    ] {
-        let (serial_ms, serial_sum) = time_grid(1, cell);
-        // With one job the "parallel" pass would re-run the identical
-        // serial code and report a fake ~1× "speedup" (previously dressed
-        // up as a `degraded` flag). Skip the comparison and say why
-        // instead: a single-worker host has no fan-out to measure.
-        let comparison = if configured_jobs > 1 {
-            let (parallel_ms, parallel_sum) = time_grid(configured_jobs, cell);
-            assert_eq!(
-                serial_sum.to_bits(),
-                parallel_sum.to_bits(),
-                "fabric determinism violated in {name}"
-            );
-            Some((parallel_ms, serial_ms / parallel_ms))
-        } else {
-            None
-        };
-        driver_rows.push(json::obj(vec![
-            ("grid", json::str(name)),
-            (
-                "cells",
-                json::uint((WorkloadKind::ALL.len() * DRIVER_SEEDS.len()) as u64),
-            ),
-            ("serial_wall_ms", json::num(serial_ms)),
-            (
-                "parallel_wall_ms",
-                comparison
-                    .map(|(ms, _)| json::num(ms))
-                    .unwrap_or(Json::Null),
-            ),
-            ("parallel_jobs", json::uint(configured_jobs as u64)),
-            (
-                "speedup",
-                comparison.map(|(_, s)| json::num(s)).unwrap_or(Json::Null),
-            ),
-            (
-                "parallel_comparison",
-                if comparison.is_some() {
-                    json::str("measured")
-                } else {
-                    json::str("n/a: single job configured, nothing to fan out")
-                },
-            ),
-        ]));
-    }
-
     let report = json::obj(vec![
         ("schema", json::str("nostop-perf/1")),
-        ("configured_jobs", json::uint(configured_jobs as u64)),
         ("available_parallelism", json::uint(parallelism as u64)),
         ("engine_repeats", json::uint(repeats as u64)),
         engine,
         ("obs_overhead", Json::Arr(obs_overhead_rows(repeats))),
-        ("driver_grids", Json::Arr(driver_rows)),
         gp,
         scenario,
         fleet,

@@ -8,10 +8,9 @@
 //! no methods are trace-only (the arrival process is sampled and
 //! summarized — the Fig-5 protocol).
 //!
-//! Every cell is a pure function of its spec, so the grid runs through
-//! the parallel fabric and the report is byte-identical at any
-//! `NOSTOP_JOBS` — the `scenarios` CI leg diffs a serial and an 8-way
-//! run. On top of that, each scenario's cells are fingerprinted with an
+//! Every cell is a pure function of its spec, so the report is
+//! byte-identical from run to run — the `scenarios` CI leg diffs two
+//! runs. On top of that, each scenario's cells are fingerprinted with an
 //! FNV-1a digest checked against the committed `scenarios/DIGESTS.txt`,
 //! so *any* behavioral drift in the engine, combinators, or controller
 //! trips the corpus immediately. After an intentional change, regenerate
@@ -22,7 +21,6 @@
 //! `--canonicalize` rewrites every corpus file as its canonical pretty
 //! serialization and exits — corpus maintenance, not an experiment run.
 
-use nostop_bench::parallel::{jobs, map_cells};
 use nostop_bench::scenario::{
     default_corpus_dir, load_corpus, run_method, sample_rate, workload_of,
 };
@@ -148,42 +146,16 @@ fn main() {
         std::process::exit(2);
     });
 
-    // One fabric cell per (scenario, method); trace-only scenarios are a
-    // single cell. Flat fan-out keeps the slowest grids from serializing
-    // behind each other.
-    let cells: Vec<(usize, Option<String>)> = specs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, spec)| {
-            if spec.methods.is_empty() {
-                vec![(i, None)]
-            } else {
-                spec.methods.iter().map(|m| (i, Some(m.clone()))).collect()
-            }
-        })
-        .collect();
-    let results = map_cells(&cells, |(i, method)| {
-        let spec = &specs[*i];
-        match method {
-            None => trace_cell(spec),
-            Some(m) => method_cell(spec, m),
-        }
-    });
-
-    // Group the flat results back into per-scenario objects (cells and
-    // results share one order) and fingerprint each scenario's cells.
+    // Run each scenario's cells and fingerprint them.
     let mut digests: Vec<(String, String)> = Vec::with_capacity(specs.len());
     let mut scenario_objs = Vec::with_capacity(specs.len());
-    let mut cursor = 0usize;
-    for (i, spec) in specs.iter().enumerate() {
-        let count = if spec.methods.is_empty() {
-            1
+    for spec in &specs {
+        // One cell per method; a trace-only scenario is a single cell.
+        let cell_jsons: Vec<Json> = if spec.methods.is_empty() {
+            vec![trace_cell(spec)]
         } else {
-            spec.methods.len()
+            spec.methods.iter().map(|m| method_cell(spec, m)).collect()
         };
-        let cell_jsons: Vec<Json> = results[cursor..cursor + count].to_vec();
-        debug_assert!(cells[cursor].0 == i);
-        cursor += count;
         let cells_text = Json::Arr(cell_jsons.clone()).to_string_pretty();
         let digest = format!("{:016x}", fnv1a64(cells_text.as_bytes()));
         digests.push((spec.name.clone(), digest.clone()));
@@ -231,5 +203,5 @@ fn main() {
     let text = report.to_string_pretty();
     std::fs::write(&args.out, format!("{text}\n")).expect("write scenario report");
     println!("{text}");
-    eprintln!("wrote {} (jobs={})", args.out, jobs());
+    eprintln!("wrote {}", args.out);
 }

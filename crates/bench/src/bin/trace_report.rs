@@ -3,9 +3,8 @@
 //! Runs a small grid of instrumented cells — `(workload, fault scenario)`
 //! pairs, each a full engine + NoStop controller run with one shared
 //! recorder — and emits every cell's trace as JSONL, preceded by a
-//! `{"ev":"cell",...}` banner line. The grid goes through the parallel
-//! fabric, so the file is **byte-identical for any `NOSTOP_JOBS`**: CI
-//! diffs a serial export against an 8-way one, which pins down the whole
+//! `{"ev":"cell",...}` banner line. The file is **byte-identical from run
+//! to run**: CI diffs two exports, which pins down the whole
 //! observability layer (DES timestamps only, per-cell recorders, causal
 //! append order) in one check.
 //!
@@ -19,7 +18,6 @@
 //! construction and the binary degrades to printing headers.
 
 use nostop_bench::driver::{nostop_config, paper_rate};
-use nostop_bench::parallel::{jobs, map_cells};
 use nostop_core::controller::NoStop;
 use nostop_core::scenario::FaultEvent;
 use nostop_obs::{check_jsonl, span_stats, Recorder, SpanStat};
@@ -173,7 +171,10 @@ fn main() {
             .iter()
             .flat_map(|&k| SCENARIOS.iter().map(move |&s| (k, s)))
             .collect();
-    let results = map_cells(&cells, |&(kind, scenario)| run_cell(kind, scenario));
+    let results: Vec<_> = cells
+        .iter()
+        .map(|&(kind, scenario)| run_cell(kind, scenario))
+        .collect();
 
     let mut out = String::new();
     for cell in &results {
@@ -185,9 +186,8 @@ fn main() {
 
     print_summary(&results);
     eprintln!(
-        "\nwrote {path} ({} cells, {} lines, jobs={})",
+        "\nwrote {path} ({} cells, {} lines)",
         results.len(),
-        out.lines().count(),
-        jobs()
+        out.lines().count()
     );
 }

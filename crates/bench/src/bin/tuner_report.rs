@@ -12,13 +12,14 @@
 //!
 //! Everything printed to **stdout** is a pure function of the arena
 //! constants — trajectories, regrets, winners — so CI can diff the output
-//! byte-for-byte across `NOSTOP_JOBS` values *and* across the incremental
-//! GP fast path and its full-refit probe mode (`NOSTOP_PROBE=1`): the
-//! probe factorizes the same kernel matrix with the same summation order,
-//! so BayesOpt's proposals are bitwise identical either way. Wall-clock timings go to **stderr** and
-//! — as `wall_ms`, best of `NOSTOP_PERF_REPEATS` runs — into the report
-//! **file only**; each BayesOpt cell's stderr line also carries the share
-//! of its candidate pools that reached the GP's exact pass.
+//! byte-for-byte across runs *and* across the incremental GP fast path
+//! and its full-refit probe mode (`NOSTOP_PROBE=1`): the probe factorizes
+//! the same kernel matrix with the same summation order, so BayesOpt's
+//! proposals are bitwise identical either way. Wall-clock timings go to
+//! **stderr** and — as `wall_ms`, best of `NOSTOP_PERF_REPEATS` runs —
+//! into the report **file only**; each BayesOpt cell's stderr line also
+//! carries the share of its candidate pools that reached the GP's exact
+//! pass.
 //!
 //! The binary is also its own acceptance test: before writing anything it
 //! drives two BayesOpt instances over the dim-8 space on a synthetic
@@ -27,7 +28,6 @@
 
 use nostop_baselines::{BayesOpt, GridSearch, RandomSearch, ScoringStats, SpsaTuner, Tuner};
 use nostop_bench::driver::{make_system, paper_rate, run_tuner};
-use nostop_bench::parallel::{jobs, map_cells};
 use nostop_bench::report::{best_of, repeats, with_wall};
 use nostop_core::space::ConfigSpace;
 use nostop_simcore::json::{self, Json};
@@ -190,9 +190,7 @@ fn main() {
 
     let gate_iters = assert_gp_modes_propose_identically();
 
-    // Fixed cell order: tuner-major, then dim, workload, seed — the
-    // merge in `map_cells` restores this order regardless of worker
-    // count, so the report below is independent of `NOSTOP_JOBS`.
+    // Fixed cell order: tuner-major, then dim, workload, seed.
     let mut cells = Vec::new();
     for tuner in TUNERS {
         for dim in DIMS {
@@ -209,7 +207,7 @@ fn main() {
         }
     }
     let arena_start = Instant::now();
-    let outs = map_cells(&cells, |cell| run_cell(*cell));
+    let outs: Vec<_> = cells.iter().map(|cell| run_cell(*cell)).collect();
     for (cell, out) in cells.iter().zip(&outs) {
         // BayesOpt's scored fraction: the share of its candidate pools
         // that reached the GP's exact pass.
@@ -359,11 +357,7 @@ fn main() {
     }
 
     let arena_wall = arena_start.elapsed().as_secs_f64();
-    eprintln!(
-        "arena: {} cells in {arena_wall:.1} s (jobs={})",
-        cells.len(),
-        jobs()
-    );
+    eprintln!("arena: {} cells in {arena_wall:.1} s", cells.len());
 
     // Two renderings: stdout is a pure function of the arena constants
     // for CI byte-diffs; the file additionally carries wall times.
@@ -414,5 +408,5 @@ fn main() {
     let file_text = render(true).to_string_pretty();
     std::fs::write(&path, format!("{file_text}\n")).expect("write BENCH_tuners.json");
     println!("{}", render(false).to_string_pretty());
-    eprintln!("wrote {path} (jobs={})", jobs());
+    eprintln!("wrote {path}");
 }

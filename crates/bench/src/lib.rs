@@ -40,7 +40,6 @@
 //! | `tuner_report` | SPSA/BO/random/grid tuner arena → `BENCH_tuners.json` | `driver` |
 
 pub mod driver;
-pub mod parallel;
 pub mod report;
 pub mod scenario;
 pub mod smoke;

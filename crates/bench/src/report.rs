@@ -3,7 +3,8 @@
 //! The figure regenerators print both a human-readable table (what you
 //! compare against the paper's plot) and a machine-readable CSV block
 //! (what you feed to a plotting tool). No plotting dependencies: the
-//! deliverable is the *numbers*. The JSON report writers share the
+//! deliverable is the *numbers*. [`grid`] builds the cell list of the
+//! per-workload × per-seed sweeps, and the JSON report writers share the
 //! wall-time helpers at the bottom.
 
 use nostop_simcore::json::{self, Json};
@@ -100,6 +101,18 @@ pub fn pm(mean: f64, std: f64, decimals: usize) -> String {
     format!("{mean:.decimals$} ± {std:.decimals$}")
 }
 
+/// The full experiment grid for per-workload × per-seed protocols: one
+/// cell per `(workload, seed)` pair, workloads outermost.
+pub fn grid<K: Copy, S: Copy>(kinds: &[K], seeds: &[S]) -> Vec<(K, S)> {
+    let mut cells = Vec::with_capacity(kinds.len() * seeds.len());
+    for &k in kinds {
+        for &s in seeds {
+            cells.push((k, s));
+        }
+    }
+    cells
+}
+
 /// Repeat count for wall-time measurement: `NOSTOP_PERF_REPEATS`
 /// (clamped ≥ 1), else `default`. Deterministic outputs are asserted
 /// identical across repeats and the best (lowest) wall time is kept.
@@ -180,6 +193,15 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f(1.23456, 2), "1.23");
         assert_eq!(pm(10.0, 1.5, 1), "10.0 ± 1.5");
+    }
+
+    #[test]
+    fn grid_is_workload_major() {
+        let g = grid(&['a', 'b'], &[1, 2, 3]);
+        assert_eq!(
+            g,
+            vec![('a', 1), ('a', 2), ('a', 3), ('b', 1), ('b', 2), ('b', 3)]
+        );
     }
 
     #[test]

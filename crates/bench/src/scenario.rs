@@ -12,7 +12,7 @@
 //! [`ScenarioSpec::effective_rate_seed`] (explicit `rate_seed`, or the
 //! experiment drivers' `seed ^ 0x5EED` convention), the engine forks all
 //! internal streams from `seed`, and faults/skew are declarative — so a
-//! corpus replay is byte-identical at any `NOSTOP_JOBS`.
+//! corpus replay is byte-identical across runs.
 
 use crate::driver::{measure_config, nostop_config, penalized_objective};
 use nostop_baselines::{BayesOpt, Tuner};

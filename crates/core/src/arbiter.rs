@@ -12,8 +12,8 @@
 //! Everything here is plain data. Ledgers serialize deterministically
 //! (simcore's writer: insertion-ordered keys, shortest-round-trip
 //! numbers), so fleet digests and differential tests diff them
-//! byte-for-byte across runs and `NOSTOP_JOBS` worker counts. The JSON is
-//! write-only: nothing parses a ledger back.
+//! byte-for-byte across runs. The JSON is write-only: nothing parses a
+//! ledger back.
 
 use nostop_simcore::json::{self, Json};
 

@@ -7,10 +7,9 @@
 //! adversarial combinators: flash crowds over a diurnal base, Pareto-sized
 //! bursts, correlated multi-source surges), hot-key partition skew, a
 //! fault schedule, and the tuning methods to race. The `scenario_runner`
-//! binary replays a corpus of these through the parallel fabric; `fig5`
-//! and `fig6` load their committed scenario files instead of hard-coding
-//! their parameters (the other figure and ablation binaries still build
-//! theirs in code).
+//! binary replays a corpus of these; `fig5` and `fig6` load their
+//! committed scenario files instead of hard-coding their parameters (the
+//! other figure and ablation binaries still build theirs in code).
 //!
 //! Each type's field table (a `wire!` invocation below) is the one
 //! place its wire fields are declared: the type, its `kind` tags, both

@@ -2,7 +2,7 @@
 //!
 //! One JSON object per line, serialized with simcore's deterministic
 //! writer (insertion-ordered keys, shortest-round-trip numbers), so the
-//! export is byte-identical across runs and `NOSTOP_JOBS` worker counts.
+//! export is byte-identical across runs.
 //! Layout: a `meta` header, the events in causal append order, then one
 //! `counter_total` trailer per counter.
 

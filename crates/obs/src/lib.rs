@@ -6,8 +6,7 @@
 //!
 //! * **DES-clock only.** Every event is stamped with virtual time
 //!   ([`SimTime`]), never wall-clock, so a trace is a pure function of the
-//!   seed — byte-identical across runs, machines, and `NOSTOP_JOBS`
-//!   worker counts.
+//!   seed — byte-identical across runs and machines.
 //! * **Zero overhead when disabled.** A disabled recorder is an `Option`
 //!   that is `None`; every emission method is one predictable branch.
 //!   Instrumented call sites additionally guard field construction behind

@@ -10,8 +10,8 @@
 use std::fmt;
 
 /// A parsed JSON value. Object keys preserve insertion order so that
-/// serialization is deterministic — byte-identical across runs and thread
-/// counts, which the parallel experiment fabric relies on.
+/// serialization is deterministic — byte-identical across runs, which the
+/// replay digests rely on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -67,7 +67,8 @@ impl fmt::Display for Json {
 }
 
 impl Json {
-    /// Parse a JSON document.
+    /// Parse a JSON document. A number literal outside the finite `f64`
+    /// range (`1e400`) is an error, so every parsed number is finite.
     pub fn parse(text: &str) -> Result<Json, Error> {
         let mut p = Parser {
             text,
@@ -506,9 +507,16 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        let v = text
+            .parse::<f64>()
+            .map_err(|_| self.err("invalid number"))?;
+        if !v.is_finite() {
+            return Err(Error {
+                at: start,
+                msg: format!("number out of range: {text}"),
+            });
+        }
+        Ok(Json::Num(v))
     }
 }
 
@@ -523,6 +531,17 @@ mod tests {
         assert_eq!(v.to_string(), text);
         assert_eq!(v.field_u64("a").unwrap(), 1);
         assert_eq!(v.get("c").unwrap().field_f64("d").unwrap(), 2.5);
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_errors() {
+        for text in ["1e400", "-1e400", "[1e400]", r#"{"a":-1e400}"#] {
+            let err = Json::parse(text).expect_err(text);
+            assert!(err.msg.starts_with("number out of range"), "{text}: {err}");
+        }
+        let max = Json::parse("1.7976931348623157e308").unwrap();
+        assert_eq!(max, Json::Num(f64::MAX));
+        assert_eq!(Json::parse(&max.to_string()).unwrap(), max);
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //! * [`round`] — [`floor_split`] and [`round_half_up`], the libm-free
 //!   float-to-integer splits the ingest and scheduling hot paths use.
 //! * [`probe_mode`] — the one switch that sends every fast path down its
-//!   exact reference path, [`jobs_env`], the one reader of the worker
-//!   count, and [`fnv1a64`], the replay fingerprint.
+//!   exact reference path, and [`fnv1a64`], the replay fingerprint.
 //!
 //! Everything here is `no_std`-agnostic in spirit (no I/O beyond the
-//! `NOSTOP_PROBE` and `NOSTOP_JOBS` reads, no wall-clock), which is what
+//! `NOSTOP_PROBE` read, no wall-clock), which is what
 //! makes the experiments reproducible bit-for-bit from a seed.
 
 pub mod arena;
@@ -48,19 +47,6 @@ pub fn probe_mode() -> bool {
     std::env::var_os("NOSTOP_PROBE").is_some_and(|v| v == "1")
 }
 
-/// The worker count `NOSTOP_JOBS` asks for, or `None` when it is unset.
-/// Each caller picks its own default for `None`. Outputs never depend on
-/// the count, only wall time does.
-pub fn jobs_env() -> Option<usize> {
-    std::env::var("NOSTOP_JOBS").ok().map(|v| parse_jobs(&v))
-}
-
-/// A set `NOSTOP_JOBS` value: surrounding whitespace is ignored, and an
-/// unparsable value or 0 reads as 1.
-fn parse_jobs(value: &str) -> usize {
-    value.trim().parse::<usize>().unwrap_or(1).max(1)
-}
-
 /// FNV-1a, 64-bit — the workspace's replay fingerprint (fleet and
 /// scenario-corpus digests). Tiny, dependency-free, stable across
 /// platforms.
@@ -75,20 +61,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{fnv1a64, parse_jobs};
-
-    #[test]
-    fn jobs_value_parses_trimmed_and_clamps_to_one() {
-        assert_eq!(parse_jobs("4"), 4);
-        assert_eq!(parse_jobs(" 8\n"), 8);
-        assert_eq!(parse_jobs("\t2 "), 2);
-        assert_eq!(parse_jobs("0"), 1);
-        assert_eq!(parse_jobs(" 0 "), 1);
-        assert_eq!(parse_jobs(""), 1);
-        assert_eq!(parse_jobs("many"), 1);
-        assert_eq!(parse_jobs("-3"), 1);
-        assert_eq!(parse_jobs("2.5"), 1);
-    }
+    use super::fnv1a64;
 
     #[test]
     fn fnv_digest_is_stable() {

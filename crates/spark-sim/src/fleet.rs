@@ -12,11 +12,11 @@
 //!
 //! The fleet advances in *epochs*. Each epoch has two phases:
 //!
-//! * **Phase A (tenant-parallel).** Every tenant runs exactly one
-//!   controller round ([`NoStop::run_round`]) against its own engine.
+//! * **Phase A (tenant rounds).** Every tenant, in id order, runs exactly
+//!   one controller round ([`NoStop::run_round`]) against its own engine.
 //!   Tenants share no mutable state — separate engines, separate RNG
-//!   forks, separate trace rings — so phase A is embarrassingly parallel
-//!   and its results are independent of worker count and execution order.
+//!   forks, separate trace rings — so no tenant's round can observe
+//!   another's.
 //! * **Phase B (serial barrier).** The fleet collects every tenant's
 //!   executor demand (the controller's unclamped want, via
 //!   [`StreamingEngine::desired_executors`]) into an id-ordered
@@ -25,10 +25,9 @@
 //!   oversubscription pressure feeds each tenant's noise model (the
 //!   noisy-neighbor slowdown).
 //!
-//! Phase B is serial and id-ordered, so the whole fleet is a pure
+//! Both phases are serial and id-ordered, so the whole fleet is a pure
 //! function of `(tenant specs, budget, policy)` — the determinism battery
-//! replays it bit-for-bit at any `NOSTOP_JOBS` worker count and under any
-//! phase-A execution order.
+//! replays it bit-for-bit, in the fast path and in probe mode.
 //!
 //! ## Degenerate case
 //!
@@ -75,11 +74,9 @@ use nostop_core::system::{BatchObservation, StreamingSystem};
 use nostop_datagen::rate::{tenant_seed, RateSpec, RateSpecExt};
 use nostop_datagen::IngestStats;
 use nostop_obs::{track_name, Recorder};
-use nostop_simcore::{fnv1a64, jobs_env, json, probe_mode, SimDuration, SimRng, SimTime};
+use nostop_simcore::{fnv1a64, json, probe_mode, SimDuration, SimRng, SimTime};
 use nostop_workloads::WorkloadKind;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The RNG stream (off the engine's master seed) that builds the
 /// tenant's rate process. Streams 1–3 are the engine's own forks
@@ -436,11 +433,6 @@ pub struct FleetSim {
     tenants: Vec<Tenant>,
     arbiter: ExecutorArbiter,
     epoch: u64,
-    /// Phase-A execution order (a permutation of tenant indices). A test
-    /// hook: results must not depend on it.
-    step_order: Vec<usize>,
-    /// Phase-A worker threads.
-    jobs: usize,
     /// Last barrier's grants, for inspection.
     last_grants: Vec<TenantGrant>,
     /// When false (probe mode, `NOSTOP_PROBE=1`), every
@@ -476,9 +468,7 @@ impl FleetSim {
     pub const DEFAULT_COALESCE_K: usize = 3;
 
     /// Build a fleet over `specs` with `budget` executors fleet-wide
-    /// (`None` = unlimited) under `policy`. Worker count comes from
-    /// `NOSTOP_JOBS` (default 1); it affects wall-clock only, never
-    /// results.
+    /// (`None` = unlimited) under `policy`.
     pub fn new(specs: &[TenantSpec], budget: Option<u32>, policy: ArbiterPolicy) -> Self {
         let tenants: Vec<Tenant> = specs
             .iter()
@@ -494,13 +484,10 @@ impl FleetSim {
                 skipped: false,
             })
             .collect();
-        let jobs = jobs_env().unwrap_or(1);
         FleetSim {
-            step_order: (0..tenants.len()).collect(),
             tenants,
             arbiter: ExecutorArbiter::new(budget, policy, Self::DEFAULT_COALESCE_K),
             epoch: 0,
-            jobs,
             last_grants: Vec::new(),
             fastpath: !probe_mode(),
             recorders_enabled: false,
@@ -515,9 +502,8 @@ impl FleetSim {
 
     /// Attach a private trace ring of `capacity` events to every tenant
     /// (tracks `t{i}.engine` / `t{i}.ctrl`) and one to the arbiter
-    /// (track `arbiter`). Per-tenant rings keep phase-A parallelism
-    /// race-free *and* byte-deterministic: no cross-tenant interleaving
-    /// exists to depend on worker scheduling.
+    /// (track `arbiter`). Per-tenant rings keep each tenant's trace
+    /// free of other tenants' events.
     pub fn enable_recorders(&mut self, capacity: usize) {
         for t in self.tenants.iter_mut() {
             let root = Recorder::ring(capacity);
@@ -557,27 +543,10 @@ impl FleetSim {
         self.arbiter.enable_ledger_checkpointing(capacity);
     }
 
-    /// Override the phase-A worker count (tests; wall-clock only).
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1);
-    }
-
-    /// Override the phase-A execution order — must be a permutation of
-    /// `0..tenants()`. A determinism test hook: results must be
-    /// identical under any order.
-    pub fn set_step_order(&mut self, order: Vec<usize>) {
-        assert_eq!(
-            order.len(),
-            self.tenants.len(),
-            "order must cover all tenants"
-        );
-        let mut seen = vec![false; order.len()];
-        for &i in &order {
-            assert!(i < seen.len() && !seen[i], "order must be a permutation");
-            seen[i] = true;
-        }
-        self.step_order = order;
-    }
+    /// Does nothing: phase A is one serial loop. Kept only because the
+    /// benchmark's fleet workload still calls it; the next benchmark
+    /// change deletes that call and this method.
+    pub fn set_jobs(&mut self, _jobs: usize) {}
 
     /// Storm-coalescing threshold K (see [`ExecutorArbiter`]).
     pub fn set_coalesce_threshold(&mut self, k: usize) {
@@ -674,7 +643,7 @@ impl FleetSim {
         }
     }
 
-    /// One epoch: phase A (tenant-parallel controller rounds, replayed
+    /// One epoch: phase A (id-ordered controller rounds, replayed
     /// in closed form for armed tenants), then phase B (the serial
     /// arbiter barrier: one dense pass over every tenant's demand), then
     /// quiescence classification at the boundary.
@@ -687,8 +656,7 @@ impl FleetSim {
 
     /// One tenant's phase-A round: classify skip eligibility (always),
     /// then either fast-forward the epoch from the armed template or run
-    /// the dense controller round. Runs on exactly one worker per tenant
-    /// and touches no shared state.
+    /// the dense controller round. Touches no other tenant's state.
     fn step_tenant(t: &mut Tenant, fastpath: bool, recorders: bool) {
         t.skipped = false;
         t.would_skip = match &t.quiescence {
@@ -763,56 +731,20 @@ impl FleetSim {
         }
     }
 
-    /// Phase A: every tenant runs exactly one controller round. Workers
-    /// claim contiguous chunks of `step_order` off a shared cursor; each
-    /// tenant is touched by exactly one worker, and tenants share no
-    /// mutable state, so the outcome is independent of `jobs`, the chunk
-    /// size, and the order. Skip spans and counters are emitted serially
-    /// in id order afterwards, keeping the fleet trace deterministic.
+    /// Phase A: every tenant, in id order, runs exactly one controller
+    /// round, then its skip span and counters are emitted — identical
+    /// across fast-path/probe modes (the span reflects the classification
+    /// outcome, not whether the skip was taken).
     fn phase_a(&mut self) {
         self.last_skips.clear();
         let (fastpath, recorders) = (self.fastpath, self.recorders_enabled);
-        let jobs = self.jobs.min(self.step_order.len()).max(1);
-        if jobs == 1 {
-            for &i in &self.step_order {
-                Self::step_tenant(&mut self.tenants[i], fastpath, recorders);
-            }
-        } else {
-            let order = &self.step_order;
-            // Chunked claiming: one atomic op per chunk instead of per
-            // tenant. Sized so every worker gets several claims (load
-            // balance) without the cursor becoming a hot line.
-            let chunk = (order.len() / (jobs * 4)).clamp(1, 64);
-            let slots: Vec<Mutex<&mut Tenant>> = self.tenants.iter_mut().map(Mutex::new).collect();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= order.len() {
-                            break;
-                        }
-                        for k in start..(start + chunk).min(order.len()) {
-                            let mut guard = slots[order[k]].lock().expect("tenant slot poisoned");
-                            let t: &mut Tenant = &mut guard;
-                            Self::step_tenant(t, fastpath, recorders);
-                        }
-                    });
-                }
-            });
-        }
-        // Serial, id-ordered bookkeeping: identical across worker counts
-        // and across fast-path/probe modes (the span reflects the
-        // classification outcome, not whether the skip was taken).
-        for i in 0..self.tenants.len() {
-            let (id, would_skip, skipped) = {
-                let t = &self.tenants[i];
-                (t.id, t.would_skip, t.skipped)
-            };
-            let period = would_skip.map_or(0, |(_, _, p)| p);
+        for t in &mut self.tenants {
+            Self::step_tenant(t, fastpath, recorders);
+            let id = t.id;
+            let period = t.would_skip.map_or(0, |(_, _, p)| p);
             self.would_skip_by_period[period] += 1;
-            if let Some((from, until, _)) = would_skip {
-                if skipped {
+            if let Some((from, until, _)) = t.would_skip {
+                if t.skipped {
                     self.skipped_epochs += 1;
                     self.last_skips.push((id, from, until));
                 }
@@ -996,8 +928,8 @@ impl FleetSim {
     /// A deterministic JSONL fleet summary: one line per tenant (clock,
     /// RNG fingerprint, executors, listener totals, controller
     /// progress) followed by one line per arbiter-ledger entry. Two runs
-    /// of the same fleet are byte-identical here regardless of
-    /// `NOSTOP_JOBS` or step order — the replay battery's object.
+    /// of the same fleet are byte-identical here, in the fast path and in
+    /// probe mode — the replay battery's object.
     pub fn summary_jsonl(&self) -> String {
         let mut out = String::new();
         for t in &self.tenants {
@@ -1056,29 +988,15 @@ mod tests {
 
     #[test]
     fn fleet_is_a_pure_function_of_specs_and_policy() {
-        let run = |jobs: usize| {
+        let run = || {
             let specs = small_specs(4);
             let mut fleet = FleetSim::new(&specs, Some(24), ArbiterPolicy::FairShare);
-            fleet.set_jobs(jobs);
             fleet.run_epochs(6);
             fleet.summary_jsonl()
         };
-        let solo = run(1);
-        assert_eq!(solo, run(4), "worker count changed results");
-        assert!(!solo.is_empty());
-    }
-
-    #[test]
-    fn step_order_does_not_change_results() {
-        let specs = small_specs(5);
-        let mut a = FleetSim::new(&specs, Some(20), ArbiterPolicy::StrictPriority);
-        a.run_epochs(5);
-        let mut b = FleetSim::new(&specs, Some(20), ArbiterPolicy::StrictPriority);
-        b.set_step_order(vec![4, 2, 0, 3, 1]);
-        b.set_jobs(3);
-        b.run_epochs(5);
-        assert_eq!(a.summary_jsonl(), b.summary_jsonl());
-        assert_eq!(a.digest(), b.digest());
+        let first = run();
+        assert_eq!(first, run(), "a second run changed results");
+        assert!(!first.is_empty());
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //!   emitting an auditable allocation ledger;
 //! * [`fleet`] — [`fleet::FleetSim`]: N independent engine+controller
 //!   tenants stepped in epoch barriers against the shared budget, a pure
-//!   function of `(specs, budget, policy)` at any `NOSTOP_JOBS`.
+//!   function of `(specs, budget, policy)`.
 //!
 //! Everything is seeded: the same `(cluster, workload, rate process, seed)`
 //! quadruple replays bit-for-bit.

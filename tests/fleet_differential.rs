@@ -13,8 +13,7 @@
 //! 2. **Replay at scale.** A 100-tenant contended fleet is a pure
 //!    function of `(specs, budget, policy)`: its byte-level summary
 //!    (per-tenant RNG fingerprints, clocks, listener totals, plus the
-//!    full arbiter ledger) must not change with the `NOSTOP_JOBS` worker
-//!    count or the phase-A execution order.
+//!    full arbiter ledger) must not change from one run to the next.
 //! 3. **One dense pass per barrier.** Phase B is exactly one
 //!    [`ExecutorArbiter::arbitrate`] call over the id-ordered demand
 //!    vector: a standalone arbiter fed each barrier's requests, rebuilt
@@ -63,9 +62,8 @@ fn run_bare(spec: &TenantSpec, epochs: u64) -> RunOutcome {
 /// Drive the same spec as a 1-tenant fleet with an unlimited budget, then
 /// rewrite the tenant-qualified track names to the solo ones so the
 /// traces are directly comparable.
-fn run_fleet_of_one(spec: &TenantSpec, epochs: u64, jobs: usize) -> RunOutcome {
+fn run_fleet_of_one(spec: &TenantSpec, epochs: u64) -> RunOutcome {
     let mut fleet = FleetSim::new(std::slice::from_ref(spec), None, ArbiterPolicy::FairShare);
-    fleet.set_jobs(jobs);
     fleet.enable_recorders(65_536);
     fleet.run_epochs(epochs);
     let trace = fleet
@@ -105,7 +103,7 @@ fn fleet_of_one_is_bit_identical_to_bare_engine() {
     for (i, kind) in WorkloadKind::ALL.iter().enumerate() {
         let spec = TenantSpec::paper(*kind, 40 + i as u64, 0);
         let bare = run_bare(&spec, 12);
-        let fleet = run_fleet_of_one(&spec, 12, 1);
+        let fleet = run_fleet_of_one(&spec, 12);
         assert_identical(&fleet, &bare, &format!("{kind:?}"));
         // The arbiter's "fleet.cap" / "fleet.pressure" instants fire only
         // on actual changes; an unconstrained fleet must emit none.
@@ -114,16 +112,6 @@ fn fleet_of_one_is_bit_identical_to_bare_engine() {
             "{kind:?}: unconstrained fleet touched the engine"
         );
     }
-}
-
-/// Contract 1 again with a worker pool: even with threads the single
-/// tenant's run stays on one worker and stays bit-identical.
-#[test]
-fn fleet_of_one_is_bit_identical_under_worker_pool() {
-    let spec = TenantSpec::paper(WorkloadKind::WordCount, 99, 0);
-    let bare = run_bare(&spec, 10);
-    let fleet = run_fleet_of_one(&spec, 10, 8);
-    assert_identical(&fleet, &bare, "jobs=8");
 }
 
 /// A finite budget that still covers every tenant's demand must also be
@@ -164,52 +152,29 @@ fn big_fleet_specs() -> Vec<TenantSpec> {
         .collect()
 }
 
-fn run_big_fleet(
-    specs: &[TenantSpec],
-    policy: ArbiterPolicy,
-    jobs: usize,
-    order: Option<Vec<usize>>,
-) -> String {
+fn run_big_fleet(specs: &[TenantSpec], policy: ArbiterPolicy) -> String {
     let mut fleet = FleetSim::new(specs, Some(600), policy);
-    fleet.set_jobs(jobs);
-    if let Some(order) = order {
-        fleet.set_step_order(order);
-    }
     fleet.run_epochs(3);
     fleet.summary_jsonl()
 }
 
 /// Contract 2: the 100-tenant summary (per-tenant fingerprints + the full
-/// arbiter ledger) replays byte-identically at `NOSTOP_JOBS` = 1, 4, and
-/// 8, and under a scrambled phase-A execution order. The CI fleet leg
-/// additionally exercises the env-var route on the `fleet_report` binary.
+/// arbiter ledger) replays byte-identically from one run to the next.
+/// The CI fleet leg additionally diffs two runs of the `fleet_report`
+/// binary.
 #[test]
-fn hundred_tenant_fleet_replays_byte_identically_across_jobs() {
+fn hundred_tenant_fleet_replays_byte_identically() {
     for policy in [
         ArbiterPolicy::FairShare,
         ArbiterPolicy::PreemptWithGrace { grace_epochs: 2 },
     ] {
         let specs = big_fleet_specs();
-        let baseline = run_big_fleet(&specs, policy, 1, None);
-        assert!(!baseline.is_empty());
-        for jobs in [4usize, 8] {
-            assert_eq!(
-                baseline,
-                run_big_fleet(&specs, policy, jobs, None),
-                "{}: summary changed with NOSTOP_JOBS={jobs}",
-                policy.name(),
-            );
-        }
-        // Deterministic scramble (reverse, then interleave halves).
-        let n = specs.len();
-        let mut order: Vec<usize> = (0..n / 2).flat_map(|i| [n - 1 - i, i]).collect();
-        if n % 2 == 1 {
-            order.push(n / 2);
-        }
+        let first = run_big_fleet(&specs, policy);
+        assert!(!first.is_empty());
         assert_eq!(
-            baseline,
-            run_big_fleet(&specs, policy, 8, Some(order)),
-            "{}: summary changed with scrambled step order",
+            first,
+            run_big_fleet(&specs, policy),
+            "{}: summary changed on replay",
             policy.name(),
         );
     }
