@@ -180,16 +180,6 @@ impl BayesOpt {
         }
     }
 
-    /// Force the surrogate's update mode (incremental fast path vs
-    /// full-refit probe), overriding `NOSTOP_PROBE`. Must be applied
-    /// before any observations; used by differential tests and the tuner
-    /// arena's in-binary mode-equivalence gate.
-    pub fn with_gp_incremental(mut self, incremental: bool) -> Self {
-        assert!(self.gp.is_empty(), "set the GP mode before observing");
-        self.gp = self.gp.with_incremental(incremental);
-        self
-    }
-
     /// Candidates pooled and candidates that reached the exact pass so
     /// far.
     pub fn scoring_stats(&self) -> ScoringStats {

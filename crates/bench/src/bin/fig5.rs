@@ -9,14 +9,13 @@
 //! CSV trace plus the summary table — remains here.
 
 use nostop_bench::report::{f, print_section, Table};
-use nostop_bench::scenario::{default_corpus_dir, parse_scenario, sample_rate, workload_of};
+use nostop_bench::scenario::{corpus_entry, sample_rate};
 use nostop_simcore::stats::summarize;
 use nostop_workloads::WorkloadKind;
 
 const SAMPLE_EVERY_S: u64 = 10;
 
 fn main() {
-    let dir = default_corpus_dir();
     let mut summary = Table::new(&[
         "workload",
         "range (rec/s)",
@@ -25,16 +24,8 @@ fn main() {
         "observed mean",
     ]);
     for kind in WorkloadKind::ALL {
-        let path = dir.join(format!("fig5-{}.json", kind.name()));
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        let spec = parse_scenario(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(
-            workload_of(&spec).unwrap(),
-            kind,
-            "{} names the wrong workload",
-            spec.name
-        );
+        let spec =
+            corpus_entry(&format!("fig5-{}", kind.name()), kind).unwrap_or_else(|e| panic!("{e}"));
         let samples = sample_rate(&spec, SAMPLE_EVERY_S);
         let s = summarize(&samples.iter().map(|&(_, rate)| rate).collect::<Vec<_>>());
         let (lo, hi) = kind.paper_rate_range();

@@ -19,23 +19,15 @@
 
 use nostop_bench::driver::nostop_config;
 use nostop_bench::report::{f, print_section, Table};
-use nostop_bench::scenario::{build_system, default_corpus_dir, parse_scenario, workload_of};
+use nostop_bench::scenario::{build_system, corpus_entry};
 use nostop_core::controller::NoStop;
 use nostop_workloads::WorkloadKind;
 use std::fmt::Write as _;
 
 /// One workload cell: the rendered evolution block plus the summary row.
 fn run_cell(kind: WorkloadKind) -> (String, Vec<String>) {
-    let path = default_corpus_dir().join(format!("fig6-{}.json", kind.name()));
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let spec = parse_scenario(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    assert_eq!(
-        workload_of(&spec).unwrap(),
-        kind,
-        "{} names the wrong workload",
-        spec.name
-    );
+    let spec =
+        corpus_entry(&format!("fig6-{}", kind.name()), kind).unwrap_or_else(|e| panic!("{e}"));
     let rounds = spec.rounds.expect("fig6 scenarios declare a round budget");
 
     let mut sys = build_system(&spec).unwrap_or_else(|e| panic!("{e}"));

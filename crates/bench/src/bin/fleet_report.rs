@@ -10,19 +10,17 @@
 //! budget, policy)` — digests, ledger counts, arbiter stats — so CI can
 //! diff the output byte-for-byte across runs *and* across the fleet fast
 //! path and its probe mode (`NOSTOP_PROBE=1`).
-//! Wall-clock timings go to **stderr** and — as `wall_ms`, best of
-//! `NOSTOP_PERF_REPEATS` runs (default 1) — into the report **file
-//! only**; the file is the one artifact allowed to differ between hosts
-//! and modes.
+//! Wall-clock timings go to **stderr** and — as `wall_ms`, one run per
+//! scenario — into the report **file only**; the file is the one artifact
+//! allowed to differ between hosts and modes.
 //!
-//! The binary is also its own acceptance test: before writing anything it
-//! asserts that every scenario's ledger conserves the budget and that
-//! every tenant's controller ran every epoch. The 2,000-tenant steady
-//! scenario additionally exercises ledger checkpointing and requires the
-//! fast path to engage (when enabled).
+//! Before writing anything it asserts that every scenario's ledger
+//! conserves the budget and that every tenant's controller ran every
+//! epoch. The 2,000-tenant steady scenario additionally exercises ledger
+//! checkpointing and requires the fast path to engage (when enabled).
 
 use nostop_bench::driver::steady_fleet;
-use nostop_bench::report::{best_of, repeats, with_wall};
+use nostop_bench::report::with_wall;
 use nostop_core::arbiter::ArbiterPolicy;
 use nostop_core::scenario::FaultEvent;
 use nostop_simcore::json::{self, Json};
@@ -30,6 +28,7 @@ use nostop_simcore::{SimDuration, SimTime};
 use nostop_workloads::WorkloadKind;
 use spark_sim::fleet::{FleetSim, TenantSpec};
 use spark_sim::{check_ledger_conservation, FaultPlan};
+use std::time::Instant;
 
 /// Headline fleet size.
 const FLEET_TENANTS: u32 = 100;
@@ -69,10 +68,9 @@ fn fleet_specs(n: u32, fleet_seed: u64) -> Vec<TenantSpec> {
         .collect()
 }
 
-/// One deterministic scenario row: run the fleet (best wall time of
-/// `repeats(1)` runs, digests asserted identical across repeats),
-/// assert conservation, and report digests + arbiter accounting.
-/// Returns `(row, best_wall_ms)` — the wall time goes to stderr and the
+/// One deterministic scenario row: run the fleet once, assert
+/// conservation, and report digests + arbiter accounting.
+/// Returns `(row, wall_ms)` — the wall time goes to stderr and the
 /// report *file*, never to stdout.
 fn scenario_row(
     name: &str,
@@ -81,16 +79,10 @@ fn scenario_row(
     policy: ArbiterPolicy,
     epochs: u64,
 ) -> (Json, f64) {
-    let (fleet, best_wall) = best_of(
-        repeats(1),
-        &format!("{name}: digest"),
-        || {
-            let mut fleet = FleetSim::new(specs, budget, policy);
-            fleet.run_epochs(epochs);
-            fleet
-        },
-        FleetSim::digest,
-    );
+    let start = Instant::now();
+    let mut fleet = FleetSim::new(specs, budget, policy);
+    fleet.run_epochs(epochs);
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
     check_ledger_conservation(fleet.arbiter().ledger())
         .unwrap_or_else(|e| panic!("{name}: ledger conservation violated: {e}"));
@@ -104,7 +96,7 @@ fn scenario_row(
     let satisfied = fleet.last_grants().iter().filter(|g| g.satisfied).count();
     let stats = fleet.arbiter().stats();
     eprintln!(
-        "scenario {name:<28} {:>3} tenants x{epochs} epochs  {best_wall:>8.1} ms",
+        "scenario {name:<28} {:>3} tenants x{epochs} epochs  {wall_ms:>8.1} ms",
         specs.len()
     );
     let row = json::obj(vec![
@@ -131,7 +123,7 @@ fn scenario_row(
         ("revocations", json::uint(stats.revocations)),
         ("coalesced_rounds", json::uint(stats.coalesced_rounds)),
     ]);
-    (row, best_wall)
+    (row, wall_ms)
 }
 
 /// The sparse-stepping scenario: 2,000 steady tenants with ledger
@@ -144,17 +136,11 @@ fn scenario_row(
 /// Returns `(stdout_row, wall_ms, skipped_epochs)`.
 fn steady_scale_row() -> (Json, f64, u64) {
     let specs = steady_fleet(2026, STEADY_TENANTS);
-    let (fleet, best_wall) = best_of(
-        repeats(1),
-        "steady_2000: digest",
-        || {
-            let mut fleet = FleetSim::new(&specs, None, ArbiterPolicy::FairShare);
-            fleet.enable_ledger_checkpointing(STEADY_CHECKPOINT_CAP);
-            fleet.run_epochs(STEADY_EPOCHS);
-            fleet
-        },
-        FleetSim::digest,
-    );
+    let start = Instant::now();
+    let mut fleet = FleetSim::new(&specs, None, ArbiterPolicy::FairShare);
+    fleet.enable_ledger_checkpointing(STEADY_CHECKPOINT_CAP);
+    fleet.run_epochs(STEADY_EPOCHS);
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
     fleet
         .arbiter()
@@ -173,7 +159,7 @@ fn steady_scale_row() -> (Json, f64, u64) {
         );
     }
     eprintln!(
-        "scenario {:<28} {STEADY_TENANTS:>3} tenants x{STEADY_EPOCHS} epochs  {best_wall:>8.1} ms  \
+        "scenario {:<28} {STEADY_TENANTS:>3} tenants x{STEADY_EPOCHS} epochs  {wall_ms:>8.1} ms  \
          ({} epochs fast-forwarded)",
         "steady_2000",
         fleet.total_skipped_epochs()
@@ -215,7 +201,7 @@ fn steady_scale_row() -> (Json, f64, u64) {
             json::uint(fleet.arbiter().ledger().len() as u64),
         ),
     ]);
-    (row, best_wall, fleet.total_skipped_epochs())
+    (row, wall_ms, fleet.total_skipped_epochs())
 }
 
 /// Attach the correlated rack fault to every tenant in a population.

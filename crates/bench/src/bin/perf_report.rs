@@ -23,9 +23,9 @@
 //! parallelism. Non-deterministic by construction (it measures wall
 //! time); everything else in the harness stays deterministic.
 //!
-//! Engine cells run `NOSTOP_PERF_REPEATS` times (default 3) and keep the
-//! best wall time — on shared hosts the best-of-N is the least polluted
-//! estimate of what the code costs.
+//! Every cell runs [`REPEATS`] times, in the full run and in `--smoke`
+//! alike, and keeps the best wall time — on shared hosts the best-of-N is
+//! the least polluted estimate of what the code costs.
 //!
 //! `perf_report --smoke [path]` is the CI guard: it re-measures the gated
 //! rows (engine matrix, `gp_fit_256`, `scenario`, `fleet`) with the full
@@ -34,11 +34,10 @@
 //! more than 25% below the throughput committed in `BENCH_perf.json` (or
 //! `path`), or has no usable committed baseline at all (a stale report is
 //! a distinct hard failure, never a silent pass). It also prints the
-//! ungated `obs_overhead` row and checks that a 2,000-tenant steady fleet
-//! fast-forwards. Nothing is written in smoke mode.
+//! ungated `obs_overhead` row. Nothing is written in smoke mode.
 
 use nostop_bench::driver::{fixed_system, steady_fleet};
-use nostop_bench::report::{best_of, repeats};
+use nostop_bench::report::best_of;
 use nostop_bench::scenario::run_method;
 use nostop_bench::smoke::{Gate, Verdict};
 use nostop_core::arbiter::ArbiterPolicy;
@@ -50,9 +49,11 @@ use nostop_simcore::json::{self, Json};
 use nostop_workloads::WorkloadKind;
 use spark_sim::fleet::FleetSim;
 use spark_sim::EngineParams;
-use std::time::Instant;
 
 const ENGINE_BATCHES: usize = 300;
+
+/// Runs per cell; each cell keeps its best wall time.
+const REPEATS: usize = 5;
 
 /// Fleet smoke cell: a steady multi-tenant fleet run long enough that
 /// most epochs are quiescent. The cell's story is the sparse fast path:
@@ -62,10 +63,6 @@ const ENGINE_BATCHES: usize = 300;
 const FLEET_TENANTS: u32 = 32;
 const FLEET_EPOCHS: u64 = 128;
 const FLEET_BUDGET: u32 = 640;
-/// `--smoke` scale guard: a 2,000-tenant steady fleet must complete with
-/// the fast path engaged (skipped epochs > 0).
-const SCALE_TENANTS: u32 = 2_000;
-const SCALE_EPOCHS: u64 = 40;
 
 /// The committed engine matrix: `(workload, interval_s, executors)`.
 const MATRIX: [(WorkloadKind, f64, u32); 6] = [
@@ -77,14 +74,13 @@ const MATRIX: [(WorkloadKind, f64, u32); 6] = [
     (WorkloadKind::WordCount, 40.0, 8),
 ];
 
-/// One engine-matrix cell, best of `repeats`: simulate `ENGINE_BATCHES`
+/// One engine-matrix cell, best of [`REPEATS`]: simulate `ENGINE_BATCHES`
 /// batches at a fixed configuration, recording into `obs`. Returns
 /// `(virtual_s, best_wall_ms)`, the simulated virtual seconds covered and
 /// the best wall time.
 fn engine_cell(
     (kind, interval_s, executors): (WorkloadKind, f64, u32),
     obs: &Recorder,
-    repeats: usize,
 ) -> (f64, f64) {
     let run = || {
         let params = EngineParams::paper(kind, 7);
@@ -96,7 +92,7 @@ fn engine_cell(
         }
         virtual_s
     };
-    best_of(repeats, "engine cell virtual time", run, |v| v.to_bits())
+    best_of(REPEATS, "engine cell virtual time", run, |v| v.to_bits())
 }
 
 /// The constant rate the engine matrix feeds `kind`, records/s.
@@ -115,10 +111,10 @@ fn peak_rss_kb() -> Option<u64> {
 
 /// The `obs_overhead` row: ns per batch of the WordCount 15 s × 8 and
 /// LogisticRegression 15 s × 14 cells, recorder disabled vs a ring, and the ratio.
-fn obs_overhead_rows(repeats: usize) -> Vec<Json> {
+fn obs_overhead_rows() -> Vec<Json> {
     let row = |&(kind, interval, executors): &(WorkloadKind, f64, u32)| {
         let ns_per_batch = |obs: &Recorder| {
-            let (_, wall) = engine_cell((kind, interval, executors), obs, repeats);
+            let (_, wall) = engine_cell((kind, interval, executors), obs);
             wall * 1e6 / ENGINE_BATCHES as f64
         };
         let off = ns_per_batch(&Recorder::disabled());
@@ -150,9 +146,9 @@ fn run_fleet_cell() -> u64 {
     fleet.digest()
 }
 
-/// The `fleet` section: the best-of-`repeats` fleet cell.
-fn fleet_row(repeats: usize) -> Json {
-    let (digest, wall) = best_of(repeats, "fleet cell digest", run_fleet_cell, |&d| d);
+/// The `fleet` section: the best-of-[`REPEATS`] fleet cell.
+fn fleet_row() -> Json {
+    let (digest, wall) = best_of(REPEATS, "fleet cell digest", run_fleet_cell, |&d| d);
     json::obj(vec![
         ("tenants", json::uint(FLEET_TENANTS as u64)),
         ("epochs", json::uint(FLEET_EPOCHS)),
@@ -226,9 +222,9 @@ fn run_scenario_cell() -> ScenarioCell {
     }
 }
 
-/// The `scenario` section: the best-of-`repeats` scenario cell.
-fn scenario_row(repeats: usize) -> Json {
-    let (cell, wall) = best_of(repeats, "scenario cell", run_scenario_cell, |&c| c);
+/// The `scenario` section: the best-of-[`REPEATS`] scenario cell.
+fn scenario_row() -> Json {
+    let (cell, wall) = best_of(REPEATS, "scenario cell", run_scenario_cell, |&c| c);
     json::obj(vec![
         ("horizon_s", json::num(SCENARIO_HORIZON_S)),
         ("batches", json::uint(cell.batches)),
@@ -270,9 +266,9 @@ fn run_gp_cell() -> f64 {
     m + v
 }
 
-/// The `gp_fit_256` section: the best-of-`repeats` GP cell.
-fn gp_row(repeats: usize) -> Json {
-    let (check, wall) = best_of(repeats, "gp cell checksum", run_gp_cell, |c| c.to_bits());
+/// The `gp_fit_256` section: the best-of-[`REPEATS`] GP cell.
+fn gp_row() -> Json {
+    let (check, wall) = best_of(REPEATS, "gp cell checksum", run_gp_cell, |c| c.to_bits());
     json::obj(vec![
         ("observations", json::uint(GP_OBSERVATIONS as u64)),
         ("dim", json::uint(GP_DIM as u64)),
@@ -285,11 +281,10 @@ fn gp_row(repeats: usize) -> Json {
     ])
 }
 
-/// The `engine_matrix` section: every [`MATRIX`] cell, best-of-`repeats`.
-fn engine_matrix(repeats: usize) -> Json {
+/// The `engine_matrix` section: every [`MATRIX`] cell, best-of-[`REPEATS`].
+fn engine_matrix() -> Json {
     let row = |&(kind, interval, executors): &(WorkloadKind, f64, u32)| {
-        let (virtual_s, wall) =
-            engine_cell((kind, interval, executors), &Recorder::disabled(), repeats);
+        let (virtual_s, wall) = engine_cell((kind, interval, executors), &Recorder::disabled());
         json::obj(vec![
             ("workload", json::str(kind.name())),
             ("interval_s", json::num(interval)),
@@ -306,8 +301,8 @@ fn engine_matrix(repeats: usize) -> Json {
     Json::Arr(MATRIX.iter().map(row).collect())
 }
 
-/// Measures one report section, each cell best of the given repeats.
-type Builder = fn(usize) -> Json;
+/// Measures one report section.
+type Builder = fn() -> Json;
 
 /// The gated sections, each with the builder that measures it. The full
 /// run writes them and `--smoke` re-measures and compares them, so a new
@@ -329,38 +324,6 @@ const GATED: [(Gate, Builder); 4] = [
     (Gate::single("fleet", "fleet_epochs_per_s"), fleet_row),
 ];
 
-/// The `--smoke` scale check: a 2,000-tenant steady fleet must complete
-/// with the fast path engaged (skipped epochs > 0). No committed baseline
-/// — this is a functional floor, not a throughput comparison, so it runs
-/// once. Returns whether it passed.
-fn scale_check() -> bool {
-    let start = Instant::now();
-    let mut fleet = FleetSim::new(
-        &steady_fleet(2026, SCALE_TENANTS),
-        None,
-        ArbiterPolicy::FairShare,
-    );
-    fleet.enable_ledger_checkpointing(4_096);
-    fleet.run_epochs(SCALE_EPOCHS);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let eps = SCALE_EPOCHS as f64 / (wall_ms / 1e3);
-    fleet
-        .arbiter()
-        .check_conservation()
-        .expect("2000-tenant ledger conserves");
-    let skipped = fleet.total_skipped_epochs();
-    let engaged = !fleet.fastpath_enabled() || skipped > 0;
-    if !engaged {
-        eprintln!("smoke: 2000-tenant steady fleet never fast-forwarded");
-    }
-    println!(
-        "smoke {:<40} {SCALE_TENANTS}t x{SCALE_EPOCHS} {eps:>9.1} ep/s  skipped={skipped} {}",
-        "fleet(2000 steady)",
-        if engaged { "ok" } else { "FAIL" }
-    );
-    engaged
-}
-
 /// CI smoke guard: re-measure the gated sections and compare them with
 /// the committed report at `path`. Returns the process exit code.
 fn smoke(path: &str) -> i32 {
@@ -372,11 +335,10 @@ fn smoke(path: &str) -> i32 {
         }
     };
     let committed = Json::parse(&text).expect("committed report parses");
-    let repeats = repeats(3);
     let mut regressed = 0;
     let mut stale = 0;
     for (gate, build) in &GATED {
-        for check in gate.check(&committed, &build(repeats)) {
+        for check in gate.check(&committed, &build()) {
             let (fresh, base, verdict) = match check.verdict {
                 Verdict::Ok(fresh, committed) => (fresh, committed, "ok"),
                 Verdict::Regressed(fresh, committed) => {
@@ -403,11 +365,8 @@ fn smoke(path: &str) -> i32 {
         }
     }
     // Printed, never gated: the ratio depends on the host.
-    for row in obs_overhead_rows(repeats) {
+    for row in obs_overhead_rows() {
         println!("smoke obs_overhead {row} (no gate)");
-    }
-    if !scale_check() {
-        regressed += 1;
     }
     if regressed > 0 {
         eprintln!("smoke: {regressed} cell(s) regressed >25% vs {path}");
@@ -446,15 +405,14 @@ fn main() {
 
     // --- The engine matrix and the single-cell rows: the gated
     // sections, each cell best-of-N ---
-    let repeats = repeats(3);
-    let [engine, gp, scenario, fleet] = GATED.map(|(gate, build)| (gate.section, build(repeats)));
+    let [engine, gp, scenario, fleet] = GATED.map(|(gate, build)| (gate.section, build()));
 
     let report = json::obj(vec![
         ("schema", json::str("nostop-perf/1")),
         ("available_parallelism", json::uint(parallelism as u64)),
-        ("engine_repeats", json::uint(repeats as u64)),
+        ("engine_repeats", json::uint(REPEATS as u64)),
         engine,
-        ("obs_overhead", Json::Arr(obs_overhead_rows(repeats))),
+        ("obs_overhead", Json::Arr(obs_overhead_rows())),
         gp,
         scenario,
         fleet,

@@ -22,13 +22,14 @@
 //! serialization and exits — corpus maintenance, not an experiment run.
 
 use nostop_bench::scenario::{
-    default_corpus_dir, load_corpus, run_method, sample_rate, workload_of,
+    corpus_files, default_corpus_dir, load_corpus, read_scenario, run_method, sample_rate,
+    workload_of,
 };
 use nostop_core::scenario::ScenarioSpec;
 use nostop_simcore::fnv1a64;
 use nostop_simcore::json::{self, Json};
 use nostop_simcore::stats::mean;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Trace-only scenarios sample the rate at this granularity.
 const SAMPLE_EVERY_S: u64 = 10;
@@ -116,35 +117,32 @@ fn parse_args() -> Args {
 
 /// Rewrite every corpus file as `to_json().to_string_pretty()` so the
 /// committed corpus is always in canonical form (a root test enforces it).
-fn canonicalize(dir: &PathBuf) {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("read corpus dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    files.sort();
-    for path in files {
-        let text = std::fs::read_to_string(&path).expect("read scenario");
-        let spec = nostop_bench::scenario::parse_scenario(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+fn canonicalize(dir: &Path) -> Result<(), String> {
+    for path in corpus_files(dir)? {
+        let (text, spec) = read_scenario(&path)?;
         let canonical = format!("{}\n", spec.to_json().to_string_pretty());
         if canonical != text {
-            std::fs::write(&path, canonical).expect("rewrite scenario");
+            std::fs::write(&path, canonical)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             eprintln!("canonicalized {}", path.display());
         }
     }
+    Ok(())
+}
+
+/// Report a corpus that cannot be read and exit with status 2.
+fn corpus_error<T>(e: String) -> T {
+    eprintln!("corpus: {e}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args = parse_args();
     if args.canonicalize {
-        canonicalize(&args.dir);
+        canonicalize(&args.dir).unwrap_or_else(corpus_error);
         return;
     }
-    let specs = load_corpus(&args.dir).unwrap_or_else(|e| {
-        eprintln!("corpus: {e}");
-        std::process::exit(2);
-    });
+    let specs = load_corpus(&args.dir).unwrap_or_else(corpus_error);
 
     // Run each scenario's cells and fingerprint them.
     let mut digests: Vec<(String, String)> = Vec::with_capacity(specs.len());

@@ -16,19 +16,13 @@
 //! and its full-refit probe mode (`NOSTOP_PROBE=1`): the probe factorizes
 //! the same kernel matrix with the same summation order, so BayesOpt's
 //! proposals are bitwise identical either way. Wall-clock timings go to
-//! **stderr** and — as `wall_ms`, best of `NOSTOP_PERF_REPEATS` runs —
-//! into the report **file only**; each BayesOpt cell's stderr line also
-//! carries the share of its candidate pools that reached the GP's exact
-//! pass.
-//!
-//! The binary is also its own acceptance test: before writing anything it
-//! drives two BayesOpt instances over the dim-8 space on a synthetic
-//! objective — one pinned to the incremental GP, one to the full-refit
-//! probe — and asserts every proposal is bitwise identical.
+//! **stderr** and — as `wall_ms`, one run per cell — into the report
+//! **file only**; each BayesOpt cell's stderr line also carries the share
+//! of its candidate pools that reached the GP's exact pass.
 
 use nostop_baselines::{BayesOpt, GridSearch, RandomSearch, ScoringStats, SpsaTuner, Tuner};
 use nostop_bench::driver::{make_system, paper_rate, run_tuner};
-use nostop_bench::report::{best_of, repeats, with_wall};
+use nostop_bench::report::with_wall;
 use nostop_core::space::ConfigSpace;
 use nostop_simcore::json::{self, Json};
 use nostop_simcore::stats::mean;
@@ -99,38 +93,21 @@ struct CellOut {
 }
 
 fn run_cell(cell: Cell) -> CellOut {
-    let label = format!(
-        "{} dim{} {} seed{}",
-        cell.tuner,
-        cell.dim,
-        cell.kind.name(),
-        cell.seed
+    let start = Instant::now();
+    let mut sys = make_system(
+        cell.kind,
+        cell.seed,
+        paper_rate(cell.kind, cell.seed ^ 0x5EED),
     );
-    let ((run, scoring), wall_ms) = best_of(
-        repeats(1),
-        &format!("{label}: trajectory"),
-        || {
-            let mut sys = make_system(
-                cell.kind,
-                cell.seed,
-                paper_rate(cell.kind, cell.seed ^ 0x5EED),
-            );
-            if cell.tuner == "bayesopt" {
-                let mut bo = bayesopt(cell.dim, cell.seed);
-                let run = run_tuner(&mut bo, &mut sys, EVALS);
-                (run, Some(bo.scoring_stats()))
-            } else {
-                let mut tuner = make_tuner(cell.tuner, cell.dim, cell.seed);
-                (run_tuner(tuner.as_mut(), &mut sys, EVALS), None)
-            }
-        },
-        |(run, _)| {
-            run.history
-                .iter()
-                .map(|step| step.objective.to_bits())
-                .collect::<Vec<_>>()
-        },
-    );
+    let (run, scoring) = if cell.tuner == "bayesopt" {
+        let mut bo = bayesopt(cell.dim, cell.seed);
+        let run = run_tuner(&mut bo, &mut sys, EVALS);
+        (run, Some(bo.scoring_stats()))
+    } else {
+        let mut tuner = make_tuner(cell.tuner, cell.dim, cell.seed);
+        (run_tuner(tuner.as_mut(), &mut sys, EVALS), None)
+    };
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let mut best = f64::INFINITY;
     let mut best_so_far = Vec::with_capacity(EVALS);
@@ -138,7 +115,14 @@ fn run_cell(cell: Cell) -> CellOut {
         best = best.min(step.objective);
         best_so_far.push(best);
     }
-    assert!(best.is_finite(), "{label}: no finite evaluation");
+    assert!(
+        best.is_finite(),
+        "{} dim{} {} seed{}: no finite evaluation",
+        cell.tuner,
+        cell.dim,
+        cell.kind.name(),
+        cell.seed
+    );
     while best_so_far.len() < EVALS {
         best_so_far.push(best);
     }
@@ -151,44 +135,10 @@ fn run_cell(cell: Cell) -> CellOut {
     }
 }
 
-/// The in-binary acceptance gate: BayesOpt's proposal stream must be
-/// bitwise identical whether the GP surrogate extends its Cholesky
-/// factor incrementally or refits from scratch. Runs over the dim-8
-/// space on a cheap synthetic objective so the gate costs milliseconds.
-fn assert_gp_modes_propose_identically() -> usize {
-    let space = space_for(8);
-    let synthetic = |p: &[f64]| -> f64 {
-        p.iter()
-            .enumerate()
-            .map(|(i, &x)| (x - (i as f64 + 1.0)).powi(2) * 1e-3)
-            .sum()
-    };
-    let mut fast = BayesOpt::new(space.clone(), 4242).with_gp_incremental(true);
-    let mut probe = BayesOpt::new(space, 4242).with_gp_incremental(false);
-    let iters = 40;
-    for step in 0..iters {
-        let a = fast.propose();
-        let b = probe.propose();
-        let identical =
-            a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(
-            identical,
-            "GP mode gate: proposals diverged at step {step}: {a:?} vs {b:?}"
-        );
-        let y = synthetic(&a);
-        fast.observe(&a, y);
-        probe.observe(&b, y);
-    }
-    eprintln!("gp mode gate: {iters} proposals bitwise identical (incremental vs refit)");
-    iters
-}
-
 fn main() {
     let path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_tuners.json".to_string());
-
-    let gate_iters = assert_gp_modes_propose_identically();
 
     // Fixed cell order: tuner-major, then dim, workload, seed.
     let mut cells = Vec::new();
@@ -391,13 +341,6 @@ fn main() {
                         "tuners",
                         Json::Arr(TUNERS.iter().map(|t| json::str(*t)).collect()),
                     ),
-                ]),
-            ),
-            (
-                "gp_mode_gate",
-                json::obj(vec![
-                    ("proposals_compared", json::uint(gate_iters as u64)),
-                    ("bitwise_identical", Json::Bool(true)),
                 ]),
             ),
             ("rows", Json::Arr(picked)),

@@ -113,17 +113,6 @@ pub fn grid<K: Copy, S: Copy>(kinds: &[K], seeds: &[S]) -> Vec<(K, S)> {
     cells
 }
 
-/// Repeat count for wall-time measurement: `NOSTOP_PERF_REPEATS`
-/// (clamped ≥ 1), else `default`. Deterministic outputs are asserted
-/// identical across repeats and the best (lowest) wall time is kept.
-pub fn repeats(default: usize) -> usize {
-    std::env::var("NOSTOP_PERF_REPEATS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
 /// Run `run` `repeats` times (at least once) and keep the best (lowest)
 /// wall time in milliseconds, returned with the last run's value. The
 /// work is deterministic, so every repeat must agree on `key`; a repeat
@@ -153,7 +142,7 @@ where
     (out, best_wall)
 }
 
-/// The file copy of a report row: the stdout row plus its best wall time,
+/// The file copy of a report row: the stdout row plus its wall time,
 /// which is host-dependent and so never printed to stdout.
 pub fn with_wall(row: &Json, wall_ms: f64) -> Json {
     let mut r = row.clone();

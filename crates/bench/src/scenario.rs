@@ -18,7 +18,7 @@ use crate::driver::{measure_config, nostop_config, penalized_objective};
 use nostop_baselines::{BayesOpt, Tuner};
 use nostop_core::controller::NoStop;
 use nostop_core::scenario::{ClusterKind, FaultEvent, ScenarioSpec};
-use nostop_core::system::{BatchObservation, StreamingSystem};
+use nostop_core::system::{BatchObservation, Measurement, StreamingSystem};
 use nostop_datagen::rate::{RateProcess, RateSpecExt};
 use nostop_simcore::json::Json;
 use nostop_simcore::{SimRng, SimTime};
@@ -46,10 +46,10 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, String> {
     ScenarioSpec::from_json(&json)
 }
 
-/// Load every `*.json` scenario in `dir`, sorted by file name so the
-/// corpus order (and everything derived from it) is stable. Errors name
-/// the offending file. Scenario names must be unique across the corpus.
-pub fn load_corpus(dir: &Path) -> Result<Vec<ScenarioSpec>, String> {
+/// Every `*.json` file in `dir`, sorted by file name so the corpus order
+/// (and everything derived from it) is stable. An empty corpus is an
+/// error.
+pub fn corpus_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     let mut files: Vec<PathBuf> = entries
@@ -60,12 +60,26 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<ScenarioSpec>, String> {
     if files.is_empty() {
         return Err(format!("no scenario files in {}", dir.display()));
     }
+    Ok(files)
+}
+
+/// Read and parse one scenario file, returning its text with the spec.
+/// Errors name the file.
+pub fn read_scenario(path: &Path) -> Result<(String, ScenarioSpec), String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let spec = parse_scenario(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok((text, spec))
+}
+
+/// Load every scenario in `dir`, in [`corpus_files`] order. Scenario
+/// names must be unique across the corpus.
+pub fn load_corpus(dir: &Path) -> Result<Vec<ScenarioSpec>, String> {
+    let files = corpus_files(dir)?;
     let mut specs = Vec::with_capacity(files.len());
     let mut names = std::collections::BTreeSet::new();
     for path in files {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let spec = parse_scenario(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        let (_, spec) = read_scenario(&path)?;
         if !names.insert(spec.name.clone()) {
             return Err(format!(
                 "{}: duplicate scenario name `{}`",
@@ -86,6 +100,27 @@ pub fn workload_of(spec: &ScenarioSpec) -> Result<WorkloadKind, String> {
             spec.name, spec.workload
         )
     })
+}
+
+/// The committed corpus entry `name` (`<name>.json` in
+/// [`default_corpus_dir`]), which must run workload `kind`.
+pub fn corpus_entry(name: &str, kind: WorkloadKind) -> Result<ScenarioSpec, String> {
+    let (_, spec) = read_scenario(&default_corpus_dir().join(format!("{name}.json")))?;
+    expect_workload(spec, kind)
+}
+
+/// `spec`, if it runs workload `kind`.
+fn expect_workload(spec: ScenarioSpec, kind: WorkloadKind) -> Result<ScenarioSpec, String> {
+    if workload_of(&spec)? == kind {
+        Ok(spec)
+    } else {
+        Err(format!(
+            "scenario `{}` runs workload `{}`, not `{}`",
+            spec.name,
+            spec.workload,
+            kind.name()
+        ))
+    }
 }
 
 /// Instantiate the spec's arrival process off its effective rate seed.
@@ -191,16 +226,18 @@ pub struct MethodResult {
 }
 
 /// `(stable fraction, mean end-to-end delay, mean processing time)` of
-/// `batches`, each a plain sum/len; all 0 for an empty log.
+/// `batches`: the [`Measurement`] window means plus the stable count;
+/// all 0 for an empty log.
 pub fn log_means(batches: &[BatchObservation]) -> (f64, f64, f64) {
     if batches.is_empty() {
         return (0.0, 0.0, 0.0);
     }
-    let n = batches.len() as f64;
+    let m = Measurement::from_window(batches);
+    let stable = batches.iter().filter(|b| b.is_stable()).count();
     (
-        batches.iter().filter(|b| b.is_stable()).count() as f64 / n,
-        batches.iter().map(|b| b.end_to_end_s()).sum::<f64>() / n,
-        batches.iter().map(|b| b.processing_s).sum::<f64>() / n,
+        stable as f64 / batches.len() as f64,
+        m.end_to_end_s,
+        m.processing_s,
     )
 }
 
@@ -325,6 +362,16 @@ mod tests {
         assert!(result.resets.is_none());
         // The static default is the configuration every system starts in.
         assert_eq!(StreamConfig::paper_initial().to_physical(), STATIC_CONFIG);
+    }
+
+    #[test]
+    fn an_entry_for_the_wrong_workload_is_an_error() {
+        let text = spec(&[]).to_json().to_string_pretty();
+        let parsed = parse_scenario(&text).unwrap();
+        assert!(expect_workload(parsed.clone(), WorkloadKind::WordCount).is_ok());
+        let err = expect_workload(parsed, WorkloadKind::PageAnalyze).unwrap_err();
+        assert!(err.contains("`unit`"), "{err}");
+        assert!(err.contains("`page-analyze`"), "{err}");
     }
 
     #[test]

@@ -196,17 +196,6 @@ impl CostModel {
     }
 }
 
-/// The resolved cost of one concrete task, as the simulator schedules it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TaskCost {
-    /// CPU µs on a unit-speed core (noise already applied).
-    pub cpu_us: f64,
-    /// Bytes shuffled by this task.
-    pub shuffle_bytes: f64,
-    /// µs of sink (HDFS) writing, sensitive to the node's disk class.
-    pub sink_us: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

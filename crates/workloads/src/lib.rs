@@ -20,6 +20,6 @@ pub mod cost;
 pub mod kind;
 pub mod memo;
 
-pub use cost::{CostModel, TaskCost};
+pub use cost::CostModel;
 pub use kind::WorkloadKind;
 pub use memo::{block_prefix, round_duration_us, speed_quotas, JobCostTable, StageCosts};

@@ -37,20 +37,6 @@ pub struct StageCosts {
 }
 
 impl StageCosts {
-    /// Aggregate first moments of the stage over `tasks` tasks of which
-    /// the first `rem` carry one extra record: total CPU work (µs) and
-    /// total shuffle input (bytes). These are the stage's RNG-free sums —
-    /// the closed-form superbatch derivation starts from them, and the
-    /// per-task noise factors multiply around a unit mean.
-    pub fn aggregate(&self, tasks: u32, rem: u32) -> (f64, f64) {
-        let heavy = rem.min(tasks) as f64;
-        let light = (tasks - rem.min(tasks)) as f64;
-        (
-            self.cpu_us[1] * heavy + self.cpu_us[0] * light,
-            self.shuffle_bytes[1] * heavy + self.shuffle_bytes[0] * light,
-        )
-    }
-
     fn compute(cost: &CostModel, base: u64, include_sink: bool, include_shuffle: bool) -> Self {
         let mut cpu_us = [0.0; 2];
         let mut shuffle_bytes = [0.0; 2];
@@ -280,16 +266,6 @@ mod tests {
         assert_eq!(end, 500 + want, "gap-free: end - open == busy");
         // Empty block is a no-op.
         assert_eq!(block_prefix(500, 100.0, 130.0, 0, 0, &[]), (500, 0));
-    }
-
-    #[test]
-    fn aggregate_moments_sum_the_buckets() {
-        let cost = CostModel::preset(WorkloadKind::WordCount);
-        let table = JobCostTable::new(&cost, 1_003, 10, 2);
-        let s = table.stage(1);
-        let (cpu, shuffle) = s.aggregate(10, 3);
-        assert_eq!(cpu, s.cpu_us[1] * 3.0 + s.cpu_us[0] * 7.0);
-        assert_eq!(shuffle, s.shuffle_bytes[1] * 3.0 + s.shuffle_bytes[0] * 7.0);
     }
 
     #[test]
