@@ -22,10 +22,9 @@
 //! serialization and exits — corpus maintenance, not an experiment run.
 
 use nostop_bench::scenario::{
-    corpus_files, default_corpus_dir, load_corpus, read_scenario, run_method, sample_rate,
-    workload_of,
+    default_corpus_dir, load_corpus, read_scenario, run_method, sample_rate, workload_of,
 };
-use nostop_core::scenario::ScenarioSpec;
+use nostop_core::scenario::{corpus_files, ScenarioSpec};
 use nostop_simcore::fnv1a64;
 use nostop_simcore::json::{self, Json};
 use nostop_simcore::stats::mean;

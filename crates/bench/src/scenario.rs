@@ -17,7 +17,7 @@
 use crate::driver::{measure_config, nostop_config, penalized_objective};
 use nostop_baselines::{BayesOpt, Tuner};
 use nostop_core::controller::NoStop;
-use nostop_core::scenario::{ClusterKind, FaultEvent, ScenarioSpec};
+use nostop_core::scenario::{corpus_files, ClusterKind, FaultEvent, ScenarioSpec};
 use nostop_core::system::{BatchObservation, Measurement, StreamingSystem};
 use nostop_datagen::rate::{RateProcess, RateSpecExt};
 use nostop_simcore::json::Json;
@@ -44,23 +44,6 @@ pub fn default_corpus_dir() -> PathBuf {
 pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, String> {
     let json = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     ScenarioSpec::from_json(&json)
-}
-
-/// Every `*.json` file in `dir`, sorted by file name so the corpus order
-/// (and everything derived from it) is stable. An empty corpus is an
-/// error.
-pub fn corpus_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(format!("no scenario files in {}", dir.display()));
-    }
-    Ok(files)
 }
 
 /// Read and parse one scenario file, returning its text with the spec.

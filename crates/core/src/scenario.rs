@@ -30,6 +30,7 @@
 
 use nostop_simcore::json::{self, Json};
 use nostop_simcore::{SimDuration, SimTime};
+use std::path::{Path, PathBuf};
 
 /// Schema tag every scenario file carries.
 pub const SCENARIO_SCHEMA: &str = "nostop-scenario/1";
@@ -884,6 +885,23 @@ impl ScenarioSpec {
     pub fn effective_rate_seed(&self) -> u64 {
         self.rate_seed.unwrap_or(self.seed ^ 0x5EED)
     }
+}
+
+/// Every `*.json` file in `dir`, sorted by file name so the corpus order
+/// (and everything derived from it) is stable. An empty corpus is an
+/// error.
+pub fn corpus_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let mut files: Vec<PathBuf> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    files.sort();
+    if files.is_empty() {
+        return Err(format!("no scenario files in {}", dir.display()));
+    }
+    Ok(files)
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //! `PROPTEST_CASES` raises the case count (CI runs 2000).
 
 use nostop_core::scenario::{
-    ClusterKind, FaultEvent, RateSpec, ScenarioSpec, SkewSpec, KNOWN_METHODS, MAX_HORIZON_S,
+    corpus_files, ClusterKind, FaultEvent, RateSpec, ScenarioSpec, SkewSpec, KNOWN_METHODS,
+    MAX_HORIZON_S,
 };
 use nostop_simcore::json::Json;
 use nostop_simcore::{SimDuration, SimTime};
@@ -361,14 +362,7 @@ proptest! {
 #[test]
 fn damaged_corpus_files_decode_or_refuse() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .expect("the corpus directory reads")
-        .map(|e| e.expect("a corpus entry reads").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    files.sort();
-    assert!(!files.is_empty(), "no corpus files in {}", dir.display());
-    for path in files {
+    for path in corpus_files(&dir).unwrap_or_else(|e| panic!("{e}")) {
         let text = std::fs::read_to_string(&path).expect("a corpus file reads");
         let check = |text: &str| {
             decodes_or_refuses(text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))

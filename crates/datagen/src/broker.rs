@@ -12,11 +12,13 @@
 //! counts alone. This keeps simulating a 230k-records/second stream (the
 //! paper's Page Analyze rate) allocation-free.
 //!
-//! `produce` runs once per 100 ms integration step, so its cost is what the
-//! ingest path pays: O(1) for uniform production, and O(weight classes)
-//! under hot-key skew (two classes, whatever the partition count).
+//! The generator hands a run of 100 ms integration steps under one rate
+//! sample to `produce_run` in one call, and calls `produce` once per step
+//! only where the run's closed form is refused. Either costs O(1) for
+//! uniform production and O(weight classes) under hot-key skew (two
+//! classes, whatever the partition count).
 
-use nostop_simcore::floor_split;
+use nostop_simcore::{carry_run, floor_split};
 
 /// Identifies a partition within the broker.
 pub type PartitionId = usize;
@@ -80,6 +82,9 @@ struct SkewState {
     carry: Vec<f64>,
     /// Number of partitions in each class.
     size: Vec<u64>,
+    /// Each class's `(whole, carry)` from the last `produce_run`, applied
+    /// only once every class has passed.
+    pending: Vec<(u64, f64)>,
 }
 
 impl SkewState {
@@ -92,6 +97,7 @@ impl SkewState {
             produced: Vec::new(),
             carry: Vec::new(),
             size: Vec::new(),
+            pending: Vec::new(),
         };
         for w in normalized {
             let c = match s.weight.iter().position(|v| v.to_bits() == w.to_bits()) {
@@ -101,6 +107,7 @@ impl SkewState {
                     s.produced.push(0);
                     s.carry.push(0.0);
                     s.size.push(0);
+                    s.pending.push((0, 0.0));
                     s.weight.len() - 1
                 }
             };
@@ -216,6 +223,40 @@ impl Broker {
         let (whole, carry) = floor_split(share + self.produce_carry);
         self.produce_carry = carry;
         self.produced_per_partition += whole;
+    }
+
+    /// Apply `produce(lo)` `steps - high` times and `produce(lo + 1)`
+    /// `high` times, in any order, in O(weight classes), and return true.
+    /// The result is bit for bit that of the calls (see
+    /// [`carry_run`]). Returns false, and changes nothing, when some
+    /// class's carry steps could round, so the caller makes the calls.
+    pub fn produce_run(&mut self, lo: u64, steps: u64, high: u64) -> bool {
+        debug_assert!(high <= steps, "{high} high steps in a run of {steps}");
+        // `produce(0)` returns before touching any carry.
+        let low = if lo == 0 { 0 } else { steps - high };
+        let (lo, hi) = (lo as f64, (lo + 1) as f64);
+        if let Some(skew) = &mut self.skew {
+            for c in 0..skew.weight.len() {
+                let w = skew.weight[c];
+                match carry_run(skew.carry[c], &[(lo * w, low), (hi * w, high)]) {
+                    Some(result) => skew.pending[c] = result,
+                    None => return false,
+                }
+            }
+            for (c, &(whole, carry)) in skew.pending.iter().enumerate() {
+                skew.carry[c] = carry;
+                skew.produced[c] += whole;
+            }
+            return true;
+        }
+        let n = self.partitions.len() as f64;
+        let run = [(lo / n, low), (hi / n, high)];
+        let Some((whole, carry)) = carry_run(self.produce_carry, &run) else {
+            return false;
+        };
+        self.produce_carry = carry;
+        self.produced_per_partition += whole;
+        true
     }
 
     /// Total records ever produced.

@@ -12,10 +12,26 @@
 //! starts before then. A process that promises nothing (a sinusoid, a ramp
 //! mid-flight) is sampled every step, as before. The per-step arithmetic is
 //! the same either way, so production is bit-identical.
+//!
+//! Inside a segment the steps need not be taken one by one either. Each
+//! full step is `(n, carry) = floor_split(a + carry)` with the same
+//! `a = r·0.1`, so `n` is `⌊a⌋` or `⌊a⌋ + 1`. When every add in that loop
+//! is exact — all operands are multiples of `2^g` (`g ≤ 0`) and
+//! `⌊a⌋ + 2 ≤ 2^(g+53)` — the whole parts of `k` steps sum to
+//! `⌊carry + k·a⌋` and the last carry is its fraction, in any order
+//! ([`carry_run`]). The generator then integrates the segment's full steps
+//! in one go and hands the broker how many steps produced `⌊a⌋ + 1`
+//! ([`Broker::produce_run`]), whose class carries pass the same test. The
+//! bytes never depend on which path ran. A run either side refuses is
+//! stepped as before, with one retry after a plain step: a carry left on
+//! a finer grid, by the last segment or by a partial step, is rounded back
+//! onto `a`'s grid by it. Only a new rate sample or a partial step earns
+//! new tries, so a refused segment costs at most two tries per call, not
+//! one per step.
 
 use crate::broker::Broker;
 use crate::rate::RateProcess;
-use nostop_simcore::{floor_split, SimDuration, SimTime};
+use nostop_simcore::{carry_run, floor_split, SimDuration, SimTime};
 
 /// Integration step for the rate process. Finer steps track fast-changing
 /// rates more precisely at a small CPU cost; 100 ms matches Kafka producer
@@ -27,9 +43,13 @@ const INTEGRATION_STEP: SimDuration = SimDuration::from_millis(100);
 pub struct IngestStats {
     /// `RateProcess::rate_at` calls.
     pub rate_calls: u64,
-    /// `Broker::produce` calls (integration steps, plus one per
-    /// closed-form window of a constant rate).
+    /// Integration steps: 100 ms steps, stepped or integrated in closed
+    /// form, plus one per closed-form window of a constant rate. Not the
+    /// number of `Broker::produce` calls, which a closed-form run skips.
     pub produce_steps: u64,
+    /// The 100 ms steps among `produce_steps` that a closed-form run
+    /// integrated (see the module doc).
+    pub segment_steps: u64,
 }
 
 impl IngestStats {
@@ -38,6 +58,7 @@ impl IngestStats {
         IngestStats {
             rate_calls: self.rate_calls - before.rate_calls,
             produce_steps: self.produce_steps - before.produce_steps,
+            segment_steps: self.segment_steps - before.segment_steps,
         }
     }
 }
@@ -54,6 +75,10 @@ pub struct StreamGenerator {
     /// `last_rate` holds for every step that starts before this instant:
     /// the process's `next_change_at` promise from the last sample.
     rate_valid_until: SimTime,
+    /// Closed-form tries left since the carry last left a run's path (a
+    /// new rate sample or a partial step): one, and one retry after a
+    /// plain step. At zero the full steps are stepped until either.
+    runs_left: u8,
     /// Rate samples and produce steps taken so far.
     stats: IngestStats,
 }
@@ -80,6 +105,7 @@ impl StreamGenerator {
             carry: 0.0,
             last_rate: 0.0,
             rate_valid_until: SimTime::ZERO,
+            runs_left: 0,
             stats: IngestStats::default(),
         }
     }
@@ -108,8 +134,6 @@ impl StreamGenerator {
         }
         let mut produced = 0u64;
         while self.produced_until < t {
-            let step_end = (self.produced_until + INTEGRATION_STEP).min(t);
-            let dt = (step_end - self.produced_until).as_secs_f64();
             // Sample at interval start: step-function integration matches
             // the hold-then-redraw semantics of the paper's generator.
             // Inside a segment the process promised constant, the last
@@ -119,15 +143,59 @@ impl StreamGenerator {
                 self.last_rate = self.rate.rate_at(self.produced_until);
                 self.rate_valid_until = self.rate.next_change_at(self.produced_until);
                 self.stats.rate_calls += 1;
+                // Two or more steps start inside the segment.
+                let runs = self.rate_valid_until > self.produced_until + INTEGRATION_STEP;
+                self.runs_left = if runs { 2 } else { 0 };
             }
+            if self.runs_left > 0 {
+                if let Some(n) = self.integrate_run(t, broker) {
+                    produced += n;
+                    continue;
+                }
+            }
+            let step_end = (self.produced_until + INTEGRATION_STEP).min(t);
+            let dt = (step_end - self.produced_until).as_secs_f64();
             let (n, carry) = split_want(self.last_rate * dt + self.carry);
             self.carry = carry;
             broker.produce(n);
             self.stats.produce_steps += 1;
             produced += n;
+            if step_end < self.produced_until + INTEGRATION_STEP {
+                self.runs_left = 2;
+            }
             self.produced_until = step_end;
         }
         produced
+    }
+
+    /// Integrate in closed form the full steps from the watermark up to
+    /// `t` that start inside the current segment (see the module doc),
+    /// returning what they produced. `None` when there are fewer than
+    /// two, or when the generator's or the broker's carries could round,
+    /// which uses up a try.
+    #[inline(never)]
+    fn integrate_run(&mut self, t: SimTime, broker: &mut Broker) -> Option<u64> {
+        let step = INTEGRATION_STEP.as_micros();
+        let held = self.rate_valid_until.saturating_since(self.produced_until);
+        let in_segment = held.as_micros().div_ceil(step);
+        let steps = in_segment.min((t - self.produced_until).as_micros() / step);
+        if steps < 2 {
+            return None;
+        }
+        let a = self.last_rate * INTEGRATION_STEP.as_secs_f64();
+        let lo = a as u64;
+        // The broker applies the run only when its carries pass too.
+        let run = carry_run(self.carry, &[(a, steps)])
+            .filter(|&(whole, _)| broker.produce_run(lo, steps, whole - steps * lo));
+        let Some((whole, carry)) = run else {
+            self.runs_left -= 1;
+            return None;
+        };
+        self.carry = carry;
+        self.produced_until += INTEGRATION_STEP * steps;
+        self.stats.produce_steps += steps;
+        self.stats.segment_steps += steps;
+        Some(whole)
     }
 
     /// The instantaneous rate at the last integration step (records/s).
@@ -176,6 +244,7 @@ impl StreamGenerator {
         self.carry = f64::from_bits(carry_bits);
         self.stats.rate_calls += work.rate_calls;
         self.stats.produce_steps += work.produce_steps;
+        self.stats.segment_steps += work.segment_steps;
     }
 }
 
@@ -300,6 +369,7 @@ mod tests {
         let work = IngestStats {
             rate_calls: 3,
             produce_steps: 117,
+            segment_steps: 90,
         };
         g.fast_forward(SimTime::from_secs_f64(15.0), carry, work);
         assert_eq!(g.produced_until(), SimTime::from_secs_f64(15.0));

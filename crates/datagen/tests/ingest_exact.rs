@@ -1,10 +1,12 @@
 //! Differential tests for the exact ingest path.
 //!
 //! The broker keeps skewed production once per weight class, and the
-//! generator samples the rate once per constant segment. Each runs here
-//! against a test-only reference that does the work the plain way — one
-//! state per partition, one `rate_at` per 100 ms step, libm `floor` — on
-//! generated inputs, and every output must agree bit for bit.
+//! generator samples the rate once per constant segment and integrates the
+//! segment's steps in closed form. Each runs here against a test-only
+//! reference that does the work the plain way — one state per partition,
+//! one `rate_at` and one `produce` per 100 ms step, libm `floor` — on
+//! generated inputs and on edge stacks that force the closed form's
+//! refusals, and every output must agree bit for bit.
 //!
 //! `PROPTEST_CASES` raises the case count (CI runs 2000).
 
@@ -255,6 +257,7 @@ impl RefGenerator {
             let n = self.split(r * dt + self.carry);
             self.produced_until = t;
             broker.produce(n);
+            self.steps += 1;
             return n;
         }
         let mut produced = 0;
@@ -374,16 +377,38 @@ impl Source {
 fn skewed_broker() -> Broker {
     let mut w = vec![1.0; 32];
     w[..4].fill(4.0);
+    uniform_broker(32).with_skew(w)
+}
+
+fn uniform_broker(partitions: usize) -> Broker {
     Broker::new(BrokerConfig {
-        partitions: 32,
+        partitions,
         max_consume_rate: None,
     })
-    .with_skew(w)
+}
+
+/// The brokers every generator case runs against: hot-key skew, and
+/// uniform production over 1, 3 (shares that are not dyadic) and 32
+/// partitions.
+fn brokers() -> [fn() -> Broker; 4] {
+    [
+        skewed_broker,
+        || uniform_broker(1),
+        || uniform_broker(3),
+        || uniform_broker(32),
+    ]
 }
 
 /// Integrate `source` with the cached generator and the per-step
-/// reference over one random sequence of horizons and watermark jumps.
-fn generator_case(source: &Source, seed: u64, plan_seed: u64) -> Result<(), TestCaseError> {
+/// reference over one random sequence of horizons and watermark jumps,
+/// each into a broker from `broker`, and return the cached generator's
+/// work.
+fn generator_case(
+    source: &Source,
+    broker: fn() -> Broker,
+    seed: u64,
+    plan_seed: u64,
+) -> Result<IngestStats, TestCaseError> {
     let mut fast = StreamGenerator::new(source.build(SimRng::seed_from_u64(seed)));
     let mut slow = RefGenerator {
         rate: source.build(SimRng::seed_from_u64(seed)),
@@ -392,7 +417,7 @@ fn generator_case(source: &Source, seed: u64, plan_seed: u64) -> Result<(), Test
         last_rate: 0.0,
         steps: 0,
     };
-    let (mut bf, mut bs) = (skewed_broker(), skewed_broker());
+    let (mut bf, mut bs) = (broker(), broker());
     let mut plan = SimRng::seed_from_u64(plan_seed);
     let mut t = SimTime::ZERO;
     let moves = plan.uniform_u64(1, 40);
@@ -430,8 +455,11 @@ fn generator_case(source: &Source, seed: u64, plan_seed: u64) -> Result<(), Test
             "rate at move {}",
             step
         );
+        prop_assert_eq!(bf.partition_lags(), bs.partition_lags(), "move {}", step);
+        if !bf.is_skewed() {
+            prop_assert_eq!(bf.produce_carry_bits(), bs.produce_carry_bits());
+        }
     }
-    prop_assert_eq!(bf.partition_lags(), bs.partition_lags());
     let stats = fast.stats();
     prop_assert!(
         stats.rate_calls <= slow.steps,
@@ -439,7 +467,9 @@ fn generator_case(source: &Source, seed: u64, plan_seed: u64) -> Result<(), Test
         stats.rate_calls,
         slow.steps
     );
-    Ok(())
+    prop_assert_eq!(stats.produce_steps, slow.steps, "integration steps");
+    prop_assert!(stats.segment_steps <= stats.produce_steps);
+    Ok(stats)
 }
 
 proptest! {
@@ -460,15 +490,16 @@ proptest! {
         plan_seed in any::<u64>(),
     ) {
         let source = Source::random(&mut SimRng::seed_from_u64(spec_seed));
-        generator_case(&source, seed, plan_seed)?;
+        for broker in brokers() {
+            generator_case(&source, broker, seed, plan_seed)?;
+        }
     }
 }
 
-/// The closed-loop benchmark's stack — flash crowds over the paper's
-/// uniform-random rate — and a sinusoid, which promises nothing.
-#[test]
-fn cached_generator_matches_on_named_stacks() {
-    let flash_over_uniform = RateSpec::FlashCrowd {
+/// The closed-loop benchmark's stack: flash crowds over the paper's
+/// uniform-random rate.
+fn flash_over_uniform() -> RateSpec {
+    RateSpec::FlashCrowd {
         base: Box::new(RateSpec::UniformRandom {
             min_rate: 7_000.0,
             max_rate: 13_000.0,
@@ -479,19 +510,100 @@ fn cached_generator_matches_on_named_stacks() {
         pareto_shape: 1.5,
         min_magnitude: 1.3,
         max_magnitude: 3.0,
-    };
+    }
+}
+
+/// Run `specs` through [`generator_case`] on seeds `0..20` with every
+/// broker.
+fn named_cases(specs: Vec<RateSpec>) {
+    for spec in specs {
+        let source = Source::Spec(spec);
+        for broker in brokers() {
+            for seed in 0..20 {
+                generator_case(
+                    &source,
+                    broker,
+                    seed,
+                    seed ^ ADV_BASE_STREAM ^ ADV_EVENT_STREAM,
+                )
+                .unwrap_or_else(|e| panic!("{:?} seed {seed}: {e}", source_name(&source)));
+            }
+        }
+    }
+}
+
+fn source_name(source: &Source) -> String {
+    match source {
+        Source::Spec(spec) => format!("{spec:?}"),
+        Source::Trace(points) => format!("trace {points:?}"),
+    }
+}
+
+/// The closed-loop benchmark's stack and a sinusoid, which promises
+/// nothing.
+#[test]
+fn cached_generator_matches_on_named_stacks() {
     let sinusoid = RateSpec::Sinusoid {
         base: 20_000.0,
         amplitude: 30_000.0,
         period_secs: 60.0,
     };
-    for spec in [flash_over_uniform, sinusoid] {
-        let source = Source::Spec(spec);
-        for seed in 0..20 {
-            generator_case(&source, seed, seed ^ ADV_BASE_STREAM ^ ADV_EVENT_STREAM)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        }
+    named_cases(vec![flash_over_uniform(), sinusoid]);
+}
+
+/// Stacks that sit where the closed form must refuse or where a step
+/// is degenerate: `0.1·r` within 2 of a power of two (whole parts near
+/// `2^(g+53)`, and rates that straddle the binade), rates under 10 rec/s
+/// (`⌊0.1·r⌋ = 0`, where `produce(0)` returns early), a zero rate, and
+/// peaks near 1e7 rec/s.
+#[test]
+fn cached_generator_matches_on_edge_stacks() {
+    let uniform = |min_rate: f64, max_rate: f64, hold_secs: f64| RateSpec::UniformRandom {
+        min_rate,
+        max_rate,
+        hold_secs,
+    };
+    let mut specs = Vec::new();
+    for j in [1, 4, 7, 10, 13, 16, 19] {
+        let p = (1u64 << j) as f64;
+        specs.push(uniform((p - 2.0) * 10.0, p * 10.0, 3.0));
+        specs.push(uniform((p - 2.0) * 10.0, (p + 2.0) * 10.0, 0.7));
     }
+    specs.push(uniform(0.0, 10.0, 2.0));
+    specs.push(uniform(9.0, 9.99, 30.0));
+    specs.push(uniform(0.0, 0.0, 5.0));
+    specs.push(uniform(9e6, 1e7, 4.0));
+    specs.push(RateSpec::FlashCrowd {
+        base: Box::new(uniform(3e6, 3.3e6, 30.0)),
+        mean_gap_secs: 20.0,
+        crowd_secs: 10.0,
+        pareto_shape: 1.5,
+        min_magnitude: 2.5,
+        max_magnitude: 3.0,
+    });
+    named_cases(specs);
+}
+
+/// The closed form carries the run: on the closed-loop benchmark's stack
+/// with the skewed broker, at least 95% of the steps are integrated in
+/// closed form. A change that quietly disengages it fails here.
+#[test]
+fn closed_form_integrates_most_steps() {
+    let source = Source::Spec(flash_over_uniform());
+    let mut total = IngestStats::default();
+    for seed in 0..20 {
+        let plan = seed ^ ADV_BASE_STREAM ^ ADV_EVENT_STREAM;
+        let stats = generator_case(&source, skewed_broker, seed, plan).unwrap();
+        total.produce_steps += stats.produce_steps;
+        total.segment_steps += stats.segment_steps;
+    }
+    let share = total.segment_steps as f64 / total.produce_steps as f64;
+    assert!(
+        share >= 0.95,
+        "{} of {} steps in closed form",
+        total.segment_steps,
+        total.produce_steps
+    );
 }
 
 /// Sampling once per segment is the point: on a 30 s hold the generator

@@ -14,7 +14,8 @@
 //!   statistics used by the NoStop pause/reset policies and the
 //!   experiment reports.
 //! * [`round`] — [`floor_split`] and [`round_half_up`], the libm-free
-//!   float-to-integer splits the ingest and scheduling hot paths use.
+//!   float-to-integer splits the ingest and scheduling hot paths use, and
+//!   [`carry_run`], the closed form of a run of ingest carry steps.
 //! * [`probe_mode`] — the one switch that sends every fast path down its
 //!   exact reference path, and [`fnv1a64`], the replay fingerprint.
 //!
@@ -32,7 +33,7 @@ pub mod time;
 pub use arena::Arena;
 pub use json::Json;
 pub use rng::SimRng;
-pub use round::{floor_split, round_half_up};
+pub use round::{carry_run, floor_split, round_half_up};
 pub use stats::{RollingStats, Summary};
 pub use time::{SimDuration, SimTime};
 

@@ -5,6 +5,10 @@
 //! and the per-job scheduling path use these two helpers instead. Each is
 //! bit-identical to the expression it replaces for every input, NaN and
 //! infinities included, so swapping one in changes no output.
+//!
+//! [`carry_run`] is the closed form of a whole run of `floor_split` carry
+//! steps: it returns the same bits as the loop, or `None` where it cannot
+//! prove that, and the caller steps.
 
 /// 2^63: below it `x as i64` truncates in one instruction.
 const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
@@ -37,9 +41,83 @@ pub fn round_half_up(x: f64) -> u64 {
     t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
+/// Exponent of the lowest set bit of a positive finite `x`: `x` is an
+/// odd multiple of `2^e`.
+fn lowest_bit_exp(x: f64) -> i32 {
+    let bits = x.to_bits();
+    let biased = (bits >> 52) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (mantissa, exp) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
+    };
+    exp + mantissa.trailing_zeros() as i32
+}
+
+/// `2^e` for `e` in the normal range.
+fn pow2(e: i32) -> f64 {
+    f64::from_bits(((1023 + e) as u64) << 52)
+}
+
+/// A run of carry steps in closed form. Each `(addend, count)` stands
+/// for `count` steps of `(n, carry) = floor_split(addend + carry)`; the
+/// result is the sum of the `n` and the last carry, bit for bit as the
+/// loop gives them in any order of the steps, or `None` when some add in
+/// the loop could round. Steps with a zero count take no part.
+///
+/// Every add is exact when the carry and the addends are multiples of
+/// `2^g` (`g` the least exponent of their lowest set bits, capped at 0 so
+/// whole numbers are on the grid too) and `⌊max addend⌋ + 2 ≤ 2^(g+53)`:
+/// each sum is then a multiple of `2^g` below `⌊addend⌋ + 2`, which fits
+/// in 53 bits. The whole parts then telescope to
+/// `⌊carry + Σ count·addend⌋` and the last carry is its fraction, which
+/// this sums in integer units of `2^g`. A negative, `-0.0` or non-finite
+/// operand, or a carry of 1 or more, is refused too.
+pub fn carry_run(carry: f64, run: &[(f64, u64)]) -> Option<(u64, f64)> {
+    if !(carry.is_sign_positive() && carry < 1.0) {
+        return None;
+    }
+    let mut g = if carry > 0.0 {
+        lowest_bit_exp(carry)
+    } else {
+        0
+    };
+    let mut max_addend = 0.0f64;
+    for &(x, count) in run {
+        if count == 0 {
+            continue;
+        }
+        if !(x.is_sign_positive() && x.is_finite()) {
+            return None;
+        }
+        if x > 0.0 {
+            g = g.min(lowest_bit_exp(x));
+        }
+        max_addend = max_addend.max(x);
+    }
+    // 2^(g+53) ≥ 2 needs g ≥ -52, which also keeps the units below 2^53.
+    if g < -52 {
+        return None;
+    }
+    let limit = 1u64 << (g + 53);
+    if max_addend >= limit as f64 || max_addend as u64 + 2 > limit {
+        return None;
+    }
+    let (to_units, shift) = (pow2(-g), -g as u32);
+    let mut units = (carry * to_units) as u128;
+    for &(x, count) in run {
+        units = units.checked_add(count as u128 * (x * to_units) as u128)?;
+    }
+    let whole = u64::try_from(units >> shift).ok()?;
+    let fraction = (units & ((1 << shift) - 1)) as u64;
+    Some((whole, fraction as f64 * pow2(g)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRng;
     use proptest::prelude::*;
 
     /// The libm expressions the helpers replace.
@@ -112,6 +190,90 @@ mod tests {
         }
     }
 
+    /// The carry loop [`carry_run`] stands for, one addend per step.
+    fn carry_loop(mut carry: f64, steps: &[f64]) -> (u64, f64) {
+        let mut whole = 0;
+        for &a in steps {
+            let (n, rest) = floor_split(a + carry);
+            whole += n;
+            carry = rest;
+        }
+        (whole, carry)
+    }
+
+    /// Two addends and a carry in one of five shapes: a broker share
+    /// (`lo·w` and `(lo+1)·w`), a pair straddling a power of two, random
+    /// mantissas on a random grid, one addend within 2 below a power of
+    /// two (the generator's forced refusal), or addends below 1 (rates
+    /// under 10 rec/s, zero included). The carry is 0, the fraction of
+    /// the first addend (its grid), a full-precision fraction, or a
+    /// random multiple of `2^-m` for `m` in 1..=60 (grids finer and
+    /// coarser than the addends').
+    fn carry_case(rng: &mut SimRng) -> (f64, f64, f64) {
+        let p = (1u64 << rng.uniform_u64(0, 45)) as f64;
+        let below_pow2 = |rng: &mut SimRng| {
+            let bits = rng.uniform_u64(0, 53);
+            rng.uniform_u64(0, (1 << bits) - 1)
+        };
+        let (a, b) = match rng.uniform_u64(0, 4) {
+            0 => {
+                let w = rng.uniform(1e-3, 1.0);
+                let lo = below_pow2(rng) >> 13;
+                (lo as f64 * w, (lo + 1) as f64 * w)
+            }
+            1 => (p - rng.uniform(0.0, p.min(2.0)), p + rng.uniform(0.0, 2.0)),
+            2 => {
+                let grid = -(rng.uniform_u64(0, 52) as i32);
+                let a = below_pow2(rng) as f64 * pow2(grid);
+                (a, below_pow2(rng) as f64 * pow2(grid))
+            }
+            3 => {
+                let a = p - rng.uniform(0.0, p.min(2.0));
+                (a, a)
+            }
+            _ => {
+                let a = if rng.bernoulli(0.2) {
+                    0.0
+                } else {
+                    rng.uniform(0.0, 1.0)
+                };
+                (a, rng.uniform(0.0, 2.0))
+            }
+        };
+        let carry = match rng.uniform_u64(0, 3) {
+            0 => 0.0,
+            1 => floor_split(a).1,
+            2 => rng.uniform(0.0, 1.0),
+            _ => {
+                let m = rng.uniform_u64(1, 60);
+                (rng.next_u64() >> (64 - m)) as f64 * pow2(-(m as i32))
+            }
+        };
+        (a, b, carry)
+    }
+
+    #[test]
+    fn carry_run_engages_and_refuses_where_it_must() {
+        // A 9,731.7 rec/s step: 973.17 records, carries on its grid.
+        let a = 9_731.7 * 0.1;
+        let steps = [a; 300];
+        assert_eq!(carry_run(0.0, &[(a, 300)]), Some(carry_loop(0.0, &steps)));
+        // Zero steps leave the carry as it was; zero rates keep it.
+        assert_eq!(carry_run(0.25, &[(a, 0)]), Some((0, 0.25)));
+        assert_eq!(carry_run(0.25, &[(0.0, 7)]), Some((0, 0.25)));
+        // Just below 2^10 on the finest grid the loop rounds.
+        let near = f64::from_bits(1024.0f64.to_bits() - 1);
+        let rounded = (near + 0.5) - near;
+        assert_ne!(rounded, 0.5, "the add at {near} rounds");
+        assert_eq!(carry_run(0.0, &[(near, 2)]), None);
+        // Negative, -0.0, non-finite operands and carries of 1 or more.
+        for x in [-1.0, -0.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(carry_run(x, &[(a, 3)]), None, "carry {x}");
+            assert_eq!(carry_run(0.0, &[(x, 3)]), None, "addend {x}");
+        }
+        assert_eq!(carry_run(1.0, &[(a, 3)]), None);
+    }
+
     #[test]
     fn round_half_up_matches_round_on_edges() {
         for x in edges() {
@@ -133,6 +295,30 @@ mod tests {
             let x = f64::from_bits(bits);
             prop_assert!(same_split(floor_split(x), floor_ref(x)), "floor_split({x:e})");
             prop_assert_eq!(round_half_up(x), round_ref(x), "round_half_up({x:e})");
+        }
+
+        #[test]
+        fn carry_run_matches_the_floor_split_loop(seed in any::<u64>()) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let (a, b, carry) = carry_case(&mut rng);
+            let (mut left_a, mut left_b) = (rng.uniform_u64(0, 64), rng.uniform_u64(0, 64));
+            let run = carry_run(carry, &[(a, left_a), (b, left_b)]);
+            // A random interleaving of the two addends' steps.
+            let mut steps = Vec::new();
+            while left_a + left_b > 0 {
+                if rng.uniform_u64(1, left_a + left_b) <= left_a {
+                    steps.push(a);
+                    left_a -= 1;
+                } else {
+                    steps.push(b);
+                    left_b -= 1;
+                }
+            }
+            if let Some((whole, rest)) = run {
+                let (n, c) = carry_loop(carry, &steps);
+                prop_assert_eq!(whole, n, "{:?} from carry {:e}", (a, b), carry);
+                prop_assert_eq!(rest.to_bits(), c.to_bits(), "{:?} from carry {:e}", (a, b), carry);
+            }
         }
 
         #[test]

@@ -3,7 +3,7 @@
 //! `scenario_runner --canonicalize` is a no-op), round-trips through the
 //! wire format losslessly, and matches the digest ledger's name list.
 
-use nostop_core::scenario::{ScenarioSpec, SkewSpec};
+use nostop_core::scenario::{self, ScenarioSpec, SkewSpec};
 use nostop_simcore::json::Json;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -13,14 +13,7 @@ fn corpus_dir() -> PathBuf {
 }
 
 fn corpus_files() -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
-        .expect("scenarios/ exists")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    files.sort();
-    assert!(!files.is_empty(), "scenarios/ has no corpus files");
-    files
+    scenario::corpus_files(&corpus_dir()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn load(path: &Path) -> (String, ScenarioSpec) {
